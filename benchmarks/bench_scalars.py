@@ -4,6 +4,8 @@ The compiled core is gmpy2's ``mpq``; the pure-Python fallback is
 ``fractions.Fraction``.  The backend is pinned per process via
 ``CYCLEDEC_RATIONAL_BACKEND``, so each run happens in a subprocess.
 
+When gmpy2 cannot be imported its leg is reported as skipped.
+
 Usage: python benchmarks/bench_scalars.py
 """
 
@@ -76,6 +78,12 @@ print(f"  total {total:.3f}s")
 def run(backend: str) -> None:
     env = dict(os.environ, CYCLEDEC_RATIONAL_BACKEND=backend)
     print(f"--- {backend} ---", flush=True)
+    if backend == "gmpy2":
+        try:
+            import gmpy2  # noqa: F401
+        except ImportError:
+            print("  skipped: gmpy2 is not importable")
+            return
     subprocess.run([sys.executable, "-c", WORKLOAD], env=env, check=True)
 
 

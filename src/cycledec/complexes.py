@@ -501,9 +501,9 @@ def in_d_lambda2(phi: VectorField) -> bool:
 def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
     """Find a chain whose boundary is ``phi``, exactly.
 
-    Orientable complexes: integrate along a breadth-first spanning tree of
-    the face adjacency graph starting from ``base_face`` (which is pinned
-    to zero) and verify every remaining adjacency; any mismatch certifies
+    Orientable complexes: integrate along a spanning tree of the face
+    adjacency graph, grown with a stack from ``base_face`` (which is pinned
+    to zero), and verify every remaining adjacency; any mismatch certifies
     that no preimage exists.  Non-orientable complexes: the preimage is
     unique, found by exact linear solve; ``base_face`` is ignored.
     """
@@ -513,23 +513,17 @@ def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
             return TwoChain(cx, [])
         raise NotHomologous("no faces, only the zero field is a boundary")
     if not cx.orientable:
-        rows = []
-        for incidences in cx.edge_faces:
-            row = [ZERO] * cx.n_faces
-            for fid, sign in incidences:
-                row[fid] += Rat(sign)
-            rows.append(row)
         try:
-            values = solve_exact_linear(rows, phi.values)
+            values = solve_exact_linear(face_boundary_matrix(cx), phi.values)
         except NoSolution:
             raise NotHomologous("field is not a boundary on this complex")
         return TwoChain(cx, values)
 
     psi = [None] * cx.n_faces
     psi[base_face] = ZERO
-    queue = [base_face]
-    while queue:
-        fid = queue.pop()
+    stack = [base_face]
+    while stack:
+        fid = stack.pop()
         for eid, sign in cx.face_edges[fid]:
             for other, other_sign in cx.edge_faces[eid]:
                 if other == fid or psi[other] is not None:
@@ -539,7 +533,7 @@ def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
                     psi[other] = psi[fid] - phi.values[eid]
                 else:
                     psi[other] = psi[fid] + phi.values[eid]
-                queue.append(other)
+                stack.append(other)
     if any(v is None for v in psi):
         raise NotHomologous("face adjacency graph is disconnected")
     for eid in range(cx.n_edges):

@@ -127,19 +127,18 @@ def _field_and_symmetric(rates, complex):
 def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     """Decide whether the rates decompose over elementary cycles.
 
-    Pipeline: project the rates to their vector field; a field that is not
-    a face boundary already rules the decomposition out (necessary
-    condition for homotopically trivial cycles, hence for elementary
-    ones).  Otherwise recover a chain, shift each edge interval by the
-    edge's symmetric part and intersect in one pass; a nonempty
-    intersection yields the witness constant (its midpoint), an empty one
-    yields two edges violating the pairwise polyhedron inequality.
+    Pipeline: project the rates to their vector field and recover a chain
+    with that boundary; a field that is not a face boundary already rules
+    the decomposition out (necessary condition for homotopically trivial
+    cycles, hence for elementary ones).  Otherwise shift each edge
+    interval by the edge's symmetric part and intersect in one pass; a
+    nonempty intersection yields the witness constant (its midpoint), an
+    empty one yields two edges violating the pairwise polyhedron
+    inequality.
     """
     if not complex.orientable:
         return in_Re_nonorientable(rates, complex)
     phi, s = _field_and_symmetric(rates, complex)
-    if complex.is_torus() and not in_d_lambda2(phi):
-        return ReVerdict(False, reason="NotHomologous")
     try:
         psi = recover_psi(phi)
     except NotHomologous:

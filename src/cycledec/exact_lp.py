@@ -1,7 +1,12 @@
 """Exact rational linear algebra and a vertex-producing feasibility solver.
 
-The simplex routine here is deliberately minimal: phase-I only, dense
-tableau, Bland's rule.  Feasibility plus a vertex is all the rest of the
+Every exact solve, rank and simplex step goes through one elimination
+kernel, :func:`_pivot`, acting on sparse rows: ``{column: Rat}`` dicts
+that never store a zero.  :func:`solve_exact_linear` and
+:func:`exact_rank` pivot column by column (Gauss-Jordan).  The simplex is
+phase-I only, with Bland's rule; its tableau keeps the right-hand side as
+the last column and the reduced costs as the last row, so a simplex step
+is the same pivot.  Feasibility plus a vertex is all the rest of the
 package needs, and a basic feasible solution of the barycentric system is
 exactly a set of affinely independent points carrying the target in the
 relative interior of their simplex, which is what the constructive
@@ -16,12 +21,46 @@ from .errors import Infeasible, NoSolution
 from .ratio import ONE, ZERO, Rat, to_rat
 
 
-def _to_rat_matrix(rows):
-    return [[to_rat(v) for v in row] for row in rows]
+def _sparse(row) -> dict:
+    """A dense row as a sparse row: ``{column: Rat}`` without zeros."""
+    return {j: q for j, v in enumerate(row) if (q := to_rat(v))}
 
 
-def mat_vec(matrix, vector):
-    return [sum((a * x for a, x in zip(row, vector)), ZERO) for row in matrix]
+def _pivot(rows, r, c):
+    """Scale ``rows[r]`` to a unit entry in column ``c`` and clear column
+    ``c`` from every other row."""
+    row = rows[r]
+    pv = row[c]
+    if pv != 1:
+        row = rows[r] = {j: v / pv for j, v in row.items()}
+    for other in rows:
+        f = other.get(c)
+        if f is None or other is row:
+            continue
+        for j, v in row.items():
+            w = other.get(j, ZERO) - f * v
+            if w:
+                other[j] = w
+            else:
+                del other[j]
+
+
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan on the first ``ncols`` columns, taking them in order.
+
+    Moves the ``k``-th pivot row to position ``k`` and returns the pivot
+    columns; the rows after the pivot rows are zero on those columns.
+    """
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        _pivot(rows, r, c)
+        pivots.append(c)
+    return pivots
 
 
 def solve_exact_linear(matrix, rhs):
@@ -31,104 +70,68 @@ def solve_exact_linear(matrix, rhs):
     system is underdetermined).  Raises :class:`NoSolution` when the system
     is inconsistent.
     """
-    rows = _to_rat_matrix(matrix)
     b = [to_rat(v) for v in rhs]
-    if len(rows) != len(b):
+    if len(matrix) != len(b):
         raise ValueError("matrix and rhs sizes differ")
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [rows[i] + [b[i]] for i in range(m)]
-
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * p for a, p in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            raise NoSolution("inconsistent linear system")
+    n = len(matrix[0]) if matrix else 0
+    rows = [_sparse([*row, v]) for row, v in zip(matrix, b)]
+    pivots = _row_reduce(rows, n)
+    if any(rows[len(pivots):]):
+        raise NoSolution("inconsistent linear system")
     x = [ZERO] * n
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][n]
+    for row, c in zip(rows, pivots):
+        x[c] = row.get(n, ZERO)
     return x
 
 
 def exact_rank(matrix) -> int:
-    rows = _to_rat_matrix(matrix)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(r + 1, m):
-            if rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    rows = [_sparse(row) for row in matrix]
+    return len(_row_reduce(rows, len(matrix[0]) if matrix else 0))
 
 
-def _phase1_vertex(rows, rhs):
+def _phase1_vertex(rows, rhs, n):
     """Phase-I simplex with Bland's rule on ``{x >= 0 : A x = b}``.
 
-    Returns ``(values, basis)`` describing a basic feasible solution, or
-    ``None`` when the system is infeasible.  ``values`` holds one exact
-    entry per column of ``A``; strictly positive entries always sit on
+    ``rows`` are the sparse rows of ``A`` over ``n`` columns.  Returns one
+    exact value per column for a basic feasible solution, or ``None`` when
+    the system is infeasible.  Strictly positive values always sit on
     linearly independent columns.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
+    rhs_col = n + m
+    # artificial column n + i starts basic in row i; a row with negative
+    # right-hand side is negated so that the start is feasible
     T = []
-    b = []
-    for i in range(m):
-        if rhs[i] < 0:
-            T.append([-v for v in rows[i]])
-            b.append(-rhs[i])
-        else:
-            T.append(list(rows[i]))
-            b.append(rhs[i])
-    for i in range(m):
-        T[i].extend(ONE if j == i else ZERO for j in range(m))
-    ncols = n + m
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        t = dict(row) if b >= 0 else {j: -v for j, v in row.items()}
+        t[n + i] = ONE
+        if b:
+            t[rhs_col] = abs(b)
+        T.append(t)
     basis = list(range(n, n + m))
 
-    # reduced costs for min(sum of artificials): artificial columns start
-    # at zero, original column j at minus its column sum
-    z = [ZERO] * ncols
-    for j in range(n):
-        z[j] = -sum((T[i][j] for i in range(m)), ZERO)
+    # cost row for min(sum of artificials): artificial columns start at
+    # zero, every other column at minus its column sum, so its right-hand
+    # side entry is minus the objective value
+    cost = {}
+    for t in T:
+        for j, v in t.items():
+            if j < n or j == rhs_col:
+                cost[j] = cost.get(j, ZERO) - v
+    T.append({j: v for j, v in cost.items() if v})
 
     while True:
-        in_basis = set(basis)
-        enter = next(
-            (j for j in range(ncols) if j not in in_basis and z[j] < 0), None
-        )
-        if enter is None:
+        # basic columns have zero reduced cost, so they never show up here
+        negative = [j for j, v in T[m].items() if v < 0 and j != rhs_col]
+        if not negative:
             break
+        enter = min(negative)
         leave = None
         best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = b[i] / T[i][enter]
+            a = T[i].get(enter, ZERO)
+            if a > 0:
+                ratio = T[i].get(rhs_col, ZERO) / a
                 if best is None or ratio < best or (
                     ratio == best and basis[i] < basis[leave]
                 ):
@@ -136,51 +139,16 @@ def _phase1_vertex(rows, rhs):
                     leave = i
         if leave is None:
             raise AssertionError("phase-I objective cannot be unbounded")
-        _pivot(T, b, z, basis, leave, enter)
+        _pivot(T, leave, enter)
+        basis[leave] = enter
 
-    if any(b[i] != 0 for i in range(m) if basis[i] >= n):
+    if rhs_col in T[m]:
         return None
-
-    # drive zero-valued artificials out of the basis; fully dependent rows
-    # are redundant and get dropped
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        enter = next(
-            (j for j in range(n) if j not in set(basis) and T[i][j] != 0), None
-        )
-        if enter is not None:
-            _pivot(T, b, z, basis, i, enter)
-            keep.append(i)
-    if len(keep) != m:
-        T = [T[i] for i in keep]
-        b = [b[i] for i in keep]
-        basis = [basis[i] for i in keep]
-
     values = [ZERO] * n
     for i, j in enumerate(basis):
         if j < n:
-            values[j] = b[i]
-    return values, [j for j in basis if j < n]
-
-
-def _pivot(T, b, z, basis, leave, enter):
-    m = len(T)
-    pv = T[leave][enter]
-    T[leave] = [v / pv for v in T[leave]]
-    b[leave] = b[leave] / pv
-    for i in range(m):
-        if i != leave and T[i][enter] != 0:
-            f = T[i][enter]
-            T[i] = [a - f * p for a, p in zip(T[i], T[leave])]
-            b[i] = b[i] - f * b[leave]
-    if z[enter] != 0:
-        f = z[enter]
-        for j in range(len(z)):
-            z[j] = z[j] - f * T[leave][j]
-    basis[leave] = enter
+            values[j] = T[i].get(rhs_col, ZERO)
+    return values
 
 
 @dataclass(frozen=True)
@@ -224,14 +192,13 @@ def barycentric_vertex(points, target) -> BarycentricSolution:
         return BarycentricSolution((first_index[tgt],), (ONE,))
 
     unique = sorted(first_index)
-    rows = [[Rat(p[c]) for p in unique] for c in range(dim)]
-    rows.append([ONE] * len(unique))
+    rows = [{j: Rat(p[c]) for j, p in enumerate(unique) if p[c]} for c in range(dim)]
+    rows.append({j: ONE for j in range(len(unique))})
     rhs = [Rat(c) for c in tgt] + [ONE]
 
-    result = _phase1_vertex(rows, rhs)
-    if result is None:
+    values = _phase1_vertex(rows, rhs, len(unique))
+    if values is None:
         raise Infeasible("target is outside the convex hull of the points")
-    values, _ = result
     support = [
         (first_index[unique[j]], values[j])
         for j in range(len(unique))
@@ -249,8 +216,9 @@ def lp_feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, n_vars=None):
     Returns ``(True, witness)`` with an exact rational witness, or
     ``(False, None)``.
     """
-    a_ub = _to_rat_matrix(a_ub or [])
-    a_eq = _to_rat_matrix(a_eq or [])
+    a_ub = a_ub or []
+    a_eq = a_eq or []
+    rows = [_sparse(row) for row in a_ub] + [_sparse(row) for row in a_eq]
     b_ub = [to_rat(v) for v in (b_ub or [])]
     b_eq = [to_rat(v) for v in (b_eq or [])]
     if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
@@ -264,22 +232,13 @@ def lp_feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, n_vars=None):
         n_vars = widths.pop()
     elif widths and widths.pop() != n_vars:
         raise ValueError("n_vars does not match constraint width")
-
-    n_slack = len(a_ub)
-    rows = []
-    rhs = []
-    for i, row in enumerate(a_ub):
-        slack = [ONE if j == i else ZERO for j in range(n_slack)]
-        rows.append(row + slack)
-        rhs.append(b_ub[i])
-    for i, row in enumerate(a_eq):
-        rows.append(row + [ZERO] * n_slack)
-        rhs.append(b_eq[i])
     if not rows:
         return True, [ZERO] * n_vars
 
-    result = _phase1_vertex(rows, rhs)
-    if result is None:
+    # one slack column per inequality, after the variables
+    for i in range(len(a_ub)):
+        rows[i][n_vars + i] = ONE
+    values = _phase1_vertex(rows, b_ub + b_eq, n_vars + len(a_ub))
+    if values is None:
         return False, None
-    values, _ = result
     return True, values[:n_vars]

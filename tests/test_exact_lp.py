@@ -1,16 +1,128 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycledec.errors import Infeasible, NoSolution
 from cycledec.exact_lp import (
     barycentric_vertex,
     exact_rank,
     lp_feasible,
-    mat_vec,
     solve_exact_linear,
 )
-from cycledec.ratio import ONE, ZERO, Rat
+from cycledec.ratio import ONE, ZERO, Rat, to_rat
 
 from conftest import rand_rat
+
+# fixed example sequence and no example database, so every run is the same
+EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def mat_vec(matrix, vector):
+    return [sum((a * x for a, x in zip(row, vector)), ZERO) for row in matrix]
+
+
+def dense_solve(matrix, rhs):
+    """Reference: dense Gauss-Jordan, pivoting column by column."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    aug = [[to_rat(v) for v in row] + [to_rat(b)] for row, b in zip(matrix, rhs)]
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * p for a, p in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        raise NoSolution("inconsistent linear system")
+    x = [ZERO] * n
+    for i, c in enumerate(pivot_cols):
+        x[c] = aug[i][n]
+    return x
+
+
+def dense_rank(matrix):
+    """Reference: dense forward elimination."""
+    rows = [[to_rat(v) for v in row] for row in matrix]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(r + 1, m):
+            if rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+small_rats = st.builds(Rat, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def linear_systems(draw):
+    """``(kind, matrix, rhs)`` for a small rational system of the given kind."""
+    kind = draw(
+        st.sampled_from(
+            ["consistent", "inconsistent", "rank-deficient", "underdetermined"]
+        )
+    )
+    m = draw(st.integers(1, 4))
+    if kind == "underdetermined":
+        n = m + draw(st.integers(1, 2))
+    else:
+        n = draw(st.integers(1, 4))
+
+    def rows(count, width):
+        return [[draw(small_rats) for _ in range(width)] for _ in range(count)]
+
+    matrix = rows(m, n)
+    if kind == "rank-deficient":
+        # every row is a combination of fewer base rows than there are rows
+        base = rows(draw(st.integers(1, max(1, m - 1))), n)
+        matrix = [
+            [sum((c * b[j] for c, b in zip(mix, base)), ZERO) for j in range(n)]
+            for mix in rows(m, len(base))
+        ]
+    rhs = mat_vec(matrix, [draw(small_rats) for _ in range(n)])
+    if kind == "inconsistent":
+        # repeat the first equation with a different right-hand side
+        matrix.append(list(matrix[0]))
+        rhs.append(rhs[0] + 1)
+    return kind, matrix, rhs
+
+
+@EXAMPLES
+@given(linear_systems())
+def test_sparse_kernel_matches_dense_reference(system):
+    kind, matrix, rhs = system
+    assert exact_rank(matrix) == dense_rank(matrix)
+    if kind == "inconsistent":
+        with pytest.raises(NoSolution):
+            dense_solve(matrix, rhs)
+        with pytest.raises(NoSolution):
+            solve_exact_linear(matrix, rhs)
+        return
+    x = solve_exact_linear(matrix, rhs)
+    assert x == dense_solve(matrix, rhs)
+    assert mat_vec(matrix, x) == rhs
 
 
 class TestSolveExactLinear:
@@ -84,7 +196,7 @@ class TestBarycentricVertex:
             [p[i] - support[0][i] for i in range(d)] for p in support[1:]
         ]
         if diffs:
-            assert exact_rank(diffs) == len(diffs)
+            assert dense_rank(diffs) == len(diffs)
 
     def test_vertex_contract_on_random_instances(self, rng):
         for _ in range(60):
@@ -106,6 +218,24 @@ class TestBarycentricVertex:
                 continue
             assert feasible
             self._assert_vertex_contract(points, target, sol)
+
+    @EXAMPLES
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=8),
+                st.tuples(*[st.integers(-3, 3)] * d),
+            )
+        )
+    )
+    def test_vertex_contract_on_generated_point_sets(self, case):
+        points, target = case
+        try:
+            sol = barycentric_vertex(points, target)
+        except Infeasible:
+            assert target not in points
+            return
+        self._assert_vertex_contract(points, target, sol)
 
 
 class TestLpFeasible:
