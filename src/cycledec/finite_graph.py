@@ -7,6 +7,13 @@ by balance), cut at the first repeated vertex and subtract the cycle's
 minimal weight.  Each round deletes at least one edge, so the number of
 terms never exceeds the edge count.
 
+The peel is incremental and heap-driven on integer residuals: the weights
+are scaled once by the lcm of their denominators, a lazily invalidated
+heap yields the least edge at the global minimum, and each vertex sorts
+its successors once and skips deleted edges as the walk meets them.
+Balance and bistochasticity are one pass over the edges on the same
+integers.
+
 Bistochastic weight matrices additionally split into permutation matrices:
 repeatedly extract a perfect matching of the positive support and subtract
 its minimal entry.
@@ -16,6 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from math import lcm
 
 from .errors import (
     EmptyGraph,
@@ -23,7 +32,7 @@ from .errors import (
     NotBalanced,
     NotBistochastic,
 )
-from .ratio import ONE, ZERO, Rat, to_rat
+from .ratio import ZERO, Rat, to_rat
 
 
 @dataclass(frozen=True)
@@ -96,12 +105,6 @@ class WeightedDigraph:
     def edges(self):
         return sorted(self.weights)
 
-    def out_weight(self, u) -> Rat:
-        return sum((w for (a, _), w in self.weights.items() if a == u), ZERO)
-
-    def in_weight(self, u) -> Rat:
-        return sum((w for (_, b), w in self.weights.items() if b == u), ZERO)
-
 
 @dataclass
 class GraphDecomposition:
@@ -120,47 +123,87 @@ class GraphDecomposition:
         return self.reconstruct() == g.weights
 
 
+def _scaled(weights):
+    """Clear denominators: ``(L, {edge: weight * L})`` with ``L`` their lcm.
+
+    Scaling by a positive integer preserves every comparison, so integer
+    residuals make the same choices as rational ones; ``Rat(n, L)`` maps a
+    scaled value back.
+    """
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return scale, {e: w.numerator * (scale // w.denominator) for e, w in weights.items()}
+
+
+def _flux(g: WeightedDigraph):
+    """``(L, inflow, outflow)``: per-vertex weight sums times ``L``, one pass."""
+    scale, scaled = _scaled(g.weights)
+    inflow = dict.fromkeys(g.vertices, 0)
+    outflow = dict.fromkeys(g.vertices, 0)
+    for (u, v), n in scaled.items():
+        outflow[u] += n
+        inflow[v] += n
+    return scale, inflow, outflow
+
+
 def is_balanced_graph(g: WeightedDigraph):
     """Exact in-weight vs out-weight comparison per vertex.
 
     Returns ``(verdict, violators)`` with the offending vertices sorted.
     """
-    violators = [x for x in g.vertices if g.in_weight(x) != g.out_weight(x)]
+    _, inflow, outflow = _flux(g)
+    violators = [x for x in g.vertices if inflow[x] != outflow[x]]
     return not violators, violators
 
 
-def _greedy_cycle(vertices, weights):
-    if not weights:
-        raise EmptyGraph("no positive-weight edges")
-    m_star = min(weights.values())
-    seed = min(e for e, w in weights.items() if w == m_star)
+def _peel(weights):
+    """Yield the greedy rounds ``(cycle, m)`` that peel ``weights`` to zero.
 
-    out: dict = {}
-    for (u, v), w in weights.items():
-        out.setdefault(u, []).append((v, w))
-
-    walk = [seed[0], seed[1]]
-    seen = {seed[0]: 0, seed[1]: 1}
-    while True:
-        here = walk[-1]
-        candidates = sorted(
-            v for v, w in out.get(here, ()) if w >= m_star
-        )
-        if not candidates:
-            raise NotBalanced(
-                f"greedy walk stalled at {here}; graph is not balanced",
-                violators=[here],
-            )
-        nxt = candidates[0]
-        if nxt in seen:
-            cycle = walk[seen[nxt]:]
-            break
-        seen[nxt] = len(walk)
-        walk.append(nxt)
-
-    cycle_obj = GraphCycle(tuple(cycle))
-    m = min(weights[e] for e in cycle_obj.edges())
-    return cycle_obj, m
+    Each round seeds at the least edge of globally minimal residual weight
+    and always steps to the least target still carrying weight: every
+    residual edge weighs at least the round's minimum, so that target is
+    admissible.  Raises :class:`NotBalanced` when the walk reaches a vertex
+    without outgoing weight, which a balanced graph never does.
+    """
+    scale, residual = _scaled(weights)
+    heap = [(n, e) for e, n in residual.items()]
+    heapify(heap)
+    # successors in descending order, so the least live one is at the end
+    succ: dict = {}
+    for u, v in sorted(residual, reverse=True):
+        succ.setdefault(u, []).append(v)
+    while residual:
+        # residuals only fall, so an entry is stale iff its weight differs
+        while residual.get(heap[0][1]) != heap[0][0]:
+            heappop(heap)
+        seed = heap[0][1]
+        walk = [seed[0], seed[1]]
+        seen = {seed[0]: 0, seed[1]: 1}
+        while True:
+            here = walk[-1]
+            targets = succ.get(here)
+            while targets and (here, targets[-1]) not in residual:
+                targets.pop()
+            if not targets:
+                raise NotBalanced(
+                    f"greedy walk stalled at {here}; graph is not balanced",
+                    violators=[here],
+                )
+            nxt = targets[-1]
+            if nxt in seen:
+                cycle = GraphCycle(tuple(walk[seen[nxt]:]))
+                break
+            seen[nxt] = len(walk)
+            walk.append(nxt)
+        edges = cycle.edges()
+        m = min(residual[e] for e in edges)
+        yield cycle, Rat(m, scale)
+        for e in edges:
+            n = residual[e] - m
+            if n:
+                residual[e] = n
+                heappush(heap, (n, e))
+            else:
+                del residual[e]
 
 
 def extract_min_cycle(g: WeightedDigraph):
@@ -170,7 +213,9 @@ def extract_min_cycle(g: WeightedDigraph):
     weight and always extends to the least admissible target, so the result
     is deterministic.  Returns the cycle and its minimal edge weight.
     """
-    return _greedy_cycle(g.vertices, g.weights)
+    if not g.weights:
+        raise EmptyGraph("no positive-weight edges")
+    return next(_peel(g.weights))
 
 
 def decompose_graph(g: WeightedDigraph) -> GraphDecomposition:
@@ -183,24 +228,13 @@ def decompose_graph(g: WeightedDigraph) -> GraphDecomposition:
     ok, violators = is_balanced_graph(g)
     if not ok:
         raise NotBalanced("in-weight differs from out-weight", violators=violators)
-    residual = dict(g.weights)
-    terms = []
-    while residual:
-        cycle, m = _greedy_cycle(g.vertices, residual)
-        for e in cycle.edges():
-            residual[e] -= m
-            if residual[e] == 0:
-                del residual[e]
-        terms.append((cycle, m))
-    return GraphDecomposition(terms)
+    return GraphDecomposition(list(_peel(g.weights)))
 
 
 def is_bistochastic(g: WeightedDigraph) -> bool:
     """Every row and column of the weight matrix sums to exactly one."""
-    for x in g.vertices:
-        if g.out_weight(x) != ONE or g.in_weight(x) != ONE:
-            return False
-    return True
+    scale, inflow, outflow = _flux(g)
+    return all(inflow[x] == scale == outflow[x] for x in g.vertices)
 
 
 def _hopcroft_karp(rows, cols, adjacency):
@@ -230,15 +264,32 @@ def _hopcroft_karp(rows, cols, adjacency):
                     queue.append(nxt)
         return found
 
-    def dfs(r):
-        for c in adjacency[r]:
-            nxt = match_col[c]
-            if nxt is None or (dist[nxt] == dist[r] + 1 and dfs(nxt)):
-                match_row[r] = c
-                match_col[c] = r
-                return True
-        dist[r] = INF
-        return False
+    def dfs(root):
+        # depth-first search for an augmenting path along the BFS layers,
+        # with an explicit stack: paths can be longer than the recursion
+        # limit.  ``via[i]`` is the column that leads from ``path[i]`` on.
+        path, via, scans = [root], [], [iter(adjacency[root])]
+        while path:
+            r = path[-1]
+            for c in scans[-1]:
+                nxt = match_col[c]
+                if nxt is None:
+                    via.append(c)
+                    for u, col in zip(path, via):
+                        match_row[u] = col
+                        match_col[col] = u
+                    return
+                if dist[nxt] == dist[r] + 1:
+                    via.append(c)
+                    path.append(nxt)
+                    scans.append(iter(adjacency[nxt]))
+                    break
+            else:
+                dist[r] = INF
+                path.pop()
+                scans.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for r in rows:
@@ -256,23 +307,24 @@ def birkhoff_decompose(g: WeightedDigraph):
     """
     if not is_bistochastic(g):
         raise NotBistochastic("row or column sums differ from 1")
-    residual = dict(g.weights)
+    scale, residual = _scaled(g.weights)
+    adjacency = {r: [] for r in g.vertices}
+    for u, v in sorted(residual):
+        adjacency[u].append(v)
     terms = []
     while residual:
-        adjacency = {r: [] for r in g.vertices}
-        for (u, v) in sorted(residual):
-            adjacency[u].append(v)
         matching = _hopcroft_karp(g.vertices, g.vertices, adjacency)
         if len(matching) != len(g.vertices):
             raise NoPerfectMatching(
                 "no perfect matching on a bistochastic support; arithmetic bug"
             )
-        m = min(residual[(u, v)] for u, v in matching.items())
-        terms.append((dict(matching), m))
+        m = min(residual[e] for e in matching.items())
+        terms.append((matching, Rat(m, scale)))
         for u, v in matching.items():
             residual[(u, v)] -= m
             if residual[(u, v)] == 0:
                 del residual[(u, v)]
+                adjacency[u].remove(v)
     return terms
 
 

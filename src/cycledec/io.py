@@ -7,11 +7,13 @@ identical inputs give byte-identical files.  Readers raise
 
 from __future__ import annotations
 
+from math import lcm
+
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
 from .lattice import LatticeCycleClass, LatticeDecomposition, LatticeMeasure
 from .finite_graph import GraphCycle, GraphDecomposition
-from .ratio import ZERO, parse_rat, rat_decimal, rat_str, to_rat
+from .ratio import ZERO, Rat, parse_rat, rat_decimal, rat_str, to_rat
 
 
 def _content_lines(text: str):
@@ -457,26 +459,24 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
     map.  The caller compares against its input exactly.
     """
     if mode in ("graph", "birkhoff"):
+        # integer numerators over the common denominator of the term weights
+        terms = [record[1:] for record in records if record[0] == "term"]
+        scale = lcm(*(weight.denominator for weight, _, _ in terms))
         acc = {}
-
-        def add(u, v, w):
-            acc[(u, v)] = acc.get((u, v), ZERO) + w
-
-        for record in records:
-            if record[0] != "term":
-                continue
-            _, weight, kind, payload = record
+        for weight, kind, payload in terms:
             if kind == "cycle":
-                cycle = GraphCycle(tuple(payload))
-                for u, v in cycle.edges():
-                    add(u, v, weight)
+                edges = GraphCycle(tuple(payload)).edges()
             elif kind == "perm":
+                edges = []
                 for token in payload:
                     u, v = token.split(">", 1)
-                    add(u, v, weight)
+                    edges.append((u, v))
             else:
                 raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
-        return {e: w for e, w in acc.items() if w != 0}
+            n = weight.numerator * (scale // weight.denominator)
+            for e in edges:
+                acc[e] = acc.get(e, 0) + n
+        return {e: Rat(n, scale) for e, n in acc.items() if n}
     if mode in ("lattice", "1d-heavy"):
         atoms = {}
         trivial = ZERO

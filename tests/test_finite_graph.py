@@ -1,9 +1,15 @@
-import pytest
+import sys
+from collections import deque
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cycledec import io as fio
 from cycledec.errors import EmptyGraph, NotBalanced, NotBistochastic
 from cycledec.finite_graph import (
     GraphCycle,
     WeightedDigraph,
+    _hopcroft_karp,
     birkhoff_decompose,
     birkhoff_graph_decomposition,
     decompose_graph,
@@ -15,6 +21,166 @@ from cycledec.finite_graph import (
 from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import rand_pos_rat
+
+# fixed example sequence and no example database, so every run is the same
+EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+# -- references: the rebuild-every-round kernels on rationals ------------------
+
+
+def reference_flux_violators(g):
+    """Vertices whose in-weight and out-weight differ, one scan per vertex."""
+    return [
+        x for x in g.vertices
+        if sum((w for (_, b), w in g.weights.items() if b == x), ZERO)
+        != sum((w for (a, _), w in g.weights.items() if a == x), ZERO)
+    ]
+
+
+def reference_greedy_cycle(weights):
+    """One greedy round: rebuild the adjacency and rescan every weight."""
+    m_star = min(weights.values())
+    seed = min(e for e, w in weights.items() if w == m_star)
+    out = {}
+    for (u, v), w in weights.items():
+        out.setdefault(u, []).append((v, w))
+    walk = [seed[0], seed[1]]
+    seen = {seed[0]: 0, seed[1]: 1}
+    while True:
+        here = walk[-1]
+        candidates = sorted(v for v, w in out.get(here, ()) if w >= m_star)
+        if not candidates:
+            raise NotBalanced(f"greedy walk stalled at {here}", violators=[here])
+        nxt = candidates[0]
+        if nxt in seen:
+            cycle = GraphCycle(tuple(walk[seen[nxt]:]))
+            break
+        seen[nxt] = len(walk)
+        walk.append(nxt)
+    return cycle, min(weights[e] for e in cycle.edges())
+
+
+def reference_peel(weights):
+    residual = dict(weights)
+    terms = []
+    while residual:
+        cycle, m = reference_greedy_cycle(residual)
+        for e in cycle.edges():
+            residual[e] -= m
+            if residual[e] == 0:
+                del residual[e]
+        terms.append((cycle, m))
+    return terms
+
+
+def reference_hopcroft_karp(rows, cols, adjacency):
+    """Hopcroft-Karp with the recursive augmenting-path search."""
+    INF = float("inf")
+    match_row = {r: None for r in rows}
+    match_col = {c: None for c in cols}
+    dist = {}
+
+    def bfs():
+        queue = deque()
+        for r in rows:
+            if match_row[r] is None:
+                dist[r] = 0
+                queue.append(r)
+            else:
+                dist[r] = INF
+        found = False
+        while queue:
+            r = queue.popleft()
+            for c in adjacency[r]:
+                nxt = match_col[c]
+                if nxt is None:
+                    found = True
+                elif dist[nxt] == INF:
+                    dist[nxt] = dist[r] + 1
+                    queue.append(nxt)
+        return found
+
+    def dfs(r):
+        for c in adjacency[r]:
+            nxt = match_col[c]
+            if nxt is None or (dist[nxt] == dist[r] + 1 and dfs(nxt)):
+                match_row[r] = c
+                match_col[c] = r
+                return True
+        dist[r] = INF
+        return False
+
+    while bfs():
+        for r in rows:
+            if match_row[r] is None:
+                dfs(r)
+    return {r: c for r, c in match_row.items() if c is not None}
+
+
+def reference_birkhoff(g):
+    """Re-sort the rational residual into an adjacency every round."""
+    residual = dict(g.weights)
+    terms = []
+    while residual:
+        adjacency = {r: [] for r in g.vertices}
+        for u, v in sorted(residual):
+            adjacency[u].append(v)
+        matching = reference_hopcroft_karp(g.vertices, g.vertices, adjacency)
+        assert len(matching) == len(g.vertices)
+        m = min(residual[e] for e in matching.items())
+        terms.append((matching, m))
+        for e in matching.items():
+            residual[e] -= m
+            if residual[e] == 0:
+                del residual[e]
+    return terms
+
+
+def reference_reconstruct(records):
+    """One rational addition per traversed edge."""
+    acc = {}
+    for record in records:
+        if record[0] != "term":
+            continue
+        _, weight, kind, payload = record
+        if kind == "cycle":
+            edges = GraphCycle(tuple(payload)).edges()
+        else:
+            edges = [tuple(token.split(">", 1)) for token in payload]
+        for e in edges:
+            acc[e] = acc.get(e, ZERO) + weight
+    return {e: w for e, w in acc.items() if w != 0}
+
+
+def exact_terms(terms):
+    """Terms as plain data, so equal values of another type do not pass."""
+    return [(list(c.items()) if isinstance(c, dict) else c.vertices, type(m), str(m))
+            for c, m in terms]
+
+
+@st.composite
+def balanced_graphs(draw):
+    """Sums of random cycles (self-loops included) with mixed denominators.
+
+    Every weight is at least ``base`` and cycles drawn at exactly ``base``
+    leave ties at the global minimum.
+    """
+    n = draw(st.integers(2, 8))
+    vertices = [f"v{i}" for i in range(n)]
+    dens = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    base = Rat(draw(st.integers(1, 4)), draw(st.sampled_from(dens)))
+    loops = draw(st.booleans())
+    weights = {}
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.integers(1 if loops else 2, n))
+        cycle = draw(st.permutations(vertices))[:size]
+        w = base
+        if draw(st.booleans()):
+            w += Rat(draw(st.integers(1, 30)), draw(st.sampled_from(dens)))
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            weights[(u, v)] = weights.get((u, v), ZERO) + w
+    return WeightedDigraph(tuple(vertices), weights, allow_self_loops=loops)
 
 
 def graph(edges, **kw):
@@ -84,6 +250,12 @@ class TestExtractMinCycle:
         with pytest.raises(EmptyGraph):
             extract_min_cycle(WeightedDigraph(("a",), {}))
 
+    def test_unbalanced_names_the_stalled_vertex(self):
+        g = graph([("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
+        with pytest.raises(NotBalanced, match="greedy walk stalled at c") as info:
+            extract_min_cycle(g)
+        assert info.value.violators == ["c"]
+
 
 class TestDecomposeGraph:
     def test_pure_cycle(self):
@@ -150,6 +322,28 @@ class TestEquivalence:
             assert not is_balanced_graph(bad)[0]
             with pytest.raises(NotBalanced):
                 decompose_graph(bad)
+
+
+@EXAMPLES
+@given(balanced_graphs(), st.data())
+def test_peel_matches_rebuild_every_round_reference(g, data):
+    assert is_balanced_graph(g) == (True, [])
+    dec = decompose_graph(g)
+    assert exact_terms(dec.terms) == exact_terms(reference_peel(g.weights))
+    assert dec.matches(g)
+    assert len(dec.terms) <= len(g.weights)
+    assert exact_terms([extract_min_cycle(g)]) == exact_terms(dec.terms[:1])
+
+    u, v = data.draw(st.sampled_from(sorted(g.weights)))
+    weights = dict(g.weights)
+    weights[(u, v)] += Rat(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 7)))
+    bad = WeightedDigraph(g.vertices, weights, allow_self_loops=g.allow_self_loops)
+    violators = reference_flux_violators(bad)
+    assert is_balanced_graph(bad) == (not violators, violators)
+    if violators:  # a heavier self-loop keeps the graph balanced
+        with pytest.raises(NotBalanced) as info:
+            decompose_graph(bad)
+        assert info.value.violators == violators
 
 
 class TestBistochastic:
@@ -223,6 +417,84 @@ class TestBirkhoff:
                 for u, v in pi.items():
                     rebuilt[(u, v)] = rebuilt.get((u, v), ZERO) + w
             assert rebuilt == g.weights
+
+
+@st.composite
+def permutation_mixtures(draw):
+    """Bistochastic matrices as convex mixtures of random permutations."""
+    n = draw(st.integers(1, 7))
+    vertices = [f"v{i}" for i in range(n)]
+    raw = draw(st.lists(st.builds(Rat, st.integers(1, 6), st.integers(1, 6)),
+                        min_size=1, max_size=8))
+    total = sum(raw, ZERO)
+    weights = {}
+    for coeff in raw:
+        pi = draw(st.permutations(vertices))
+        for u, v in zip(vertices, pi):
+            weights[(u, v)] = weights.get((u, v), ZERO) + coeff / total
+    return WeightedDigraph(tuple(vertices), weights, allow_self_loops=True)
+
+
+@EXAMPLES
+@given(permutation_mixtures())
+def test_birkhoff_matches_resorting_reference(g):
+    assert is_bistochastic(g)
+    terms = birkhoff_decompose(g)
+    assert exact_terms(terms) == exact_terms(reference_birkhoff(g))
+    assert sum((w for _, w in terms), ZERO) == ONE
+    assert len(terms) <= (len(g.vertices) - 1) ** 2 + 1
+
+
+@EXAMPLES
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_hopcroft_karp_matches_recursive_reference(n_rows, n_cols, data):
+    rows = data.draw(st.permutations(range(n_rows)))
+    cols = [f"c{j}" for j in range(n_cols)]
+    adjacency = {
+        r: data.draw(st.lists(st.sampled_from(cols), unique=True, max_size=n_cols))
+        for r in rows
+    }
+    matching = _hopcroft_karp(rows, cols, adjacency)
+    assert list(matching.items()) == list(
+        reference_hopcroft_karp(rows, cols, adjacency).items()
+    )
+
+
+def test_hopcroft_karp_augmenting_path_deeper_than_recursion_limit():
+    # r0 -> c0 and r_i -> c_{i-1}, c_i, rows in reverse order: the first
+    # phase matches r_i -> c_{i-1}, leaving one augmenting path through
+    # every row
+    n = sys.getrecursionlimit() + 4000
+    rows = list(range(n - 1, -1, -1))
+    adjacency = {r: [r - 1, r] if r else [0] for r in rows}
+    matching = _hopcroft_karp(rows, range(n), adjacency)
+    assert matching == {r: r for r in rows}
+
+
+@st.composite
+def graph_records(draw):
+    """Parsed ``term`` records of either kind with signed mixed weights."""
+    labels = ["a", "b", "c", "d", "e"]
+    records = [("parameter", Rat(1, 2))]
+    for _ in range(draw(st.integers(0, 8))):
+        weight = Rat(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+        if draw(st.booleans()):
+            cycle = draw(st.permutations(labels))[:draw(st.integers(1, 5))]
+            records.append(("term", weight, "cycle", cycle))
+        else:
+            pi = draw(st.permutations(labels))
+            records.append(("term", weight, "perm", [f"{u}>{v}" for u, v in zip(labels, pi)]))
+    return records
+
+
+@EXAMPLES
+@given(graph_records())
+def test_integer_reconstruction_matches_rational_sum(records):
+    for mode in ("graph", "birkhoff"):
+        rebuilt = fio.reconstruct_decomposition(mode, records)
+        expected = reference_reconstruct(records)
+        assert list(rebuilt.items()) == list(expected.items())
+        assert all(type(w) is Rat for w in rebuilt.values())
 
 
 class TestPermutationCycles:
