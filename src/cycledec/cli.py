@@ -13,7 +13,8 @@ import sys
 from . import discretize as dz
 from . import elementary as el
 from . import io as fio
-from .complexes import TwoComplex, field_to_rates, hodge_decompose, rates_to_field, in_d_lambda2
+from .complexes import TwoComplex, check_rates, field_to_rates, hodge_decompose
+from .complexes import in_d_lambda2, rates_to_field
 from .errors import CycleDecError, InputFormatError, NotBalanced
 from .finite_graph import (
     WeightedDigraph,
@@ -62,7 +63,22 @@ def _load_rates(path, args, dim: int = 2):
         raise InputFormatError(path, 0, "rates files need --torus or --surface")
     if complex.is_torus():
         weights = fio.labels_to_coords(weights, path)
-    return weights, complex
+    try:
+        return check_rates(weights, complex), complex
+    except (KeyError, ValueError) as exc:
+        raise InputFormatError(path, 0, f"rates do not fit {complex.name}: {exc.args[0]}")
+
+
+def _load_digraph(path, allow_self_loops=False):
+    """Name plus weighted digraph from a graph file."""
+    name, weights = fio.read_graph(path)
+    try:
+        graph = WeightedDigraph.from_edges(
+            [(u, v, w) for (u, v), w in weights.items()], allow_self_loops=allow_self_loops
+        )
+    except ValueError as exc:
+        raise InputFormatError(path, 0, str(exc))
+    return name, graph
 
 
 def _emit(text: str, out_path):
@@ -91,10 +107,7 @@ def _cmd_check(args) -> int:
                 return 0
             print("balanced: no (nonzero mean)")
             return 1
-        _, weights = fio.read_graph(path)
-        graph = WeightedDigraph.from_edges(
-            [(u, v, w) for (u, v), w in weights.items()]
-        )
+        _, graph = _load_digraph(path)
         ok, violators = is_balanced_graph(graph)
         if ok:
             print("balanced: yes")
@@ -102,10 +115,7 @@ def _cmd_check(args) -> int:
         print("balanced: no violators=" + ",".join(str(v) for v in violators))
         return 1
     if prop == "bistochastic":
-        _, weights = fio.read_graph(path)
-        graph = WeightedDigraph.from_edges(
-            [(u, v, w) for (u, v), w in weights.items()], allow_self_loops=True
-        )
+        _, graph = _load_digraph(path, allow_self_loops=True)
         ok = is_bistochastic(graph)
         print(f"bistochastic: {'yes' if ok else 'no'}")
         return 0 if ok else 1
@@ -148,16 +158,12 @@ def _cmd_decompose(args) -> int:
     mode = args.mode
     decimals = _decimals(args)
     if mode == "graph":
-        name, weights = fio.read_graph(args.input)
-        graph = WeightedDigraph.from_edges([(u, v, w) for (u, v), w in weights.items()])
+        name, graph = _load_digraph(args.input)
         dec = decompose_graph(graph)
         text = fio.format_graph_decomposition(dec, name, decimals)
         expected = ("graph", graph.weights)
     elif mode == "birkhoff":
-        name, weights = fio.read_graph(args.input)
-        graph = WeightedDigraph.from_edges(
-            [(u, v, w) for (u, v), w in weights.items()], allow_self_loops=True
-        )
+        name, graph = _load_digraph(args.input, allow_self_loops=True)
         terms = birkhoff_decompose(graph)
         text = fio.format_birkhoff_decomposition(terms, name, decimals)
         expected = ("birkhoff", graph.weights)
@@ -195,7 +201,10 @@ def _cmd_decompose(args) -> int:
             sys.stdout.write(fio.format_lift(records, decimals))
     elif mode == "1d":
         rates, complex = _load_rates(args.input, args, dim=1)
-        family = el.decompose_1d(rates, complex)
+        try:
+            family = el.decompose_1d(rates, complex)
+        except ValueError as exc:
+            raise InputFormatError(args.input, 0, str(exc))
         a = parse_rat(args.param) if args.param else ZERO
         text = fio.format_1d_family(family, args.input, a, decimals)
         expected = ("on-complex", rates, complex)

@@ -440,18 +440,6 @@ def coboundary1(phi: VectorField) -> TwoChain:
     return TwoChain(cx, values)
 
 
-def face_indicator(complex: TwoComplex, fid: int) -> TwoChain:
-    values = [ZERO] * complex.n_faces
-    values[fid] = ONE
-    return TwoChain(complex, values)
-
-
-def vertex_indicator(complex: TwoComplex, vertex) -> ZeroForm:
-    values = [ZERO] * complex.n_vertices
-    values[complex.vertex_index[vertex]] = ONE
-    return ZeroForm(complex, values)
-
-
 def harmonic_basis(complex: TwoComplex):
     """The two constant direction fields spanning the 2-torus harmonics."""
     fields = []
@@ -467,35 +455,15 @@ def harmonic_basis(complex: TwoComplex):
 def in_d_lambda2(phi: VectorField) -> bool:
     """Membership in the image of the face boundary operator.
 
-    On the torus this is the explicit characterization: zero divergence
-    everywhere plus zero total flux in every coordinate direction.  On
-    general surface complexes it is decided constructively by attempting
-    the recovery of a preimage chain.
+    Decided on every complex by attempting the recovery of a preimage
+    chain with :func:`recover_psi`; on a complex without faces only the
+    zero field is a boundary.
     """
-    cx = phi.complex
-    if cx.is_torus():
-        if not boundary1(phi).is_zero():
-            return False
-        d = cx.torus_dimension()
-        if d == 1:
-            return phi.is_zero()
-        for direction in (0, 1):
-            total = sum(
-                (
-                    phi.values[eid]
-                    for eid in range(cx.n_edges)
-                    if cx.edge_direction(eid) == direction
-                ),
-                ZERO,
-            )
-            if total != 0:
-                return False
-        return True
     try:
         recover_psi(phi)
-        return True
     except NotHomologous:
         return False
+    return True
 
 
 def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
@@ -605,13 +573,26 @@ def check_rates(rates: dict, complex: TwoComplex) -> dict:
     return cleaned
 
 
+def _field_and_symmetric(rates: dict, complex: TwoComplex):
+    """The one validated pass from rates to the field and symmetric parts.
+
+    Per chosen edge ``(u, v)``, with ``a = r(u, v)`` and ``b = r(v, u)``,
+    the field carries ``a - b`` and the symmetric part is ``min(a, b)``;
+    the symmetric parts come back as a list indexed by edge id.
+    """
+    rates = check_rates(rates, complex)
+    values, s = [], []
+    for u, v in complex.edges:
+        a = rates.get((u, v), ZERO)
+        b = rates.get((v, u), ZERO)
+        values.append(a - b)
+        s.append(min(a, b))
+    return VectorField(complex, values), s
+
+
 def rates_to_field(rates: dict, complex: TwoComplex) -> VectorField:
     """Antisymmetric part ``r(x, y) - r(y, x)`` as a vector field."""
-    rates = check_rates(rates, complex)
-    values = []
-    for u, v in complex.edges:
-        values.append(rates.get((u, v), ZERO) - rates.get((v, u), ZERO))
-    return VectorField(complex, values)
+    return _field_and_symmetric(rates, complex)[0]
 
 
 def field_to_rates(phi: VectorField) -> dict:
@@ -628,25 +609,12 @@ def field_to_rates(phi: VectorField) -> dict:
 
 def symmetric_part(rates: dict, complex: TwoComplex) -> dict:
     """Per unoriented edge, ``min(r(x, y), r(y, x))`` on both orientations."""
-    rates = check_rates(rates, complex)
     out = {}
-    for u, v in complex.edges:
-        s = min(rates.get((u, v), ZERO), rates.get((v, u), ZERO))
+    for (u, v), s in zip(complex.edges, _field_and_symmetric(rates, complex)[1]):
         if s > 0:
             out[(u, v)] = s
             out[(v, u)] = s
     return out
-
-
-def gradient_matrix(complex: TwoComplex):
-    """Matrix of the vertex coboundary, one column per vertex indicator."""
-    rows = []
-    for u, v in complex.edges:
-        row = [ZERO] * complex.n_vertices
-        row[complex.vertex_index[v]] += ONE
-        row[complex.vertex_index[u]] -= ONE
-        rows.append(row)
-    return rows
 
 
 def face_boundary_matrix(complex: TwoComplex):

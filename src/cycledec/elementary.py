@@ -7,11 +7,15 @@ interval feasibility problem: each edge contributes the interval spanned by
 the chain values of its two faces, shifted by the edge's symmetric part,
 and the rates are decomposable exactly when all shifted intervals share a
 point.  That common point is the additive constant used to build the
-explicit decomposition.
+explicit decomposition.  Edges incident to no face (the one-dimensional
+torus has only such edges) constrain nothing beyond nonnegativity.
 
-Non-orientable surfaces have no constant freedom (the chain is unique) and
-edges traversed the same way by both faces contribute the complement of an
-open interval instead.
+Every verdict and construction runs the same pass: the rates are
+validated once and split into field and symmetric parts in one loop, the
+chain is recovered by :func:`recover_psi`, and the edge intervals are read
+off it.  Non-orientable surfaces have no constant freedom (the chain is
+unique) and edges traversed the same way by both faces contribute the
+complement of an open interval instead.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ from .exact_lp import lp_feasible
 from .complexes import (
     TwoComplex,
     TwoChain,
+    _field_and_symmetric,
     boundary1,
     check_rates,
     in_d_lambda2,
-    rates_to_field,
     recover_psi,
-    symmetric_part,
 )
 from .ratio import ONE, ZERO, Rat, to_rat
 
@@ -80,8 +83,8 @@ def edge_intervals(psi: TwoChain, complex: TwoComplex) -> dict:
     Edges seen with opposite signs by their two faces get the closed
     interval between the chain values; edges seen with equal signs (only
     possible on non-orientable complexes) get the complement of the open
-    interval.  Edges incident to no face (impossible on a validated closed
-    surface) map to ``None``, meaning no constraint beyond nonnegativity.
+    interval.  Edges incident to no face (every edge of the 1-d torus)
+    map to ``None``, meaning no constraint beyond nonnegativity.
     """
     out = {}
     for eid in range(complex.n_edges):
@@ -116,12 +119,19 @@ class ReVerdict:
     violating_edges: tuple | None = None
 
 
-def _field_and_symmetric(rates, complex):
-    rates = check_rates(rates, complex)
-    phi = rates_to_field(rates, complex)
-    sym = symmetric_part(rates, complex)
-    s = [sym.get(edge, ZERO) for edge in complex.edges]
-    return phi, s
+def _recover_chain(rates, complex):
+    """Symmetric parts, a chain bounding the field, and the edge intervals.
+
+    Raises :class:`NotHomologous` when the field is not a face boundary.
+    """
+    phi, s = _field_and_symmetric(rates, complex)
+    psi = recover_psi(phi)
+    return s, psi, edge_intervals(psi, complex)
+
+
+def _need(interval, c=ZERO) -> Rat:
+    """Symmetric mass an edge needs at constant ``c``; faceless edges need none."""
+    return ZERO if interval is None else interval.shifted_distance_to_zero(c)
 
 
 def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
@@ -134,21 +144,20 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     interval by the edge's symmetric part and intersect in one pass; a
     nonempty intersection yields the witness constant (its midpoint), an
     empty one yields two edges violating the pairwise polyhedron
-    inequality.
+    inequality.  Edges without faces constrain nothing.
     """
     if not complex.orientable:
         return in_Re_nonorientable(rates, complex)
-    phi, s = _field_and_symmetric(rates, complex)
     try:
-        psi = recover_psi(phi)
+        s, _, intervals = _recover_chain(rates, complex)
     except NotHomologous:
         return ReVerdict(False, reason="NotHomologous")
-    intervals = edge_intervals(psi, complex)
 
     lo, lo_edge = None, None
     hi, hi_edge = None, None
-    for eid in range(complex.n_edges):
-        interval = intervals[eid]
+    for eid, interval in intervals.items():
+        if interval is None:
+            continue
         cand_lo = -interval.hi - s[eid]
         cand_hi = -interval.lo + s[eid]
         if lo is None or cand_lo > lo:
@@ -167,17 +176,23 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
 
 
 def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
-    """All-pairs polyhedron test; cross-check for the one-pass intersection."""
-    phi, s = _field_and_symmetric(rates, complex)
+    """All-pairs polyhedron test; cross-check for the one-pass intersection.
+
+    The all-pairs test applies to orientable complexes only; on a
+    non-orientable one the constant is pinned at zero and the verdict is
+    that of :func:`in_Re_nonorientable`.  Edges without faces constrain
+    nothing.
+    """
+    if not complex.orientable:
+        return in_Re_nonorientable(rates, complex).ok
     try:
-        psi = recover_psi(phi)
+        s, _, intervals = _recover_chain(rates, complex)
     except NotHomologous:
         return False
-    intervals = edge_intervals(psi, complex)
-    n = complex.n_edges
-    for i in range(n):
-        for j in range(i, n):
-            if s[i] + s[j] < intervals[i].distance_to(intervals[j]):
+    constrained = [(s[eid], iv) for eid, iv in intervals.items() if iv is not None]
+    for i, (s_i, iv_i) in enumerate(constrained):
+        for s_j, iv_j in constrained[i:]:
+            if s_i + s_j < iv_i.distance_to(iv_j):
                 return False
     return True
 
@@ -190,22 +205,15 @@ def in_Re_nonorientable(rates: dict, complex: TwoComplex) -> ReVerdict:
     """
     if complex.orientable:
         raise ValueError("complex is orientable; use in_Re")
-    phi, s = _field_and_symmetric(rates, complex)
     try:
-        psi = recover_psi(phi)
+        s, _, intervals = _recover_chain(rates, complex)
     except NotHomologous:
         return ReVerdict(False, reason="NotHomologous")
-    intervals = edge_intervals(psi, complex)
-    violations = []
-    for eid in range(complex.n_edges):
-        interval = intervals[eid]
-        need = ZERO if interval is None else interval.shifted_distance_to_zero()
-        if s[eid] < need:
-            violations.append(complex.edges[eid])
+    violations = tuple(
+        complex.edges[eid] for eid, iv in intervals.items() if s[eid] < _need(iv)
+    )
     if violations:
-        return ReVerdict(
-            False, reason="PolyhedronViolated", violating_edges=tuple(violations)
-        )
+        return ReVerdict(False, reason="PolyhedronViolated", violating_edges=violations)
     return ReVerdict(True, witness_c=ZERO)
 
 
@@ -269,24 +277,14 @@ def elementary_decompose(
             raise ValueError("non-orientable recovery admits no constant freedom")
         c = ZERO
 
-    phi, s = _field_and_symmetric(rates, complex)
-    psi = recover_psi(phi)
-    intervals = edge_intervals(psi, complex)
-
+    s, psi, intervals = _recover_chain(rates, complex)
     face_weights = {}
-    for fid in range(complex.n_faces):
-        value = psi.values[fid] + c
+    for fid, value in enumerate(psi.values):
+        value += c
         face_weights[fid] = (max(value, ZERO), max(-value, ZERO))
     edge_weights = {}
-    for eid in range(complex.n_edges):
-        interval = intervals[eid]
-        if interval is None:
-            need = ZERO
-        elif isinstance(interval, Interval):
-            need = interval.shifted_distance_to_zero(c)
-        else:
-            need = interval.shifted_distance_to_zero()
-        weight = s[eid] - need
+    for eid, interval in intervals.items():
+        weight = s[eid] - _need(interval, c)
         if weight < 0:
             raise NegativeEdgeWeight(
                 f"constant {c} is infeasible at edge {complex.edges[eid]}"
@@ -348,24 +346,14 @@ def decompose_1d(rates: dict, complex: TwoComplex) -> OneDimFamily:
     """
     if not (complex.is_torus() and complex.torus_dimension() == 1):
         raise ValueError("decompose_1d expects the 1-d torus")
-    rates = check_rates(rates, complex)
-    phi = rates_to_field(rates, complex)
+    phi, s = _field_and_symmetric(rates, complex)
     constants = set(phi.values)
     if len(constants) > 1:
-        violators = [
-            v
-            for v in complex.vertices
-            if boundary1(phi).at(v) != 0
-        ]
+        divergence = boundary1(phi).values
+        violators = [v for v, d in zip(complex.vertices, divergence) if d != 0]
         raise NotBalanced("field is not constant", violators=violators)
     c = constants.pop() if constants else ZERO
-    m = min(
-        min(rates.get((u, v), ZERO), rates.get((v, u), ZERO))
-        for u, v in complex.edges
-    )
-    sym = symmetric_part(rates, complex)
-    symmetric = [sym.get(edge, ZERO) for edge in complex.edges]
-    return OneDimFamily(complex, c, m, symmetric)
+    return OneDimFamily(complex, c, min(s), s)
 
 
 def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
@@ -375,7 +363,7 @@ def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
     characterization of homotopically trivial decomposability is open and
     not decided here.
     """
-    phi = rates_to_field(check_rates(rates, complex), complex)
+    phi, _ = _field_and_symmetric(rates, complex)
     return in_d_lambda2(phi)
 
 

@@ -41,9 +41,13 @@ ONE = Rat(1)
 def to_rat(value) -> Rat:
     """Coerce ints, strings like ``-3/4`` and rationals of either backend.
 
+    A value that already is a ``Rat`` comes back unchanged, without a copy.
+
     Floats are rejected on purpose: the only sanctioned float entry point is
     the explicit grid snapping in :mod:`cycledec.discretize`.
     """
+    if type(value) is Rat:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; snap them explicitly first")
     if isinstance(value, str):

@@ -16,7 +16,6 @@ from cycledec.complexes import (
     boundary2,
     face_boundary_matrix,
     field_to_rates,
-    gradient_matrix,
     hodge_decompose,
     in_d_lambda2,
     recover_psi,
@@ -57,7 +56,7 @@ from cycledec.lattice import (
 )
 from cycledec.ratio import ONE, ZERO, Rat, denominator_lcm
 
-from conftest import rand_pos_rat
+from conftest import gradient_matrix, rand_pos_rat
 
 
 def report(number, text):

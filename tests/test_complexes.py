@@ -10,22 +10,19 @@ from cycledec.complexes import (
     coboundary0,
     coboundary1,
     face_boundary_matrix,
-    face_indicator,
     field_to_rates,
-    gradient_matrix,
     harmonic_basis,
     hodge_decompose,
     in_d_lambda2,
     rates_to_field,
     recover_psi,
     symmetric_part,
-    vertex_indicator,
 )
 from cycledec.errors import NotHomologous
 from cycledec.exact_lp import exact_rank
 from cycledec.ratio import ONE, ZERO, Rat
 
-from conftest import cube_complex, rand_rat
+from conftest import cube_complex, face_indicator, gradient_matrix, rand_rat, vertex_indicator
 
 
 def rand_field(rng, cx):
@@ -38,6 +35,31 @@ def rand_chain(rng, cx):
 
 def rand_form(rng, cx):
     return ZeroForm(cx, [rand_rat(rng, -5, 5, 4) for _ in range(cx.n_vertices)])
+
+
+def torus_boundary_oracle(phi):
+    """Explicit torus test for membership in the face-boundary image.
+
+    Zero divergence everywhere plus zero total flux in every coordinate
+    direction; on the 1-d torus only the zero field qualifies.
+    """
+    cx = phi.complex
+    if not boundary1(phi).is_zero():
+        return False
+    if cx.torus_dimension() == 1:
+        return phi.is_zero()
+    for direction in (0, 1):
+        total = sum(
+            (
+                phi.values[eid]
+                for eid in range(cx.n_edges)
+                if cx.edge_direction(eid) == direction
+            ),
+            ZERO,
+        )
+        if total != 0:
+            return False
+    return True
 
 
 def fig2_field(n=10):
@@ -212,16 +234,24 @@ class TestMembership:
                 assert in_d_lambda2(boundary2(rand_chain(rng, cx)))
 
     def test_explicit_conditions_agree_with_recovery(self, rng):
-        cx = TwoComplex.torus2(3)
-        for _ in range(10):
-            phi = rand_field(rng, cx)
-            explicit = in_d_lambda2(phi)
-            try:
-                recover_psi(phi)
-                constructive = True
-            except NotHomologous:
-                constructive = False
-            assert explicit == constructive
+        # the explicit torus formula is the oracle for the recovery path
+        for cx in (TwoComplex.torus2(3), TwoComplex.torus2(3, 4), TwoComplex.torus1(4)):
+            harmonics = harmonic_basis(cx) if cx.torus_dimension() == 2 else [
+                VectorField(cx, [ONE] * cx.n_edges)
+            ]
+            verdicts = set()
+            for _ in range(10):
+                candidates = [
+                    rand_field(rng, cx),
+                    boundary2(rand_chain(rng, cx)),
+                    boundary2(rand_chain(rng, cx)) + rng.choice(harmonics),
+                    boundary2(rand_chain(rng, cx)) + coboundary0(rand_form(rng, cx)),
+                ]
+                for phi in candidates:
+                    explicit = torus_boundary_oracle(phi)
+                    assert in_d_lambda2(phi) == explicit
+                    verdicts.add(explicit)
+            assert verdicts == {True, False}
 
 
 class TestRecoverPsi:

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cycledec import complexes, elementary
 from cycledec.complexes import (
     TwoChain,
     TwoComplex,
     VectorField,
     boundary2,
-    face_indicator,
     field_to_rates,
     recover_psi,
 )
@@ -30,9 +31,11 @@ from cycledec.errors import (
 )
 from cycledec.ratio import ONE, ZERO, Rat
 
-from conftest import cube_complex
+from conftest import cube_complex, face_indicator
 
 from test_complexes import fig2_field, rand_chain
+
+EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def with_noise(rates, cx, level):
@@ -388,3 +391,115 @@ class TestInvariants:
         shifted = TwoChain(cx, [v + Rat(7, 2) for v in psi.values])
         assert boundary2(shifted) == boundary2(psi)
         assert in_Re(rates, cx).ok == base.ok
+
+
+class TestFacelessComplex:
+    """The 1-d torus has no faces: its edges constrain nothing."""
+
+    def test_symmetric_rates_are_edge_cycles(self):
+        cx = TwoComplex.torus1(4)
+        rates = symmetric_rates(cx, Rat(2, 3))
+        verdict = in_Re(rates, cx)
+        assert verdict.ok and verdict.witness_c == ZERO
+        assert pairwise_in_Re(rates, cx)
+        assert brute_force_Re_oracle(rates, cx)
+        dec = elementary_decompose(rates, cx)
+        assert dec.face_weights == {}
+        assert all(w == Rat(2, 3) for w in dec.edge_weights.values())
+        assert dec.reconstruct(cx) == rates
+
+    def test_drift_is_not_homologous(self):
+        cx = TwoComplex.torus1(4)
+        rates = {(u, v): Rat(2) for u, v in cx.edges}
+        rates.update({(v, u): ONE for u, v in cx.edges})
+        verdict = in_Re(rates, cx)
+        assert not verdict.ok and verdict.reason == "NotHomologous"
+        assert not pairwise_in_Re(rates, cx)
+        assert not brute_force_Re_oracle(rates, cx)
+        with pytest.raises(NotInRe):
+            elementary_decompose(rates, cx)
+
+
+SMALL_COMPLEXES = (
+    TwoComplex.torus2(3),
+    TwoComplex.torus1(4),
+    cube_complex(),
+    TwoComplex.klein_grid(3, 3),
+)
+
+
+@st.composite
+def complex_rates(draw):
+    """Rates of a random boundary field plus symmetric noise on a small complex.
+
+    The noise is a per-case level plus a per-edge jitter (both may be zero,
+    so minimal rates occur); about one case in four adds mass on a single
+    oriented edge, which usually moves the field off the boundary image.
+    """
+    cx = draw(st.sampled_from(SMALL_COMPLEXES))
+    chain = [Rat(draw(st.integers(-4, 4)), draw(st.integers(1, 3))) for _ in range(cx.n_faces)]
+    rates = field_to_rates(boundary2(TwoChain(cx, chain)))
+    level = draw(st.integers(0, 6))
+    for u, v in cx.edges:
+        noise = level + Rat(draw(st.integers(0, 1)), 2)
+        for e in ((u, v), (v, u)):
+            rates[e] = rates.get(e, ZERO) + noise
+    if draw(st.integers(0, 3)) == 0:
+        e = draw(st.sampled_from(list(cx.oriented_edges())))
+        rates[e] = rates.get(e, ZERO) + Rat(draw(st.integers(1, 3)), 2)
+    return cx, {e: w for e, w in rates.items() if w != 0}
+
+
+VERDICT_KINDS = {
+    (cx.name, reason)
+    for cx in SMALL_COMPLEXES
+    for reason in (None, "NotHomologous", "PolyhedronViolated")
+    if cx.n_faces or reason != "PolyhedronViolated"
+}
+
+
+def test_verdict_matches_pairwise_test_and_lp_oracle():
+    seen = set()
+
+    @EXAMPLES
+    @given(complex_rates())
+    def agree(case):
+        cx, rates = case
+        verdict = in_Re(rates, cx)
+        seen.add((cx.name, verdict.reason))
+        assert verdict.ok == pairwise_in_Re(rates, cx) == brute_force_Re_oracle(rates, cx)
+        if not verdict.ok:
+            with pytest.raises(NotInRe):
+                elementary_decompose(rates, cx)
+            return
+        dec = elementary_decompose(rates, cx)
+        assert dec.reconstruct(cx) == rates
+        weights = list(dec.edge_weights.values())
+        weights += [w for pair in dec.face_weights.values() for w in pair]
+        assert all(w >= 0 for w in weights)
+        assert sum(1 for w in weights if w != 0) <= cx.n_edges + 2 * cx.n_faces
+
+    agree()
+    assert seen == VERDICT_KINDS
+
+
+@pytest.mark.parametrize("cx", SMALL_COMPLEXES, ids=lambda cx: cx.name)
+def test_rates_are_validated_once_per_query(monkeypatch, cx):
+    calls = []
+    real = elementary.check_rates
+
+    def counting(rates, complex):
+        calls.append(complex)
+        return real(rates, complex)
+
+    for module in (complexes, elementary):
+        monkeypatch.setattr(module, "check_rates", counting)
+    rates = symmetric_rates(cx, Rat(1, 2))
+    for query in (in_Re, pairwise_in_Re, r_star_necessary):
+        calls.clear()
+        query(rates, cx)
+        assert len(calls) == 1, query.__name__
+    if cx.n_faces == 0:
+        calls.clear()
+        decompose_1d(rates, cx)
+        assert len(calls) == 1

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from cycledec import cli
@@ -294,3 +296,81 @@ class TestCliOther:
             fio.format_graph("cube", {(str(u), str(v)): w for (u, v), w in weights.items()}),
         )
         assert run_cli(["check", "elementary", path, "--surface", surf]) == 0
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+class TestCliInputErrors:
+    def test_self_loop_outside_birkhoff_mode_exit_two(self, capsys):
+        path = str(SAMPLES / "bistochastic.wg")
+        for args in (["check", "balance", path], ["decompose", "--mode", "graph", path]):
+            assert run_cli(args) == 2
+            err = capsys.readouterr().err
+            assert "bistochastic.wg:0: self-loop at a not allowed" in err
+
+    def test_rates_off_the_complex_exit_two(self, capsys):
+        path = str(SAMPLES / "ring.wg")
+        assert run_cli(["check", "elementary", path, "--torus", "12"]) == 2
+        err = capsys.readouterr().err
+        assert "ring.wg:0:" in err and "no edge between (0,) and (1,)" in err
+
+    def test_negative_rate_exit_two(self, workdir, capsys):
+        path = write(workdir / "neg.wg", "digraph neg\n0,0 1,0 -1/2\n")
+        assert run_cli(["check", "elementary", path, "--torus", "3"]) == 2
+        assert "neg.wg:0: rates do not fit torus2[3x3]: negative rate" in capsys.readouterr().err
+
+    def test_zero_rate_entries_verify(self, workdir, capsys):
+        path = write(workdir / "z.wg", "digraph z\n0,0 1,0 1/1\n1,0 0,0 1/1\n0,0 0,1 0/1\n")
+        assert run_cli(["decompose", "--mode", "elementary", path, "--torus", "3", "--verify"]) == 0
+        assert "confirmed" in capsys.readouterr().out
+
+    def test_one_dimensional_mode_on_a_surface_exit_two(self, capsys):
+        path = str(SAMPLES / "two_columns.field")
+        assert run_cli(["decompose", "--mode", "1d", path]) == 2
+        assert "expects the 1-d torus" in capsys.readouterr().err
+
+
+def _sample_commands():
+    """Every subcommand each sample applies to, with every complex option."""
+    complexes = [
+        [],
+        ["--torus", "6"],
+        ["--torus", "3x4"],
+        ["--surface", str(SAMPLES / "klein.surf")],
+        ["--surface", str(SAMPLES / "cube.surf")],
+    ]
+    commands = []
+    for sample in sorted(SAMPLES.iterdir()):
+        path = str(sample)
+        if sample.suffix == ".wg":
+            commands += [
+                ["check", "balance", path],
+                ["check", "bistochastic", path],
+                ["decompose", "--mode", "graph", path, "--verify"],
+                ["decompose", "--mode", "birkhoff", path, "--verify"],
+            ]
+        if sample.suffix == ".msr":
+            commands += [
+                ["check", "balance", path],
+                ["decompose", "--mode", "lattice", path, "--verify", "--lift"],
+                ["decompose", "--mode", "1d-heavy", path, "--steps", "5", "--verify"],
+            ]
+        if sample.suffix == ".field":
+            commands.append(["hodge", path])
+        if sample.suffix in (".wg", ".field"):
+            for extra in complexes:
+                commands += [["check", prop, path] + extra for prop in ("dlambda2", "elementary", "rstar")]
+                commands += [
+                    ["elementary", path, "--diameter"] + extra,
+                    ["decompose", "--mode", "elementary", path, "--verify", "--lift"] + extra,
+                    ["decompose", "--mode", "1d", path, "--verify"] + extra,
+                ]
+    return commands
+
+
+@pytest.mark.parametrize(
+    "args", _sample_commands(), ids=lambda args: " ".join(a.split("/")[-1] for a in args)
+)
+def test_sample_commands_end_in_an_exit_code(args, capsys):
+    assert run_cli(args) in (0, 1, 2)

@@ -37,6 +37,13 @@ def test_to_rat_rejects_floats():
         to_rat(0.5)
 
 
+def test_to_rat_returns_rationals_unchanged():
+    q = Rat(-7, 3)
+    assert to_rat(q) is q
+    assert type(to_rat(5)) is Rat and to_rat(5) == 5
+    assert to_rat("-7/3") == q
+
+
 def test_normalization():
     q = Rat(6, 4)
     assert (q.numerator, q.denominator) == (3, 2)
