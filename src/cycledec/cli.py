@@ -33,20 +33,43 @@ from .lattice import (
 from .ratio import ZERO, parse_rat, rat_str
 
 
-def _parse_torus(text: str, dim: int = 2):
-    if "x" in text:
-        n1, n2 = text.lower().split("x", 1)
-        return TwoComplex.torus2(int(n1), int(n2))
-    n = int(text)
-    return TwoComplex.torus1(n) if dim == 1 else TwoComplex.torus2(n)
+# argparse type converters: a bad value exits 2 with a usage message
+
+
+def _sizes(*counts):
+    def torus_size(text: str) -> tuple:
+        shape = tuple(int(t) for t in text.lower().split("x"))
+        if len(shape) not in counts or min(shape) < 3:
+            form = " or ".join(("N", "N1xN2")[c - 1] for c in counts)
+            raise argparse.ArgumentTypeError(f"expected {form}, sizes >= 3, got {text!r}")
+        return shape
+
+    return torus_size
+
+
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return integer
+
+
+def _rational(text: str):
+    try:
+        return parse_rat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a rational like 3/2, got {text!r}")
 
 
 def _load_complex(args, dim: int = 2):
     if getattr(args, "surface", None):
         return fio.read_surface(args.surface)
-    if getattr(args, "torus", None):
-        return _parse_torus(args.torus, dim)
-    return None
+    shape = getattr(args, "torus", None)
+    if shape is None:
+        return None
+    return TwoComplex.torus1(*shape) if dim == len(shape) == 1 else TwoComplex.torus2(*shape)
 
 
 def _load_rates(path, args, dim: int = 2):
@@ -177,27 +200,11 @@ def _cmd_decompose(args) -> int:
             sys.stdout.write(fio.format_lift(records, decimals))
     elif mode == "elementary":
         rates, complex = _load_rates(args.input, args)
-        c_star = parse_rat(args.constant) if args.constant else None
-        dec = el.elementary_decompose(rates, complex, c_star)
+        dec = el.elementary_decompose(rates, complex, args.constant)
         text = fio.format_elementary_decomposition(dec, complex, args.input, decimals)
         expected = ("on-complex", rates, complex)
         if args.lift and complex.is_torus():
-            pairs = [
-                (complex.edges[eid], w)
-                for eid, w in sorted(dec.edge_weights.items())
-                if w != 0
-            ]
-            pairs += [
-                (tuple(fio.face_vertex_cycle(complex, fid)), w)
-                for fid, (w, _) in sorted(dec.face_weights.items())
-                if w != 0
-            ]
-            pairs += [
-                (tuple(reversed(fio.face_vertex_cycle(complex, fid))), w)
-                for fid, (_, w) in sorted(dec.face_weights.items())
-                if w != 0
-            ]
-            records = periodic_lift(pairs, periods=complex.torus_shape)
+            records = periodic_lift(dec.cycles(complex), periods=complex.torus_shape)
             sys.stdout.write(fio.format_lift(records, decimals))
     elif mode == "1d":
         rates, complex = _load_rates(args.input, args, dim=1)
@@ -205,15 +212,15 @@ def _cmd_decompose(args) -> int:
             family = el.decompose_1d(rates, complex)
         except ValueError as exc:
             raise InputFormatError(args.input, 0, str(exc))
-        a = parse_rat(args.param) if args.param else ZERO
-        text = fio.format_1d_family(family, args.input, a, decimals)
+        text = fio.format_1d_family(family, args.input, args.param, decimals)
         expected = ("on-complex", rates, complex)
     elif mode == "1d-heavy":
         measure = fio.read_measure(args.input)
         if measure.dimension != 1:
             raise InputFormatError(args.input, 0, "1d-heavy expects a 1-d measure")
         oracle = HeavyTailOracle1D(
-            lambda x: measure.mass((x,)), search_limit=max(abs(x[0]) for x in measure.support())
+            lambda x: measure.mass((x,)),
+            search_limit=max((abs(x[0]) for x in measure.support()), default=0),
         )
         terms, residual = decompose_1d_heavy_tail(oracle, args.steps)
         text = fio.format_heavy_tail(terms, residual, args.input, decimals)
@@ -307,8 +314,7 @@ def _cmd_elementary(args) -> int:
     if not verdict.ok:
         return 1
     if args.output:
-        c_star = parse_rat(args.constant) if args.constant else None
-        dec = el.elementary_decompose(rates, complex, c_star)
+        dec = el.elementary_decompose(rates, complex, args.constant)
         _emit(
             fio.format_elementary_decomposition(
                 dec, complex, args.input, _decimals(args)
@@ -336,23 +342,17 @@ def _cmd_discretize(args) -> int:
     sampler = _make_potential(args)
     field, chain = dz.discretize_potential(sampler, args.n)
     text = fio.format_field(field, _decimals(args))
-    osc = dz.oscillation_bound(sampler, args.n)
-    text += f"# oscillation {rat_str(osc)}\n"
+    text += f"# oscillation {rat_str(dz.oscillation(chain))}\n"
     _emit(text, args.output)
     return 0
 
 
 def _cmd_random_env(args) -> int:
-    n1, n2 = (int(t) for t in args.dims.lower().split("x", 1))
     sampler = _make_potential(args)
-    sampler.periods = (n1, n2)
-    spec = dz.EnvironmentSpec(
-        sampler,
-        parse_rat(args.noise_lo),
-        parse_rat(args.noise_hi),
-        args.seed,
-        (n1, n2),
-    )
+    try:
+        spec = dz.EnvironmentSpec(sampler, args.noise_lo, args.noise_hi, args.seed, args.dims)
+    except ValueError as exc:
+        raise InputFormatError("<args>", 0, str(exc))
     env = dz.random_environment(spec)
     _emit(env.serialize(_decimals(args)), args.output)
     return 0 if env.certificate.ok else 1
@@ -369,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, output=True):
-        p.add_argument("--torus", help="torus size N or N1xN2")
+        p.add_argument("--torus", type=_sizes(1, 2), help="torus size N or N1xN2")
         p.add_argument("--surface", help="surface complex file")
         p.add_argument("--decimal", type=int, help="append rounded decimals")
         if output:
@@ -385,8 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=["graph", "lattice", "birkhoff", "elementary", "1d", "1d-heavy"])
     p.add_argument("input")
-    p.add_argument("--constant", help="additive constant for elementary mode")
-    p.add_argument("--param", help="family parameter a for 1d mode")
+    p.add_argument("--constant", type=_rational,
+                   help="additive constant for elementary mode")
+    p.add_argument("--param", type=_rational, default=ZERO,
+                   help="family parameter a for 1d mode")
     p.add_argument("--steps", type=int, default=10, help="rounds for 1d-heavy mode")
     p.add_argument("--verify", action="store_true",
                    help="re-read the emitted file and re-check the reconstruction")
@@ -402,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elementary", help="membership verdict plus decomposition")
     p.add_argument("input")
-    p.add_argument("--constant", help="additive constant override")
+    p.add_argument("--constant", type=_rational, help="additive constant override")
     p.add_argument("--diameter", action="store_true",
                    help="also report the spanning-tree sufficient bound")
     common(p)
@@ -414,20 +416,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lo", type=float, default=0.3)
         p.add_argument("--hi", type=float, default=0.7)
         p.add_argument("--value", type=float, default=0.0)
-        p.add_argument("--denominator", type=int, default=dz.DEFAULT_DENOMINATOR)
+        p.add_argument("--denominator", type=_at_least(1), default=dz.DEFAULT_DENOMINATOR)
 
     p = sub.add_parser("discretize", help="snap a smooth potential to a field")
     potential_args(p)
-    p.add_argument("--n", type=int, required=True, help="torus mesh")
+    p.add_argument("--n", type=_at_least(3), required=True, help="torus mesh")
     p.add_argument("--decimal", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_discretize)
 
     p = sub.add_parser("random-env", help="periodic random environment draw")
     potential_args(p)
-    p.add_argument("--dims", required=True, help="torus size N1xN2")
-    p.add_argument("--noise-lo", required=True)
-    p.add_argument("--noise-hi", required=True)
+    p.add_argument("--dims", type=_sizes(2), required=True, help="torus size N1xN2")
+    p.add_argument("--noise-lo", type=_rational, required=True)
+    p.add_argument("--noise-hi", type=_rational, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--decimal", type=int)
     p.add_argument("-o", "--output")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import NoSolution, NotHomologous
 from .exact_lp import solve_exact_linear
+from .finite_graph import cycle_edges
 from .ratio import ONE, ZERO, Rat, to_rat
 
 
@@ -123,9 +124,8 @@ class TwoComplex:
         edge_ids = {}
         face_edges = []
         for cycle in face_cycles:
-            cycle = list(cycle)
             boundary = []
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            for a, b in cycle_edges(cycle):
                 for v in (a, b):
                     if v not in seen:
                         seen.add(v)
@@ -193,6 +193,12 @@ class TwoComplex:
         if eid is not None:
             return eid, -1
         raise KeyError(f"no edge between {u} and {v}")
+
+    def face_cycle(self, fid: int) -> tuple:
+        """Vertex cycle traversed by a chosen face's boundary."""
+        return tuple(
+            self.edges[eid][0 if sign == 1 else 1] for eid, sign in self.face_edges[fid]
+        )
 
     def oriented_edges(self):
         """All oriented edges of the full edge set, both directions."""

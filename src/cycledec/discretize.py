@@ -100,14 +100,18 @@ def discretize_potential(potential: PotentialSampler, n: int):
     return boundary2(chain), chain
 
 
+def oscillation(chain: TwoChain) -> Rat:
+    """Max minus min of the chain values."""
+    return max(chain.values) - min(chain.values)
+
+
 def oscillation_bound(potential: PotentialSampler, n: int) -> Rat:
     """Max minus min over the sampled face centers.
 
     This is the grid oscillation, a lower bound for the continuous one;
     certificates built on it are exact for the snapped potential.
     """
-    _, chain = discretize_potential(potential, n)
-    return max(chain.values) - min(chain.values)
+    return oscillation(discretize_potential(potential, n)[1])
 
 
 def check_re_sufficient(potential: PotentialSampler, n: int, s_min) -> bool:
@@ -200,7 +204,7 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
 
     chain = _face_center_chain(spec.potential, complex, shift)
     field = boundary2(chain)
-    oscillation = max(chain.values) - min(chain.values)
+    osc = oscillation(chain)
     minimal = field_to_rates(field)
 
     span = spec.noise_hi - spec.noise_lo
@@ -226,14 +230,14 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
             probabilities[(x, y)] = w / total
 
     certificate = in_Re(weights, complex)
-    certified = spec.noise_lo >= oscillation / 2
+    certified = spec.noise_lo >= osc / 2
     return Environment(
         complex,
         weights,
         probabilities,
         certificate,
         certified,
-        oscillation,
+        osc,
         shift,
         spec,
     )

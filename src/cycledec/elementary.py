@@ -30,6 +30,7 @@ from .errors import (
     TooLarge,
 )
 from .exact_lp import lp_feasible
+from .finite_graph import cycle_sum
 from .complexes import (
     TwoComplex,
     TwoChain,
@@ -229,27 +230,22 @@ class ElementaryDecomposition:
     face_weights: dict
     chosen_constant: Rat
 
+    def cycles(self, complex: TwoComplex) -> list:
+        """The nonzero terms as ``(vertex cycle, weight)`` pairs.
+
+        Edge 2-cycles come first, sorted by the printed edge, then each
+        face in id order contributes its cycle and the reversed cycle.
+        """
+        order = sorted(self.edge_weights, key=lambda eid: str(complex.edges[eid]))
+        terms = [(complex.edges[eid], self.edge_weights[eid]) for eid in order]
+        for fid in sorted(self.face_weights):
+            forward, backward = self.face_weights[fid]
+            cycle = complex.face_cycle(fid)
+            terms += [(cycle, forward), (cycle[::-1], backward)]
+        return [(cycle, weight) for cycle, weight in terms if weight != 0]
+
     def reconstruct(self, complex: TwoComplex) -> dict:
-        acc: dict = {}
-
-        def add(u, v, w):
-            if w != 0:
-                acc[(u, v)] = acc.get((u, v), ZERO) + w
-
-        for eid, weight in self.edge_weights.items():
-            u, v = complex.edges[eid]
-            add(u, v, weight)
-            add(v, u, weight)
-        for fid, (forward, backward) in self.face_weights.items():
-            for eid, sign in complex.face_edges[fid]:
-                u, v = complex.edges[eid]
-                if sign == 1:
-                    add(u, v, forward)
-                    add(v, u, backward)
-                else:
-                    add(v, u, forward)
-                    add(u, v, backward)
-        return acc
+        return cycle_sum(self.cycles(complex))
 
     def matches(self, rates: dict, complex: TwoComplex) -> bool:
         return self.reconstruct(complex) == check_rates(rates, complex)
@@ -324,17 +320,22 @@ class OneDimFamily:
         rho_minus = max(-self.constant, ZERO) + a
         return edge_weights, rho_plus, rho_minus
 
-    def reconstruct_at(self, a) -> dict:
+    def cycles_at(self, a) -> list:
+        """The nonzero terms at parameter ``a`` as ``(vertex cycle, weight)``.
+
+        Edge 2-cycles come first in edge order, then the full loop
+        forwards and backwards.
+        """
         edge_weights, rho_plus, rho_minus = self.weights_at(a)
-        acc: dict = {}
-        for eid, (u, v) in enumerate(self.complex.edges):
-            forward = edge_weights[eid] + rho_plus
-            backward = edge_weights[eid] + rho_minus
-            if forward != 0:
-                acc[(u, v)] = forward
-            if backward != 0:
-                acc[(v, u)] = backward
-        return acc
+        edges = self.complex.edges
+        order = sorted(edge_weights, key=edges.__getitem__)
+        terms = [(edges[eid], edge_weights[eid]) for eid in order]
+        loop = tuple(self.complex.vertices)
+        terms += [(loop, rho_plus), (loop[:1] + loop[:0:-1], rho_minus)]
+        return [(cycle, weight) for cycle, weight in terms if weight != 0]
+
+    def reconstruct_at(self, a) -> dict:
+        return cycle_sum(self.cycles_at(a))
 
 
 def decompose_1d(rates: dict, complex: TwoComplex) -> OneDimFamily:

@@ -58,9 +58,26 @@ class GraphCycle:
     def __len__(self):
         return len(self.vertices)
 
+    def __iter__(self):
+        return iter(self.vertices)
+
     def edges(self):
-        n = len(self.vertices)
-        return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
+        return cycle_edges(self.vertices)
+
+
+def cycle_edges(vertices) -> list:
+    """Oriented edges of the closed walk through ``vertices``, in order."""
+    vertices = tuple(vertices)
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def cycle_sum(terms) -> dict:
+    """Nonzero oriented-edge weights of a sum of ``(vertex cycle, weight)`` terms."""
+    acc: dict = {}
+    for cycle, weight in terms:
+        for e in cycle_edges(cycle):
+            acc[e] = acc.get(e, ZERO) + weight
+    return {e: w for e, w in acc.items() if w != 0}
 
 
 @dataclass
@@ -113,11 +130,7 @@ class GraphDecomposition:
     terms: list = field(default_factory=list)
 
     def reconstruct(self) -> dict:
-        acc: dict = {}
-        for cycle, weight in self.terms:
-            for e in cycle.edges():
-                acc[e] = acc.get(e, ZERO) + weight
-        return {e: w for e, w in acc.items() if w != 0}
+        return cycle_sum(self.terms)
 
     def matches(self, g: WeightedDigraph) -> bool:
         return self.reconstruct() == g.weights

@@ -12,7 +12,7 @@ from math import lcm
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
 from .lattice import LatticeCycleClass, LatticeDecomposition, LatticeMeasure
-from .finite_graph import GraphCycle, GraphDecomposition
+from .finite_graph import GraphCycle, GraphDecomposition, cycle_edges, cycle_sum
 from .ratio import ZERO, Rat, parse_rat, rat_decimal, rat_str, to_rat
 
 
@@ -97,7 +97,10 @@ def parse_graph(text: str, path="<graph>"):
         u, v = tokens[0], tokens[1]
         if (u, v) in weights:
             raise InputFormatError(path, line_no, f"duplicate edge {u} {v}")
-        weights[(u, v)] = _parse_value(tokens[2], path, line_no)
+        weight = _parse_value(tokens[2], path, line_no)
+        if weight.numerator < 0:
+            raise InputFormatError(path, line_no, f"negative weight {tokens[2]} on {u} {v}")
+        weights[(u, v)] = weight
     if name is None:
         raise InputFormatError(path, 0, "missing digraph header")
     return name, weights
@@ -151,12 +154,16 @@ def parse_field(text: str, path="<field>"):
                 raise InputFormatError(
                     path, line_no, "expected header: field torus <N> [<N2>]"
                 )
-            dims = [int(t) for t in tokens[2:]]
-            complex = (
-                TwoComplex.torus1(dims[0])
-                if len(dims) == 1
-                else TwoComplex.torus2(dims[0], dims[1])
-            )
+            try:
+                dims = [int(t) for t in tokens[2:]]
+            except ValueError:
+                raise InputFormatError(path, line_no, "torus sizes must be integers")
+            try:
+                complex = (
+                    TwoComplex.torus1(*dims) if len(dims) == 1 else TwoComplex.torus2(*dims)
+                )
+            except ValueError as exc:
+                raise InputFormatError(path, line_no, str(exc))
             continue
         d = complex.torus_dimension()
         if len(tokens) != d + 2:
@@ -285,12 +292,21 @@ def read_surface(path) -> TwoComplex:
 # -- decomposition records ------------------------------------------------
 
 
+def _cycle_terms(terms, decimals) -> list:
+    """One ``term <weight> cycle <vertices>`` line per ``(cycle, weight)``."""
+    return [
+        f"term {_fmt(weight, decimals)} cycle " + " ".join(map(vertex_label, cycle))
+        for cycle, weight in terms
+    ]
+
+
+def _class(cls) -> str:
+    """A cycle class as ``class x,y*m ...``."""
+    return "class " + " ".join(coords_label(vec) + f"*{mult}" for vec, mult in cls.items())
+
+
 def format_graph_decomposition(dec: GraphDecomposition, source: str, decimals=None) -> str:
-    lines = [f"decomposition graph {source}"]
-    for cycle, weight in dec.terms:
-        lines.append(
-            f"term {_fmt(weight, decimals)} cycle " + " ".join(str(v) for v in cycle.vertices)
-        )
+    lines = [f"decomposition graph {source}"] + _cycle_terms(dec.terms, decimals)
     return "\n".join(lines) + "\n"
 
 
@@ -301,10 +317,7 @@ def format_lattice_decomposition(
     if dec.trivial_mass != 0:
         lines.append(f"trivial {_fmt(dec.trivial_mass, decimals)}")
     for cls, weight in dec.terms:
-        entries = " ".join(
-            coords_label(vec) + f"*{mult}" for vec, mult in cls.items()
-        )
-        lines.append(f"term {_fmt(weight, decimals)} class {entries}")
+        lines.append(f"term {_fmt(weight, decimals)} {_class(cls)}")
     return "\n".join(lines) + "\n"
 
 
@@ -316,43 +329,16 @@ def format_birkhoff_decomposition(terms, source: str, decimals=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def face_vertex_cycle(complex, fid):
-    """Vertex sequence traversed by a chosen face's boundary."""
-    vertices = []
-    for eid, sign in complex.face_edges[fid]:
-        u, v = complex.edges[eid]
-        vertices.append(u if sign == 1 else v)
-    return vertices
-
-
 def format_elementary_decomposition(dec, complex, source: str, decimals=None) -> str:
     """Each cycle class as a ``term <weight> cycle <vertices>`` record."""
     lines = [
         f"decomposition elementary {source}",
         f"constant {_fmt(dec.chosen_constant, decimals)}",
     ]
-    for eid in sorted(dec.edge_weights, key=lambda e: str(complex.edges[e])):
-        weight = dec.edge_weights[eid]
-        if weight == 0:
-            continue
-        u, v = complex.edges[eid]
-        lines.append(
-            f"term {_fmt(weight, decimals)} cycle {vertex_label(u)} {vertex_label(v)}"
-        )
-    for fid in sorted(dec.face_weights):
-        forward, backward = dec.face_weights[fid]
-        cycle = face_vertex_cycle(complex, fid)
-        if forward != 0:
-            labels = " ".join(vertex_label(v) for v in cycle)
-            lines.append(f"term {_fmt(forward, decimals)} cycle {labels}")
-        if backward != 0:
-            labels = " ".join(vertex_label(v) for v in reversed(cycle))
-            lines.append(f"term {_fmt(backward, decimals)} cycle {labels}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _cycle_terms(dec.cycles(complex), decimals)) + "\n"
 
 
 def format_1d_family(family, source: str, a, decimals=None) -> str:
-    edge_weights, rho_plus, rho_minus = family.weights_at(a)
     lines = [
         f"decomposition 1d {source}",
         f"constant {_fmt(family.constant, decimals)}",
@@ -360,30 +346,13 @@ def format_1d_family(family, source: str, a, decimals=None) -> str:
         f"max-parameter {_fmt(family.min_weight, decimals)}",
         f"rstar {'yes' if family.in_r_star else 'no'}",
     ]
-    complex = family.complex
-    for eid in sorted(edge_weights, key=lambda e: complex.edges[e]):
-        if edge_weights[eid] == 0:
-            continue
-        u, v = complex.edges[eid]
-        lines.append(
-            f"term {_fmt(edge_weights[eid], decimals)} cycle "
-            f"{coords_label(u)} {coords_label(v)}"
-        )
-    n = complex.n_vertices
-    if rho_plus != 0:
-        labels = " ".join(str(i) for i in range(n))
-        lines.append(f"term {_fmt(rho_plus, decimals)} cycle {labels}")
-    if rho_minus != 0:
-        labels = " ".join(str(i) for i in [0] + list(range(n - 1, 0, -1)))
-        lines.append(f"term {_fmt(rho_minus, decimals)} cycle {labels}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _cycle_terms(family.cycles_at(a), decimals)) + "\n"
 
 
 def format_heavy_tail(terms, residual, source: str, decimals=None) -> str:
     lines = [f"decomposition 1d-heavy {source}"]
     for cls, weight in terms:
-        entries = " ".join(coords_label(v) + f"*{m}" for v, m in cls.items())
-        lines.append(f"term {_fmt(weight, decimals)} class {entries}")
+        lines.append(f"term {_fmt(weight, decimals)} {_class(cls)}")
     for x in sorted(residual):
         lines.append(f"residual {x} {_fmt(residual[x], decimals)}")
     return "\n".join(lines) + "\n"
@@ -392,12 +361,8 @@ def format_heavy_tail(terms, residual, source: str, decimals=None) -> str:
 def format_lift(records, decimals=None) -> str:
     lines = ["periodic-lift"]
     for record in records:
-        if isinstance(record.cycle, LatticeCycleClass):
-            body = "class " + " ".join(
-                coords_label(v) + f"*{m}" for v, m in record.cycle.items()
-            )
-        else:
-            body = str(record.cycle)
+        cycle = record.cycle
+        body = _class(cycle) if isinstance(cycle, LatticeCycleClass) else str(cycle)
         lines.append(f"term {_fmt(record.weight, decimals)} {body} @ {record.translates}")
     return "\n".join(lines) + "\n"
 
@@ -515,22 +480,15 @@ def reconstruct_on_complex(mode, records, complex, path="<decomposition>"):
     both directions of a 2-cycle) must exist on the complex and collects
     the term's weight.
     """
-    acc = {}
-
-    def add(u, v, w):
-        if w != 0:
-            acc[(u, v)] = acc.get((u, v), ZERO) + w
-
+    terms = []
     for record in records:
         if record[0] != "term":
             continue
         _, weight, kind, payload = record
         if kind != "cycle":
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
-        vertices = [_parse_vertex(token, complex, path) for token in payload]
-        n = len(vertices)
-        for i, u in enumerate(vertices):
-            v = vertices[(i + 1) % n]
+        cycle = [_parse_vertex(token, complex, path) for token in payload]
+        for u, v in cycle_edges(cycle):
             complex.edge_id(u, v)
-            add(u, v, weight)
-    return acc
+        terms.append((cycle, weight))
+    return cycle_sum(terms)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,8 @@ from cycledec.errors import (
     NotInRe,
     TooLarge,
 )
+from cycledec.finite_graph import GraphCycle, GraphDecomposition
+from cycledec.lattice import periodic_lift
 from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import cube_complex, face_indicator
@@ -43,6 +47,11 @@ def with_noise(rates, cx, level):
     for e in cx.oriented_edges():
         out[e] = out.get(e, ZERO) + level
     return {e: w for e, w in out.items() if w != 0}
+
+
+def face_walk(cx, fid):
+    """Vertex cycle of a face, read off its signed boundary edges."""
+    return tuple(cx.edges[eid][0 if sign == 1 else 1] for eid, sign in cx.face_edges[fid])
 
 
 def symmetric_rates(cx, value=ONE):
@@ -233,6 +242,13 @@ class TestOneDimensional:
         assert set(edge_w.values()) == {ZERO} and plus == Rat(2) and minus == ONE
         for a in (ZERO, Rat(1, 2), ONE):
             assert family.reconstruct_at(a) == rates
+        loop = ((0,), (1,), (2,))
+        half = Rat(1, 2)
+        assert family.cycles_at(half) == [
+            (((0,), (1,)), half), (((1,), (2,)), half), (((2,), (0,)), half),
+            (loop, Rat(3, 2)), (((0,), (2,), (1,)), half),
+        ]
+        assert [w for _, w in family.cycles_at(ONE)] == [Rat(2), ONE]
 
     def test_symmetric_is_r_star(self):
         cx = TwoComplex.torus1(4)
@@ -361,25 +377,38 @@ class TestInvariants:
     def test_induced_graph_decomposition(self, rng):
         # elementary terms, read as vertex cycles, form a graph
         # decomposition whose indicator-weight sum is the input
-        from cycledec.finite_graph import GraphCycle, GraphDecomposition
-        from cycledec.io import face_vertex_cycle
-
         cx = TwoComplex.torus2(3)
         psi = rand_chain(rng, cx)
         rates = with_noise(field_to_rates(boundary2(psi)), cx, Rat(2))
         dec = elementary_decompose(rates, cx)
-        terms = []
-        for eid, w in dec.edge_weights.items():
-            if w != 0:
-                terms.append((GraphCycle(cx.edges[eid]), w))
-        for fid, (forward, backward) in dec.face_weights.items():
-            cycle = face_vertex_cycle(cx, fid)
+        terms = [
+            (cx.edges[eid], w)
+            for eid, w in sorted(dec.edge_weights.items(), key=lambda it: str(cx.edges[it[0]]))
+            if w != 0
+        ]
+        for fid, (forward, backward) in sorted(dec.face_weights.items()):
+            cycle = face_walk(cx, fid)
             if forward != 0:
-                terms.append((GraphCycle(tuple(cycle)), forward))
+                terms.append((cycle, forward))
             if backward != 0:
-                terms.append((GraphCycle(tuple(reversed(cycle))), backward))
-        rebuilt = GraphDecomposition(terms).reconstruct()
-        assert rebuilt == rates
+                terms.append((tuple(reversed(cycle)), backward))
+        assert dec.cycles(cx) == terms
+        rebuilt = GraphDecomposition([(GraphCycle(c), w) for c, w in terms]).reconstruct()
+        assert rebuilt == rates == dec.reconstruct(cx)
+
+    def test_torus_lift_records(self, rng):
+        # the lift reads the same cycles, whatever their order
+        cx = TwoComplex.torus2(3, 4)
+        psi = rand_chain(rng, cx)
+        rates = with_noise(field_to_rates(boundary2(psi)), cx, Rat(2))
+        dec = elementary_decompose(rates, cx)
+        pairs = [(cx.edges[eid], w) for eid, w in sorted(dec.edge_weights.items()) if w != 0]
+        faces = sorted(dec.face_weights.items())
+        pairs += [(face_walk(cx, fid), w) for fid, (w, _) in faces if w != 0]
+        pairs += [(face_walk(cx, fid)[::-1], w) for fid, (_, w) in faces if w != 0]
+        lifted = periodic_lift(dec.cycles(cx), periods=cx.torus_shape)
+        assert Counter(lifted) == Counter(periodic_lift(pairs, periods=cx.torus_shape))
+        assert len(lifted) == len(pairs)
 
     def test_constant_shift_invariance(self, rng):
         # identical verdicts whichever chain recover_psi returns: shifting

@@ -1,3 +1,5 @@
+import functools
+import json
 import pathlib
 
 import pytest
@@ -73,6 +75,12 @@ class TestFieldFormat:
         with pytest.raises(InputFormatError):
             fio.parse_field("field torus 3 3\n5 0 1 1/2\n")
 
+    @pytest.mark.parametrize("size", ["abc", "2", "3 2"])
+    def test_bad_torus_size_reports_header_line(self, size):
+        with pytest.raises(InputFormatError) as info:
+            fio.parse_field(f"# header next\nfield torus {size}\n")
+        assert info.value.line_no == 2
+
 
 class TestSurfaceFormat:
     def test_cube_round_trip(self):
@@ -91,6 +99,22 @@ class TestSurfaceFormat:
         cx = TwoComplex.from_face_cycles(CUBE_FACES, orientable=False, name="cube")
         with pytest.raises(InputFormatError):
             fio.parse_surface(fio.format_surface(cx))
+
+
+class TestReconstructOnComplex:
+    def test_cycles_sum_to_edge_weights(self):
+        text = "decomposition elementary r\nterm 1/2 cycle 0,0 1,0\nterm 1/3 cycle 0,0 1,0 1,1 0,1\n"
+        mode, _, records = fio.parse_decomposition(text)
+        a, b, c, d = (0, 0), (1, 0), (1, 1), (0, 1)
+        assert fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3)) == {
+            (a, b): Rat(5, 6), (b, a): Rat(1, 2), (b, c): Rat(1, 3), (c, d): Rat(1, 3),
+            (d, a): Rat(1, 3),
+        }
+
+    def test_every_step_must_be_an_edge(self):
+        mode, _, records = fio.parse_decomposition("decomposition elementary r\nterm 0/1 cycle 0,0 1,1\n")
+        with pytest.raises(KeyError):
+            fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3))
 
 
 def run_cli(args):
@@ -318,7 +342,7 @@ class TestCliInputErrors:
     def test_negative_rate_exit_two(self, workdir, capsys):
         path = write(workdir / "neg.wg", "digraph neg\n0,0 1,0 -1/2\n")
         assert run_cli(["check", "elementary", path, "--torus", "3"]) == 2
-        assert "neg.wg:0: rates do not fit torus2[3x3]: negative rate" in capsys.readouterr().err
+        assert "neg.wg:2: negative weight -1/2 on 0,0 1,0" in capsys.readouterr().err
 
     def test_zero_rate_entries_verify(self, workdir, capsys):
         path = write(workdir / "z.wg", "digraph z\n0,0 1,0 1/1\n1,0 0,0 1/1\n0,0 0,1 0/1\n")
@@ -330,19 +354,66 @@ class TestCliInputErrors:
         assert run_cli(["decompose", "--mode", "1d", path]) == 2
         assert "expects the 1-d torus" in capsys.readouterr().err
 
+    def test_heavy_tail_on_a_massless_measure_exit_one(self, workdir, capsys):
+        path = write(workdir / "zero.msr", "1 0/1\n-1 0/1\n")
+        assert run_cli(["decompose", "--mode", "1d-heavy", path]) == 1
+        assert "no positive mass" in capsys.readouterr().err
+
+
+def _sample(name):
+    return str(SAMPLES / name)
+
+
+RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "elementary", _sample("torus_rates.wg"), "--torus", "abc"],
+        ["check", "elementary", _sample("torus_rates.wg"), "--torus", "2"],
+        RANDOM_ENV + ["--dims", "4", "--noise-lo", "1", "--noise-hi", "1"],
+        RANDOM_ENV + ["--dims", "2x2", "--noise-lo", "1", "--noise-hi", "1"],
+        RANDOM_ENV + ["--dims", "4x4", "--noise-lo", "abc", "--noise-hi", "1"],
+        RANDOM_ENV + ["--dims", "4x4", "--noise-lo", "1", "--noise-hi", "1/2"],
+        ["decompose", "--mode", "elementary", _sample("torus_rates.wg"), "--torus", "3x4",
+         "--constant", "abc"],
+        ["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--param", "xyz"],
+        ["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--param", "1/0"],
+        ["discretize", "--potential", "band", "--n", "2"],
+        ["discretize", "--potential", "band", "--n", "4", "--denominator", "0"],
+        ["hodge", "abc.field"],
+        ["hodge", "small.field"],
+    ],
+    ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
+)
+def test_bad_arguments_exit_two(args, workdir, capsys):
+    write(workdir / "abc.field", "field torus abc\n")
+    write(workdir / "small.field", "field torus 2\n")
+    try:
+        code = run_cli(args)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
 
 def _sample_commands():
-    """Every subcommand each sample applies to, with every complex option."""
+    """Every subcommand each sample applies to, with every complex option.
+
+    Paths are relative to the repository root, where the commands run.
+    """
     complexes = [
         [],
         ["--torus", "6"],
         ["--torus", "3x4"],
-        ["--surface", str(SAMPLES / "klein.surf")],
-        ["--surface", str(SAMPLES / "cube.surf")],
+        ["--surface", "samples/klein.surf"],
+        ["--surface", "samples/cube.surf"],
     ]
     commands = []
     for sample in sorted(SAMPLES.iterdir()):
-        path = str(sample)
+        path = f"samples/{sample.name}"
         if sample.suffix == ".wg":
             commands += [
                 ["check", "balance", path],
@@ -369,8 +440,42 @@ def _sample_commands():
     return commands
 
 
+# exit code and stdout of every sample command, keyed by the command line
+SAMPLE_OUTPUTS = pathlib.Path(__file__).resolve().parent / "sample_outputs.json"
+
+
+@functools.cache
+def _recorded():
+    return json.loads(SAMPLE_OUTPUTS.read_text(encoding="utf-8"))
+
+
+def test_every_sample_command_is_recorded():
+    assert sorted(_recorded()) == sorted(" ".join(args) for args in _sample_commands())
+
+
 @pytest.mark.parametrize(
     "args", _sample_commands(), ids=lambda args: " ".join(a.split("/")[-1] for a in args)
 )
-def test_sample_commands_end_in_an_exit_code(args, capsys):
-    assert run_cli(args) in (0, 1, 2)
+def test_sample_commands_end_in_an_exit_code(args, monkeypatch, capsys):
+    monkeypatch.chdir(SAMPLES.parent)
+    code = run_cli(args)
+    assert code in (0, 1, 2)
+    assert [code, capsys.readouterr().out] == _recorded()[" ".join(args)]
+
+
+if __name__ == "__main__":
+    # Re-record the sample outputs after an intended output change:
+    #   PYTHONPATH=src python tests/test_io_cli.py
+    import contextlib
+    import io
+    import os
+
+    os.chdir(SAMPLES.parent)
+    outputs = {}
+    for args in _sample_commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(args)
+        outputs[" ".join(args)] = [code, out.getvalue()]
+    text = json.dumps(outputs, indent=1, sort_keys=True) + "\n"
+    SAMPLE_OUTPUTS.write_text(text, encoding="utf-8")
