@@ -30,7 +30,6 @@ from .lattice import (
     LatticeCycleClass,
     LatticeDecomposition,
     LatticeMeasure,
-    caratheodory_step,
     decompose_1d_heavy_tail,
     decompose_lattice,
     empirical_measure,
@@ -66,9 +65,7 @@ from .complexes import (
     harmonic_basis,
     hodge_decompose,
     in_d_lambda2,
-    rates_to_field,
     recover_psi,
-    symmetric_part,
 )
 from .elementary import (
     ElementaryDecomposition,

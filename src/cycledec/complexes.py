@@ -384,9 +384,6 @@ class TwoChain(_Valued):
     def zero(cls, complex):
         return cls(complex, [ZERO] * complex.n_faces)
 
-    def at_oriented(self, fid: int, sign: int = 1) -> Rat:
-        return sign * self.values[fid]
-
 
 @dataclass
 class HodgeParts:
@@ -596,11 +593,6 @@ def _field_and_symmetric(rates: dict, complex: TwoComplex):
     return VectorField(complex, values), s
 
 
-def rates_to_field(rates: dict, complex: TwoComplex) -> VectorField:
-    """Antisymmetric part ``r(x, y) - r(y, x)`` as a vector field."""
-    return _field_and_symmetric(rates, complex)[0]
-
-
 def field_to_rates(phi: VectorField) -> dict:
     """Minimal rates with the given field: the positive parts."""
     out = {}
@@ -610,16 +602,6 @@ def field_to_rates(phi: VectorField) -> dict:
             out[(u, v)] = value
         elif value < 0:
             out[(v, u)] = -value
-    return out
-
-
-def symmetric_part(rates: dict, complex: TwoComplex) -> dict:
-    """Per unoriented edge, ``min(r(x, y), r(y, x))`` on both orientations."""
-    out = {}
-    for (u, v), s in zip(complex.edges, _field_and_symmetric(rates, complex)[1]):
-        if s > 0:
-            out[(u, v)] = s
-            out[(v, u)] = s
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import TwoChain, TwoComplex, boundary2, field_to_rates
 from .elementary import ReVerdict, in_Re
@@ -121,7 +121,7 @@ def check_re_sufficient(potential: PotentialSampler, n: int, s_min) -> bool:
 
 @dataclass
 class EnvironmentSpec:
-    """Inputs for one random environment draw."""
+    """Inputs for one random environment draw; it holds its own copy of the sampler."""
 
     potential: PotentialSampler
     noise_lo: Rat
@@ -136,7 +136,7 @@ class EnvironmentSpec:
         if not 0 < self.noise_lo <= self.noise_hi:
             raise ValueError("noise bounds must satisfy 0 < lo <= hi")
         if self.potential.periods is None:
-            self.potential.periods = self.dims
+            self.potential = replace(self.potential, periods=self.dims)
         elif tuple(self.potential.periods) != self.dims:
             raise ValueError("potential periods must match the torus dims")
 

@@ -11,7 +11,7 @@ from math import lcm
 
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
-from .lattice import LatticeCycleClass, LatticeDecomposition, LatticeMeasure
+from .lattice import LatticeCycleClass, LatticeDecomposition, LatticeMeasure, class_sum
 from .finite_graph import GraphCycle, GraphDecomposition, cycle_edges, cycle_sum
 from .ratio import ZERO, Rat, parse_rat, rat_decimal, rat_str, to_rat
 
@@ -305,6 +305,11 @@ def _class(cls) -> str:
     return "class " + " ".join(coords_label(vec) + f"*{mult}" for vec, mult in cls.items())
 
 
+def _class_terms(terms, decimals) -> list:
+    """One ``term <weight> class <entries>`` line per ``(class, weight)``."""
+    return [f"term {_fmt(weight, decimals)} {_class(cls)}" for cls, weight in terms]
+
+
 def format_graph_decomposition(dec: GraphDecomposition, source: str, decimals=None) -> str:
     lines = [f"decomposition graph {source}"] + _cycle_terms(dec.terms, decimals)
     return "\n".join(lines) + "\n"
@@ -316,9 +321,7 @@ def format_lattice_decomposition(
     lines = [f"decomposition lattice {source}"]
     if dec.trivial_mass != 0:
         lines.append(f"trivial {_fmt(dec.trivial_mass, decimals)}")
-    for cls, weight in dec.terms:
-        lines.append(f"term {_fmt(weight, decimals)} {_class(cls)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _class_terms(dec.terms, decimals)) + "\n"
 
 
 def format_birkhoff_decomposition(terms, source: str, decimals=None) -> str:
@@ -350,9 +353,7 @@ def format_1d_family(family, source: str, a, decimals=None) -> str:
 
 
 def format_heavy_tail(terms, residual, source: str, decimals=None) -> str:
-    lines = [f"decomposition 1d-heavy {source}"]
-    for cls, weight in terms:
-        lines.append(f"term {_fmt(weight, decimals)} {_class(cls)}")
+    lines = [f"decomposition 1d-heavy {source}"] + _class_terms(terms, decimals)
     for x in sorted(residual):
         lines.append(f"residual {x} {_fmt(residual[x], decimals)}")
     return "\n".join(lines) + "\n"
@@ -371,49 +372,94 @@ def parse_decomposition(text: str, path="<decomposition>"):
     """Generic reader for the ``decomposition`` formats.
 
     Returns ``(mode, source, records)`` where records are
-    ``("term", weight, kind, payload_tokens)``, ``("trivial", mass)``,
+    ``("term", weight, kind, payload)``, ``("trivial", mass)``,
     ``("constant", value)``, ``("parameter", value)`` or other
-    ``(key, value)`` headers in file order.
+    ``(key, value)`` headers in file order.  A ``class`` payload is the
+    parsed :class:`LatticeCycleClass`; ``cycle`` and ``perm`` payloads are
+    the tokens.  Each record is checked here, so a malformed one reports
+    its line.
     """
     mode = None
     source = None
     records = []
     for line_no, line in _content_lines(text):
         tokens = line.split()
+        key = tokens[0]
         if mode is None:
-            if tokens[0] != "decomposition" or len(tokens) != 3:
+            if key != "decomposition" or len(tokens) != 3:
                 raise InputFormatError(
                     path, line_no, "expected header: decomposition <mode> <source>"
                 )
             mode, source = tokens[1], tokens[2]
-            continue
-        if tokens[0] == "term":
-            if len(tokens) < 3:
-                raise InputFormatError(path, line_no, "term needs a weight and a kind")
-            weight = _parse_value(tokens[1], path, line_no)
-            records.append(("term", weight, tokens[2], tokens[3:]))
-        elif tokens[0] in ("trivial", "constant", "parameter", "max-parameter"):
-            records.append((tokens[0], _parse_value(tokens[1], path, line_no)))
-        elif tokens[0] == "residual":
-            records.append(("residual", int(tokens[1]), _parse_value(tokens[2], path, line_no)))
-        elif tokens[0] == "rstar":
+        elif key == "term":
+            records.append(_parse_term(tokens, path, line_no))
+        elif key in ("trivial", "constant", "parameter", "max-parameter"):
+            if len(tokens) != 2:
+                raise InputFormatError(path, line_no, f"expected: {key} <num/den>")
+            records.append((key, _parse_value(tokens[1], path, line_no)))
+        elif key == "residual":
+            if len(tokens) != 3:
+                raise InputFormatError(path, line_no, "expected: residual <x> <num/den>")
+            try:
+                x = int(tokens[1])
+            except ValueError:
+                raise InputFormatError(path, line_no, "residual point must be an integer")
+            records.append(("residual", x, _parse_value(tokens[2], path, line_no)))
+        elif key == "rstar":
+            if len(tokens) != 2 or tokens[1] not in ("yes", "no"):
+                raise InputFormatError(path, line_no, "expected: rstar yes|no")
             records.append(("rstar", tokens[1] == "yes"))
         else:
-            raise InputFormatError(path, line_no, f"unknown record {tokens[0]!r}")
+            raise InputFormatError(path, line_no, f"unknown record {key!r}")
     if mode is None:
         raise InputFormatError(path, 0, "missing decomposition header")
     return mode, source, records
 
 
-def _parse_class(tokens, path):
+def _parse_term(tokens, path, line_no):
+    if len(tokens) < 3:
+        raise InputFormatError(path, line_no, "term needs a weight and a kind")
+    weight = _parse_value(tokens[1], path, line_no)
+    kind, payload = tokens[2], tokens[3:]
+    if kind == "class":
+        payload = _parse_class(payload, path, line_no)
+    elif kind not in ("cycle", "perm"):
+        raise InputFormatError(path, line_no, f"unknown term kind {kind!r}")
+    elif kind == "perm" and not all(">" in token for token in payload):
+        raise InputFormatError(path, line_no, "perm entries must read u>v")
+    return ("term", weight, kind, payload)
+
+
+def _parse_class(tokens, path, line_no) -> LatticeCycleClass:
     entries = {}
     for token in tokens:
-        if "*" not in token:
-            raise InputFormatError(path, 0, f"malformed class entry {token!r}")
-        coords, mult = token.rsplit("*", 1)
-        vec = tuple(int(c) for c in coords.split(","))
-        entries[vec] = int(mult)
-    return LatticeCycleClass(entries)
+        coords, _, mult = token.rpartition("*")
+        try:
+            vec, n = tuple(int(c) for c in coords.split(",")), int(mult)
+        except ValueError:
+            raise InputFormatError(path, line_no, f"malformed class entry {token!r}")
+        if vec in entries:
+            raise InputFormatError(path, line_no, f"repeated displacement {token!r}")
+        entries[vec] = n
+    try:
+        return LatticeCycleClass(entries)
+    except ValueError as exc:
+        raise InputFormatError(path, line_no, str(exc))
+
+
+def lattice_decomposition(records, path="<decomposition>") -> LatticeDecomposition:
+    """The decomposition that lattice-like records describe."""
+    terms = []
+    trivial = ZERO
+    for record in records:
+        if record[0] == "trivial":
+            trivial += record[1]
+        elif record[0] == "term":
+            _, weight, kind, cls = record
+            if kind != "class":
+                raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
+            terms.append((cls, weight))
+    return LatticeDecomposition(terms, trivial)
 
 
 def reconstruct_decomposition(mode, records, path="<decomposition>"):
@@ -430,12 +476,12 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
         acc = {}
         for weight, kind, payload in terms:
             if kind == "cycle":
-                edges = GraphCycle(tuple(payload)).edges()
+                try:
+                    edges = GraphCycle(tuple(payload)).edges()
+                except ValueError as exc:
+                    raise InputFormatError(path, 0, str(exc))
             elif kind == "perm":
-                edges = []
-                for token in payload:
-                    u, v = token.split(">", 1)
-                    edges.append((u, v))
+                edges = [tuple(token.split(">", 1)) for token in payload]
             else:
                 raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
             n = weight.numerator * (scale // weight.denominator)
@@ -443,24 +489,9 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
                 acc[e] = acc.get(e, 0) + n
         return {e: Rat(n, scale) for e, n in acc.items() if n}
     if mode in ("lattice", "1d-heavy"):
-        atoms = {}
-        trivial = ZERO
-        for record in records:
-            if record[0] == "trivial":
-                trivial += record[1]
-            elif record[0] == "term":
-                _, weight, kind, payload = record
-                if kind != "class":
-                    raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
-                cls = _parse_class(payload, path)
-                total = cls.total_multiplicity()
-                for vec, mult in cls.items():
-                    atoms[vec] = atoms.get(vec, ZERO) + weight * to_rat(mult) / total
-        if trivial != 0:
-            dim = len(next(iter(atoms))) if atoms else 1
-            origin = (0,) * dim
-            atoms[origin] = atoms.get(origin, ZERO) + trivial
-        return {p: m for p, m in atoms.items() if m != 0}
+        dec = lattice_decomposition(records, path)
+        # the file does not state its dimension: a trivial-only one reads as 1-d
+        return class_sum(dec.classes(dec.terms[0][0].dimension if dec.terms else 1))
     raise InputFormatError(path, 0, f"no reconstruction rule for mode {mode!r}")
 
 
@@ -489,6 +520,9 @@ def reconstruct_on_complex(mode, records, complex, path="<decomposition>"):
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
         cycle = [_parse_vertex(token, complex, path) for token in payload]
         for u, v in cycle_edges(cycle):
-            complex.edge_id(u, v)
+            try:
+                complex.edge_id(u, v)
+            except KeyError as exc:
+                raise InputFormatError(path, 0, exc.args[0])
         terms.append((cycle, weight))
     return cycle_sum(terms)

@@ -74,9 +74,6 @@ class LatticeMeasure:
     def items(self):
         return sorted(self.atoms.items())
 
-    def is_zero(self) -> bool:
-        return not self.atoms
-
     def origin(self) -> tuple:
         return (0,) * self.dimension
 
@@ -149,24 +146,29 @@ class LatticeDecomposition:
     def total_weight(self) -> Rat:
         return sum((w for _, w in self.terms), ZERO) + self.trivial_mass
 
+    def classes(self, dimension: int) -> list:
+        """The terms, then the trivial mass as the one-point class at the origin."""
+        if self.trivial_mass == 0:
+            return list(self.terms)
+        return self.terms + [(LatticeCycleClass({(0,) * dimension: 1}), self.trivial_mass)]
+
     def reconstruct(self, dimension: int) -> LatticeMeasure:
-        acc: dict = {}
-        origin = (0,) * dimension
-        if self.trivial_mass > 0:
-            acc[origin] = self.trivial_mass
-        for cls, weight in self.terms:
-            q = empirical_measure(cls)
-            for point, mass in q.atoms.items():
-                acc[point] = acc.get(point, ZERO) + weight * mass
-        return LatticeMeasure(dimension, acc)
+        return LatticeMeasure(dimension, class_sum(self.classes(dimension)))
+
+
+def class_sum(terms) -> dict:
+    """Nonzero atoms of the sum of weight times empirical measure over the terms."""
+    acc: dict = {}
+    for cls, weight in terms:
+        total = cls.total_multiplicity()
+        for vec, mult in cls.items():
+            acc[vec] = acc.get(vec, ZERO) + weight * Rat(mult, total)
+    return {x: m for x, m in acc.items() if m != 0}
 
 
 def empirical_measure(cls: LatticeCycleClass) -> LatticeMeasure:
     """Probability measure putting mass ``n_i / sum(n)`` on each displacement."""
-    total = cls.total_multiplicity()
-    return LatticeMeasure(
-        cls.dimension, {vec: Rat(mult, total) for vec, mult in cls.entries.items()}
-    )
+    return LatticeMeasure(cls.dimension, class_sum([(cls, ONE)]))
 
 
 def mean(p: LatticeMeasure):
@@ -212,8 +214,13 @@ def irreducible_class(points) -> LatticeCycleClass:
         raise ZeroNotInterior("origin not in the affine hull of the points")
     if any(c <= 0 for c in mu):
         raise ZeroNotInterior("origin not in the relative interior of the hull")
-    b = denominator_lcm(mu)
-    return LatticeCycleClass({p: int(b * c) for p, c in zip(pts, mu)})
+    return _lcm_class(dict(zip(pts, mu)))
+
+
+def _lcm_class(mu: dict) -> LatticeCycleClass:
+    """Barycentric coefficients cleared to integer multiplicities ``lcm * mu``."""
+    b = denominator_lcm(mu.values())
+    return LatticeCycleClass({p: int(b * c) for p, c in mu.items()})
 
 
 def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND) -> bool:
@@ -269,36 +276,30 @@ def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND
     return True
 
 
-def caratheodory_step(p: LatticeMeasure):
-    """Extract one cycle class, its maximal weight and the residual measure.
+def _rounds(residual: dict, origin: tuple):
+    """Yield the Caratheodory rounds ``(class, weight)`` that drain ``residual``.
 
-    The weight is ``min p(w) / q(w)`` over the class support with ``q`` the
-    class's empirical measure; the minimizing atom disappears from the
-    residual, which stays nonnegative and balanced.
+    ``residual`` maps the non-origin points of a balanced measure to their
+    positive masses and is updated in place.  Each round takes the vertex of
+    the barycentric polytope over the sorted support, weighs the class by
+    ``min residual(w) / mu(w)`` and subtracts it; the minimizing atoms are
+    deleted, and the residual stays nonnegative and balanced.
     """
-    if not is_balanced(p):
-        raise NotBalanced("measure has nonzero mean", violators=[mean(p)])
-    points = [x for x in p.support() if any(x)]
-    if not points:
-        raise ValueError("measure is trivial (support only at the origin)")
-    try:
-        solution = barycentric_vertex(points, p.origin())
-    except Infeasible as exc:  # impossible for balanced p
-        raise AssertionError("balanced measure with origin outside hull") from exc
-
-    mu = dict(solution.as_pairs(points))
-    b = denominator_lcm(mu.values())
-    cls = LatticeCycleClass({w: int(b * c) for w, c in mu.items()})
-    weight = min(p.mass(w) / c for w, c in mu.items())
-
-    residual = dict(p.atoms)
-    for w, c in mu.items():
-        new_mass = residual[w] - weight * c
-        if new_mass == 0:
-            del residual[w]
-        else:
-            residual[w] = new_mass
-    return cls, weight, LatticeMeasure(p.dimension, residual)
+    while residual:
+        points = sorted(residual)
+        try:
+            solution = barycentric_vertex(points, origin)
+        except Infeasible as exc:  # impossible for a balanced residual
+            raise AssertionError("balanced measure with origin outside hull") from exc
+        mu = dict(solution.as_pairs(points))
+        weight = min(residual[w] / c for w, c in mu.items())
+        for w, c in mu.items():
+            left = residual[w] - weight * c
+            if left == 0:
+                del residual[w]
+            else:
+                residual[w] = left
+        yield _lcm_class(mu), weight
 
 
 def decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
@@ -310,15 +311,8 @@ def decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
     """
     if not is_balanced(p):
         raise NotBalanced("measure has nonzero mean", violators=[mean(p)])
-    trivial = p.mass(p.origin())
-    current = LatticeMeasure(
-        p.dimension, {x: m for x, m in p.atoms.items() if any(x)}
-    )
-    terms = []
-    while not current.is_zero():
-        cls, weight, current = caratheodory_step(current)
-        terms.append((cls, weight))
-    return LatticeDecomposition(terms, trivial)
+    residual = {x: m for x, m in p.atoms.items() if any(x)}
+    return LatticeDecomposition(list(_rounds(residual, p.origin())), p.mass(p.origin()))
 
 
 class HeavyTailOracle1D:
@@ -406,26 +400,14 @@ class LiftedTerm:
     translates: str
 
 
-def periodic_lift(decomposition, periods=None):
-    """Describe the periodic lift of a decomposition to the infinite lattice.
+def periodic_lift(terms, periods=None):
+    """Describe the periodic lift of ``(cycle, weight)`` terms to the infinite lattice.
 
-    Accepts a :class:`LatticeDecomposition` or any iterable of
-    ``(cycle, weight)`` pairs (e.g. an elementary torus decomposition's
-    terms).  Emits each class once.
+    The terms are e.g. :meth:`LatticeDecomposition.classes` or an elementary
+    torus decomposition's cycles.  Emits each class once.
     """
     if periods is None:
         scope = "all integer translates"
     else:
         scope = "all " + "x".join(str(int(n)) for n in periods) + "-periodic translates"
-    records = []
-    if isinstance(decomposition, LatticeDecomposition):
-        pairs = list(decomposition.terms)
-        if decomposition.trivial_mass > 0:
-            dim = pairs[0][0].dimension if pairs else 1
-            trivial = LatticeCycleClass({(0,) * dim: 1})
-            pairs.append((trivial, decomposition.trivial_mass))
-    else:
-        pairs = list(decomposition)
-    for cycle, weight in pairs:
-        records.append(LiftedTerm(cycle, to_rat(weight), scope))
-    return records
+    return [LiftedTerm(cycle, to_rat(weight), scope) for cycle, weight in terms]

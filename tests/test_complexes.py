@@ -5,6 +5,7 @@ from cycledec.complexes import (
     TwoComplex,
     VectorField,
     ZeroForm,
+    _field_and_symmetric,
     boundary1,
     boundary2,
     coboundary0,
@@ -14,9 +15,7 @@ from cycledec.complexes import (
     harmonic_basis,
     hodge_decompose,
     in_d_lambda2,
-    rates_to_field,
     recover_psi,
-    symmetric_part,
 )
 from cycledec.errors import NotHomologous
 from cycledec.exact_lp import exact_rank
@@ -345,16 +344,18 @@ class TestRatesAndFields:
         for u, v in cx.edges:
             rates[(u, v)] = Rat(2, 3)
             rates[(v, u)] = Rat(2, 3)
-        assert rates_to_field(rates, cx).is_zero()
-        assert symmetric_part(rates, cx) == rates
+        phi, s = _field_and_symmetric(rates, cx)
+        assert phi.is_zero()
+        assert s == [Rat(2, 3)] * cx.n_edges
 
     def test_single_asymmetric_pair(self):
         cx = TwoComplex.torus2(3)
         rates = {((0, 0), (1, 0)): Rat(3), ((1, 0), (0, 0)): ONE}
-        phi = rates_to_field(rates, cx)
+        phi, s = _field_and_symmetric(rates, cx)
         assert phi.at((0, 0), (1, 0)) == 2
-        s = symmetric_part(rates, cx)
-        assert s[((0, 0), (1, 0))] == ONE and s[((1, 0), (0, 0))] == ONE
+        eid, _ = cx.edge_id((0, 0), (1, 0))
+        assert s[eid] == ONE
+        assert [w for i, w in enumerate(s) if i != eid] == [ZERO] * (cx.n_edges - 1)
 
     def test_decomposition_identity_on_random_rates(self, rng):
         cx = TwoComplex.torus2(3)
@@ -365,14 +366,14 @@ class TestRatesAndFields:
                     w = rand_rat(rng, 0, 5, 4)
                     if w > 0:
                         rates[e] = w
-            phi = rates_to_field(rates, cx)
+            phi, s = _field_and_symmetric(rates, cx)
             minimal = field_to_rates(phi)
-            s = symmetric_part(rates, cx)
-            rebuilt = dict(s)
-            for e, w in minimal.items():
-                rebuilt[e] = rebuilt.get(e, ZERO) + w
+            rebuilt = dict(minimal)
+            for (u, v), w in zip(cx.edges, s):
+                for e in ((u, v), (v, u)):
+                    rebuilt[e] = rebuilt.get(e, ZERO) + w
             rebuilt = {e: w for e, w in rebuilt.items() if w != 0}
             assert rebuilt == rates
-            assert rates_to_field(minimal, cx) == phi
+            assert _field_and_symmetric(minimal, cx)[0] == phi
             for u, v in cx.edges:
                 assert min(minimal.get((u, v), ZERO), minimal.get((v, u), ZERO)) == ZERO

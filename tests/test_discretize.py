@@ -159,3 +159,15 @@ class TestRandomEnvironment:
     def test_noise_bounds_validated(self):
         with pytest.raises(ValueError):
             band_spec(1, lo=ZERO)
+
+    def test_spec_leaves_the_callers_sampler_alone(self):
+        sampler = sine_potential(1.0)
+        field_before, _ = discretize_potential(sampler, 4)
+        spec = EnvironmentSpec(sampler, ONE, ONE, 3, (4, 4))
+        assert sampler.periods is None and spec.potential.periods == (4, 4)
+        assert discretize_potential(sampler, 4)[0].values == field_before.values
+        other = EnvironmentSpec(sampler, ONE, ONE, 3, (3, 5))
+        assert other.potential.periods == (3, 5)
+        assert random_environment(spec).serialize() == random_environment(
+            EnvironmentSpec(sine_potential(1.0), ONE, ONE, 3, (4, 4))
+        ).serialize()

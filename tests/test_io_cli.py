@@ -3,6 +3,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycledec import cli
 from cycledec import io as fio
@@ -113,8 +114,115 @@ class TestReconstructOnComplex:
 
     def test_every_step_must_be_an_edge(self):
         mode, _, records = fio.parse_decomposition("decomposition elementary r\nterm 0/1 cycle 0,0 1,1\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(InputFormatError, match="no edge between"):
             fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3))
+
+
+class TestMalformedDecomposition:
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            ("1d-heavy", "residual 3"),
+            ("1d-heavy", "residual x 1/2"),
+            ("elementary", "constant"),
+            ("1d", "rstar"),
+            ("1d", "rstar maybe"),
+            ("lattice", "term 1/1 class a,b*1 -1,0*1"),
+            ("lattice", "term 1/1 class 1,0*x -1,0*1"),
+            ("lattice", "term 1/1 class 1,0*1"),
+            ("lattice", "term 1/1 class 1,0*1 1,0*1"),
+            ("lattice", "term 1/1 loop 1,0*1"),
+            ("birkhoff", "term 1/1 perm ab"),
+        ],
+    )
+    def test_record_reports_its_line(self, mode, line):
+        text = f"decomposition {mode} src\n# note\n{line}\n"
+        with pytest.raises(InputFormatError) as info:
+            fio.parse_decomposition(text, path="bad.dec")
+        assert info.value.line_no == 3
+
+    def test_repeated_graph_vertex(self):
+        mode, _, records = fio.parse_decomposition("decomposition graph g\nterm 1/1 cycle a b a\n")
+        with pytest.raises(InputFormatError, match="distinct"):
+            fio.reconstruct_decomposition(mode, records)
+
+
+# one written decomposition per mode, with the complex it is read on (if any)
+VALID_DECOMPOSITIONS = [
+    ("decomposition graph t\nterm 2/1 cycle a b c\nterm 1/3 cycle a c\n", None),
+    ("decomposition birkhoff h\nterm 1/2 perm a>a b>b\nterm 1/2 perm a>b b>a\n", None),
+    ("decomposition lattice m\ntrivial 1/6\nterm 1/3 class 0,-1*1 0,1*1\n"
+     "term 1/6 class -2,-2*1 1,1*2\n", None),
+    ("decomposition 1d-heavy m\nterm 1/2 class -1*1 1*1\nterm 1/8 class -2*1 1*2\n"
+     "residual -2 0/1\nresidual 1 1/3\n", None),
+    ("decomposition elementary r\nconstant 0/1\nterm 1/2 cycle 0,0 1,0\n"
+     "term 1/1 cycle 0,0 1,0 1,1 0,1\n", "torus"),
+    ("decomposition 1d r\nconstant 1/1\nparameter 0/1\nmax-parameter 1/2\nrstar no\n"
+     "term 1/2 cycle 0 1\nterm 1/1 cycle 0 1 2\n", "ring"),
+    ("decomposition elementary k\nconstant 0/1\nterm 5/2 cycle 0,0 0,2\n"
+     "term 1/1 cycle 0,0 1,0 1,1 0,1\n", "klein"),
+]
+
+JUNK = st.one_of(
+    st.text(alphabet="0123456789-,*/>~ab", max_size=6),
+    st.sampled_from(["term", "class", "cycle", "perm", "trivial", "residual", "rstar",
+                     "constant", "decomposition", "lattice", "yes", "0,0*1", "1,0*1", "a>b"]),
+)
+
+
+def _complex(kind):
+    if kind == "torus":
+        return TwoComplex.torus2(3)
+    if kind == "ring":
+        return TwoComplex.torus1(3)
+    return fio.read_surface(pathlib.Path(__file__).resolve().parent.parent / "samples/klein.surf")
+
+
+def _mutate(data, lines):
+    """Drop, replace or insert a token, or copy or drop a line."""
+    tokens = data.draw(st.sampled_from(lines))
+    op = data.draw(st.sampled_from(["drop", "replace", "insert", "copy line", "drop line"]))
+    at = data.draw(st.integers(0, len(tokens)))
+    if op == "drop line":
+        lines.remove(tokens)
+    elif op == "copy line":
+        lines.insert(lines.index(tokens), list(tokens))
+    elif op == "insert":
+        tokens.insert(at, data.draw(JUNK))
+    elif tokens:
+        at = min(at, len(tokens) - 1)
+        if op == "drop":
+            del tokens[at]
+        else:
+            tokens[at] = data.draw(JUNK)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(VALID_DECOMPOSITIONS) - 1), st.data())
+def test_mutated_decompositions_read_or_report(index, data):
+    """Every reader either returns a value or raises InputFormatError."""
+    text, kind = VALID_DECOMPOSITIONS[index]
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        if lines:
+            _mutate(data, lines)
+    mutated = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+    try:
+        mode, _, records = fio.parse_decomposition(mutated)
+    except InputFormatError:
+        return
+    if kind is not None:
+        readers = [lambda: fio.reconstruct_on_complex(mode, records, _complex(kind))]
+    else:
+        readers = [
+            lambda: fio.reconstruct_decomposition(mode, records),
+            lambda: fio.lattice_decomposition(records),
+        ]
+    for read in readers:
+        try:
+            read()
+        except InputFormatError:
+            pass
 
 
 def run_cli(args):
@@ -190,6 +298,16 @@ class TestCliDecompose:
         assert run_cli(["decompose", "--mode", "lattice", path, "--verify", "--lift"]) == 0
         out = capsys.readouterr().out
         assert "periodic-lift" in out and "confirmed" in out
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_mass_only_at_the_origin(self, workdir, capsys, output):
+        path = write(workdir / "rest.msr", "0 0 1/1\n")
+        extra = ["-o", str(workdir / "rest.dec")] if output else []
+        args = ["decompose", "--mode", "lattice", path, "--verify", "--lift"] + extra
+        assert run_cli(args) == 0
+        out = capsys.readouterr().out
+        assert "term 1/1 class 0,0*1 @ all integer translates\n" in out
+        assert "verification: exact reconstruction confirmed" in out
 
     def test_birkhoff_verify(self, workdir, capsys):
         path = write(

@@ -1,5 +1,9 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cycledec import lattice as lat
 from cycledec.errors import (
     NotBalanced,
     NotGeneralPosition,
@@ -7,13 +11,14 @@ from cycledec.errors import (
     TooLarge,
     ZeroNotInterior,
 )
-from cycledec.exact_lp import exact_rank
+from cycledec.exact_lp import barycentric_vertex, exact_rank
 from cycledec.lattice import (
     HeavyTailOracle1D,
     LatticeCycleClass,
     LatticeDecomposition,
     LatticeMeasure,
-    caratheodory_step,
+    _rounds,
+    class_sum,
     decompose_1d_heavy_tail,
     decompose_lattice,
     empirical_measure,
@@ -27,9 +32,65 @@ from cycledec.ratio import ONE, ZERO, Rat, denominator_lcm
 
 from conftest import rand_pos_rat
 
+# fixed example sequence and no example database, so every run is the same
+EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
 
 def measure(d, pairs):
     return LatticeMeasure(d, dict(pairs))
+
+
+# -- references: the round-by-round loop that rebuilt a measure every round ----
+
+
+def reference_caratheodory_step(p: LatticeMeasure):
+    """One class, its maximal weight and the residual as a new validated measure."""
+    if not is_balanced(p):
+        raise NotBalanced("measure has nonzero mean", violators=[mean(p)])
+    points = [x for x in p.support() if any(x)]
+    if not points:
+        raise ValueError("measure is trivial (support only at the origin)")
+    solution = barycentric_vertex(points, p.origin())
+    mu = dict(solution.as_pairs(points))
+    b = denominator_lcm(mu.values())
+    cls = LatticeCycleClass({w: int(b * c) for w, c in mu.items()})
+    weight = min(p.mass(w) / c for w, c in mu.items())
+    residual = dict(p.atoms)
+    for w, c in mu.items():
+        new_mass = residual[w] - weight * c
+        if new_mass == 0:
+            del residual[w]
+        else:
+            residual[w] = new_mass
+    return cls, weight, LatticeMeasure(p.dimension, residual)
+
+
+def reference_decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
+    if not is_balanced(p):
+        raise NotBalanced("measure has nonzero mean", violators=[mean(p)])
+    trivial = p.mass(p.origin())
+    current = LatticeMeasure(p.dimension, {x: m for x, m in p.atoms.items() if any(x)})
+    terms = []
+    while current.atoms:
+        cls, weight, current = reference_caratheodory_step(current)
+        terms.append((cls, weight))
+    return LatticeDecomposition(terms, trivial)
+
+
+def reference_class_sum(terms) -> dict:
+    """Weight times each class's empirical measure, built as a measure first."""
+    acc = {}
+    for cls, weight in terms:
+        total = cls.total_multiplicity()
+        q = LatticeMeasure(cls.dimension, {v: Rat(m, total) for v, m in cls.entries.items()})
+        for point, mass in q.atoms.items():
+            acc[point] = acc.get(point, ZERO) + weight * mass
+    return {x: m for x, m in acc.items() if m != 0}
+
+
+def exact_terms(terms):
+    """Terms as plain data, so equal values of another type do not pass."""
+    return [(cls.items(), type(w), str(w)) for cls, w in terms]
 
 
 class TestTypes:
@@ -137,17 +198,24 @@ class TestIsIrreducible:
             is_irreducible(cls)
 
 
-class TestCaratheodoryStep:
+def first_round(p: LatticeMeasure):
+    """The first round of ``_rounds`` on the non-origin atoms of ``p``."""
+    residual = {x: m for x, m in p.atoms.items() if any(x)}
+    cls, weight = next(_rounds(residual, p.origin()))
+    return cls, weight, residual
+
+
+class TestRounds:
     def test_shuttle_consumed_fully(self):
         p = measure(2, {(1, 0): Rat(1, 2), (-1, 0): Rat(1, 2)})
-        cls, weight, residual = caratheodory_step(p)
+        cls, weight, residual = first_round(p)
         assert cls.entries == {(1, 0): 1, (-1, 0): 1}
-        assert weight == ONE and residual.is_zero()
+        assert weight == ONE and residual == {}
 
     def test_three_vector_consumed_fully(self):
         p = measure(2, {(2, -1): Rat(1, 3), (-1, 2): Rat(1, 3), (-1, -1): Rat(1, 3)})
-        cls, weight, residual = caratheodory_step(p)
-        assert weight == ONE and residual.is_zero()
+        cls, weight, residual = first_round(p)
+        assert weight == ONE and residual == {}
         assert cls.total_multiplicity() == 3
 
     def test_postconditions_on_asymmetric_measure(self):
@@ -155,18 +223,34 @@ class TestCaratheodoryStep:
             1,
             {(1,): Rat(1, 2), (-1,): Rat(1, 4), (-2,): Rat(1, 8), (0,): Rat(1, 8)},
         )
-        cls, weight, residual = caratheodory_step(p)
+        cls, weight, residual = first_round(p)
         assert weight > 0
-        non_origin = [x for x in residual.support() if any(x)]
-        assert len(non_origin) <= 2
+        assert len(residual) <= 2
         q = empirical_measure(cls)
         for x in p.support():
-            assert p.mass(x) - weight * q.mass(x) == residual.mass(x)
-        assert is_balanced(residual)
+            if any(x):
+                assert p.mass(x) - weight * q.mass(x) == residual.get(x, ZERO)
+        assert is_balanced(measure(1, residual))
 
-    def test_not_balanced(self):
-        with pytest.raises(NotBalanced):
-            caratheodory_step(measure(1, {(1,): ONE}))
+    def test_one_balance_check_and_no_measure_per_round(self, rng, monkeypatch):
+        p = random_balanced_measure(rng, 2, groups=6)
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(lat, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(lat, name, counted)
+
+        for name in ("is_balanced", "LatticeMeasure", "barycentric_vertex"):
+            counting(name)
+        dec = lat.decompose_lattice(p)
+        assert calls["barycentric_vertex"] == len(dec.terms) >= 2
+        assert calls["is_balanced"] == 1
+        assert calls["LatticeMeasure"] == 0
 
 
 def random_balanced_measure(rng, d, groups=4, box=4):
@@ -233,6 +317,49 @@ class TestDecomposeLattice:
                 assert_class_shape(cls)
                 if cls.total_multiplicity() <= 24:
                     assert is_irreducible(cls)
+
+
+@st.composite
+def balanced_measures(draw):
+    """Sums of uniform masses on zero-sum vector lists in Z^1..Z^3.
+
+    Masses use a few mixed denominators; the origin sometimes carries mass
+    of its own, and a drawn vector may land on it too.
+    """
+    d = draw(st.integers(1, 3))
+    dens = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    coord = st.integers(-3, 3)
+    atoms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        vectors = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3))
+        vectors.append(tuple(-sum(c) for c in zip(*vectors)))
+        mass = Rat(draw(st.integers(1, 9)), draw(st.sampled_from(dens)))
+        for v in vectors:
+            atoms[v] = atoms.get(v, ZERO) + mass
+    if draw(st.booleans()):
+        origin = (0,) * d
+        extra = Rat(draw(st.integers(1, 5)), draw(st.sampled_from(dens)))
+        atoms[origin] = atoms.get(origin, ZERO) + extra
+    return LatticeMeasure(d, atoms)
+
+
+@EXAMPLES
+@given(balanced_measures(), st.data())
+def test_rounds_match_rebuild_every_round_reference(p, data):
+    dec = decompose_lattice(p)
+    reference = reference_decompose_lattice(p)
+    assert exact_terms(dec.terms) == exact_terms(reference.terms)
+    assert dec.trivial_mass == reference.trivial_mass
+    assert dec.reconstruct(p.dimension) == p
+    assert len(dec.terms) <= len(p.support())
+
+    classes = dec.classes(p.dimension)
+    assert class_sum(classes) == reference_class_sum(classes) == p.atoms
+    signed = [
+        (cls, Rat(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 12))))
+        for cls, _ in classes
+    ]
+    assert class_sum(signed) == reference_class_sum(signed)
 
 
 class TestHeavyTail:
@@ -304,13 +431,13 @@ class TestHeavyTail:
 class TestPeriodicLift:
     def test_single_shuttle(self):
         cls = LatticeCycleClass({(1, 0): 1, (-1, 0): 1})
-        records = periodic_lift(LatticeDecomposition([(cls, ONE)], ZERO))
+        records = periodic_lift([(cls, ONE)])
         assert len(records) == 1
         assert records[0].weight == ONE
         assert "translates" in records[0].translates
 
     def test_empty(self):
-        assert periodic_lift(LatticeDecomposition([], ZERO)) == []
+        assert periodic_lift(LatticeDecomposition([], ZERO).classes(2)) == []
 
     def test_torus_terms_count(self):
         pairs = [(("edge", ((0, 0), (1, 0))), Rat(1, 2)), (("face", 3), Rat(1, 3))]
@@ -319,5 +446,6 @@ class TestPeriodicLift:
         assert all("4x4" in r.translates for r in records)
 
     def test_trivial_mass_emitted(self):
-        records = periodic_lift(LatticeDecomposition([], Rat(1, 8)))
+        records = periodic_lift(LatticeDecomposition([], Rat(1, 8)).classes(2))
         assert len(records) == 1 and records[0].weight == Rat(1, 8)
+        assert records[0].cycle == LatticeCycleClass({(0, 0): 1})
