@@ -1,0 +1,177 @@
+"""Size ladders for the ``exact_lp`` kernels, with an output digest per rung.
+
+Usage, from the root of a checkout::
+
+    python3 benchmarks/bench.py --label change --out BENCH_7.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_7.json
+
+Two ladders, each on inputs generated from a fixed seed:
+
+* ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
+  small rational values, n = 6, 10, 14.  The Laplace system goes through
+  ``solve_exact_linear``, so this is the exact-elimination ladder.
+* ``lattice``: :func:`decompose_lattice` on a balanced Z^2 measure that
+  sums the empirical measures of random closed walks (steps within
+  ``REACH``), support about 40, 80, 160.  Every Caratheodory round is a
+  phase-I simplex in ``barycentric_vertex``.
+
+Each rung runs ``REPEATS`` times in this process and records the best wall
+time, all wall times and the sha256 of its output text (the three Hodge
+parts and the harmonic coefficients, or the ``.dec`` text), which must be
+the same on every repeat.  The record also carries the commit and a digest
+of the sources of the measured ``cycledec``, the Python version and the
+rational backend.  ``--src`` measures another checkout's ``src``;
+``--out`` merges the record into a JSON file under ``--label`` and
+otherwise it goes to stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import random
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
+REACH = 12  # (2 * REACH + 1)^2 lattice points leave room for support 160
+LADDERS = {"hodge": (6, 10, 14), "lattice": (40, 80, 160)}
+
+
+def balanced_measure(support: int, seed: int = 7) -> dict:
+    """Atoms of a mean-zero Z^2 measure with at least ``support`` points:
+    a sum of empirical measures of closed walks, masses over 6."""
+    rng = random.Random(f"lattice/{support}/{seed}")
+    atoms = {}
+    while len(atoms) < support:
+        steps = [(rng.randint(-REACH, REACH), rng.randint(-REACH, REACH)) for _ in range(rng.randint(1, 3))]
+        closing = (-sum(s[0] for s in steps), -sum(s[1] for s in steps))
+        walk = steps + [closing]
+        if not all(any(s) for s in walk) or max(map(abs, closing)) > REACH:
+            continue
+        mass = Fraction(rng.randint(1, 12), 6)
+        for point in walk:
+            atoms[point] = atoms.get(point, 0) + mass
+    return atoms
+
+
+def rung_case(kernel: str, size: int):
+    """The input of one rung, its description and a function mapping it to
+    output text."""
+    # imported here, after main() has put --src first on the path
+    from cycledec import io as fio
+    from cycledec.complexes import TwoComplex, VectorField, hodge_decompose
+    from cycledec.lattice import LatticeMeasure, decompose_lattice
+    from cycledec.ratio import Rat, rat_str
+
+    if kernel == "hodge":
+        cx = TwoComplex.torus2(size)
+        rng = random.Random(f"hodge/{size}")
+        field = VectorField(
+            cx, [Rat(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(cx.n_edges)]
+        )
+
+        def run(phi):
+            parts = hodge_decompose(phi)
+            text = [" ".join(rat_str(c) for c in parts.harmonic_coefficients)]
+            for part in (parts.gradient, parts.homologous, parts.harmonic):
+                text.append(fio.format_field(part))
+            return "\n".join(text)
+
+        return field, f"{cx.n_edges} edges", run
+    if kernel == "lattice":
+        measure = LatticeMeasure(2, balanced_measure(size))
+
+        def run(p):
+            return fio.format_lattice_decomposition(decompose_lattice(p), "bench")
+
+        return measure, f"support {len(measure.atoms)}", run
+    raise ValueError(f"unknown kernel {kernel!r}")
+
+
+def run_rung(kernel: str, size: int, repeats: int = REPEATS) -> dict:
+    data, described, run = rung_case(kernel, size)
+    times, digests = [], set()
+    for _ in range(repeats):
+        started = time.perf_counter()
+        text = run(data)
+        times.append(time.perf_counter() - started)
+        digests.add(hashlib.sha256(text.encode()).hexdigest())
+    if len(digests) != 1:
+        raise RuntimeError(f"{kernel} {size}: output differs between repeats")
+    return {
+        "kernel": kernel,
+        "size": size,
+        "input": described,
+        "wall_s": min(times),
+        "wall_s_all": times,
+        "digest": digests.pop(),
+    }
+
+
+def _commit(src: Path) -> str:
+    """HEAD of the checkout holding ``src``, marked when ``src`` has edits."""
+    try:
+        head = subprocess.run(
+            ["git", "-C", str(src), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "-C", str(src), "status", "--porcelain", "--", "."],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unavailable"
+    return head + ("+edits" if dirty else "")
+
+
+def provenance(src: Path) -> dict:
+    import cycledec
+
+    digest = hashlib.sha256()
+    for path in sorted((src / "cycledec").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {
+        "commit": _commit(src),
+        "source_sha256": digest.hexdigest(),
+        "python": platform.python_version(),
+        "backend": cycledec.BACKEND,
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding cycledec")
+    parser.add_argument("--label", default="run", help="key of the record in --out")
+    parser.add_argument("--out", help="JSON file to merge the record into")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+
+    rungs = []
+    for kernel, sizes in LADDERS.items():
+        for size in sizes:
+            rung = run_rung(kernel, size)
+            print(f"{kernel:8s} {size:4d}  {rung['wall_s']:8.3f} s  {rung['digest'][:16]}", file=sys.stderr)
+            rungs.append(rung)
+    record = {"provenance": provenance(src), "rungs": rungs}
+    if not args.out:
+        print(json.dumps(record, indent=1))
+        return 0
+    out = Path(args.out)
+    merged = json.loads(out.read_text()) if out.exists() else {}
+    merged[args.label] = record
+    out.write_text(json.dumps(merged, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,6 +71,21 @@ def _load_complex(args, dim: int = 2):
     return TwoComplex.torus1(*shape) if dim == len(shape) == 1 else TwoComplex.torus2(*shape)
 
 
+def _edge_line(weights: dict, lines, check) -> int:
+    """Line of the first edge that ``check(u, v, w)`` rejects on its own.
+
+    Called after a check of the whole edge map failed; every such check
+    goes edge by edge in the order of ``weights``, so this is the edge it
+    stopped at.  0 when no single edge fails.
+    """
+    for ((u, v), w), line in zip(weights.items(), lines):
+        try:
+            check(u, v, w)
+        except (KeyError, ValueError):
+            return line
+    return 0
+
+
 def _load_rates(path, args, dim: int = 2):
     """Rates plus complex from a field or graph file."""
     if path.endswith(".field"):
@@ -79,27 +94,31 @@ def _load_rates(path, args, dim: int = 2):
         if declared is not None and declared.torus_shape != complex.torus_shape:
             raise InputFormatError(path, 1, "--torus disagrees with the field header")
         return field_to_rates(field), complex
-    name, weights = fio.read_graph(path)
+    name, weights, lines = fio.read_graph(path)
     complex = _load_complex(args, dim)
     if complex is None:
         raise InputFormatError(path, 0, "rates files need --torus or --surface")
     if complex.is_torus():
-        weights = fio.labels_to_coords(weights, path)
+        weights = fio.labels_to_coords(weights, path, lines)
     try:
         return check_rates(weights, complex), complex
     except (KeyError, ValueError) as exc:
-        raise InputFormatError(path, 0, f"rates do not fit {complex.name}: {exc.args[0]}")
+        line = _edge_line(weights, lines, lambda u, v, w: check_rates({(u, v): w}, complex))
+        raise InputFormatError(path, line, f"rates do not fit {complex.name}: {exc.args[0]}")
 
 
 def _load_digraph(path, allow_self_loops=False):
     """Name plus weighted digraph from a graph file."""
-    name, weights = fio.read_graph(path)
+    name, weights, lines = fio.read_graph(path)
+
+    def build(edges):
+        return WeightedDigraph.from_edges(edges, allow_self_loops=allow_self_loops)
+
     try:
-        graph = WeightedDigraph.from_edges(
-            [(u, v, w) for (u, v), w in weights.items()], allow_self_loops=allow_self_loops
-        )
+        graph = build([(u, v, w) for (u, v), w in weights.items()])
     except ValueError as exc:
-        raise InputFormatError(path, 0, str(exc))
+        line = _edge_line(weights, lines, lambda u, v, w: build([(u, v, w)]))
+        raise InputFormatError(path, line, str(exc))
     return name, graph
 
 

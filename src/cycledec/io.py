@@ -83,8 +83,16 @@ def read_measure(path) -> LatticeMeasure:
 
 def parse_graph(text: str, path="<graph>"):
     """Returns ``(name, {(u, v): weight})`` with opaque string labels."""
+    name, weights, _ = _parse_graph(text, path)
+    return name, weights
+
+
+def _parse_graph(text: str, path):
+    """``parse_graph`` plus the line number of each edge, in the order of
+    the weights."""
     name = None
     weights = {}
+    lines = []
     for line_no, line in _content_lines(text):
         tokens = line.split()
         if name is None:
@@ -101,9 +109,10 @@ def parse_graph(text: str, path="<graph>"):
         if weight.numerator < 0:
             raise InputFormatError(path, line_no, f"negative weight {tokens[2]} on {u} {v}")
         weights[(u, v)] = weight
+        lines.append(line_no)
     if name is None:
         raise InputFormatError(path, 0, "missing digraph header")
-    return name, weights
+    return name, weights, lines
 
 
 def format_graph(name: str, weights: dict, decimals=None) -> str:
@@ -114,20 +123,29 @@ def format_graph(name: str, weights: dict, decimals=None) -> str:
 
 
 def read_graph(path):
+    """Returns ``(name, weights, lines)``: ``lines`` holds the line number
+    of each edge, in the order of ``weights``."""
     with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read(), path)
+        return _parse_graph(fh.read(), path)
 
 
-def labels_to_coords(weights: dict, path="<graph>") -> dict:
-    """Convert ``i,j`` (or ``i``) string labels to integer tuples."""
+def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
+    """Convert ``i,j`` (or ``i``) string labels to integer tuples.
+
+    ``lines`` (as from :func:`read_graph`) names the line of a bad edge in
+    the error; without it the error says line 0.  The order of ``weights``
+    is kept, and two labels of one point make a duplicate edge.
+    """
     out = {}
-    for (u, v), w in weights.items():
+    for k, ((u, v), w) in enumerate(weights.items()):
+        line = lines[k] if lines else 0
         try:
-            cu = tuple(int(c) for c in u.split(","))
-            cv = tuple(int(c) for c in v.split(","))
+            edge = tuple(int(c) for c in u.split(",")), tuple(int(c) for c in v.split(","))
         except ValueError:
-            raise InputFormatError(path, 0, f"label {u!r} or {v!r} is not coordinates")
-        out[(cu, cv)] = w
+            raise InputFormatError(path, line, f"label {u!r} or {v!r} is not coordinates")
+        if edge in out:
+            raise InputFormatError(path, line, f"duplicate edge {u} {v}")
+        out[edge] = w
     return out
 
 

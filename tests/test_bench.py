@@ -1,0 +1,29 @@
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "benchmarks" / "bench.py"
+RECORD = ROOT / "BENCH_7.json"
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_smallest_rungs_reproduce_the_recorded_outputs():
+    bench = load_bench()
+    recorded = json.loads(RECORD.read_text())
+    digests = {
+        label: {(r["kernel"], r["size"]): r["digest"] for r in record["rungs"]}
+        for label, record in recorded.items()
+    }
+    # the parent and the change emitted the same text on every rung
+    assert digests["parent"] == digests["change"]
+    for kernel, sizes in bench.LADDERS.items():
+        rung = bench.run_rung(kernel, sizes[0], repeats=1)
+        assert rung["digest"] == digests["change"][(kernel, sizes[0])]
+        assert rung["wall_s"] > 0

@@ -1,8 +1,13 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycledec.errors import Infeasible, NoSolution
 from cycledec.exact_lp import (
+    BarycentricSolution,
+    _int_rows,
+    _row_reduce,
     barycentric_vertex,
     exact_rank,
     lp_feasible,
@@ -73,7 +78,117 @@ def dense_rank(matrix):
     return r
 
 
-small_rats = st.builds(Rat, st.integers(-3, 3), st.integers(1, 3))
+def _sparse(row):
+    return {j: q for j, v in enumerate(row) if (q := to_rat(v))}
+
+
+def fraction_pivot(rows, r, c):
+    """Reference: the pivot on ``{column: Rat}`` rows that the integer
+    kernel replaced."""
+    row = rows[r]
+    pv = row[c]
+    if pv != 1:
+        row = rows[r] = {j: v / pv for j, v in row.items()}
+    for other in rows:
+        f = other.get(c)
+        if f is None or other is row:
+            continue
+        for j, v in row.items():
+            w = other.get(j, ZERO) - f * v
+            if w:
+                other[j] = w
+            else:
+                del other[j]
+
+
+def fraction_phase1_vertex(rows, rhs, n, ties=None):
+    """Reference: phase-I simplex with Bland's rule on ``Rat`` rows; every
+    ratio-test tie is appended to ``ties`` when a list is given."""
+    m = len(rows)
+    rhs_col = n + m
+    T = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        t = dict(row) if b >= 0 else {j: -v for j, v in row.items()}
+        t[n + i] = ONE
+        if b:
+            t[rhs_col] = abs(b)
+        T.append(t)
+    basis = list(range(n, n + m))
+    cost = {}
+    for t in T:
+        for j, v in t.items():
+            if j < n or j == rhs_col:
+                cost[j] = cost.get(j, ZERO) - v
+    T.append({j: v for j, v in cost.items() if v})
+
+    while True:
+        negative = [j for j, v in T[m].items() if v < 0 and j != rhs_col]
+        if not negative:
+            break
+        enter = min(negative)
+        leave = None
+        best = None
+        for i in range(m):
+            a = T[i].get(enter, ZERO)
+            if a > 0:
+                ratio = T[i].get(rhs_col, ZERO) / a
+                if best is not None and ratio == best and ties is not None:
+                    ties.append((enter, i, leave))
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        assert leave is not None
+        fraction_pivot(T, leave, enter)
+        basis[leave] = enter
+
+    if rhs_col in T[m]:
+        return None
+    values = [ZERO] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            values[j] = T[i].get(rhs_col, ZERO)
+    return values
+
+
+def reference_barycentric(points, target, ties=None):
+    """Reference: ``barycentric_vertex`` on the ``Rat`` tableau."""
+    pts = [tuple(int(c) for c in p) for p in points]
+    tgt = tuple(int(c) for c in target)
+    first_index = {}
+    for i, p in enumerate(pts):
+        first_index.setdefault(p, i)
+    if tgt in first_index:
+        return BarycentricSolution((first_index[tgt],), (ONE,))
+    unique = sorted(first_index)
+    rows = [{j: Rat(p[c]) for j, p in enumerate(unique) if p[c]} for c in range(len(tgt))]
+    rows.append({j: ONE for j in range(len(unique))})
+    rhs = [Rat(c) for c in tgt] + [ONE]
+    values = fraction_phase1_vertex(rows, rhs, len(unique), ties)
+    if values is None:
+        raise Infeasible("target is outside the convex hull of the points")
+    support = sorted(
+        (first_index[unique[j]], values[j]) for j in range(len(unique)) if values[j] > 0
+    )
+    return BarycentricSolution(tuple(i for i, _ in support), tuple(c for _, c in support))
+
+
+def reference_lp_feasible(a_ub, b_ub, a_eq, b_eq, n_vars):
+    """Reference: ``lp_feasible`` on the ``Rat`` tableau."""
+    rows = [_sparse(row) for row in a_ub] + [_sparse(row) for row in a_eq]
+    if not rows:
+        return True, [ZERO] * n_vars
+    for i in range(len(a_ub)):
+        rows[i][n_vars + i] = ONE
+    rhs = [to_rat(v) for v in b_ub] + [to_rat(v) for v in b_eq]
+    values = fraction_phase1_vertex(rows, rhs, n_vars + len(a_ub))
+    if values is None:
+        return False, None
+    return True, values[:n_vars]
+
+
+small_rats = st.builds(Rat, st.integers(-3, 3), st.integers(1, 12))
 
 
 @st.composite
@@ -84,11 +199,12 @@ def linear_systems(draw):
             ["consistent", "inconsistent", "rank-deficient", "underdetermined"]
         )
     )
-    m = draw(st.integers(1, 4))
     if kind == "underdetermined":
-        n = m + draw(st.integers(1, 2))
+        m = draw(st.integers(1, 5))
+        n = draw(st.integers(m + 1, 6))
     else:
-        n = draw(st.integers(1, 4))
+        m = draw(st.integers(1, 6))
+        n = draw(st.integers(1, 6))
 
     def rows(count, width):
         return [[draw(small_rats) for _ in range(width)] for _ in range(count)]
@@ -125,6 +241,99 @@ def test_sparse_kernel_matches_dense_reference(system):
     assert mat_vec(matrix, x) == rhs
 
 
+@EXAMPLES
+@given(linear_systems())
+def test_kernel_rows_stay_reduced_integers_over_positive_denominators(system):
+    _, matrix, rhs = system
+    rows, dens = _int_rows([*row, b] for row, b in zip(matrix, rhs))
+    pivots = _row_reduce(rows, dens, len(matrix[0]))
+    for row, den in zip(rows, dens):
+        assert all(type(v) is int and v for v in row.values())
+        assert den > 0 and gcd(den, *row.values()) == 1
+    for row, den, c in zip(rows, dens, pivots):
+        assert row[c] == den
+
+
+@st.composite
+def barycentric_cases(draw):
+    """``(points, target)`` on Z^1 to Z^3 with duplicate points; the target
+    sits at a point, on a face of the hull, outside it, at the origin of a
+    diagonal that forces ratio-test ties, or anywhere."""
+    d = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-3, 3)] * d)
+    points = draw(st.lists(coords, min_size=1, max_size=7))
+    kind = draw(st.sampled_from(["point", "face", "outside", "ties", "anywhere"]))
+    if kind == "point":
+        target = draw(st.sampled_from(points))
+    elif kind == "face":
+        # p and p + 2v both lie on the facet of largest first coordinate
+        p = max(points)
+        v = (0,) + draw(st.tuples(*[st.integers(-2, 2)] * (d - 1)))
+        points.append(tuple(a + 2 * b for a, b in zip(p, v)))
+        target = tuple(a + b for a, b in zip(p, v))
+    elif kind == "outside":
+        target = (max(p[0] for p in points) + draw(st.integers(1, 2)),) + draw(
+            st.tuples(*[st.integers(-4, 4)] * (d - 1))
+        )
+    elif kind == "ties":
+        # rows of zero right-hand side tie at ratio zero whenever the
+        # entering point has several positive coordinates
+        k = draw(st.integers(1, 3))
+        points += [(k,) * d, (-k,) * d]
+        target = (0,) * d
+    else:
+        target = draw(coords)
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return draw(st.permutations(points)), target
+
+
+@EXAMPLES
+@given(barycentric_cases())
+def test_barycentric_vertex_equals_fraction_reference(case):
+    points, target = case
+    try:
+        expected = reference_barycentric(points, target)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            barycentric_vertex(points, target)
+        return
+    assert barycentric_vertex(points, target) == expected
+
+
+def test_bland_tie_break_equals_fraction_reference():
+    # the other choice at the tie ends at the vertex on points 1, 2, 3
+    points = [(-1, -3), (1, -1), (-3, -1), (3, 3)]
+    ties = []
+    expected = reference_barycentric(points, (0, 0), ties)
+    assert ties
+    assert barycentric_vertex(points, (0, 0)) == expected
+
+
+signed_rhs = st.builds(Rat, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def lp_systems(draw):
+    """``(a_ub, b_ub, a_eq, b_eq, n_vars)`` with rational rows and right-hand
+    sides of either sign."""
+    n = draw(st.integers(1, 4))
+
+    def rows(count):
+        return [[draw(small_rats) for _ in range(n)] for _ in range(count)]
+
+    a_ub = rows(draw(st.integers(0, 3)))
+    a_eq = rows(draw(st.integers(0, 3)))
+    b_ub = [draw(signed_rhs) for _ in a_ub]
+    b_eq = [draw(signed_rhs) for _ in a_eq]
+    return a_ub, b_ub, a_eq, b_eq, n
+
+
+@EXAMPLES
+@given(lp_systems())
+def test_lp_feasible_equals_fraction_reference(system):
+    assert lp_feasible(*system) == reference_lp_feasible(*system)
+
+
 class TestSolveExactLinear:
     def test_identity(self):
         assert solve_exact_linear([[1, 0], [0, 1]], [Rat(1, 2), Rat(1, 3)]) == [
@@ -139,6 +348,11 @@ class TestSolveExactLinear:
     def test_inconsistent(self):
         with pytest.raises(NoSolution):
             solve_exact_linear([[1, 1], [2, 2]], [1, 3])
+
+    def test_ragged_rows_are_rejected(self):
+        # the short row would otherwise read its right-hand side as a coefficient
+        with pytest.raises(ValueError, match="rows of mixed width"):
+            solve_exact_linear([[1, 2], [3]], [1, 2])
 
     def test_underdetermined_consistent(self):
         x = solve_exact_linear([[1, 1, 0]], [Rat(5, 2)])
@@ -280,6 +494,11 @@ class TestLpFeasible:
                     assert sum((c * x for c, x in zip(row, witness)), ZERO) <= b
                 for row, b in zip(a_eq, b_eq):
                     assert sum((c * x for c, x in zip(row, witness)), ZERO) == b
+
+
+def test_exact_rank_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="rows of mixed width"):
+        exact_rank([[1, 2], [3]])
 
 
 def test_exact_rank():

@@ -55,6 +55,17 @@ class TestGraphFormat:
         weights = fio.labels_to_coords({("0,1", "1,1"): ONE})
         assert weights == {((0, 1), (1, 1)): ONE}
 
+    def test_label_errors_name_the_edge_line(self, workdir):
+        for body, message in (
+            ("0,0 1,0 1/2\n# note\n0,0 a 1/2\n", "is not coordinates"),
+            ("0,1 1,1 1/2\n\n00,1 1,1 1/3\n", "duplicate edge 00,1 1,1"),
+        ):
+            path = write(workdir / "labels.wg", "digraph g\n" + body)
+            name, weights, lines = fio.read_graph(path)
+            with pytest.raises(InputFormatError, match=message) as info:
+                fio.labels_to_coords(weights, path, lines)
+            assert info.value.line_no == 4
+
 
 class TestFieldFormat:
     def test_round_trip(self):
@@ -449,13 +460,23 @@ class TestCliInputErrors:
         for args in (["check", "balance", path], ["decompose", "--mode", "graph", path]):
             assert run_cli(args) == 2
             err = capsys.readouterr().err
-            assert "bistochastic.wg:0: self-loop at a not allowed" in err
+            assert "bistochastic.wg:3: self-loop at a not allowed" in err
 
     def test_rates_off_the_complex_exit_two(self, capsys):
         path = str(SAMPLES / "ring.wg")
         assert run_cli(["check", "elementary", path, "--torus", "12"]) == 2
         err = capsys.readouterr().err
-        assert "ring.wg:0:" in err and "no edge between (0,) and (1,)" in err
+        assert "ring.wg:3:" in err and "no edge between (0,) and (1,)" in err
+
+    def test_graph_errors_name_the_offending_edge_line(self, workdir, capsys):
+        path = write(workdir / "late.wg", "digraph late\n0,0 1,0 1/2\n1,0 0,0 1/2\n# loop\n2,2 2,2 1\n")
+        assert run_cli(["check", "balance", path]) == 2
+        assert "late.wg:5: self-loop at 2,2 not allowed" in capsys.readouterr().err
+        assert run_cli(["check", "elementary", path, "--torus", "3"]) == 2
+        assert "late.wg:5: rates do not fit" in capsys.readouterr().err
+        path = write(workdir / "label.wg", "digraph label\n0,0 1,0 1/2\n1,0 east 1/2\n")
+        assert run_cli(["check", "elementary", path, "--torus", "3"]) == 2
+        assert "label.wg:3: label '1,0' or 'east' is not coordinates" in capsys.readouterr().err
 
     def test_negative_rate_exit_two(self, workdir, capsys):
         path = write(workdir / "neg.wg", "digraph neg\n0,0 1,0 -1/2\n")
