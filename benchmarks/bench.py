@@ -1,11 +1,11 @@
-"""Size ladders for the ``exact_lp`` kernels, with an output digest per rung.
+"""Size ladders for the exact kernels, with an output digest per rung.
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_7.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_7.json
+    python3 benchmarks/bench.py --label change --out BENCH_8.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_8.json
 
-Two ladders, each on inputs generated from a fixed seed:
+Three ladders, each on inputs generated from a fixed seed:
 
 * ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
   small rational values, n = 6, 10, 14.  The Laplace system goes through
@@ -14,15 +14,20 @@ Two ladders, each on inputs generated from a fixed seed:
   sums the empirical measures of random closed walks (steps within
   ``REACH``), support about 40, 80, 160.  Every Caratheodory round is a
   phase-I simplex in ``barycentric_vertex``.
+* ``elementary``: :func:`in_Re` and then :func:`elementary_decompose` on
+  decomposable n x n torus rates, n = 16, 24, 32: the minimal rates of the
+  boundary of a random chain (values over denominators up to 12) plus
+  enough symmetric noise on every edge.  This is the interval pass on the
+  recovered chain.
 
 Each rung runs ``REPEATS`` times in this process and records the best wall
 time, all wall times and the sha256 of its output text (the three Hodge
-parts and the harmonic coefficients, or the ``.dec`` text), which must be
-the same on every repeat.  The record also carries the commit and a digest
-of the sources of the measured ``cycledec``, the Python version and the
-rational backend.  ``--src`` measures another checkout's ``src``;
-``--out`` merges the record into a JSON file under ``--label`` and
-otherwise it goes to stdout.
+parts and the harmonic coefficients, the ``.dec`` text, or the witness
+constant and the ``.dec`` text), which must be the same on every repeat.
+The record also carries the commit and a digest of the sources of the
+measured ``cycledec``, the Python version and the rational backend.
+``--src`` measures another checkout's ``src``; ``--out`` merges the record
+into a JSON file under ``--label`` and otherwise it goes to stdout.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 REACH = 12  # (2 * REACH + 1)^2 lattice points leave room for support 160
-LADDERS = {"hodge": (6, 10, 14), "lattice": (40, 80, 160)}
+LADDERS = {"hodge": (6, 10, 14), "lattice": (40, 80, 160), "elementary": (16, 24, 32)}
 
 
 def balanced_measure(support: int, seed: int = 7) -> dict:
@@ -61,12 +66,31 @@ def balanced_measure(support: int, seed: int = 7) -> dict:
     return atoms
 
 
+def torus_rates(n: int, seed: int = 7):
+    """Decomposable rates on the n x n torus, keyed ``((i, j), (k, l))``:
+    the boundary of a random chain with values in [-9, 9] over
+    denominators up to 12, as minimal rates, plus symmetric noise of at
+    least 9 on every edge, which covers half the chain's range."""
+    from cycledec.complexes import TwoChain, TwoComplex, boundary2, field_to_rates
+
+    rng = random.Random(f"elementary/{n}/{seed}")
+    cx = TwoComplex.torus2(n)
+    chain = TwoChain(cx, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(cx.n_faces)])
+    rates = field_to_rates(boundary2(chain))
+    for u, v in cx.edges:
+        noise = 9 + Fraction(rng.randint(0, 4), rng.randint(1, 12))
+        for e in ((u, v), (v, u)):
+            rates[e] = rates.get(e, 0) + noise
+    return cx, rates
+
+
 def rung_case(kernel: str, size: int):
     """The input of one rung, its description and a function mapping it to
     output text."""
     # imported here, after main() has put --src first on the path
     from cycledec import io as fio
     from cycledec.complexes import TwoComplex, VectorField, hodge_decompose
+    from cycledec.elementary import elementary_decompose, in_Re
     from cycledec.lattice import LatticeMeasure, decompose_lattice
     from cycledec.ratio import Rat, rat_str
 
@@ -92,6 +116,15 @@ def rung_case(kernel: str, size: int):
             return fio.format_lattice_decomposition(decompose_lattice(p), "bench")
 
         return measure, f"support {len(measure.atoms)}", run
+    if kernel == "elementary":
+        cx, rates = torus_rates(size)
+
+        def run(r):
+            verdict = in_Re(r, cx)
+            dec = elementary_decompose(r, cx)
+            return rat_str(verdict.witness_c) + "\n" + fio.format_elementary_decomposition(dec, cx, "bench")
+
+        return rates, f"{cx.n_edges} edges", run
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -160,7 +193,7 @@ def main(argv=None) -> int:
     for kernel, sizes in LADDERS.items():
         for size in sizes:
             rung = run_rung(kernel, size)
-            print(f"{kernel:8s} {size:4d}  {rung['wall_s']:8.3f} s  {rung['digest'][:16]}", file=sys.stderr)
+            print(f"{kernel:10s} {size:4d}  {rung['wall_s']:8.3f} s  {rung['digest'][:16]}", file=sys.stderr)
             rungs.append(rung)
     record = {"provenance": provenance(src), "rungs": rungs}
     if not args.out:

@@ -44,7 +44,6 @@ from .finite_graph import (
     GraphDecomposition,
     WeightedDigraph,
     birkhoff_decompose,
-    birkhoff_graph_decomposition,
     decompose_graph,
     extract_min_cycle,
     is_balanced_graph,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import NoSolution, NotHomologous
 from .exact_lp import solve_exact_linear
-from .finite_graph import cycle_edges
+from .finite_graph import _scaled, cycle_edges
 from .ratio import ONE, ZERO, Rat, to_rat
 
 
@@ -213,14 +213,6 @@ class TwoComplex:
         n1, n2 = self.torus_shape
         return 0 if v == ((u[0] + 1) % n1, u[1]) else 1
 
-    def plus_minus_faces(self, eid: int):
-        """The faces ``(f_plus, f_minus)`` around an agreement-oriented edge."""
-        plus = [fid for fid, s in self.edge_faces[eid] if s == 1]
-        minus = [fid for fid, s in self.edge_faces[eid] if s == -1]
-        if len(plus) != 1 or len(minus) != 1:
-            raise ValueError("edge incidences are not in (+1, -1) form")
-        return plus[0], minus[0]
-
     def validate(self):
         """Check the two-cells-per-edge invariant and the orientation claim.
 
@@ -298,6 +290,14 @@ class _Valued:
     def __init__(self, complex: TwoComplex, values):
         self.complex = complex
         self.values = [to_rat(v) for v in values]
+
+    @classmethod
+    def _exact(cls, complex: TwoComplex, values: list):
+        """Wrap exact values (integer numerators or rationals) uncoerced."""
+        chain = cls.__new__(cls)
+        chain.complex = complex
+        chain.values = values
+        return chain
 
     def _like(self, values):
         return type(self)(self.complex, values)
@@ -475,23 +475,28 @@ def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
     Orientable complexes: integrate along a spanning tree of the face
     adjacency graph, grown with a stack from ``base_face`` (which is pinned
     to zero), and verify every remaining adjacency; any mismatch certifies
-    that no preimage exists.  Non-orientable complexes: the preimage is
-    unique, found by exact linear solve; ``base_face`` is ignored.
+    that no preimage exists.  The integration stays in the field's own
+    number type: the integer numerators of :func:`_field_and_symmetric`
+    give an integer chain on the same scale, a field of ``Rat`` values a
+    ``Rat`` chain.  Non-orientable complexes: the preimage is unique,
+    found by exact linear solve, and comes back as ``Rat`` values (on the
+    field's scale); ``base_face`` is ignored.
     """
     cx = phi.complex
+    values = phi.values
     if cx.n_faces == 0:
         if phi.is_zero():
             return TwoChain(cx, [])
         raise NotHomologous("no faces, only the zero field is a boundary")
     if not cx.orientable:
         try:
-            values = solve_exact_linear(face_boundary_matrix(cx), phi.values)
+            chain = solve_exact_linear(face_boundary_matrix(cx), values)
         except NoSolution:
             raise NotHomologous("field is not a boundary on this complex")
-        return TwoChain(cx, values)
+        return TwoChain._exact(cx, chain)
 
     psi = [None] * cx.n_faces
-    psi[base_face] = ZERO
+    psi[base_face] = values[0] * 0 if values else ZERO
     stack = [base_face]
     while stack:
         fid = stack.pop()
@@ -501,19 +506,21 @@ def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
                     continue
                 # psi[f_plus] - psi[f_minus] = phi(edge)
                 if sign == 1:
-                    psi[other] = psi[fid] - phi.values[eid]
+                    psi[other] = psi[fid] - values[eid]
                 else:
-                    psi[other] = psi[fid] + phi.values[eid]
+                    psi[other] = psi[fid] + values[eid]
                 stack.append(other)
     if any(v is None for v in psi):
         raise NotHomologous("face adjacency graph is disconnected")
-    for eid in range(cx.n_edges):
-        f_plus, f_minus = cx.plus_minus_faces(eid)
-        if psi[f_plus] - psi[f_minus] != phi.values[eid]:
+    for eid, incidences in enumerate(cx.edge_faces):
+        if len(incidences) != 2 or incidences[0][1] == incidences[1][1]:
+            raise ValueError("edge incidences are not in (+1, -1) form")
+        (f1, s1), (f2, _) = incidences
+        if (psi[f1] - psi[f2] if s1 == 1 else psi[f2] - psi[f1]) != values[eid]:
             raise NotHomologous(
                 f"path-dependent integral at edge {cx.edges[eid]}"
             )
-    return TwoChain(cx, psi)
+    return TwoChain._exact(cx, psi)
 
 
 def hodge_decompose(phi: VectorField) -> HodgeParts:
@@ -565,32 +572,39 @@ def hodge_decompose(phi: VectorField) -> HodgeParts:
 
 def check_rates(rates: dict, complex: TwoComplex) -> dict:
     """Validate an oriented-edge weight map against the complex."""
+    index = complex.edge_index
     cleaned = {}
     for (u, v), w in rates.items():
-        complex.edge_id(u, v)
+        if (u, v) not in index and (v, u) not in index:
+            complex.edge_id(u, v)  # raises the KeyError naming the pair
         w = to_rat(w)
-        if w < 0:
+        n = w.numerator
+        if n < 0:
             raise ValueError(f"negative rate on ({u}, {v})")
-        if w > 0:
+        if n:
             cleaned[(u, v)] = w
     return cleaned
 
 
 def _field_and_symmetric(rates: dict, complex: TwoComplex):
-    """The one validated pass from rates to the field and symmetric parts.
+    """The one validated pass from rates to ``(D, field, symmetric)``.
 
-    Per chosen edge ``(u, v)``, with ``a = r(u, v)`` and ``b = r(v, u)``,
-    the field carries ``a - b`` and the symmetric part is ``min(a, b)``;
-    the symmetric parts come back as a list indexed by edge id.
+    The validated rates are scaled once by ``D``, the lcm of their
+    denominators.  Per chosen edge ``(u, v)``, with ``a = D r(u, v)`` and
+    ``b = D r(v, u)``, the field carries the integer ``a - b`` and the
+    symmetric part is the integer ``min(a, b)``; the symmetric parts come
+    back as a list indexed by edge id.  Scaling by a positive integer keeps
+    every comparison, so callers decide on these numerators and divide by
+    ``D`` only in the values they return (``Rat(n, D)``).
     """
-    rates = check_rates(rates, complex)
+    scale, scaled = _scaled(check_rates(rates, complex))
     values, s = [], []
     for u, v in complex.edges:
-        a = rates.get((u, v), ZERO)
-        b = rates.get((v, u), ZERO)
+        a = scaled.get((u, v), 0)
+        b = scaled.get((v, u), 0)
         values.append(a - b)
-        s.append(min(a, b))
-    return VectorField(complex, values), s
+        s.append(a if a < b else b)
+    return scale, VectorField._exact(complex, values), s
 
 
 def field_to_rates(phi: VectorField) -> dict:

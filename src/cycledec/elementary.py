@@ -16,6 +16,15 @@ chain is recovered by :func:`recover_psi`, and the edge intervals are read
 off it.  Non-orientable surfaces have no constant freedom (the chain is
 unique) and edges traversed the same way by both faces contribute the
 complement of an open interval instead.
+
+The pass runs on Python ints over one scale ``D``, the lcm of the rate
+denominators: the field, the symmetric parts, the chain and the interval
+ends are integer numerators over ``D``, so every comparison and
+subtraction is an integer one (on non-orientable complexes the chain comes
+from an exact solve and its values are rationals on the same scale).
+``Rat`` comes back only in returned values: the witness constant is
+``Rat(lo + hi, 2 D)`` and every weight is ``Rat(n, D)``, or ``Rat(n, D q)``
+for a chosen constant with denominator ``q``.
 """
 
 from __future__ import annotations
@@ -43,6 +52,14 @@ from .complexes import (
 from .ratio import ONE, ZERO, Rat, to_rat
 
 
+def _distance_to_zero(lo, hi, opposite=True):
+    """Distance from zero to ``[lo, hi]`` (``opposite``) or to the
+    complement of ``(lo, hi)``: the symmetric mass an edge needs."""
+    if opposite:
+        return lo if lo > 0 else -hi if hi < 0 else 0
+    return 0 if lo >= 0 or hi <= 0 else min(-lo, hi)
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi]."""
@@ -51,13 +68,7 @@ class Interval:
     hi: Rat
 
     def shifted_distance_to_zero(self, shift=ZERO) -> Rat:
-        lo = self.lo + shift
-        hi = self.hi + shift
-        if lo > 0:
-            return lo
-        if hi < 0:
-            return -hi
-        return ZERO
+        return to_rat(_distance_to_zero(self.lo + shift, self.hi + shift))
 
     def distance_to(self, other: "Interval") -> Rat:
         return max(ZERO, other.lo - self.hi, self.lo - other.hi)
@@ -73,9 +84,25 @@ class CoInterval:
     def shifted_distance_to_zero(self, shift=ZERO) -> Rat:
         if shift != 0:
             raise ValueError("co-intervals carry no shift freedom")
-        if self.lo >= 0 or self.hi <= 0:
-            return ZERO
-        return min(-self.lo, self.hi)
+        return to_rat(_distance_to_zero(self.lo, self.hi, opposite=False))
+
+
+def _spans(psi: TwoChain, complex: TwoComplex) -> list:
+    """Per edge id, ``None`` for an edge incident to no face, otherwise
+    ``(lo, hi, opposite)``: the least and greatest chain value of its two
+    faces and whether they see the edge with opposite signs."""
+    values = psi.values
+    out = []
+    for incidences in complex.edge_faces:
+        if not incidences:
+            out.append(None)
+            continue
+        if len(incidences) != 2:
+            raise ValueError("edge incidences must come in pairs")
+        (f1, s1), (f2, s2) = incidences
+        a, b = values[f1], values[f2]
+        out.append((a, b, s1 != s2) if a <= b else (b, a, s1 != s2))
+    return out
 
 
 def edge_intervals(psi: TwoChain, complex: TwoComplex) -> dict:
@@ -87,22 +114,11 @@ def edge_intervals(psi: TwoChain, complex: TwoComplex) -> dict:
     interval.  Edges incident to no face (every edge of the 1-d torus)
     map to ``None``, meaning no constraint beyond nonnegativity.
     """
-    out = {}
-    for eid in range(complex.n_edges):
-        incidences = complex.edge_faces[eid]
-        if not incidences:
-            out[eid] = None
-            continue
-        if len(incidences) != 2:
-            raise ValueError("edge incidences must come in pairs")
-        (f1, s1), (f2, s2) = incidences
-        a, b = psi.values[f1], psi.values[f2]
-        lo, hi = min(a, b), max(a, b)
-        if s1 != s2:
-            out[eid] = Interval(lo, hi)
-        else:
-            out[eid] = CoInterval(lo, hi)
-    return out
+    return {
+        eid: None if span is None
+        else (Interval if span[2] else CoInterval)(span[0], span[1])
+        for eid, span in enumerate(_spans(psi, complex))
+    }
 
 
 @dataclass
@@ -121,18 +137,14 @@ class ReVerdict:
 
 
 def _recover_chain(rates, complex):
-    """Symmetric parts, a chain bounding the field, and the edge intervals.
+    """``(D, s, psi, spans)``: the scale, the symmetric parts, a chain
+    bounding the field and the edge spans, all numerators over ``D``.
 
     Raises :class:`NotHomologous` when the field is not a face boundary.
     """
-    phi, s = _field_and_symmetric(rates, complex)
+    scale, phi, s = _field_and_symmetric(rates, complex)
     psi = recover_psi(phi)
-    return s, psi, edge_intervals(psi, complex)
-
-
-def _need(interval, c=ZERO) -> Rat:
-    """Symmetric mass an edge needs at constant ``c``; faceless edges need none."""
-    return ZERO if interval is None else interval.shifted_distance_to_zero(c)
+    return scale, s, psi, _spans(psi, complex)
 
 
 def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
@@ -150,17 +162,17 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     if not complex.orientable:
         return in_Re_nonorientable(rates, complex)
     try:
-        s, _, intervals = _recover_chain(rates, complex)
+        scale, s, _, spans = _recover_chain(rates, complex)
     except NotHomologous:
         return ReVerdict(False, reason="NotHomologous")
 
     lo, lo_edge = None, None
     hi, hi_edge = None, None
-    for eid, interval in intervals.items():
-        if interval is None:
+    for eid, span in enumerate(spans):
+        if span is None:
             continue
-        cand_lo = -interval.hi - s[eid]
-        cand_hi = -interval.lo + s[eid]
+        cand_lo = -span[1] - s[eid]
+        cand_hi = -span[0] + s[eid]
         if lo is None or cand_lo > lo:
             lo, lo_edge = cand_lo, eid
         if hi is None or cand_hi < hi:
@@ -168,7 +180,7 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     if lo is None:
         return ReVerdict(True, witness_c=ZERO)
     if lo <= hi:
-        return ReVerdict(True, witness_c=(lo + hi) / 2)
+        return ReVerdict(True, witness_c=Rat(lo + hi, 2 * scale))
     return ReVerdict(
         False,
         reason="PolyhedronViolated",
@@ -187,9 +199,10 @@ def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     if not complex.orientable:
         return in_Re_nonorientable(rates, complex).ok
     try:
-        s, _, intervals = _recover_chain(rates, complex)
+        _, s, psi, _ = _recover_chain(rates, complex)
     except NotHomologous:
         return False
+    intervals = edge_intervals(psi, complex)
     constrained = [(s[eid], iv) for eid, iv in intervals.items() if iv is not None]
     for i, (s_i, iv_i) in enumerate(constrained):
         for s_j, iv_j in constrained[i:]:
@@ -207,11 +220,13 @@ def in_Re_nonorientable(rates: dict, complex: TwoComplex) -> ReVerdict:
     if complex.orientable:
         raise ValueError("complex is orientable; use in_Re")
     try:
-        s, _, intervals = _recover_chain(rates, complex)
+        _, s, _, spans = _recover_chain(rates, complex)
     except NotHomologous:
         return ReVerdict(False, reason="NotHomologous")
     violations = tuple(
-        complex.edges[eid] for eid, iv in intervals.items() if s[eid] < _need(iv)
+        complex.edges[eid]
+        for eid, span in enumerate(spans)
+        if span is not None and s[eid] < _distance_to_zero(*span)
     )
     if violations:
         return ReVerdict(False, reason="PolyhedronViolated", violating_edges=violations)
@@ -273,19 +288,25 @@ def elementary_decompose(
             raise ValueError("non-orientable recovery admits no constant freedom")
         c = ZERO
 
-    s, psi, intervals = _recover_chain(rates, complex)
+    scale, s, psi, spans = _recover_chain(rates, complex)
+    # with c = p/q, every weight is an integer numerator over D q
+    q = c.denominator
+    shift = c.numerator * scale
+    unit = scale * q
     face_weights = {}
     for fid, value in enumerate(psi.values):
-        value += c
-        face_weights[fid] = (max(value, ZERO), max(-value, ZERO))
+        value = value * q + shift
+        face_weights[fid] = (Rat(value, unit), ZERO) if value > 0 else (ZERO, Rat(-value, unit))
     edge_weights = {}
-    for eid, interval in intervals.items():
-        weight = s[eid] - _need(interval, c)
+    for eid, span in enumerate(spans):
+        weight = s[eid] * q
+        if span is not None:
+            weight -= _distance_to_zero(span[0] * q + shift, span[1] * q + shift, span[2])
         if weight < 0:
             raise NegativeEdgeWeight(
                 f"constant {c} is infeasible at edge {complex.edges[eid]}"
             )
-        edge_weights[eid] = weight
+        edge_weights[eid] = Rat(weight, unit)
     return ElementaryDecomposition(edge_weights, face_weights, c)
 
 
@@ -347,14 +368,15 @@ def decompose_1d(rates: dict, complex: TwoComplex) -> OneDimFamily:
     """
     if not (complex.is_torus() and complex.torus_dimension() == 1):
         raise ValueError("decompose_1d expects the 1-d torus")
-    phi, s = _field_and_symmetric(rates, complex)
+    scale, phi, s = _field_and_symmetric(rates, complex)
     constants = set(phi.values)
     if len(constants) > 1:
         divergence = boundary1(phi).values
         violators = [v for v, d in zip(complex.vertices, divergence) if d != 0]
         raise NotBalanced("field is not constant", violators=violators)
-    c = constants.pop() if constants else ZERO
-    return OneDimFamily(complex, c, min(s), s)
+    c = constants.pop() if constants else 0
+    symmetric = [Rat(n, scale) for n in s]
+    return OneDimFamily(complex, Rat(c, scale), min(symmetric), symmetric)
 
 
 def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
@@ -364,7 +386,7 @@ def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
     characterization of homotopically trivial decomposability is open and
     not decided here.
     """
-    phi, _ = _field_and_symmetric(rates, complex)
+    _, phi, _ = _field_and_symmetric(rates, complex)
     return in_d_lambda2(phi)
 
 
@@ -379,7 +401,7 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
     """
     if complex.n_faces == 0:
         raise ValueError("complex has no faces")
-    phi, s = _field_and_symmetric(rates, complex)
+    scale, phi, s = _field_and_symmetric(rates, complex)
     if not in_d_lambda2(phi):
         raise NotHomologous("field is not a face boundary")
 
@@ -394,7 +416,7 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
             x = parent[x]
         return x
 
-    bound = ZERO
+    bound = 0
     used = 0
     for weight, eid in dual_edges:
         faces = [fid for fid, _ in complex.edge_faces[eid]]
@@ -405,9 +427,8 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
             used += 1
             if used == complex.n_faces - 1:
                 break
-    half = bound / 2
-    sufficient = all(value >= half for value in s)
-    return sufficient, bound
+    sufficient = all(2 * value >= bound for value in s)
+    return sufficient, Rat(bound, scale)
 
 
 def brute_force_Re_oracle(rates: dict, complex: TwoComplex, max_vars: int = 400) -> bool:

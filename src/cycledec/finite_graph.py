@@ -71,13 +71,25 @@ def cycle_edges(vertices) -> list:
     return list(zip(vertices, vertices[1:] + vertices[:1]))
 
 
-def cycle_sum(terms) -> dict:
-    """Nonzero oriented-edge weights of a sum of ``(vertex cycle, weight)`` terms."""
+def edge_sum(terms, scale: int) -> dict:
+    """Nonzero oriented-edge weights of a sum of ``(edges, weight)`` terms.
+
+    ``scale`` is a common multiple of the weight denominators: the weights
+    add as integer numerators over it, and each total is divided back
+    once.  ``terms`` may be a generator, so no edge list outlives its term.
+    """
     acc: dict = {}
-    for cycle, weight in terms:
-        for e in cycle_edges(cycle):
-            acc[e] = acc.get(e, ZERO) + weight
-    return {e: w for e, w in acc.items() if w != 0}
+    for edges, weight in terms:
+        n = weight.numerator * (scale // weight.denominator)
+        for e in edges:
+            acc[e] = acc.get(e, 0) + n
+    return {e: Rat(n, scale) for e, n in acc.items() if n}
+
+
+def cycle_sum(terms) -> dict:
+    """Nonzero oriented-edge weights of a list of ``(vertex cycle, weight)`` terms."""
+    scale = lcm(*(weight.denominator for _, weight in terms))
+    return edge_sum(((cycle_edges(cycle), weight) for cycle, weight in terms), scale)
 
 
 @dataclass
@@ -368,20 +380,3 @@ def permutation_to_cycles(pi: dict):
         else:
             cycles.append(GraphCycle(tuple(orbit)))
     return cycles, fixed
-
-
-def birkhoff_graph_decomposition(g: WeightedDigraph) -> GraphDecomposition:
-    """Birkhoff terms refined into disjoint cycles, merged per class.
-
-    Fixed points become single-vertex cycles (self-loops), so the
-    reconstruction reproduces the full bistochastic matrix.
-    """
-    acc: dict = {}
-    for pi, weight in birkhoff_decompose(g):
-        cycles, fixed = permutation_to_cycles(pi)
-        for cycle in cycles:
-            acc[cycle] = acc.get(cycle, ZERO) + weight
-        for x in fixed:
-            loop = GraphCycle((x,))
-            acc[loop] = acc.get(loop, ZERO) + weight
-    return GraphDecomposition(sorted(acc.items(), key=lambda t: t[0].vertices))

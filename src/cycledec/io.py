@@ -12,8 +12,8 @@ from math import lcm
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
 from .lattice import LatticeCycleClass, LatticeDecomposition, LatticeMeasure, class_sum
-from .finite_graph import GraphCycle, GraphDecomposition, cycle_edges, cycle_sum
-from .ratio import ZERO, Rat, parse_rat, rat_decimal, rat_str, to_rat
+from .finite_graph import GraphCycle, GraphDecomposition, cycle_edges, edge_sum
+from .ratio import ZERO, parse_rat, rat_decimal, rat_str, to_rat
 
 
 def _content_lines(text: str):
@@ -488,29 +488,29 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
     map.  The caller compares against its input exactly.
     """
     if mode in ("graph", "birkhoff"):
-        # integer numerators over the common denominator of the term weights
         terms = [record[1:] for record in records if record[0] == "term"]
         scale = lcm(*(weight.denominator for weight, _, _ in terms))
-        acc = {}
-        for weight, kind, payload in terms:
-            if kind == "cycle":
-                try:
-                    edges = GraphCycle(tuple(payload)).edges()
-                except ValueError as exc:
-                    raise InputFormatError(path, 0, str(exc))
-            elif kind == "perm":
-                edges = [tuple(token.split(">", 1)) for token in payload]
-            else:
-                raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
-            n = weight.numerator * (scale // weight.denominator)
-            for e in edges:
-                acc[e] = acc.get(e, 0) + n
-        return {e: Rat(n, scale) for e, n in acc.items() if n}
+        return edge_sum(_graph_term_edges(terms, path), scale)
     if mode in ("lattice", "1d-heavy"):
         dec = lattice_decomposition(records, path)
         # the file does not state its dimension: a trivial-only one reads as 1-d
         return class_sum(dec.classes(dec.terms[0][0].dimension if dec.terms else 1))
     raise InputFormatError(path, 0, f"no reconstruction rule for mode {mode!r}")
+
+
+def _graph_term_edges(terms, path):
+    """``(edges, weight)`` per parsed graph or Birkhoff term, checked."""
+    for weight, kind, payload in terms:
+        if kind == "cycle":
+            try:
+                edges = GraphCycle(tuple(payload)).edges()
+            except ValueError as exc:
+                raise InputFormatError(path, 0, str(exc))
+        elif kind == "perm":
+            edges = [tuple(token.split(">", 1)) for token in payload]
+        else:
+            raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
+        yield edges, weight
 
 
 def _parse_vertex(token: str, complex, path):
@@ -529,18 +529,26 @@ def reconstruct_on_complex(mode, records, complex, path="<decomposition>"):
     both directions of a 2-cycle) must exist on the complex and collects
     the term's weight.
     """
-    terms = []
-    for record in records:
-        if record[0] != "term":
-            continue
-        _, weight, kind, payload = record
+    terms = [record[1:] for record in records if record[0] == "term"]
+    scale = lcm(*(weight.denominator for weight, _, _ in terms))
+    return edge_sum(_complex_term_edges(terms, complex, path), scale)
+
+
+def _complex_term_edges(terms, complex, path):
+    """``(edges, weight)`` per parsed cycle term, each edge on the complex."""
+    vertices = {}  # each vertex token is parsed once
+    for weight, kind, payload in terms:
         if kind != "cycle":
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
-        cycle = [_parse_vertex(token, complex, path) for token in payload]
-        for u, v in cycle_edges(cycle):
+        cycle = []
+        for token in payload:
+            if token not in vertices:
+                vertices[token] = _parse_vertex(token, complex, path)
+            cycle.append(vertices[token])
+        edges = cycle_edges(cycle)
+        for u, v in edges:
             try:
                 complex.edge_id(u, v)
             except KeyError as exc:
                 raise InputFormatError(path, 0, exc.args[0])
-        terms.append((cycle, weight))
-    return cycle_sum(terms)
+        yield edges, weight

@@ -24,6 +24,13 @@ from cycledec.ratio import ONE, ZERO, Rat
 from conftest import cube_complex, face_indicator, gradient_matrix, rand_rat, vertex_indicator
 
 
+def plus_minus_faces(cx, eid):
+    """The faces ``(f_plus, f_minus)`` around an agreement-oriented edge."""
+    (plus,) = [fid for fid, s in cx.edge_faces[eid] if s == 1]
+    (minus,) = [fid for fid, s in cx.edge_faces[eid] if s == -1]
+    return plus, minus
+
+
 def rand_field(rng, cx):
     return VectorField(cx, [rand_rat(rng, -5, 5, 4) for _ in range(cx.n_edges)])
 
@@ -99,7 +106,7 @@ class TestConstruction:
         cx = TwoComplex.torus2(4)
         eid, sign = cx.edge_id((1, 1), (2, 1))
         assert sign == 1
-        f_plus, f_minus = cx.plus_minus_faces(eid)
+        f_plus, f_minus = plus_minus_faces(cx, eid)
         # chosen faces are indexed by lower-left corner in row-major order
         assert f_plus == 1 * 4 + 1
         assert f_minus == 1 * 4 + 0
@@ -107,7 +114,7 @@ class TestConstruction:
     def test_plus_face_left_of_vertical_edge(self):
         cx = TwoComplex.torus2(4)
         eid, _ = cx.edge_id((1, 1), (1, 2))
-        f_plus, f_minus = cx.plus_minus_faces(eid)
+        f_plus, f_minus = plus_minus_faces(cx, eid)
         assert f_plus == 0 * 4 + 1
         assert f_minus == 1 * 4 + 1
 
@@ -283,6 +290,16 @@ class TestRecoverPsi:
                 deltas2 = {a - b for a, b in zip(back.values, other.values)}
                 assert len(deltas2) == 1
 
+    def test_edges_outside_plus_minus_form_rejected(self):
+        # a face with open edges, and Klein-bottle faces declared orientable
+        klein = TwoComplex.klein_grid(3, 3)
+        for cx in (
+            TwoComplex.from_face_cycles([("a", "b", "c")], orientable=True),
+            TwoComplex(klein.vertices, klein.edges, klein.face_edges, orientable=True),
+        ):
+            with pytest.raises(ValueError, match=r"not in \(\+1, -1\) form"):
+                recover_psi(VectorField.zero(cx))
+
     def test_nonorientable_recovery_unique(self, rng):
         cx = TwoComplex.klein_grid(3, 3)
         for _ in range(5):
@@ -344,15 +361,15 @@ class TestRatesAndFields:
         for u, v in cx.edges:
             rates[(u, v)] = Rat(2, 3)
             rates[(v, u)] = Rat(2, 3)
-        phi, s = _field_and_symmetric(rates, cx)
+        scale, phi, s = _field_and_symmetric(rates, cx)
         assert phi.is_zero()
-        assert s == [Rat(2, 3)] * cx.n_edges
+        assert scale == 3 and s == [2] * cx.n_edges
 
     def test_single_asymmetric_pair(self):
         cx = TwoComplex.torus2(3)
         rates = {((0, 0), (1, 0)): Rat(3), ((1, 0), (0, 0)): ONE}
-        phi, s = _field_and_symmetric(rates, cx)
-        assert phi.at((0, 0), (1, 0)) == 2
+        scale, phi, s = _field_and_symmetric(rates, cx)
+        assert scale == 1 and phi.at((0, 0), (1, 0)) == 2
         eid, _ = cx.edge_id((0, 0), (1, 0))
         assert s[eid] == ONE
         assert [w for i, w in enumerate(s) if i != eid] == [ZERO] * (cx.n_edges - 1)
@@ -366,14 +383,17 @@ class TestRatesAndFields:
                     w = rand_rat(rng, 0, 5, 4)
                     if w > 0:
                         rates[e] = w
-            phi, s = _field_and_symmetric(rates, cx)
+            scale, phi, s = _field_and_symmetric(rates, cx)
+            assert all(type(n) is int for n in phi.values + s)
+            phi = VectorField(cx, [Rat(n, scale) for n in phi.values])
             minimal = field_to_rates(phi)
             rebuilt = dict(minimal)
-            for (u, v), w in zip(cx.edges, s):
+            for (u, v), n in zip(cx.edges, s):
                 for e in ((u, v), (v, u)):
-                    rebuilt[e] = rebuilt.get(e, ZERO) + w
+                    rebuilt[e] = rebuilt.get(e, ZERO) + Rat(n, scale)
             rebuilt = {e: w for e, w in rebuilt.items() if w != 0}
             assert rebuilt == rates
-            assert _field_and_symmetric(minimal, cx)[0] == phi
+            min_scale, min_phi, _ = _field_and_symmetric(minimal, cx)
+            assert VectorField(cx, [Rat(n, min_scale) for n in min_phi.values]) == phi
             for u, v in cx.edges:
                 assert min(minimal.get((u, v), ZERO), minimal.get((v, u), ZERO)) == ZERO

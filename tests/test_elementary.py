@@ -8,13 +8,19 @@ from cycledec.complexes import (
     TwoChain,
     TwoComplex,
     VectorField,
+    ZeroForm,
     boundary2,
+    check_rates,
     field_to_rates,
+    in_d_lambda2,
     recover_psi,
 )
 from cycledec.elementary import (
     CoInterval,
+    ElementaryDecomposition,
     Interval,
+    OneDimFamily,
+    ReVerdict,
     brute_force_Re_oracle,
     decompose_1d,
     edge_intervals,
@@ -28,10 +34,11 @@ from cycledec.elementary import (
 from cycledec.errors import (
     NegativeEdgeWeight,
     NotBalanced,
+    NotHomologous,
     NotInRe,
     TooLarge,
 )
-from cycledec.finite_graph import GraphCycle, GraphDecomposition
+from cycledec.finite_graph import GraphCycle, GraphDecomposition, cycle_sum
 from cycledec.lattice import periodic_lift
 from cycledec.ratio import ONE, ZERO, Rat
 
@@ -532,3 +539,232 @@ def test_rates_are_validated_once_per_query(monkeypatch, cx):
         calls.clear()
         decompose_1d(rates, cx)
         assert len(calls) == 1
+
+
+# -- reference: the elementary pass on Fraction values, one rational per step --
+
+
+def reference_field_and_symmetric(rates, cx):
+    rates = check_rates(rates, cx)
+    values, s = [], []
+    for u, v in cx.edges:
+        a = rates.get((u, v), ZERO)
+        b = rates.get((v, u), ZERO)
+        values.append(a - b)
+        s.append(min(a, b))
+    return VectorField(cx, values), s
+
+
+def reference_need(constraint, c=ZERO):
+    """Symmetric mass an edge needs at constant ``c``: ``(lo, hi, opposite)``."""
+    if constraint is None:
+        return ZERO
+    lo, hi, opposite = constraint
+    if not opposite:
+        return ZERO if lo >= 0 or hi <= 0 else min(-lo, hi)
+    lo, hi = lo + c, hi + c
+    return lo if lo > 0 else -hi if hi < 0 else ZERO
+
+
+def reference_chain(rates, cx):
+    """Symmetric parts, chain and per-edge ``(lo, hi, opposite)`` on rationals."""
+    phi, s = reference_field_and_symmetric(rates, cx)
+    psi = recover_psi(phi)
+    constraints = {}
+    for eid, incidences in enumerate(cx.edge_faces):
+        if not incidences:
+            constraints[eid] = None
+            continue
+        (f1, s1), (f2, s2) = incidences
+        a, b = psi.values[f1], psi.values[f2]
+        constraints[eid] = (min(a, b), max(a, b), s1 != s2)
+    return s, psi, constraints
+
+
+def reference_in_Re(rates, cx):
+    try:
+        s, _, constraints = reference_chain(rates, cx)
+    except NotHomologous:
+        return ReVerdict(False, reason="NotHomologous")
+    if not cx.orientable:
+        violations = tuple(
+            cx.edges[eid] for eid, iv in constraints.items() if s[eid] < reference_need(iv)
+        )
+        if violations:
+            return ReVerdict(False, reason="PolyhedronViolated", violating_edges=violations)
+        return ReVerdict(True, witness_c=ZERO)
+    lo = hi = lo_edge = hi_edge = None
+    for eid, iv in constraints.items():
+        if iv is None:
+            continue
+        cand_lo, cand_hi = -iv[1] - s[eid], -iv[0] + s[eid]
+        if lo is None or cand_lo > lo:
+            lo, lo_edge = cand_lo, eid
+        if hi is None or cand_hi < hi:
+            hi, hi_edge = cand_hi, eid
+    if lo is None:
+        return ReVerdict(True, witness_c=ZERO)
+    if lo <= hi:
+        return ReVerdict(True, witness_c=(lo + hi) / 2)
+    return ReVerdict(False, reason="PolyhedronViolated",
+                     violating_edges=(cx.edges[lo_edge], cx.edges[hi_edge]))
+
+
+def reference_elementary_decompose(rates, cx, c_star=None):
+    verdict = reference_in_Re(rates, cx)
+    if not verdict.ok:
+        raise NotInRe(verdict.reason)
+    c = verdict.witness_c if c_star is None else Rat(c_star)
+    s, psi, constraints = reference_chain(rates, cx)
+    face_weights = {
+        fid: (max(v + c, ZERO), max(-v - c, ZERO)) for fid, v in enumerate(psi.values)
+    }
+    edge_weights = {}
+    for eid, iv in constraints.items():
+        weight = s[eid] - reference_need(iv, c)
+        if weight < 0:
+            raise NegativeEdgeWeight(f"constant {c} is infeasible at edge {cx.edges[eid]}")
+        edge_weights[eid] = weight
+    return ElementaryDecomposition(edge_weights, face_weights, c)
+
+
+def reference_decompose_1d(rates, cx):
+    phi, s = reference_field_and_symmetric(rates, cx)
+    constants = set(phi.values)
+    if len(constants) > 1:
+        raise NotBalanced("field is not constant")
+    return OneDimFamily(cx, constants.pop() if constants else ZERO, min(s), s)
+
+
+def reference_diameter_bound(rates, cx):
+    """Kruskal on the dual graph with rational weights ``|phi|``."""
+    phi, s = reference_field_and_symmetric(rates, cx)
+    if not in_d_lambda2(phi):
+        raise NotHomologous("field is not a face boundary")
+    component = list(range(cx.n_faces))
+    bound = ZERO
+    for weight, eid in sorted((abs(v), eid) for eid, v in enumerate(phi.values)):
+        a, b = (component[fid] for fid, _ in cx.edge_faces[eid])
+        if a != b:
+            component = [a if k == b else k for k in component]
+            bound += weight
+    return all(value >= bound / 2 for value in s), bound
+
+
+def outcome(call, *args):
+    """The value of ``call(*args)``, or the type of the cycledec error it raises."""
+    try:
+        return call(*args)
+    except (NotBalanced, NotHomologous, NotInRe, NegativeEdgeWeight) as exc:
+        return type(exc)
+
+
+DIFFERENTIAL_COMPLEXES = SMALL_COMPLEXES + (
+    TwoComplex.torus2(5, 4),
+    TwoComplex.torus1(6),
+    TwoComplex.klein_grid(4, 3),
+)
+
+
+def mixed_rat(draw, lo, hi):
+    return Rat(draw(st.integers(lo, hi)), draw(st.integers(1, 12)))
+
+
+@st.composite
+def mixed_rates(draw):
+    """Rates with denominators up to 12: a boundary field (or, on the
+    1-d torus, a constant drift) plus per-edge symmetric noise, and about
+    one case in four with extra mass on one oriented edge.  The last entry
+    is an offset from the witness constant to build the decomposition at.
+    """
+    cx = draw(st.sampled_from(DIFFERENTIAL_COMPLEXES))
+    if cx.n_faces:
+        chain = [mixed_rat(draw, -6, 6) for _ in range(cx.n_faces)]
+        rates = field_to_rates(boundary2(TwoChain(cx, chain)))
+    else:
+        drift = draw(st.sampled_from([ZERO, ZERO, mixed_rat(draw, -3, 3)]))
+        rates = field_to_rates(VectorField(cx, [drift] * cx.n_edges))
+    level = mixed_rat(draw, 0, 12)
+    for u, v in cx.edges:
+        noise = level + (mixed_rat(draw, 0, 2) if draw(st.booleans()) else ZERO)
+        for e in ((u, v), (v, u)):
+            rates[e] = rates.get(e, ZERO) + noise
+    if draw(st.sampled_from([False, False, False, True])):
+        e = draw(st.sampled_from(list(cx.oriented_edges())))
+        rates[e] = rates.get(e, ZERO) + mixed_rat(draw, 1, 4)
+    return cx, {e: w for e, w in rates.items() if w != 0}, mixed_rat(draw, -3, 3)
+
+
+def assert_all_rat(*values):
+    assert all(type(v) is Rat for v in values), [type(v) for v in values]
+
+
+def test_integer_pass_matches_fraction_reference():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mixed_rates())
+    def agree(case):
+        cx, rates, offset = case
+        verdict = in_Re(rates, cx)
+        assert verdict == reference_in_Re(rates, cx)
+        seen.add((cx.name, verdict.reason))
+        if cx.n_edges + 2 * cx.n_faces <= 40:
+            assert verdict.ok == pairwise_in_Re(rates, cx) == brute_force_Re_oracle(rates, cx)
+        if not verdict.ok:
+            assert outcome(elementary_decompose, rates, cx) is NotInRe
+        else:
+            assert_all_rat(verdict.witness_c)
+            constants = [None]
+            if cx.orientable:
+                constants += [verdict.witness_c + offset, verdict.witness_c + 100]
+            for c in constants:
+                dec = outcome(elementary_decompose, rates, cx, c)
+                assert dec == outcome(reference_elementary_decompose, rates, cx, c)
+                seen.add((cx.name, c is None, dec if isinstance(dec, type) else "decomposed"))
+                if isinstance(dec, ElementaryDecomposition):
+                    assert_all_rat(dec.chosen_constant, *dec.edge_weights.values(),
+                                   *(w for pair in dec.face_weights.values() for w in pair))
+                    rebuilt = dec.reconstruct(cx)
+                    assert rebuilt == check_rates(rates, cx)
+                    assert_all_rat(*rebuilt.values())
+        if cx.n_faces:
+            bound = outcome(sufficient_diameter_bound, rates, cx)
+            assert bound == outcome(reference_diameter_bound, rates, cx)
+            if isinstance(bound, tuple):
+                assert_all_rat(bound[1])
+        else:
+            family = outcome(decompose_1d, rates, cx)
+            assert family == outcome(reference_decompose_1d, rates, cx)
+            if isinstance(family, OneDimFamily):
+                assert_all_rat(family.constant, family.min_weight, *family.symmetric)
+                for a in (ZERO, family.min_weight / 2, family.min_weight):
+                    assert family.reconstruct_at(a) == check_rates(rates, cx)
+                    assert_all_rat(*family.reconstruct_at(a).values())
+
+    agree()
+    for cx in DIFFERENTIAL_COMPLEXES:
+        assert {(cx.name, None), (cx.name, True, "decomposed")} <= seen, cx.name
+        if cx.n_faces:
+            assert (cx.name, "PolyhedronViolated") in seen, cx.name
+        if cx.orientable and cx.n_faces:
+            assert {(cx.name, False, NegativeEdgeWeight), (cx.name, False, "decomposed")} <= seen, cx.name
+
+
+def test_public_values_stay_rational():
+    cx = TwoComplex.klein_grid(3, 3)
+    for complex in (TwoComplex.torus2(3), cx):
+        phi = VectorField(complex, range(complex.n_edges))
+        assert_all_rat(*phi.values)
+        assert_all_rat(*VectorField.from_dict(complex, {complex.edges[0]: 2}).values)
+        assert_all_rat(*TwoChain(complex, [1] * complex.n_faces).values)
+        assert_all_rat(*ZeroForm(complex, [0] * complex.n_vertices).values)
+        psi = TwoChain(complex, [Rat(k, 3) for k in range(complex.n_faces)])
+        recovered = recover_psi(boundary2(psi))
+        assert_all_rat(*recovered.values)
+        for iv in edge_intervals(recovered, complex).values():
+            assert_all_rat(iv.lo, iv.hi, iv.shifted_distance_to_zero())
+    assert Interval(1, 2).shifted_distance_to_zero() == 1
+    assert_all_rat(Interval(ONE, Rat(2)).shifted_distance_to_zero(-ONE))
+    assert_all_rat(CoInterval(-ONE, Rat(2)).shifted_distance_to_zero())
+    assert_all_rat(*cycle_sum([(("a", "b"), 1), (("b", "a"), Rat(1, 2))]).values())

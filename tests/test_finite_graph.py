@@ -8,10 +8,11 @@ from cycledec import io as fio
 from cycledec.errors import EmptyGraph, NotBalanced, NotBistochastic
 from cycledec.finite_graph import (
     GraphCycle,
+    GraphDecomposition,
     WeightedDigraph,
     _hopcroft_karp,
     birkhoff_decompose,
-    birkhoff_graph_decomposition,
+    cycle_sum,
     decompose_graph,
     extract_min_cycle,
     is_balanced_graph,
@@ -151,6 +152,20 @@ def reference_reconstruct(records):
         for e in edges:
             acc[e] = acc.get(e, ZERO) + weight
     return {e: w for e, w in acc.items() if w != 0}
+
+
+def birkhoff_graph_decomposition(g):
+    """Birkhoff terms refined into disjoint cycles, merged per class.
+
+    Fixed points become single-vertex cycles (self-loops), so the
+    reconstruction reproduces the full bistochastic matrix.
+    """
+    acc = {}
+    for pi, weight in birkhoff_decompose(g):
+        cycles, fixed = permutation_to_cycles(pi)
+        for cycle in cycles + [GraphCycle((x,)) for x in fixed]:
+            acc[cycle] = acc.get(cycle, ZERO) + weight
+    return GraphDecomposition(sorted(acc.items(), key=lambda t: t[0].vertices))
 
 
 def exact_terms(terms):
@@ -495,6 +510,10 @@ def test_integer_reconstruction_matches_rational_sum(records):
         expected = reference_reconstruct(records)
         assert list(rebuilt.items()) == list(expected.items())
         assert all(type(w) is Rat for w in rebuilt.values())
+    cycles = [(payload, weight) for _, weight, kind, payload in records[1:] if kind == "cycle"]
+    summed = cycle_sum(cycles)
+    assert summed == reference_reconstruct([("term", w, "cycle", c) for c, w in cycles])
+    assert all(type(w) is Rat for w in summed.values())
 
 
 class TestPermutationCycles:
