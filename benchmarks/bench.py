@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_8.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_8.json
+    python3 benchmarks/bench.py --label change --out BENCH_9.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_9.json
 
 Three ladders, each on inputs generated from a fixed seed:
 
@@ -12,8 +12,9 @@ Three ladders, each on inputs generated from a fixed seed:
   ``solve_exact_linear``, so this is the exact-elimination ladder.
 * ``lattice``: :func:`decompose_lattice` on a balanced Z^2 measure that
   sums the empirical measures of random closed walks (steps within
-  ``REACH``), support about 40, 80, 160.  Every Caratheodory round is a
-  phase-I simplex in ``barycentric_vertex``.
+  ``REACH``), support about 40, 80, 160, 320.  The Caratheodory rounds run
+  on one warm-started revised simplex, ``exact_lp.barycentric_rounds``,
+  per measure; the tableau simplex of ``lp_feasible`` is not on this path.
 * ``elementary``: :func:`in_Re` and then :func:`elementary_decompose` on
   decomposable n x n torus rates, n = 16, 24, 32: the minimal rates of the
   boundary of a random chain (values over denominators up to 12) plus
@@ -25,9 +26,11 @@ time, all wall times and the sha256 of its output text (the three Hodge
 parts and the harmonic coefficients, the ``.dec`` text, or the witness
 constant and the ``.dec`` text), which must be the same on every repeat.
 The record also carries the commit and a digest of the sources of the
-measured ``cycledec``, the Python version and the rational backend.
-``--src`` measures another checkout's ``src``; ``--out`` merges the record
-into a JSON file under ``--label`` and otherwise it goes to stdout.
+measured ``cycledec``, the Python version and the rational backend the
+ladders ran on; the gmpy2 leg is marked skipped when gmpy2 does not
+import, since the ladders then ran on ``fractions``.  ``--src`` measures
+another checkout's ``src``; ``--out`` merges the record into a JSON file
+under ``--label`` and otherwise it goes to stdout.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
-REACH = 12  # (2 * REACH + 1)^2 lattice points leave room for support 160
-LADDERS = {"hodge": (6, 10, 14), "lattice": (40, 80, 160), "elementary": (16, 24, 32)}
+REACH = 12  # (2 * REACH + 1)^2 = 625 lattice points leave room for support 320
+LADDERS = {"hodge": (6, 10, 14), "lattice": (40, 80, 160, 320), "elementary": (16, 24, 32)}
 
 
 def balanced_measure(support: int, seed: int = 7) -> dict:
@@ -175,6 +178,7 @@ def provenance(src: Path) -> dict:
         "source_sha256": digest.hexdigest(),
         "python": platform.python_version(),
         "backend": cycledec.BACKEND,
+        "gmpy2": "measured" if cycledec.BACKEND == "gmpy2" else "skipped: gmpy2 is not importable",
         "machine": platform.machine(),
         "repeats": REPEATS,
     }

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .errors import NoSolution, NotHomologous
 from .exact_lp import solve_exact_linear
-from .finite_graph import _scaled, cycle_edges
-from .ratio import ONE, ZERO, Rat, to_rat
+from .finite_graph import cycle_edges
+from .ratio import ONE, ZERO, Rat, scaled, to_rat
 
 
 class TwoComplex:
@@ -597,11 +597,11 @@ def _field_and_symmetric(rates: dict, complex: TwoComplex):
     every comparison, so callers decide on these numerators and divide by
     ``D`` only in the values they return (``Rat(n, D)``).
     """
-    scale, scaled = _scaled(check_rates(rates, complex))
+    scale, numerators = scaled(check_rates(rates, complex))
     values, s = [], []
     for u, v in complex.edges:
-        a = scaled.get((u, v), 0)
-        b = scaled.get((v, u), 0)
+        a = numerators.get((u, v), 0)
+        b = numerators.get((v, u), 0)
         values.append(a - b)
         s.append(a if a < b else b)
     return scale, VectorField._exact(complex, values), s

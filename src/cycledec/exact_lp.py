@@ -17,16 +17,27 @@ tableau keeps the right-hand side as the last column and the reduced costs
 as the last row, so a simplex step is the same pivot.  Signs of reduced
 costs are read off the numerators, and the ratio test cross-multiplies,
 because the row denominator cancels from ``rhs / entry``.  Feasibility
-plus a vertex is all the rest of the package needs, and a basic feasible
-solution of the barycentric system is exactly a set of affinely
-independent points carrying the target in the relative interior of their
-simplex, which is what the constructive Caratheodory step requires.
+plus a vertex is all the rest of the package needs.  The tableau serves
+:func:`lp_feasible` only.
+
+The barycentric system ``sum x_j (p_j, 1) = (target, 1)`` has just
+``d + 1`` rows however many points it has, so :func:`barycentric_rounds`
+runs a revised phase-I simplex on it instead: it keeps only the basis, as
+its integer adjugate over its determinant, and prices the point columns
+against it.  That state lives across the rounds of a Caratheodory
+decomposition: killed points leave the problem and the simplex pivots
+back to a vertex of what is left, without a rebuild.
+:func:`barycentric_vertex` is its first vertex.  A basic feasible solution
+of the barycentric system is exactly a set of affinely independent points
+carrying the target in the relative interior of their simplex, which is
+what the constructive Caratheodory step requires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .errors import Infeasible, NoSolution
 from .ratio import ONE, ZERO, Rat, to_rat
@@ -240,7 +251,8 @@ def barycentric_vertex(points, target) -> BarycentricSolution:
     Raises :class:`Infeasible` exactly when ``target`` is outside the convex
     hull of ``points``.  Duplicate points are collapsed onto their first
     occurrence; if the target coincides with an input point, the one-point
-    representation is returned directly.
+    representation is returned directly.  Otherwise the vertex is the first
+    one of :func:`barycentric_rounds` over the sorted distinct points.
     """
     if not points:
         raise ValueError("points must be nonempty")
@@ -258,22 +270,88 @@ def barycentric_vertex(points, target) -> BarycentricSolution:
     if tgt in first_index:
         return BarycentricSolution((first_index[tgt],), (ONE,))
 
-    # integer coordinates give an integer tableau over unit denominators
     unique = sorted(first_index)
-    rows = [{j: p[c] for j, p in enumerate(unique) if p[c]} for c in range(dim)]
-    rows.append(dict.fromkeys(range(len(unique)), 1))
-    values = _phase1_vertex(rows, [1] * (dim + 1), [*tgt, 1], len(unique))
-    if values is None:
-        raise Infeasible("target is outside the convex hull of the points")
-    support = [
-        (first_index[unique[j]], values[j])
-        for j in range(len(unique))
-        if values[j] > 0
-    ]
-    support.sort()
+    vertex = next(barycentric_rounds(unique, tgt))
+    support = sorted((first_index[unique[j]], c) for j, c in vertex.items())
     return BarycentricSolution(
         tuple(i for i, _ in support), tuple(c for _, c in support)
     )
+
+
+def barycentric_rounds(points, target):
+    """Vertices of ``{x >= 0 : sum x_j (p_j, 1) = (target, 1)}`` over a
+    shrinking set of live points, from one revised phase-I simplex.
+
+    ``points`` are distinct integer tuples and ``target`` an integer tuple
+    of the same length ``d``.  The generator yields a vertex as
+    ``{index: Rat}`` over its positive coordinates, sorted by index, and
+    then receives (through ``send``) the indices of the points killed since;
+    it may be sent ``None`` or an empty list.  Killed points never enter
+    the basis again.  Raises :class:`Infeasible` when ``target`` is outside
+    the convex hull of the live points.
+
+    The ``m = d + 1`` basic columns ``B`` are kept as their adjugate ``M``
+    over ``D = det B``, with ``M b`` as an extra last column.  Entering
+    column ``q`` with ``w = M a_q`` on row ``r`` with ``p = w[r] > 0``
+    keeps ``M_r`` and sets every other row to ``(M_i p - w_i M_r) / D``,
+    which divides exactly (Bareiss 1968); then ``D = p`` stays positive.
+    Phase I minimises the sum of the dead basic variables: the artificial
+    columns of the start and, after a kill, the killed columns, so that
+    the same loop drives them to zero from the current basis (a dead
+    column left basic at level zero acts like an artificial).  Its prices
+    are ``y``, the sum of the rows of ``M`` at the dead basic positions; a
+    live point enters when ``y . a_j > 0``, the least index first (Bland
+    1977), and the ratio test cross-multiplies, a tie going to the smaller
+    basic index.  The loop stops as soon as the dead variables are zero.
+    From there every pivot with a negative reduced cost would be
+    degenerate, so the first vertex is the one the tableau of
+    :func:`_phase1_vertex` ends at, and no artificial column needs a price:
+    while the dead sum is positive and the target is in the hull, some
+    live point has a negative reduced cost.
+    """
+    n = len(points)
+    m = len(target) + 1
+    # a row with a negative right-hand side is negated, so that the
+    # artificial start (column n + i is the i-th unit vector) is feasible
+    signs = [-1 if c < 0 else 1 for c in target] + [1]
+    live = [(j, [s * c for s, c in zip(signs, (*p, 1))]) for j, p in enumerate(points)]
+    columns = dict(live)
+    M = [[int(i == j) for j in range(m)] + [b] for i, b in enumerate([*map(abs, target), 1])]
+    D = 1
+    basis = list(range(n, n + m))
+    killed = set()
+
+    while True:
+        while True:
+            dead = [M[i] for i, j in enumerate(basis) if j >= n or j in killed]
+            if not any(row[m] for row in dead):
+                break
+            y = [sum(c) for c in zip(*dead)]
+            enter = next((j for j, a in live if sum(map(mul, y, a)) > 0), None)
+            if enter is None:
+                raise Infeasible("target is outside the convex hull of the points")
+            w = [sum(map(mul, row, columns[enter])) for row in M]
+            leave = None
+            for i, (row, a) in enumerate(zip(M, w)):
+                if a > 0:
+                    b = row[m]
+                    if leave is not None:
+                        lhs, rhs = b * best_a, best_b * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                    leave, best_a, best_b = i, a, b
+            if leave is None:
+                raise AssertionError("phase-I objective cannot be unbounded")
+            pivot_row = M[leave]
+            for i, (row, f) in enumerate(zip(M, w)):
+                if i != leave:
+                    M[i] = [(v * best_a - f * u) // D for v, u in zip(row, pivot_row)]
+            D = best_a
+            basis[leave] = enter
+
+        vertex = sorted((j, Rat(M[i][m], D)) for i, j in enumerate(basis) if j < n and M[i][m])
+        killed.update((yield dict(vertex)) or ())
+        live = [(j, a) for j, a in live if j not in killed]
 
 
 def lp_feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, n_vars=None):

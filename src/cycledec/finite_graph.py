@@ -32,7 +32,7 @@ from .errors import (
     NotBalanced,
     NotBistochastic,
 )
-from .ratio import ZERO, Rat, to_rat
+from .ratio import ZERO, Rat, scaled, to_rat
 
 
 @dataclass(frozen=True)
@@ -148,23 +148,12 @@ class GraphDecomposition:
         return self.reconstruct() == g.weights
 
 
-def _scaled(weights):
-    """Clear denominators: ``(L, {edge: weight * L})`` with ``L`` their lcm.
-
-    Scaling by a positive integer preserves every comparison, so integer
-    residuals make the same choices as rational ones; ``Rat(n, L)`` maps a
-    scaled value back.
-    """
-    scale = lcm(*(w.denominator for w in weights.values()))
-    return scale, {e: w.numerator * (scale // w.denominator) for e, w in weights.items()}
-
-
 def _flux(g: WeightedDigraph):
     """``(L, inflow, outflow)``: per-vertex weight sums times ``L``, one pass."""
-    scale, scaled = _scaled(g.weights)
+    scale, numerators = scaled(g.weights)
     inflow = dict.fromkeys(g.vertices, 0)
     outflow = dict.fromkeys(g.vertices, 0)
-    for (u, v), n in scaled.items():
+    for (u, v), n in numerators.items():
         outflow[u] += n
         inflow[v] += n
     return scale, inflow, outflow
@@ -189,7 +178,7 @@ def _peel(weights):
     admissible.  Raises :class:`NotBalanced` when the walk reaches a vertex
     without outgoing weight, which a balanced graph never does.
     """
-    scale, residual = _scaled(weights)
+    scale, residual = scaled(weights)
     heap = [(n, e) for e, n in residual.items()]
     heapify(heap)
     # successors in descending order, so the least live one is at the end
@@ -332,7 +321,7 @@ def birkhoff_decompose(g: WeightedDigraph):
     """
     if not is_bistochastic(g):
         raise NotBistochastic("row or column sums differ from 1")
-    scale, residual = _scaled(g.weights)
+    scale, residual = scaled(g.weights)
     adjacency = {r: [] for r in g.vertices}
     for u, v in sorted(residual):
         adjacency[u].append(v)

@@ -8,7 +8,11 @@ constructive and exact: each round extracts a vertex of the barycentric
 polytope over the current support, converts its coefficients into integer
 multiplicities via their lcm, and peels off as much mass as nonnegativity
 allows.  Every round kills at least one non-origin atom, so at most
-``|support|`` rounds run.
+``|support|`` rounds run.  The vertices come from one warm-started simplex,
+:func:`~cycledec.exact_lp.barycentric_rounds`, started once per
+decomposition; it is told the killed atoms and pivots from the last
+vertex to the next.  The masses are integer numerators over one scale
+throughout, and rationals appear only in the emitted weights.
 """
 
 from __future__ import annotations
@@ -26,8 +30,14 @@ from .errors import (
     TooLarge,
     ZeroNotInterior,
 )
-from .exact_lp import barycentric_vertex, exact_rank, solve_exact_linear
-from .ratio import ONE, ZERO, Rat, denominator_lcm, to_rat
+# barycentric_vertex stays a name of this module for callers that wrap it
+from .exact_lp import (  # noqa: F401
+    barycentric_rounds,
+    barycentric_vertex,
+    exact_rank,
+    solve_exact_linear,
+)
+from .ratio import ONE, ZERO, Rat, scaled, to_rat
 
 IRREDUCIBILITY_BOUND = 24
 
@@ -171,18 +181,26 @@ def empirical_measure(cls: LatticeCycleClass) -> LatticeMeasure:
     return LatticeMeasure(cls.dimension, class_sum([(cls, ONE)]))
 
 
-def mean(p: LatticeMeasure):
-    """Exact first moment as a vector of rationals."""
-    result = [ZERO] * p.dimension
-    for point, mass in p.atoms.items():
+def _moment(p: LatticeMeasure):
+    """``(L, first moment times L)``, on the masses cleared to integers over
+    their lcm ``L``."""
+    scale, atoms = scaled(p.atoms)
+    result = [0] * p.dimension
+    for point, mass in atoms.items():
         for i, c in enumerate(point):
             result[i] += mass * c
-    return tuple(result)
+    return scale, result
+
+
+def mean(p: LatticeMeasure):
+    """Exact first moment as a vector of rationals."""
+    scale, moment = _moment(p)
+    return tuple(Rat(c, scale) for c in moment)
 
 
 def is_balanced(p: LatticeMeasure) -> bool:
     """Finite support means integrable, where balanced reduces to mean zero."""
-    return all(c == 0 for c in mean(p))
+    return not any(_moment(p)[1])
 
 
 def irreducible_class(points) -> LatticeCycleClass:
@@ -219,8 +237,7 @@ def irreducible_class(points) -> LatticeCycleClass:
 
 def _lcm_class(mu: dict) -> LatticeCycleClass:
     """Barycentric coefficients cleared to integer multiplicities ``lcm * mu``."""
-    b = denominator_lcm(mu.values())
-    return LatticeCycleClass({p: int(b * c) for p, c in mu.items()})
+    return LatticeCycleClass(scaled(mu)[1])
 
 
 def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND) -> bool:
@@ -276,30 +293,54 @@ def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND
     return True
 
 
-def _rounds(residual: dict, origin: tuple):
+def _rounds(scale: int, residual: dict, origin: tuple):
     """Yield the Caratheodory rounds ``(class, weight)`` that drain ``residual``.
 
     ``residual`` maps the non-origin points of a balanced measure to their
-    positive masses and is updated in place.  Each round takes the vertex of
-    the barycentric polytope over the sorted support, weighs the class by
-    ``min residual(w) / mu(w)`` and subtracts it; the minimizing atoms are
-    deleted, and the residual stays nonnegative and balanced.
+    positive masses times ``scale``, as ints, and is drained in place.  One
+    :func:`barycentric_rounds` engine over the sorted support gives each
+    round's vertex ``mu``; the round weighs its class ``n`` by
+    ``min residual(w) / mu(w)``, found by cross-multiplying ``residual(w)``
+    and ``n(w)``, and subtracts it, and the atoms it empties are deleted
+    and reported to the engine as killed.  When the subtraction is not a
+    whole multiple of ``1 / scale``, every mass and the scale are first
+    multiplied by the missing factor.  The residual stays nonnegative and
+    balanced.
     """
+    points = sorted(residual)
+    index = {x: j for j, x in enumerate(points)}
+    engine = barycentric_rounds(points, origin)
+    killed = None
     while residual:
-        points = sorted(residual)
         try:
-            solution = barycentric_vertex(points, origin)
+            mu = engine.send(killed)
         except Infeasible as exc:  # impossible for a balanced residual
             raise AssertionError("balanced measure with origin outside hull") from exc
-        mu = dict(solution.as_pairs(points))
-        weight = min(residual[w] / c for w, c in mu.items())
-        for w, c in mu.items():
-            left = residual[w] - weight * c
-            if left == 0:
-                del residual[w]
-            else:
+        cls = _lcm_class({points[j]: c for j, c in mu.items()})
+        mults = cls.entries
+        # the class weight is (least residual(w) / n(w)) / scale * sum(n);
+        # the search starts from 1 / 0, above every ratio
+        low, n_low = 1, 0
+        for w, n in mults.items():
+            if residual[w] * n_low < low * n:
+                low, n_low = residual[w], n
+        weight = Rat(low * cls.total_multiplicity(), scale * n_low)
+        # residual(w) loses low * n(w) / n_low; make that an integer
+        g = gcd(low, n_low)
+        step, factor = low // g, n_low // g
+        if factor != 1:
+            scale *= factor
+            for x in residual:
+                residual[x] *= factor
+        killed = []
+        for w, n in mults.items():
+            left = residual[w] - step * n
+            if left:
                 residual[w] = left
-        yield _lcm_class(mu), weight
+            else:
+                del residual[w]
+                killed.append(index[w])
+        yield cls, weight
 
 
 def decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
@@ -311,8 +352,11 @@ def decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
     """
     if not is_balanced(p):
         raise NotBalanced("measure has nonzero mean", violators=[mean(p)])
-    residual = {x: m for x, m in p.atoms.items() if any(x)}
-    return LatticeDecomposition(list(_rounds(residual, p.origin())), p.mass(p.origin()))
+    scale, atoms = scaled(p.atoms)
+    residual = {x: m for x, m in atoms.items() if any(x)}
+    return LatticeDecomposition(
+        list(_rounds(scale, residual, p.origin())), p.mass(p.origin())
+    )
 
 
 class HeavyTailOracle1D:

@@ -6,8 +6,8 @@ in any decision path.  The scalar type ``Rat`` is gmpy2's C-implemented
 ``mpq`` when available and ``fractions.Fraction`` otherwise.  Both store
 values in lowest terms with a positive denominator and interoperate with
 Python ints.  Set ``CYCLEDEC_RATIONAL_BACKEND=fractions`` (or ``gmpy2``) to
-force a backend; ``benchmarks/bench_scalars.py`` compares the two on the
-package's own kernels.
+force a backend; ``benchmarks/bench.py`` records which one its ladders ran
+on.
 """
 
 from __future__ import annotations
@@ -98,3 +98,15 @@ def denominator_lcm(values) -> int:
     for v in values:
         result = lcm(result, int(to_rat(v).denominator))
     return result
+
+
+def scaled(values: dict):
+    """Clear denominators: ``(L, {key: value * L})`` with ``L`` the lcm of
+    the denominators of the rational values.
+
+    Scaling by a positive integer preserves every comparison and every
+    zero, so integer values make the same choices as rational ones;
+    ``Rat(n, L)`` maps a scaled value back.
+    """
+    scale = lcm(*(v.denominator for v in values.values()))
+    return scale, {k: v.numerator * (scale // v.denominator) for k, v in values.items()}

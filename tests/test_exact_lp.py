@@ -8,6 +8,7 @@ from cycledec.exact_lp import (
     BarycentricSolution,
     _int_rows,
     _row_reduce,
+    barycentric_rounds,
     barycentric_vertex,
     exact_rank,
     lp_feasible,
@@ -298,6 +299,34 @@ def test_barycentric_vertex_equals_fraction_reference(case):
             barycentric_vertex(points, target)
         return
     assert barycentric_vertex(points, target) == expected
+
+
+@EXAMPLES
+@given(barycentric_cases(), st.data())
+def test_rounds_give_a_vertex_of_the_live_points_after_every_kill(case, data):
+    points, target = case
+    unique = sorted(set(points))
+    live = set(range(len(unique)))
+    engine = barycentric_rounds(unique, target)
+    killed = None
+    while live:
+        try:
+            vertex = engine.send(killed)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                reference_barycentric([unique[j] for j in sorted(live)], target)
+            return
+        assert list(vertex) == sorted(vertex) and set(vertex) <= live
+        assert all(type(c) is Rat and c > 0 for c in vertex.values())
+        assert sum(vertex.values()) == ONE
+        support = [unique[j] for j in vertex]
+        combination = [sum(c * p[i] for p, c in zip(support, vertex.values())) for i in range(len(target))]
+        assert combination == list(target)
+        diffs = [[a - b for a, b in zip(p, support[0])] for p in support[1:]]
+        assert not diffs or exact_rank(diffs) == len(diffs)
+        # kill one or two live points, on the vertex or off it
+        killed = data.draw(st.lists(st.sampled_from(sorted(live)), min_size=1, max_size=2, unique=True))
+        live -= set(killed)
 
 
 def test_bland_tie_break_equals_fraction_reference():
