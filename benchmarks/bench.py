@@ -2,10 +2,10 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_9.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_9.json
+    python3 benchmarks/bench.py --label change --out BENCH_10.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_10.json
 
-Three ladders, each on inputs generated from a fixed seed:
+Four ladders, each on inputs generated from a fixed seed:
 
 * ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
   small rational values, n = 6, 10, 14.  The Laplace system goes through
@@ -20,11 +20,15 @@ Three ladders, each on inputs generated from a fixed seed:
   boundary of a random chain (values over denominators up to 12) plus
   enough symmetric noise on every edge.  This is the interval pass on the
   recovered chain.
+* ``birkhoff``: :func:`birkhoff_decompose` on an n x n bistochastic
+  matrix, a mixture of n/2 random permutations with weights 1..12 over
+  their total, n = 24, 48, 96.  This is the matching kept across rounds.
 
 Each rung runs ``REPEATS`` times in this process and records the best wall
 time, all wall times and the sha256 of its output text (the three Hodge
-parts and the harmonic coefficients, the ``.dec`` text, or the witness
-constant and the ``.dec`` text), which must be the same on every repeat.
+parts and the harmonic coefficients; the ``.dec`` text; the witness
+constant and the ``.dec`` text; the ``.dec`` text), which must be the same
+on every repeat.
 The record also carries the commit and a digest of the sources of the
 measured ``cycledec``, the Python version and the rational backend the
 ladders ran on; the gmpy2 leg is marked skipped when gmpy2 does not
@@ -49,7 +53,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 REACH = 12  # (2 * REACH + 1)^2 = 625 lattice points leave room for support 320
-LADDERS = {"hodge": (6, 10, 14), "lattice": (40, 80, 160, 320), "elementary": (16, 24, 32)}
+LADDERS = {
+    "hodge": (6, 10, 14),
+    "lattice": (40, 80, 160, 320),
+    "elementary": (16, 24, 32),
+    "birkhoff": (24, 48, 96),
+}
 
 
 def balanced_measure(support: int, seed: int = 7) -> dict:
@@ -87,6 +96,21 @@ def torus_rates(n: int, seed: int = 7):
     return cx, rates
 
 
+def permutation_mixture(n: int, seed: int = 7) -> dict:
+    """A bistochastic n x n matrix keyed ``(row, column)``: n/2 random
+    permutations with weights 1..12, over their total."""
+    rng = random.Random(f"birkhoff/{n}/{seed}")
+    raw = [rng.randint(1, 12) for _ in range(n // 2)]
+    total = sum(raw)
+    weights = {}
+    for a in raw:
+        image = list(range(n))
+        rng.shuffle(image)
+        for i, j in enumerate(image):
+            weights[(i, j)] = weights.get((i, j), 0) + Fraction(a, total)
+    return weights
+
+
 def rung_case(kernel: str, size: int):
     """The input of one rung, its description and a function mapping it to
     output text."""
@@ -94,6 +118,7 @@ def rung_case(kernel: str, size: int):
     from cycledec import io as fio
     from cycledec.complexes import TwoComplex, VectorField, hodge_decompose
     from cycledec.elementary import elementary_decompose, in_Re
+    from cycledec.finite_graph import WeightedDigraph, birkhoff_decompose
     from cycledec.lattice import LatticeMeasure, decompose_lattice
     from cycledec.ratio import Rat, rat_str
 
@@ -128,6 +153,14 @@ def rung_case(kernel: str, size: int):
             return rat_str(verdict.witness_c) + "\n" + fio.format_elementary_decomposition(dec, cx, "bench")
 
         return rates, f"{cx.n_edges} edges", run
+    if kernel == "birkhoff":
+        weights = permutation_mixture(size)
+        graph = WeightedDigraph(tuple(range(size)), weights, allow_self_loops=True)
+
+        def run(g):
+            return fio.format_birkhoff_decomposition(birkhoff_decompose(g), "bench")
+
+        return graph, f"{len(graph.weights)} entries", run
     raise ValueError(f"unknown kernel {kernel!r}")
 
 

@@ -15,13 +15,12 @@ Balance and bistochasticity are one pass over the edges on the same
 integers.
 
 Bistochastic weight matrices additionally split into permutation matrices:
-repeatedly extract a perfect matching of the positive support and subtract
-its minimal entry.
+keep one perfect matching of the positive support, subtract its minimal
+entry and re-match only the rows whose entry reached zero.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import lcm
@@ -251,73 +250,51 @@ def is_bistochastic(g: WeightedDigraph) -> bool:
     return all(inflow[x] == scale == outflow[x] for x in g.vertices)
 
 
-def _hopcroft_karp(rows, cols, adjacency):
-    """Maximum bipartite matching; returns {row: col} pairs."""
-    INF = float("inf")
-    match_row = {r: None for r in rows}
-    match_col = {c: None for c in cols}
-    dist: dict = {}
+def _augment(root, adjacency, match_row, match_col) -> bool:
+    """Match the free row ``root`` along one augmenting path (Kuhn 1955).
 
-    def bfs():
-        queue = deque()
-        for r in rows:
-            if match_row[r] is None:
-                dist[r] = 0
-                queue.append(r)
-            else:
-                dist[r] = INF
-        found = False
-        while queue:
-            r = queue.popleft()
-            for c in adjacency[r]:
-                nxt = match_col[c]
-                if nxt is None:
-                    found = True
-                elif dist[nxt] == INF:
-                    dist[nxt] = dist[r] + 1
-                    queue.append(nxt)
-        return found
-
-    def dfs(root):
-        # depth-first search for an augmenting path along the BFS layers,
-        # with an explicit stack: paths can be longer than the recursion
-        # limit.  ``via[i]`` is the column that leads from ``path[i]`` on.
-        path, via, scans = [root], [], [iter(adjacency[root])]
-        while path:
-            r = path[-1]
-            for c in scans[-1]:
-                nxt = match_col[c]
-                if nxt is None:
-                    via.append(c)
-                    for u, col in zip(path, via):
-                        match_row[u] = col
-                        match_col[col] = u
-                    return
-                if dist[nxt] == dist[r] + 1:
-                    via.append(c)
-                    path.append(nxt)
-                    scans.append(iter(adjacency[nxt]))
-                    break
-            else:
-                dist[r] = INF
-                path.pop()
-                scans.pop()
-                if via:
-                    via.pop()
-
-    while bfs():
-        for r in rows:
-            if match_row[r] is None:
-                dfs(r)
-    return {r: c for r, c in match_row.items() if c is not None}
+    Depth-first search that enters every row at most once and first looks
+    among the row's columns for a free one (Duff 1981), with an explicit
+    stack: paths can be longer than the recursion limit.  ``via[i]`` is
+    the column that leads from ``path[i]`` on.  Returns False, leaving the
+    matching as it was, when no path exists.
+    """
+    path, via, scans = [root], [], [None]
+    seen = {root}
+    while path:
+        r = path[-1]
+        if scans[-1] is None:
+            free = next((c for c in adjacency[r] if c not in match_col), None)
+            if free is not None:
+                via.append(free)
+                for u, col in zip(path, via):
+                    match_row[u] = col
+                    match_col[col] = u
+                return True
+            scans[-1] = iter(adjacency[r])
+        for c in scans[-1]:
+            nxt = match_col[c]
+            if nxt not in seen:
+                seen.add(nxt)
+                via.append(c)
+                path.append(nxt)
+                scans.append(None)
+                break
+        else:
+            path.pop()
+            scans.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def birkhoff_decompose(g: WeightedDigraph):
     """Split a bistochastic weight matrix into weighted permutations.
 
-    Repeatedly extracts a perfect matching of the positive support
-    (Hopcroft-Karp) and subtracts its minimal entry.  The weights sum to
-    one and the number of terms is at most ``(n - 1)^2 + 1``.
+    Keeps one perfect matching of the positive support and subtracts its
+    minimal entry; the rows whose matched entry reaches zero are matched
+    again, each by one augmenting path.  The weights sum to one and the
+    number of terms is at most ``(n - 1)^2 + 1``.
     """
     if not is_bistochastic(g):
         raise NotBistochastic("row or column sums differ from 1")
@@ -325,20 +302,27 @@ def birkhoff_decompose(g: WeightedDigraph):
     adjacency = {r: [] for r in g.vertices}
     for u, v in sorted(residual):
         adjacency[u].append(v)
+    match_row: dict = {}
+    match_col: dict = {}
+    free = g.vertices
     terms = []
     while residual:
-        matching = _hopcroft_karp(g.vertices, g.vertices, adjacency)
-        if len(matching) != len(g.vertices):
-            raise NoPerfectMatching(
-                "no perfect matching on a bistochastic support; arithmetic bug"
-            )
+        for r in free:
+            if not _augment(r, adjacency, match_row, match_col):
+                raise NoPerfectMatching(
+                    "no perfect matching on a bistochastic support; arithmetic bug"
+                )
+        matching = {r: match_row[r] for r in g.vertices}
         m = min(residual[e] for e in matching.items())
         terms.append((matching, Rat(m, scale)))
+        free = []
         for u, v in matching.items():
             residual[(u, v)] -= m
             if residual[(u, v)] == 0:
                 del residual[(u, v)]
                 adjacency[u].remove(v)
+                del match_row[u], match_col[v]
+                free.append(u)
     return terms
 
 

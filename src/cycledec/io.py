@@ -59,7 +59,10 @@ def parse_measure(text: str, path="<measure>") -> LatticeMeasure:
             )
         if point in atoms:
             raise InputFormatError(path, line_no, f"duplicate point {point}")
-        atoms[point] = _parse_value(tokens[-1], path, line_no)
+        mass = _parse_value(tokens[-1], path, line_no)
+        if mass.numerator < 0:
+            raise InputFormatError(path, line_no, f"negative mass {tokens[-1]} at {point}")
+        atoms[point] = mass
     if dimension is None:
         raise InputFormatError(path, 0, "empty measure file")
     return LatticeMeasure(dimension, atoms)
@@ -168,7 +171,7 @@ def parse_field(text: str, path="<field>"):
     for line_no, line in _content_lines(text):
         tokens = line.split()
         if complex is None:
-            if tokens[0] != "field" or tokens[1] != "torus" or len(tokens) not in (3, 4):
+            if len(tokens) not in (3, 4) or tokens[0] != "field" or tokens[1] != "torus":
                 raise InputFormatError(
                     path, line_no, "expected header: field torus <N> [<N2>]"
                 )

@@ -18,7 +18,7 @@ throughout, and rationals appear only in the emitted weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from itertools import product
 
 from .errors import (
@@ -167,13 +167,20 @@ class LatticeDecomposition:
 
 
 def class_sum(terms) -> dict:
-    """Nonzero atoms of the sum of weight times empirical measure over the terms."""
+    """Nonzero atoms of the sum of weight times empirical measure over the terms.
+
+    Each term's weight over its class's total multiplicity adds as integer
+    numerators over the lcm of those denominators, and each atom is divided
+    back once.
+    """
+    dens = [weight.denominator * cls.total_multiplicity() for cls, weight in terms]
+    scale = lcm(*dens)
     acc: dict = {}
-    for cls, weight in terms:
-        total = cls.total_multiplicity()
+    for (cls, weight), den in zip(terms, dens):
+        n = weight.numerator * (scale // den)
         for vec, mult in cls.items():
-            acc[vec] = acc.get(vec, ZERO) + weight * Rat(mult, total)
-    return {x: m for x, m in acc.items() if m != 0}
+            acc[vec] = acc.get(vec, 0) + n * mult
+    return {x: Rat(m, scale) for x, m in acc.items() if m}
 
 
 def empirical_measure(cls: LatticeCycleClass) -> LatticeMeasure:

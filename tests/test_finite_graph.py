@@ -10,7 +10,7 @@ from cycledec.finite_graph import (
     GraphCycle,
     GraphDecomposition,
     WeightedDigraph,
-    _hopcroft_karp,
+    _augment,
     birkhoff_decompose,
     cycle_sum,
     decompose_graph,
@@ -170,8 +170,7 @@ def birkhoff_graph_decomposition(g):
 
 def exact_terms(terms):
     """Terms as plain data, so equal values of another type do not pass."""
-    return [(list(c.items()) if isinstance(c, dict) else c.vertices, type(m), str(m))
-            for c, m in terms]
+    return [(c.vertices, type(m), str(m)) for c, m in terms]
 
 
 @st.composite
@@ -453,37 +452,57 @@ def permutation_mixtures(draw):
 @EXAMPLES
 @given(permutation_mixtures())
 def test_birkhoff_matches_resorting_reference(g):
+    # the kept matching emits other (valid) permutations than the rebuilt
+    # one, so the terms are checked by exact reconstruction, not one by one
     assert is_bistochastic(g)
     terms = birkhoff_decompose(g)
-    assert exact_terms(terms) == exact_terms(reference_birkhoff(g))
+    rebuilt = {}
+    for pi, w in terms:
+        assert type(w) is Rat and w > 0
+        assert sorted(pi) == sorted(pi.values()) == list(g.vertices)
+        for e in pi.items():
+            rebuilt[e] = rebuilt.get(e, ZERO) + w
+    assert rebuilt == g.weights
     assert sum((w for _, w in terms), ZERO) == ONE
-    assert len(terms) <= (len(g.vertices) - 1) ** 2 + 1
+    bound = (len(g.vertices) - 1) ** 2 + 1
+    assert len(terms) <= bound
+    assert len(reference_birkhoff(g)) <= bound
+
+
+def augmented_matching(rows, adjacency):
+    """Grow a matching from empty, one augmenting-path search per row."""
+    match_row, match_col = {}, {}
+    for r in rows:
+        before = dict(match_row)
+        if not _augment(r, adjacency, match_row, match_col):
+            assert match_row == before
+    assert match_col == {c: r for r, c in match_row.items()}
+    return match_row
 
 
 @EXAMPLES
 @given(st.integers(1, 7), st.integers(1, 7), st.data())
-def test_hopcroft_karp_matches_recursive_reference(n_rows, n_cols, data):
+def test_augmenting_paths_match_the_hopcroft_karp_reference(n_rows, n_cols, data):
     rows = data.draw(st.permutations(range(n_rows)))
     cols = [f"c{j}" for j in range(n_cols)]
     adjacency = {
         r: data.draw(st.lists(st.sampled_from(cols), unique=True, max_size=n_cols))
         for r in rows
     }
-    matching = _hopcroft_karp(rows, cols, adjacency)
-    assert list(matching.items()) == list(
-        reference_hopcroft_karp(rows, cols, adjacency).items()
-    )
+    matching = augmented_matching(rows, adjacency)
+    assert all(c in adjacency[r] for r, c in matching.items())
+    assert len(set(matching.values())) == len(matching)
+    assert len(matching) == len(reference_hopcroft_karp(rows, cols, adjacency))
 
 
-def test_hopcroft_karp_augmenting_path_deeper_than_recursion_limit():
-    # r0 -> c0 and r_i -> c_{i-1}, c_i, rows in reverse order: the first
-    # phase matches r_i -> c_{i-1}, leaving one augmenting path through
+def test_augmenting_path_deeper_than_recursion_limit():
+    # r0 -> c0 and r_i -> c_{i-1}, c_i, rows in reverse order: r_i takes
+    # c_{i-1} until r0 finds c0 taken, leaving one augmenting path through
     # every row
     n = sys.getrecursionlimit() + 4000
     rows = list(range(n - 1, -1, -1))
     adjacency = {r: [r - 1, r] if r else [0] for r in rows}
-    matching = _hopcroft_karp(rows, range(n), adjacency)
-    assert matching == {r: r for r in rows}
+    assert augmented_matching(rows, adjacency) == {r: r for r in rows}
 
 
 @st.composite

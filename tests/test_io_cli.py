@@ -35,6 +35,12 @@ class TestMeasureFormat:
         with pytest.raises(InputFormatError):
             fio.parse_measure("1 0 1/2\n1 1/2\n")
 
+    def test_negative_mass_reports_line(self):
+        with pytest.raises(InputFormatError) as info:
+            fio.parse_measure("1 0 1/2\n-1 0 -1/2\n", path="neg.msr")
+        assert info.value.line_no == 2
+        assert "negative mass -1/2" in str(info.value)
+
 
 class TestGraphFormat:
     def test_round_trip(self):
@@ -87,10 +93,12 @@ class TestFieldFormat:
         with pytest.raises(InputFormatError):
             fio.parse_field("field torus 3 3\n5 0 1 1/2\n")
 
-    @pytest.mark.parametrize("size", ["abc", "2", "3 2"])
-    def test_bad_torus_size_reports_header_line(self, size):
+    @pytest.mark.parametrize(
+        "header", ["field torus abc", "field torus 2", "field torus 3 2", "field", "field torus"]
+    )
+    def test_bad_header_reports_its_line(self, header):
         with pytest.raises(InputFormatError) as info:
-            fio.parse_field(f"# header next\nfield torus {size}\n")
+            fio.parse_field(f"# header next\n{header}\n")
         assert info.value.line_no == 2
 
 
@@ -523,12 +531,16 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
         ["discretize", "--potential", "band", "--n", "4", "--denominator", "0"],
         ["hodge", "abc.field"],
         ["hodge", "small.field"],
+        ["hodge", "bare.field"],
+        ["check", "balance", "negative.msr"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
 def test_bad_arguments_exit_two(args, workdir, capsys):
     write(workdir / "abc.field", "field torus abc\n")
     write(workdir / "small.field", "field torus 2\n")
+    write(workdir / "bare.field", "field\n")
+    write(workdir / "negative.msr", "1 0 1/2\n-1 0 -1/2\n")
     try:
         code = run_cli(args)
     except SystemExit as exc:  # argparse rejects the value
