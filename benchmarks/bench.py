@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_10.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_10.json
+    python3 benchmarks/bench.py --label change --out BENCH_11.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_11.json
 
 Four ladders, each on inputs generated from a fixed seed:
 
@@ -14,7 +14,7 @@ Four ladders, each on inputs generated from a fixed seed:
   sums the empirical measures of random closed walks (steps within
   ``REACH``), support about 40, 80, 160, 320.  The Caratheodory rounds run
   on one warm-started revised simplex, ``exact_lp.barycentric_rounds``,
-  per measure; the tableau simplex of ``lp_feasible`` is not on this path.
+  per measure.
 * ``elementary``: :func:`in_Re` and then :func:`elementary_decompose` on
   decomposable n x n torus rates, n = 16, 24, 32: the minimal rates of the
   boundary of a random chain (values over denominators up to 12) plus
@@ -31,10 +31,9 @@ constant and the ``.dec`` text; the ``.dec`` text), which must be the same
 on every repeat.
 The record also carries the commit and a digest of the sources of the
 measured ``cycledec``, the Python version and the rational backend the
-ladders ran on; the gmpy2 leg is marked skipped when gmpy2 does not
-import, since the ladders then ran on ``fractions``.  ``--src`` measures
-another checkout's ``src``; ``--out`` merges the record into a JSON file
-under ``--label`` and otherwise it goes to stdout.
+ladders ran on.  ``--src`` measures another checkout's ``src``; ``--out``
+merges the record into a JSON file under ``--label`` and otherwise it
+goes to stdout.
 """
 
 from __future__ import annotations
@@ -211,7 +210,6 @@ def provenance(src: Path) -> dict:
         "source_sha256": digest.hexdigest(),
         "python": platform.python_version(),
         "backend": cycledec.BACKEND,
-        "gmpy2": "measured" if cycledec.BACKEND == "gmpy2" else "skipped: gmpy2 is not importable",
         "machine": platform.machine(),
         "repeats": REPEATS,
     }

@@ -22,7 +22,6 @@ from .exact_lp import (
     BarycentricSolution,
     barycentric_vertex,
     exact_rank,
-    lp_feasible,
     solve_exact_linear,
 )
 from .lattice import (
@@ -63,18 +62,13 @@ from .complexes import (
     field_to_rates,
     harmonic_basis,
     hodge_decompose,
-    in_d_lambda2,
     recover_psi,
 )
 from .elementary import (
     ElementaryDecomposition,
-    Interval,
-    CoInterval,
     OneDimFamily,
     ReVerdict,
-    brute_force_Re_oracle,
     decompose_1d,
-    edge_intervals,
     elementary_decompose,
     in_Re,
     in_Re_nonorientable,

@@ -122,6 +122,15 @@ def _load_digraph(path, allow_self_loops=False):
     return name, graph
 
 
+def _elementary_decompose(rates, complex, constant):
+    """``elementary_decompose``, reporting a constant that the complex
+    admits no freedom for as an argument error."""
+    try:
+        return el.elementary_decompose(rates, complex, constant)
+    except ValueError as exc:
+        raise InputFormatError("<args>", 0, f"--constant: {exc}")
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -217,7 +226,7 @@ def _cmd_decompose(args) -> int:
             sys.stdout.write(fio.format_lift(records, decimals))
     elif mode == "elementary":
         rates, complex = _load_rates(args.input, args)
-        dec = el.elementary_decompose(rates, complex, args.constant)
+        dec = _elementary_decompose(rates, complex, args.constant)
         text = fio.format_elementary_decomposition(dec, complex, args.input, decimals)
         expected = ("on-complex", rates, complex)
         if args.lift and complex.is_torus():
@@ -332,7 +341,7 @@ def _cmd_elementary(args) -> int:
     if not verdict.ok:
         return 1
     if args.output:
-        dec = el.elementary_decompose(rates, complex, args.constant)
+        dec = _elementary_decompose(rates, complex, args.constant)
         _emit(
             fio.format_elementary_decomposition(
                 dec, complex, args.input, _decimals(args)

@@ -455,20 +455,6 @@ def harmonic_basis(complex: TwoComplex):
     return fields
 
 
-def in_d_lambda2(phi: VectorField) -> bool:
-    """Membership in the image of the face boundary operator.
-
-    Decided on every complex by attempting the recovery of a preimage
-    chain with :func:`recover_psi`; on a complex without faces only the
-    zero field is a boundary.
-    """
-    try:
-        recover_psi(phi)
-    except NotHomologous:
-        return False
-    return True
-
-
 def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
     """Find a chain whose boundary is ``phi``, exactly.
 

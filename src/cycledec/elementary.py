@@ -36,9 +36,7 @@ from .errors import (
     NotBalanced,
     NotHomologous,
     NotInRe,
-    TooLarge,
 )
-from .exact_lp import lp_feasible
 from .finite_graph import cycle_sum
 from .complexes import (
     TwoComplex,
@@ -46,10 +44,9 @@ from .complexes import (
     _field_and_symmetric,
     boundary1,
     check_rates,
-    in_d_lambda2,
     recover_psi,
 )
-from .ratio import ONE, ZERO, Rat, to_rat
+from .ratio import ZERO, Rat, to_rat
 
 
 def _distance_to_zero(lo, hi, opposite=True):
@@ -58,33 +55,6 @@ def _distance_to_zero(lo, hi, opposite=True):
     if opposite:
         return lo if lo > 0 else -hi if hi < 0 else 0
     return 0 if lo >= 0 or hi <= 0 else min(-lo, hi)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]."""
-
-    lo: Rat
-    hi: Rat
-
-    def shifted_distance_to_zero(self, shift=ZERO) -> Rat:
-        return to_rat(_distance_to_zero(self.lo + shift, self.hi + shift))
-
-    def distance_to(self, other: "Interval") -> Rat:
-        return max(ZERO, other.lo - self.hi, self.lo - other.hi)
-
-
-@dataclass(frozen=True)
-class CoInterval:
-    """Closed complement of the open interval (lo, hi)."""
-
-    lo: Rat
-    hi: Rat
-
-    def shifted_distance_to_zero(self, shift=ZERO) -> Rat:
-        if shift != 0:
-            raise ValueError("co-intervals carry no shift freedom")
-        return to_rat(_distance_to_zero(self.lo, self.hi, opposite=False))
 
 
 def _spans(psi: TwoChain, complex: TwoComplex) -> list:
@@ -103,22 +73,6 @@ def _spans(psi: TwoChain, complex: TwoComplex) -> list:
         a, b = values[f1], values[f2]
         out.append((a, b, s1 != s2) if a <= b else (b, a, s1 != s2))
     return out
-
-
-def edge_intervals(psi: TwoChain, complex: TwoComplex) -> dict:
-    """Per chosen edge, the constraint set spanned by its two face values.
-
-    Edges seen with opposite signs by their two faces get the closed
-    interval between the chain values; edges seen with equal signs (only
-    possible on non-orientable complexes) get the complement of the open
-    interval.  Edges incident to no face (every edge of the 1-d torus)
-    map to ``None``, meaning no constraint beyond nonnegativity.
-    """
-    return {
-        eid: None if span is None
-        else (Interval if span[2] else CoInterval)(span[0], span[1])
-        for eid, span in enumerate(_spans(psi, complex))
-    }
 
 
 @dataclass
@@ -191,6 +145,8 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
 def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     """All-pairs polyhedron test; cross-check for the one-pass intersection.
 
+    A pair of edges fails when their symmetric parts sum to less than the
+    distance between their spans, ``max(0, lo_j - hi_i, lo_i - hi_j)``.
     The all-pairs test applies to orientable complexes only; on a
     non-orientable one the constant is pinned at zero and the verdict is
     that of :func:`in_Re_nonorientable`.  Edges without faces constrain
@@ -199,14 +155,13 @@ def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     if not complex.orientable:
         return in_Re_nonorientable(rates, complex).ok
     try:
-        _, s, psi, _ = _recover_chain(rates, complex)
+        _, s, _, spans = _recover_chain(rates, complex)
     except NotHomologous:
         return False
-    intervals = edge_intervals(psi, complex)
-    constrained = [(s[eid], iv) for eid, iv in intervals.items() if iv is not None]
-    for i, (s_i, iv_i) in enumerate(constrained):
-        for s_j, iv_j in constrained[i:]:
-            if s_i + s_j < iv_i.distance_to(iv_j):
+    constrained = [(s[eid], *span[:2]) for eid, span in enumerate(spans) if span is not None]
+    for i, (s_i, lo_i, hi_i) in enumerate(constrained):
+        for s_j, lo_j, hi_j in constrained[i:]:
+            if s_i + s_j < max(0, lo_j - hi_i, lo_i - hi_j):
                 return False
     return True
 
@@ -387,7 +342,11 @@ def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
     not decided here.
     """
     _, phi, _ = _field_and_symmetric(rates, complex)
-    return in_d_lambda2(phi)
+    try:
+        recover_psi(phi)
+    except NotHomologous:
+        return False
+    return True
 
 
 def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
@@ -402,8 +361,10 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
     if complex.n_faces == 0:
         raise ValueError("complex has no faces")
     scale, phi, s = _field_and_symmetric(rates, complex)
-    if not in_d_lambda2(phi):
-        raise NotHomologous("field is not a face boundary")
+    try:
+        recover_psi(phi)
+    except NotHomologous:
+        raise NotHomologous("field is not a face boundary") from None
 
     dual_edges = sorted(
         (abs(phi.values[eid]), eid) for eid in range(complex.n_edges)
@@ -429,36 +390,3 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
                 break
     sufficient = all(2 * value >= bound for value in s)
     return sufficient, Rat(bound, scale)
-
-
-def brute_force_Re_oracle(rates: dict, complex: TwoComplex, max_vars: int = 400) -> bool:
-    """Independent feasibility oracle for the elementary decomposition.
-
-    Sets up the defining linear system directly, one nonnegative variable
-    per edge cycle and per oriented face cycle, one equation per oriented
-    edge, and asks the exact LP for feasibility.  Intended for small
-    complexes; guarded by ``max_vars``.
-    """
-    rates = check_rates(rates, complex)
-    n_edge_vars = complex.n_edges
-    n_face_vars = 2 * complex.n_faces
-    n_vars = n_edge_vars + n_face_vars
-    if n_vars > max_vars:
-        raise TooLarge(f"{n_vars} variables exceed the budget of {max_vars}")
-
-    rows = []
-    rhs = []
-    for eid, (u, v) in enumerate(complex.edges):
-        for forward in (True, False):
-            row = [ZERO] * n_vars
-            row[eid] = ONE
-            for fid, sign in complex.edge_faces[eid]:
-                traverses_forward = sign == 1
-                if traverses_forward == forward:
-                    row[n_edge_vars + 2 * fid] += ONE
-                else:
-                    row[n_edge_vars + 2 * fid + 1] += ONE
-            rows.append(row)
-            rhs.append(rates.get((u, v) if forward else (v, u), ZERO))
-    feasible, _ = lp_feasible(a_eq=rows, b_eq=rhs)
-    return feasible

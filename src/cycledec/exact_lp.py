@@ -1,29 +1,22 @@
-"""Exact rational linear algebra and a vertex-producing feasibility solver.
+"""Exact rational linear algebra and a vertex-producing barycentric solver.
 
-Every exact solve, rank and simplex step goes through one elimination
-kernel, :func:`_pivot`, acting on fraction-free integer rows: row ``i`` is
-a sparse ``{column: int}`` numerator map that never stores a zero, plus
-one positive row denominator ``dens[i]``, and stands for the values
+Every exact solve and rank goes through one elimination kernel,
+:func:`_pivot`, acting on fraction-free integer rows: row ``i`` is a
+sparse ``{column: int}`` numerator map that never stores a zero, plus one
+positive row denominator ``dens[i]``, and stands for the values
 ``rows[i][j] / dens[i]``.  A pivot multiplies the other rows through by
 the pivot numerator instead of dividing (Edmonds 1967, Bareiss 1968) and
 then divides each changed row by its content, the gcd of its numerators
 and its denominator, so no cell ever becomes a ``Rat``.  Rationals appear
 only at the edges: an input row is brought to integers over the lcm of its
 denominators, and results come back as ``Rat(numerator, denominator)``.
-
 :func:`solve_exact_linear` and :func:`exact_rank` pivot column by column
-(Gauss-Jordan).  The simplex is phase-I only, with Bland's rule; its
-tableau keeps the right-hand side as the last column and the reduced costs
-as the last row, so a simplex step is the same pivot.  Signs of reduced
-costs are read off the numerators, and the ratio test cross-multiplies,
-because the row denominator cancels from ``rhs / entry``.  Feasibility
-plus a vertex is all the rest of the package needs.  The tableau serves
-:func:`lp_feasible` only.
+(Gauss-Jordan).
 
 The barycentric system ``sum x_j (p_j, 1) = (target, 1)`` has just
 ``d + 1`` rows however many points it has, so :func:`barycentric_rounds`
-runs a revised phase-I simplex on it instead: it keeps only the basis, as
-its integer adjugate over its determinant, and prices the point columns
+runs a revised phase-I simplex on it: it keeps only the basis, as its
+integer adjugate over its determinant, and prices the point columns
 against it.  That state lives across the rounds of a Caratheodory
 decomposition: killed points leave the problem and the simplex pivots
 back to a vertex of what is left, without a rebuild.
@@ -157,78 +150,6 @@ def exact_rank(matrix) -> int:
     return len(_row_reduce(rows, dens, n))
 
 
-def _phase1_vertex(rows, dens, rhs, n):
-    """Phase-I simplex with Bland's rule on ``{x >= 0 : A x = b}``.
-
-    Row ``i`` of ``A`` is the integer row ``rows[i]`` over ``dens[i]``
-    (``n`` columns), and ``b[i]`` is ``rhs[i] / dens[i]``.  Returns one
-    exact value per column for a basic feasible solution, or ``None`` when
-    the system is infeasible.  Strictly positive values always sit on
-    linearly independent columns.
-    """
-    m = len(rows)
-    rhs_col = n + m
-    # artificial column n + i starts basic in row i with the value one; a
-    # row with negative right-hand side is negated so that the start is
-    # feasible
-    T = []
-    for i, (row, den, b) in enumerate(zip(rows, dens, rhs)):
-        t = dict(row) if b >= 0 else {j: -v for j, v in row.items()}
-        t[n + i] = den
-        if b:
-            t[rhs_col] = abs(b)
-        T.append(t)
-    basis = list(range(n, n + m))
-
-    # cost row for min(sum of artificials), over the lcm of the row
-    # denominators: artificial columns start at zero, every other column
-    # at minus its column sum, so its right-hand side entry is minus the
-    # objective value
-    den = lcm(*dens)
-    cost = {}
-    for t, d in zip(T, dens):
-        s = den // d
-        for j, v in t.items():
-            if j < n or j == rhs_col:
-                cost[j] = cost.get(j, 0) - v * s
-    cost = {j: v for j, v in cost.items() if v}
-    g = gcd(den, *cost.values())
-    T.append({j: v // g for j, v in cost.items()})
-    dens = [*dens, den // g]
-
-    while True:
-        # basic columns have zero reduced cost, so they never show up here
-        enter = min(
-            (j for j, v in T[m].items() if v < 0 and j != rhs_col), default=None
-        )
-        if enter is None:
-            break
-        leave = None
-        for i in range(m):
-            a = T[i].get(enter, 0)
-            if a > 0:
-                b = T[i].get(rhs_col, 0)
-                if leave is not None:
-                    # b / a against best_b / best_a, a tie going to the
-                    # smaller basic column
-                    lhs, rhs = b * best_a, best_b * a
-                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
-                        continue
-                leave, best_a, best_b = i, a, b
-        if leave is None:
-            raise AssertionError("phase-I objective cannot be unbounded")
-        _pivot(T, dens, leave, enter)
-        basis[leave] = enter
-
-    if rhs_col in T[m]:
-        return None
-    values = [ZERO] * n
-    for i, j in enumerate(basis):
-        if j < n and rhs_col in T[i]:
-            values[j] = Rat(T[i][rhs_col], dens[i])
-    return values
-
-
 @dataclass(frozen=True)
 class BarycentricSolution:
     """A vertex of ``{mu >= 0, sum mu = 1, sum mu * point = target}``.
@@ -304,10 +225,11 @@ def barycentric_rounds(points, target):
     1977), and the ratio test cross-multiplies, a tie going to the smaller
     basic index.  The loop stops as soon as the dead variables are zero.
     From there every pivot with a negative reduced cost would be
-    degenerate, so the first vertex is the one the tableau of
-    :func:`_phase1_vertex` ends at, and no artificial column needs a price:
-    while the dead sum is positive and the target is in the hull, some
-    live point has a negative reduced cost.
+    degenerate, so the first vertex is the one a full phase-I tableau with
+    the same rules ends at (the tests compare it with their ``Fraction``
+    tableau, ``fraction_phase1_vertex``), and no artificial column needs a
+    price: while the dead sum is positive and the target is in the hull,
+    some live point has a negative reduced cost.
     """
     n = len(points)
     m = len(target) + 1
@@ -352,38 +274,3 @@ def barycentric_rounds(points, target):
         vertex = sorted((j, Rat(M[i][m], D)) for i, j in enumerate(basis) if j < n and M[i][m])
         killed.update((yield dict(vertex)) or ())
         live = [(j, a) for j, a in live if j not in killed]
-
-
-def lp_feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, n_vars=None):
-    """Exact feasibility of ``{x >= 0, a_ub x <= b_ub, a_eq x = b_eq}``.
-
-    Returns ``(True, witness)`` with an exact rational witness, or
-    ``(False, None)``.
-    """
-    a_ub = a_ub or []
-    a_eq = a_eq or []
-    b_ub = list(b_ub or [])
-    b_eq = list(b_eq or [])
-    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
-        raise ValueError("constraint matrix and rhs sizes differ")
-    constraints = [*a_ub, *a_eq]
-    width = _width(constraints)
-    if n_vars is None:
-        if not constraints:
-            raise ValueError("n_vars required when there are no constraints")
-        n_vars = width
-    elif constraints and width != n_vars:
-        raise ValueError("n_vars does not match constraint width")
-    if not constraints:
-        return True, [ZERO] * n_vars
-
-    # each right-hand side shares its row's denominator, so it comes out of
-    # the row at column n_vars; one slack column per inequality follows
-    rows, dens = _int_rows([*row, v] for row, v in zip(constraints, b_ub + b_eq))
-    rhs = [row.pop(n_vars, 0) for row in rows]
-    for i in range(len(a_ub)):
-        rows[i][n_vars + i] = dens[i]
-    values = _phase1_vertex(rows, dens, rhs, n_vars + len(a_ub))
-    if values is None:
-        return False, None
-    return True, values[:n_vars]

@@ -242,10 +242,12 @@ def read_field(path):
 
 
 def parse_surface(text: str, path="<surface>") -> TwoComplex:
+    """The surface complex a file declares.  A bad vertex or edge record
+    names its line; an edge may name vertices declared after it."""
     name = "surface"
     orientable = None
-    vertices = []
-    edges = []
+    vertices = {}  # labels in file order
+    edges = {}  # (u, v) -> line
     faces = []
     for line_no, line in _content_lines(text):
         tokens = line.split()
@@ -261,11 +263,18 @@ def parse_surface(text: str, path="<surface>") -> TwoComplex:
         elif kind == "vertex":
             if len(tokens) != 2:
                 raise InputFormatError(path, line_no, "expected: vertex <label>")
-            vertices.append(tokens[1])
+            if tokens[1] in vertices:
+                raise InputFormatError(path, line_no, f"duplicate vertex {tokens[1]}")
+            vertices[tokens[1]] = None
         elif kind == "edge":
             if len(tokens) != 3:
                 raise InputFormatError(path, line_no, "expected: edge <u> <v>")
-            edges.append((tokens[1], tokens[2]))
+            u, v = tokens[1], tokens[2]
+            if u == v:
+                raise InputFormatError(path, line_no, f"self-loop at {u}")
+            if (u, v) in edges or (v, u) in edges:
+                raise InputFormatError(path, line_no, f"duplicate edge between {u} and {v}")
+            edges[(u, v)] = line_no
         elif kind == "face":
             try:
                 signed = [int(t) for t in tokens[1:]]
@@ -286,8 +295,11 @@ def parse_surface(text: str, path="<surface>") -> TwoComplex:
             raise InputFormatError(path, line_no, f"unknown directive {kind!r}")
     if orientable is None:
         raise InputFormatError(path, 0, "missing orientable header")
+    for (u, v), line_no in edges.items():
+        if u not in vertices or v not in vertices:
+            raise InputFormatError(path, line_no, f"edge ({u}, {v}) uses unknown vertex")
     try:
-        complex = TwoComplex(vertices, edges, faces, orientable, name=name)
+        complex = TwoComplex(list(vertices), list(edges), faces, orientable, name=name)
         complex.validate()
     except ValueError as exc:
         raise InputFormatError(path, 0, str(exc))

@@ -1,45 +1,28 @@
-"""Exact rational scalars with a swappable backend.
+"""Exact rational scalars.
 
 Every quantity this package computes with (weights, measures, potentials,
 barycentric coefficients) is an exact rational; there is no floating point
-in any decision path.  The scalar type ``Rat`` is gmpy2's C-implemented
-``mpq`` when available and ``fractions.Fraction`` otherwise.  Both store
-values in lowest terms with a positive denominator and interoperate with
-Python ints.  Set ``CYCLEDEC_RATIONAL_BACKEND=fractions`` (or ``gmpy2``) to
-force a backend; ``benchmarks/bench.py`` records which one its ladders ran
-on.
+in any decision path.  The scalar type ``Rat`` is ``fractions.Fraction``:
+values in lowest terms with a positive denominator that interoperate with
+Python ints.  The kernels clear denominators and run on plain ints, so
+``Rat`` appears only at their inputs and outputs.  ``BACKEND`` names the
+scalar type for the benchmark records.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 
-_requested = os.environ.get("CYCLEDEC_RATIONAL_BACKEND", "auto")
-if _requested not in ("auto", "gmpy2", "fractions"):
-    raise RuntimeError(f"unknown rational backend {_requested!r}")
-
-if _requested in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        Rat = Fraction
-        BACKEND = "fractions"
-else:
-    Rat = Fraction
-    BACKEND = "fractions"
+Rat = Fraction
+BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
 def to_rat(value) -> Rat:
-    """Coerce ints, strings like ``-3/4`` and rationals of either backend.
+    """Coerce ints, strings like ``-3/4`` and other exact rationals.
 
     A value that already is a ``Rat`` comes back unchanged, without a copy.
 

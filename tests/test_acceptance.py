@@ -17,7 +17,6 @@ from cycledec.complexes import (
     face_boundary_matrix,
     field_to_rates,
     hodge_decompose,
-    in_d_lambda2,
     recover_psi,
 )
 from cycledec.discretize import (
@@ -29,7 +28,6 @@ from cycledec.discretize import (
     random_environment,
 )
 from cycledec.elementary import (
-    brute_force_Re_oracle,
     decompose_1d,
     elementary_decompose,
     in_Re,
@@ -57,6 +55,7 @@ from cycledec.lattice import (
 from cycledec.ratio import ONE, ZERO, Rat, denominator_lcm
 
 from conftest import gradient_matrix, rand_pos_rat
+from oracles import brute_force_Re_oracle, in_d_lambda2
 
 
 def report(number, text):

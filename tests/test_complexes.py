@@ -14,7 +14,6 @@ from cycledec.complexes import (
     field_to_rates,
     harmonic_basis,
     hodge_decompose,
-    in_d_lambda2,
     recover_psi,
 )
 from cycledec.errors import NotHomologous
@@ -22,6 +21,7 @@ from cycledec.exact_lp import exact_rank
 from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import cube_complex, face_indicator, gradient_matrix, rand_rat, vertex_indicator
+from oracles import in_d_lambda2
 
 
 def plus_minus_faces(cx, eid):

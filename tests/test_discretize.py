@@ -1,6 +1,6 @@
 import pytest
 
-from cycledec.complexes import boundary2, in_d_lambda2, recover_psi
+from cycledec.complexes import boundary2, recover_psi
 from cycledec.discretize import (
     EnvironmentSpec,
     PotentialSampler,
@@ -16,6 +16,7 @@ from cycledec.discretize import (
 from cycledec.elementary import in_Re
 from cycledec.ratio import ONE, ZERO, Rat
 
+from oracles import in_d_lambda2
 from test_complexes import fig2_field
 
 

@@ -12,18 +12,15 @@ from cycledec.complexes import (
     boundary2,
     check_rates,
     field_to_rates,
-    in_d_lambda2,
     recover_psi,
 )
 from cycledec.elementary import (
-    CoInterval,
     ElementaryDecomposition,
-    Interval,
     OneDimFamily,
     ReVerdict,
-    brute_force_Re_oracle,
+    _distance_to_zero,
+    _spans,
     decompose_1d,
-    edge_intervals,
     elementary_decompose,
     in_Re,
     in_Re_nonorientable,
@@ -43,6 +40,7 @@ from cycledec.lattice import periodic_lift
 from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import cube_complex, face_indicator
+from oracles import brute_force_Re_oracle, in_d_lambda2
 
 from test_complexes import fig2_field, rand_chain
 
@@ -67,42 +65,35 @@ def symmetric_rates(cx, value=ONE):
 
 class TestIntervalArithmetic:
     def test_interval_distance_to_zero(self):
-        assert Interval(ONE, Rat(2)).shifted_distance_to_zero() == ONE
-        assert Interval(-Rat(2), -ONE).shifted_distance_to_zero() == ONE
-        assert Interval(-ONE, ONE).shifted_distance_to_zero() == ZERO
-        assert Interval(ONE, Rat(2)).shifted_distance_to_zero(-Rat(3, 2)) == ZERO
-
-    def test_interval_pair_distance(self):
-        assert Interval(ZERO, ZERO).distance_to(Interval(ONE, ONE)) == ONE
-        assert Interval(ZERO, ONE).distance_to(Interval(Rat(1, 2), Rat(2))) == ZERO
+        assert _distance_to_zero(ONE, Rat(2)) == ONE
+        assert _distance_to_zero(-Rat(2), -ONE) == ONE
+        assert _distance_to_zero(-ONE, ONE) == ZERO
+        assert _distance_to_zero(ONE - Rat(3, 2), Rat(2) - Rat(3, 2)) == ZERO
 
     def test_cointerval_same_signs_passes_at_zero(self):
         # both faces traverse the edge the same way, chain values 1 and 2:
         # the constraint set is everything outside (1, 2), containing 0
-        assert CoInterval(ONE, Rat(2)).shifted_distance_to_zero() == ZERO
+        assert _distance_to_zero(ONE, Rat(2), opposite=False) == ZERO
 
     def test_cointerval_mixed_signs_needs_mass(self):
-        assert CoInterval(-ONE, Rat(2)).shifted_distance_to_zero() == ONE
+        assert _distance_to_zero(-ONE, Rat(2), opposite=False) == ONE
 
 
 class TestEdgeIntervals:
     def test_zero_chain(self):
         cx = TwoComplex.torus2(3)
-        intervals = edge_intervals(TwoChain.zero(cx), cx)
-        assert all(iv == Interval(ZERO, ZERO) for iv in intervals.values())
+        assert _spans(TwoChain.zero(cx), cx) == [(ZERO, ZERO, True)] * cx.n_edges
 
     def test_face_indicator(self):
         cx = TwoComplex.torus2(3)
-        intervals = edge_intervals(face_indicator(cx, 4), cx)
-        spans = sorted((iv.lo, iv.hi) for iv in intervals.values())
+        spans = sorted(span[:2] for span in _spans(face_indicator(cx, 4), cx))
         assert spans.count((ZERO, ONE)) == 4
         assert spans.count((ZERO, ZERO)) == cx.n_edges - 4
 
     def test_fig2_band(self):
         cx, phi = fig2_field()
         psi = recover_psi(phi)
-        intervals = edge_intervals(psi, cx)
-        kinds = {(iv.lo, iv.hi) for iv in intervals.values()}
+        kinds = {span[:2] for span in _spans(psi, cx)}
         assert kinds == {(ZERO, ZERO), (ONE, ONE), (ZERO, ONE)}
 
 
@@ -144,10 +135,10 @@ class TestInRe:
             (u1, v1), (u2, v2) = verdict.violating_edges
             s = ZERO  # minimal rates have zero symmetric part
             psi2 = recover_psi(boundary2(psi))
-            intervals = edge_intervals(psi2, cx)
-            e1 = cx.edge_id(u1, v1)[0]
-            e2 = cx.edge_id(u2, v2)[0]
-            assert intervals[e1].distance_to(intervals[e2]) > s
+            spans = _spans(psi2, cx)
+            lo1, hi1, _ = spans[cx.edge_id(u1, v1)[0]]
+            lo2, hi2, _ = spans[cx.edge_id(u2, v2)[0]]
+            assert max(ZERO, lo2 - hi1, lo1 - hi2) > s
 
 
 class TestElementaryDecompose:
@@ -762,9 +753,4 @@ def test_public_values_stay_rational():
         psi = TwoChain(complex, [Rat(k, 3) for k in range(complex.n_faces)])
         recovered = recover_psi(boundary2(psi))
         assert_all_rat(*recovered.values)
-        for iv in edge_intervals(recovered, complex).values():
-            assert_all_rat(iv.lo, iv.hi, iv.shifted_distance_to_zero())
-    assert Interval(1, 2).shifted_distance_to_zero() == 1
-    assert_all_rat(Interval(ONE, Rat(2)).shifted_distance_to_zero(-ONE))
-    assert_all_rat(CoInterval(-ONE, Rat(2)).shifted_distance_to_zero())
     assert_all_rat(*cycle_sum([(("a", "b"), 1), (("b", "a"), Rat(1, 2))]).values())

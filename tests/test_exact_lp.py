@@ -11,12 +11,12 @@ from cycledec.exact_lp import (
     barycentric_rounds,
     barycentric_vertex,
     exact_rank,
-    lp_feasible,
     solve_exact_linear,
 )
 from cycledec.ratio import ONE, ZERO, Rat, to_rat
 
 from conftest import rand_rat
+from oracles import fraction_phase1_vertex, reference_lp_feasible
 
 # fixed example sequence and no example database, so every run is the same
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -79,80 +79,6 @@ def dense_rank(matrix):
     return r
 
 
-def _sparse(row):
-    return {j: q for j, v in enumerate(row) if (q := to_rat(v))}
-
-
-def fraction_pivot(rows, r, c):
-    """Reference: the pivot on ``{column: Rat}`` rows that the integer
-    kernel replaced."""
-    row = rows[r]
-    pv = row[c]
-    if pv != 1:
-        row = rows[r] = {j: v / pv for j, v in row.items()}
-    for other in rows:
-        f = other.get(c)
-        if f is None or other is row:
-            continue
-        for j, v in row.items():
-            w = other.get(j, ZERO) - f * v
-            if w:
-                other[j] = w
-            else:
-                del other[j]
-
-
-def fraction_phase1_vertex(rows, rhs, n, ties=None):
-    """Reference: phase-I simplex with Bland's rule on ``Rat`` rows; every
-    ratio-test tie is appended to ``ties`` when a list is given."""
-    m = len(rows)
-    rhs_col = n + m
-    T = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        t = dict(row) if b >= 0 else {j: -v for j, v in row.items()}
-        t[n + i] = ONE
-        if b:
-            t[rhs_col] = abs(b)
-        T.append(t)
-    basis = list(range(n, n + m))
-    cost = {}
-    for t in T:
-        for j, v in t.items():
-            if j < n or j == rhs_col:
-                cost[j] = cost.get(j, ZERO) - v
-    T.append({j: v for j, v in cost.items() if v})
-
-    while True:
-        negative = [j for j, v in T[m].items() if v < 0 and j != rhs_col]
-        if not negative:
-            break
-        enter = min(negative)
-        leave = None
-        best = None
-        for i in range(m):
-            a = T[i].get(enter, ZERO)
-            if a > 0:
-                ratio = T[i].get(rhs_col, ZERO) / a
-                if best is not None and ratio == best and ties is not None:
-                    ties.append((enter, i, leave))
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        assert leave is not None
-        fraction_pivot(T, leave, enter)
-        basis[leave] = enter
-
-    if rhs_col in T[m]:
-        return None
-    values = [ZERO] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            values[j] = T[i].get(rhs_col, ZERO)
-    return values
-
-
 def reference_barycentric(points, target, ties=None):
     """Reference: ``barycentric_vertex`` on the ``Rat`` tableau."""
     pts = [tuple(int(c) for c in p) for p in points]
@@ -173,20 +99,6 @@ def reference_barycentric(points, target, ties=None):
         (first_index[unique[j]], values[j]) for j in range(len(unique)) if values[j] > 0
     )
     return BarycentricSolution(tuple(i for i, _ in support), tuple(c for _, c in support))
-
-
-def reference_lp_feasible(a_ub, b_ub, a_eq, b_eq, n_vars):
-    """Reference: ``lp_feasible`` on the ``Rat`` tableau."""
-    rows = [_sparse(row) for row in a_ub] + [_sparse(row) for row in a_eq]
-    if not rows:
-        return True, [ZERO] * n_vars
-    for i in range(len(a_ub)):
-        rows[i][n_vars + i] = ONE
-    rhs = [to_rat(v) for v in b_ub] + [to_rat(v) for v in b_eq]
-    values = fraction_phase1_vertex(rows, rhs, n_vars + len(a_ub))
-    if values is None:
-        return False, None
-    return True, values[:n_vars]
 
 
 small_rats = st.builds(Rat, st.integers(-3, 3), st.integers(1, 12))
@@ -338,31 +250,6 @@ def test_bland_tie_break_equals_fraction_reference():
     assert barycentric_vertex(points, (0, 0)) == expected
 
 
-signed_rhs = st.builds(Rat, st.integers(-4, 4), st.integers(1, 6))
-
-
-@st.composite
-def lp_systems(draw):
-    """``(a_ub, b_ub, a_eq, b_eq, n_vars)`` with rational rows and right-hand
-    sides of either sign."""
-    n = draw(st.integers(1, 4))
-
-    def rows(count):
-        return [[draw(small_rats) for _ in range(n)] for _ in range(count)]
-
-    a_ub = rows(draw(st.integers(0, 3)))
-    a_eq = rows(draw(st.integers(0, 3)))
-    b_ub = [draw(signed_rhs) for _ in a_ub]
-    b_eq = [draw(signed_rhs) for _ in a_eq]
-    return a_ub, b_ub, a_eq, b_eq, n
-
-
-@EXAMPLES
-@given(lp_systems())
-def test_lp_feasible_equals_fraction_reference(system):
-    assert lp_feasible(*system) == reference_lp_feasible(*system)
-
-
 class TestSolveExactLinear:
     def test_identity(self):
         assert solve_exact_linear([[1, 0], [0, 1]], [Rat(1, 2), Rat(1, 3)]) == [
@@ -451,7 +338,7 @@ class TestBarycentricVertex:
             target = tuple(rng.randrange(-3, 4) for _ in range(d))
             rows = [[Rat(p[i]) for p in points] for i in range(d)]
             rows.append([ONE] * len(points))
-            feasible, _ = lp_feasible(
+            feasible, _ = reference_lp_feasible(
                 a_eq=rows, b_eq=[Rat(c) for c in target] + [ONE]
             )
             try:
@@ -482,21 +369,23 @@ class TestBarycentricVertex:
 
 
 class TestLpFeasible:
+    """The contract of the reference tableau that the other tests lean on."""
+
     def test_empty_constraints(self):
-        feasible, witness = lp_feasible(n_vars=2)
+        feasible, witness = reference_lp_feasible(n_vars=2)
         assert feasible and witness == [ZERO, ZERO]
 
     def test_simplex_equation(self):
-        feasible, witness = lp_feasible(a_eq=[[1, 1]], b_eq=[1])
+        feasible, witness = reference_lp_feasible(a_eq=[[1, 1]], b_eq=[1])
         assert feasible
         assert sum(witness, ZERO) == ONE
 
     def test_negative_fixed_value_infeasible(self):
-        feasible, witness = lp_feasible(a_eq=[[1, 0]], b_eq=[-1])
+        feasible, witness = reference_lp_feasible(a_eq=[[1, 0]], b_eq=[-1])
         assert not feasible and witness is None
 
     def test_upper_bounds(self):
-        feasible, witness = lp_feasible(
+        feasible, witness = reference_lp_feasible(
             a_ub=[[1, 1]], b_ub=[Rat(1, 2)], a_eq=[[1, -1]], b_eq=[ZERO]
         )
         assert feasible
@@ -504,7 +393,7 @@ class TestLpFeasible:
         assert x == y and x + y <= Rat(1, 2) and x >= 0
 
     def test_conflicting_bounds(self):
-        feasible, _ = lp_feasible(a_ub=[[1]], b_ub=[1], a_eq=[[1]], b_eq=[2])
+        feasible, _ = reference_lp_feasible(a_ub=[[1]], b_ub=[1], a_eq=[[1]], b_eq=[2])
         assert not feasible
 
     def test_witness_satisfies_random_systems(self, rng):
@@ -516,7 +405,7 @@ class TestLpFeasible:
             a_eq = [[rand_rat(rng, -3, 3, 4) for _ in range(n)] for _ in range(m_eq)]
             b_ub = [rand_rat(rng, -3, 3, 4) for _ in range(m_ub)]
             b_eq = [rand_rat(rng, -3, 3, 4) for _ in range(m_eq)]
-            feasible, witness = lp_feasible(a_ub, b_ub, a_eq, b_eq, n_vars=n)
+            feasible, witness = reference_lp_feasible(a_ub, b_ub, a_eq, b_eq, n_vars=n)
             if feasible:
                 assert all(x >= 0 for x in witness)
                 for row, b in zip(a_ub, b_ub):

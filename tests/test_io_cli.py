@@ -3,7 +3,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cycledec import cli
 from cycledec import io as fio
@@ -120,6 +120,26 @@ class TestSurfaceFormat:
         with pytest.raises(InputFormatError):
             fio.parse_surface(fio.format_surface(cx))
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("vertex b", "duplicate vertex b"),
+            ("edge b a", "duplicate edge between b and a"),
+            ("edge a c", "edge (a, c) uses unknown vertex"),
+            ("edge b b", "self-loop at b"),
+        ],
+        ids=["duplicate vertex", "duplicate edge", "unknown endpoint", "self-loop"],
+    )
+    def test_record_errors_report_their_line(self, record, message):
+        text = f"surface s\norientable yes\nvertex a\nvertex b\nedge a b\n{record}\n"
+        with pytest.raises(InputFormatError) as info:
+            fio.parse_surface(text, path="bad.surf")
+        assert str(info.value) == f"bad.surf:6: {message}"
+
+    def test_edge_may_precede_its_vertices(self):
+        cx = fio.parse_surface("orientable yes\nedge a b\nvertex a\nvertex b\n")
+        assert cx.edges == [("a", "b")] and cx.vertices == ["a", "b"]
+
 
 class TestReconstructOnComplex:
     def test_cycles_sum_to_edge_weights(self):
@@ -197,7 +217,7 @@ def _complex(kind):
     return fio.read_surface(pathlib.Path(__file__).resolve().parent.parent / "samples/klein.surf")
 
 
-def _mutate(data, lines):
+def _mutate(data, lines, junk=JUNK):
     """Drop, replace or insert a token, or copy or drop a line."""
     tokens = data.draw(st.sampled_from(lines))
     op = data.draw(st.sampled_from(["drop", "replace", "insert", "copy line", "drop line"]))
@@ -207,13 +227,13 @@ def _mutate(data, lines):
     elif op == "copy line":
         lines.insert(lines.index(tokens), list(tokens))
     elif op == "insert":
-        tokens.insert(at, data.draw(JUNK))
+        tokens.insert(at, data.draw(junk))
     elif tokens:
         at = min(at, len(tokens) - 1)
         if op == "drop":
             del tokens[at]
         else:
-            tokens[at] = data.draw(JUNK)
+            tokens[at] = data.draw(junk)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -242,6 +262,73 @@ def test_mutated_decompositions_read_or_report(index, data):
             read()
         except InputFormatError:
             pass
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+# per input suffix: the reader, the writer of what it read, and the parts of
+# a read value that a write and a second read must reproduce
+INPUT_FORMATS = {
+    ".msr": (fio.parse_measure, fio.format_measure, lambda measure: measure),
+    ".wg": (fio.parse_graph, lambda graph: fio.format_graph(*graph), lambda graph: graph),
+    ".field": (fio.parse_field, lambda read: fio.format_field(read[1]),
+               lambda read: (read[0].torus_shape, read[1].values)),
+    ".surf": (fio.parse_surface, fio.format_surface,
+              lambda cx: (cx.name, cx.orientable, cx.vertices, cx.edges, cx.face_edges)),
+}
+
+INPUT_JUNK = st.one_of(
+    st.text(alphabet="0123456789-+,/~ab", max_size=4),
+    st.sampled_from(["digraph", "field", "torus", "surface", "orientable", "vertex", "edge",
+                     "face", "yes", "no", "#", "0/1", "1/2", "-1", "+2", "a"]),
+)
+
+# errors about the file as a whole, raised after its last line was read
+WHOLE_FILE_ERRORS = (
+    "empty measure file", "missing digraph header", "missing field header",
+    "missing orientable header", "expected exactly 2", "repeats inside a single face",
+    "not oriented in agreement", "agreeing face orientation exists",
+    "face adjacency graph is disconnected",
+)
+
+
+def _torus_sizes_at_most(text, limit):
+    """Whether the integer tokens after ``field torus`` in the first
+    content line are at most ``limit``: the reader builds the whole torus."""
+    lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+    header = next((tokens for tokens in lines if tokens), [])
+    for token in header[2:]:
+        try:
+            if int(token) > limit:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+@pytest.mark.parametrize("suffix", INPUT_FORMATS)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_inputs_read_or_report(suffix, data):
+    """A mutated sample reads as a value that survives a write and a second
+    read, or fails with InputFormatError on the line of the bad record."""
+    parse, write, key = INPUT_FORMATS[suffix]
+    sample = data.draw(st.sampled_from(sorted(SAMPLES.glob(f"*{suffix}"))))
+    lines = [line.split() for line in sample.read_text(encoding="utf-8").splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        if lines:
+            _mutate(data, lines, INPUT_JUNK)
+    text = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+    assume(suffix != ".field" or _torus_sizes_at_most(text, 12))
+    try:
+        value = parse(text)
+    except InputFormatError as exc:
+        assert exc.line_no >= 1 or any(m in str(exc) for m in WHOLE_FILE_ERRORS), str(exc)
+        return
+    # a measure without positive mass writes as an empty file, which no
+    # reader takes for a measure
+    if suffix != ".msr" or value.atoms:
+        assert key(parse(write(value))) == key(value)
 
 
 def run_cli(args):
@@ -459,9 +546,6 @@ class TestCliOther:
         assert run_cli(["check", "elementary", path, "--surface", surf]) == 0
 
 
-SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
-
-
 class TestCliInputErrors:
     def test_self_loop_outside_birkhoff_mode_exit_two(self, capsys):
         path = str(SAMPLES / "bistochastic.wg")
@@ -533,6 +617,10 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
         ["hodge", "small.field"],
         ["hodge", "bare.field"],
         ["check", "balance", "negative.msr"],
+        ["elementary", _sample("klein_rates.wg"), "--surface", _sample("klein.surf"),
+         "--constant", "1", "-o", "out"],
+        ["decompose", "--mode", "elementary", _sample("klein_rates.wg"), "--surface",
+         _sample("klein.surf"), "--constant", "1"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
