@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_11.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_11.json
+    python3 benchmarks/bench.py --label change --out BENCH_12.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_12.json
 
 Four ladders, each on inputs generated from a fixed seed:
 

@@ -71,7 +71,6 @@ from .elementary import (
     decompose_1d,
     elementary_decompose,
     in_Re,
-    in_Re_nonorientable,
     pairwise_in_Re,
     r_star_necessary,
     sufficient_diameter_bound,

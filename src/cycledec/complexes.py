@@ -218,7 +218,8 @@ class TwoComplex:
 
         Orientable complexes must come with pairwise agreeing face
         orientations; non-orientable ones must genuinely admit no agreeing
-        reorientation (checked by propagating flips across shared edges).
+        reorientation: each face is flipped to agree with its parent in
+        :meth:`_face_tree`, and then some edge must still disagree.
         """
         if self.n_faces == 0:
             return
@@ -232,6 +233,7 @@ class TwoComplex:
                 raise ValueError(
                     f"edge {self.edges[eid]} repeats inside a single face"
                 )
+        tree = self._face_tree()
         if self.orientable:
             for eid, incidences in enumerate(self.edge_faces):
                 if {s for _, s in incidences} != {1, -1}:
@@ -239,49 +241,40 @@ class TwoComplex:
                         f"faces around edge {self.edges[eid]} are not oriented "
                         "in agreement; reorient or declare non-orientable"
                     )
-        else:
-            if self._admits_agreeing_orientation():
+        if len(tree) < self.n_faces:
+            raise ValueError("face adjacency graph is disconnected")
+        if not self.orientable:
+            flip = [1] * self.n_faces
+            for fid, parent, _, parent_sign, sign in tree[1:]:
+                flip[fid] = flip[parent] if sign != parent_sign else -flip[parent]
+            if all(flip[f1] * s1 != flip[f2] * s2 for (f1, s1), (f2, s2) in self.edge_faces):
                 raise ValueError(
                     "complex declared non-orientable but an agreeing "
                     "face orientation exists"
                 )
-        if not self._dual_connected():
-            raise ValueError("face adjacency graph is disconnected")
 
-    def _admits_agreeing_orientation(self) -> bool:
-        flip = [None] * self.n_faces
-        for start in range(self.n_faces):
-            if flip[start] is not None:
-                continue
-            flip[start] = 1
-            stack = [start]
-            while stack:
-                fid = stack.pop()
-                for eid, sign in self.face_edges[fid]:
-                    for other, other_sign in self.edge_faces[eid]:
-                        if other == fid:
-                            continue
-                        needed = flip[fid] if sign != other_sign else -flip[fid]
-                        if flip[other] is None:
-                            flip[other] = needed
-                            stack.append(other)
-                        elif flip[other] != needed:
-                            return False
-        return True
+    def _face_tree(self) -> list:
+        """Depth-first spanning tree of the face adjacency graph from face 0.
 
-    def _dual_connected(self) -> bool:
-        if self.n_faces == 0:
-            return True
-        seen = {0}
+        One ``(face, parent, edge, parent sign, face sign)`` entry per face
+        reached, in the order they are reached: ``edge`` is the shared edge
+        the walk crossed and the signs are how the two faces traverse it.
+        The root comes first as ``(0, None, None, None, None)``, and a list
+        shorter than the face count means the graph is disconnected.
+        """
+        tree = [(0, None, None, None, None)]
+        seen = [False] * self.n_faces
+        seen[0] = True
         stack = [0]
         while stack:
             fid = stack.pop()
-            for eid, _ in self.face_edges[fid]:
-                for other, _ in self.edge_faces[eid]:
-                    if other not in seen:
-                        seen.add(other)
+            for eid, sign in self.face_edges[fid]:
+                for other, other_sign in self.edge_faces[eid]:
+                    if not seen[other]:
+                        seen[other] = True
+                        tree.append((other, fid, eid, sign, other_sign))
                         stack.append(other)
-        return len(seen) == self.n_faces
+        return tree
 
 
 class _Valued:
@@ -455,18 +448,17 @@ def harmonic_basis(complex: TwoComplex):
     return fields
 
 
-def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
+def recover_psi(phi: VectorField) -> TwoChain:
     """Find a chain whose boundary is ``phi``, exactly.
 
-    Orientable complexes: integrate along a spanning tree of the face
-    adjacency graph, grown with a stack from ``base_face`` (which is pinned
-    to zero), and verify every remaining adjacency; any mismatch certifies
-    that no preimage exists.  The integration stays in the field's own
-    number type: the integer numerators of :func:`_field_and_symmetric`
-    give an integer chain on the same scale, a field of ``Rat`` values a
-    ``Rat`` chain.  Non-orientable complexes: the preimage is unique,
-    found by exact linear solve, and comes back as ``Rat`` values (on the
-    field's scale); ``base_face`` is ignored.
+    Orientable complexes: integrate along :meth:`TwoComplex._face_tree`,
+    with face 0 pinned to zero, and verify every remaining adjacency; any
+    mismatch certifies that no preimage exists.  The integration stays in
+    the field's own number type: the integer numerators of
+    :func:`_field_and_symmetric` give an integer chain on the same scale,
+    a field of ``Rat`` values a ``Rat`` chain.  Non-orientable complexes:
+    the preimage is unique, found by exact linear solve, and comes back as
+    ``Rat`` values (on the field's scale).
     """
     cx = phi.complex
     values = phi.values
@@ -481,23 +473,14 @@ def recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
             raise NotHomologous("field is not a boundary on this complex")
         return TwoChain._exact(cx, chain)
 
-    psi = [None] * cx.n_faces
-    psi[base_face] = values[0] * 0 if values else ZERO
-    stack = [base_face]
-    while stack:
-        fid = stack.pop()
-        for eid, sign in cx.face_edges[fid]:
-            for other, other_sign in cx.edge_faces[eid]:
-                if other == fid or psi[other] is not None:
-                    continue
-                # psi[f_plus] - psi[f_minus] = phi(edge)
-                if sign == 1:
-                    psi[other] = psi[fid] - values[eid]
-                else:
-                    psi[other] = psi[fid] + values[eid]
-                stack.append(other)
-    if any(v is None for v in psi):
+    tree = cx._face_tree()
+    if len(tree) < cx.n_faces:
         raise NotHomologous("face adjacency graph is disconnected")
+    psi = [None] * cx.n_faces
+    psi[0] = values[0] * 0 if values else ZERO
+    for fid, parent, eid, parent_sign, _ in tree[1:]:
+        # psi[f_plus] - psi[f_minus] = phi(edge)
+        psi[fid] = psi[parent] - values[eid] if parent_sign == 1 else psi[parent] + values[eid]
     for eid, incidences in enumerate(cx.edge_faces):
         if len(incidences) != 2 or incidences[0][1] == incidences[1][1]:
             raise ValueError("edge incidences are not in (+1, -1) form")

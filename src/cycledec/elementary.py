@@ -81,7 +81,7 @@ class ReVerdict:
 
     ``witness_c`` is a feasible additive constant when the answer is yes;
     ``violating_edges`` certifies the failed polyhedron inequality (or the
-    single failed edge on non-orientable complexes) when it is no.
+    failed edges on non-orientable complexes) when it is no.
     """
 
     ok: bool
@@ -107,18 +107,27 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     Pipeline: project the rates to their vector field and recover a chain
     with that boundary; a field that is not a face boundary already rules
     the decomposition out (necessary condition for homotopically trivial
-    cycles, hence for elementary ones).  Otherwise shift each edge
-    interval by the edge's symmetric part and intersect in one pass; a
-    nonempty intersection yields the witness constant (its midpoint), an
-    empty one yields two edges violating the pairwise polyhedron
-    inequality.  Edges without faces constrain nothing.
+    cycles, hence for elementary ones).  On an orientable complex, shift
+    each edge interval by the edge's symmetric part and intersect in one
+    pass; a nonempty intersection yields the witness constant (its
+    midpoint), an empty one two edges violating the pairwise polyhedron
+    inequality.  On a non-orientable one the constant is zero and every
+    edge with symmetric part below its span's distance to zero is
+    reported.  Edges without faces constrain nothing.
     """
-    if not complex.orientable:
-        return in_Re_nonorientable(rates, complex)
     try:
         scale, s, _, spans = _recover_chain(rates, complex)
     except NotHomologous:
         return ReVerdict(False, reason="NotHomologous")
+    if not complex.orientable:
+        violations = tuple(
+            complex.edges[eid]
+            for eid, span in enumerate(spans)
+            if span is not None and s[eid] < _distance_to_zero(*span)
+        )
+        if violations:
+            return ReVerdict(False, reason="PolyhedronViolated", violating_edges=violations)
+        return ReVerdict(True, witness_c=ZERO)
 
     lo, lo_edge = None, None
     hi, hi_edge = None, None
@@ -149,11 +158,10 @@ def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     distance between their spans, ``max(0, lo_j - hi_i, lo_i - hi_j)``.
     The all-pairs test applies to orientable complexes only; on a
     non-orientable one the constant is pinned at zero and the verdict is
-    that of :func:`in_Re_nonorientable`.  Edges without faces constrain
-    nothing.
+    that of :func:`in_Re`.  Edges without faces constrain nothing.
     """
     if not complex.orientable:
-        return in_Re_nonorientable(rates, complex).ok
+        return in_Re(rates, complex).ok
     try:
         _, s, _, spans = _recover_chain(rates, complex)
     except NotHomologous:
@@ -164,28 +172,6 @@ def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
             if s_i + s_j < max(0, lo_j - hi_i, lo_i - hi_j):
                 return False
     return True
-
-
-def in_Re_nonorientable(rates: dict, complex: TwoComplex) -> ReVerdict:
-    """Edge-by-edge test against the unique recovered chain.
-
-    Every edge must have symmetric part at least its constraint set's
-    distance to zero; there is no shared constant to choose.
-    """
-    if complex.orientable:
-        raise ValueError("complex is orientable; use in_Re")
-    try:
-        _, s, _, spans = _recover_chain(rates, complex)
-    except NotHomologous:
-        return ReVerdict(False, reason="NotHomologous")
-    violations = tuple(
-        complex.edges[eid]
-        for eid, span in enumerate(spans)
-        if span is not None and s[eid] < _distance_to_zero(*span)
-    )
-    if violations:
-        return ReVerdict(False, reason="PolyhedronViolated", violating_edges=violations)
-    return ReVerdict(True, witness_c=ZERO)
 
 
 @dataclass

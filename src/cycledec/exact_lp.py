@@ -11,7 +11,9 @@ and its denominator, so no cell ever becomes a ``Rat``.  Rationals appear
 only at the edges: an input row is brought to integers over the lcm of its
 denominators, and results come back as ``Rat(numerator, denominator)``.
 :func:`solve_exact_linear` and :func:`exact_rank` pivot column by column
-(Gauss-Jordan).
+(Gauss-Jordan).  The solve serves the Laplace system of the torus Hodge
+split and the chain recovery on non-orientable complexes; the rank, the
+general-position test of the irreducible lattice class.
 
 The barycentric system ``sum x_j (p_j, 1) = (target, 1)`` has just
 ``d + 1`` rows however many points it has, so :func:`barycentric_rounds`

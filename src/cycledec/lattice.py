@@ -23,20 +23,13 @@ from itertools import product
 
 from .errors import (
     Infeasible,
-    NoSolution,
     NotBalanced,
     NotGeneralPosition,
     OracleExhausted,
     TooLarge,
     ZeroNotInterior,
 )
-# barycentric_vertex stays a name of this module for callers that wrap it
-from .exact_lp import (  # noqa: F401
-    barycentric_rounds,
-    barycentric_vertex,
-    exact_rank,
-    solve_exact_linear,
-)
+from .exact_lp import barycentric_rounds, barycentric_vertex, exact_rank
 from .ratio import ONE, ZERO, Rat, scaled, to_rat
 
 IRREDUCIBILITY_BOUND = 24
@@ -213,11 +206,12 @@ def is_balanced(p: LatticeMeasure) -> bool:
 def irreducible_class(points) -> LatticeCycleClass:
     """The unique irreducible class spanned by points in general position.
 
-    Solves the barycentric system for the origin exactly, then clears
-    denominators with their lcm: ``n_i = lcm * mu_i``.  Raises
-    :class:`NotGeneralPosition` when the difference vectors are dependent
-    and :class:`ZeroNotInterior` when some coefficient fails to be strictly
-    positive (origin outside the open simplex).
+    Over affinely independent points the barycentric vertex of the origin
+    is its only barycentric representation; its coefficients are cleared
+    to integer multiplicities with their lcm: ``n_i = lcm * mu_i``.
+    Raises :class:`NotGeneralPosition` when the difference vectors are
+    dependent and :class:`ZeroNotInterior` when the vertex does not exist
+    or leaves a point out (origin outside the open simplex).
     """
     pts = [_point(p) for p in points]
     if not pts:
@@ -225,21 +219,16 @@ def irreducible_class(points) -> LatticeCycleClass:
     if len(set(pts)) != len(pts):
         raise NotGeneralPosition("duplicate points")
     d = len(pts[0])
-    k = len(pts)
     diffs = [[p[i] - pts[0][i] for i in range(d)] for p in pts[1:]]
-    if diffs and exact_rank(diffs) != k - 1:
+    if diffs and exact_rank(diffs) != len(diffs):
         raise NotGeneralPosition("difference vectors are linearly dependent")
-
-    rows = [[Rat(p[i]) for p in pts] for i in range(d)]
-    rows.append([ONE] * k)
-    rhs = [ZERO] * d + [ONE]
     try:
-        mu = solve_exact_linear(rows, rhs)
-    except NoSolution:
-        raise ZeroNotInterior("origin not in the affine hull of the points")
-    if any(c <= 0 for c in mu):
+        vertex = barycentric_vertex(pts, (0,) * d)
+    except Infeasible:
+        raise ZeroNotInterior("origin not in the convex hull of the points")
+    if len(vertex.support_indices) < len(pts):
         raise ZeroNotInterior("origin not in the relative interior of the hull")
-    return _lcm_class(dict(zip(pts, mu)))
+    return _lcm_class(dict(vertex.as_pairs(pts)))
 
 
 def _lcm_class(mu: dict) -> LatticeCycleClass:

@@ -7,12 +7,21 @@ problems the slow, direct way, on ``Fraction`` cells:
   rule, and :func:`reference_lp_feasible` on top of it;
 * :func:`brute_force_Re_oracle`, elementary decomposability as the
   feasibility of its defining linear system;
-* :func:`in_d_lambda2`, membership of a field in the face-boundary image.
+* :func:`in_d_lambda2`, membership of a field in the face-boundary image;
+* :func:`reference_validate`, :func:`reference_recover_psi` and
+  :func:`reference_irreducible_class`, the surface check, the orientable
+  chain recovery and the irreducible class as the library computed them
+  before the face adjacency graph had one walk and the class came from
+  the barycentric vertex: one traversal for the orientation claim and one
+  for connectivity, a stack walk from any base face, and a general exact
+  linear solve.
 """
 
-from cycledec.complexes import TwoComplex, VectorField, check_rates, recover_psi
-from cycledec.errors import NotHomologous, TooLarge
-from cycledec.ratio import ONE, ZERO, to_rat
+from cycledec.complexes import TwoComplex, TwoChain, VectorField, check_rates, recover_psi
+from cycledec.errors import NoSolution, NotGeneralPosition, NotHomologous, TooLarge, ZeroNotInterior
+from cycledec.exact_lp import exact_rank, solve_exact_linear
+from cycledec.lattice import LatticeCycleClass
+from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
 
 
 def _sparse(row):
@@ -157,3 +166,116 @@ def in_d_lambda2(phi: VectorField) -> bool:
     except NotHomologous:
         return False
     return True
+
+
+def _admits_agreeing_orientation(cx: TwoComplex) -> bool:
+    """Whether flips propagated across shared edges, one start per
+    component, reach no conflict."""
+    flip = [None] * cx.n_faces
+    for start in range(cx.n_faces):
+        if flip[start] is not None:
+            continue
+        flip[start] = 1
+        stack = [start]
+        while stack:
+            fid = stack.pop()
+            for eid, sign in cx.face_edges[fid]:
+                for other, other_sign in cx.edge_faces[eid]:
+                    if other == fid:
+                        continue
+                    needed = flip[fid] if sign != other_sign else -flip[fid]
+                    if flip[other] is None:
+                        flip[other] = needed
+                        stack.append(other)
+                    elif flip[other] != needed:
+                        return False
+    return True
+
+
+def _dual_connected(cx: TwoComplex) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        fid = stack.pop()
+        for eid, _ in cx.face_edges[fid]:
+            for other, _ in cx.edge_faces[eid]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return len(seen) == cx.n_faces
+
+
+def reference_validate(cx: TwoComplex):
+    """``TwoComplex.validate`` on two separate traversals: the orientation
+    claim first, then connectivity."""
+    if cx.n_faces == 0:
+        return
+    for eid, incidences in enumerate(cx.edge_faces):
+        if len(incidences) != 2:
+            raise ValueError(
+                f"edge {cx.edges[eid]} lies in {len(incidences)} faces, expected exactly 2"
+            )
+        if len({fid for fid, _ in incidences}) != 2:
+            raise ValueError(f"edge {cx.edges[eid]} repeats inside a single face")
+    if cx.orientable:
+        for eid, incidences in enumerate(cx.edge_faces):
+            if {s for _, s in incidences} != {1, -1}:
+                raise ValueError(
+                    f"faces around edge {cx.edges[eid]} are not oriented "
+                    "in agreement; reorient or declare non-orientable"
+                )
+    elif _admits_agreeing_orientation(cx):
+        raise ValueError(
+            "complex declared non-orientable but an agreeing face orientation exists"
+        )
+    if not _dual_connected(cx):
+        raise ValueError("face adjacency graph is disconnected")
+
+
+def reference_recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
+    """Orientable chain recovery by a stack walk that integrates as it
+    discovers faces, from ``base_face`` pinned to zero."""
+    cx = phi.complex
+    values = phi.values
+    psi = [None] * cx.n_faces
+    psi[base_face] = values[0] * 0 if values else ZERO
+    stack = [base_face]
+    while stack:
+        fid = stack.pop()
+        for eid, sign in cx.face_edges[fid]:
+            for other, _ in cx.edge_faces[eid]:
+                if other == fid or psi[other] is not None:
+                    continue
+                psi[other] = psi[fid] - values[eid] if sign == 1 else psi[fid] + values[eid]
+                stack.append(other)
+    if any(v is None for v in psi):
+        raise NotHomologous("face adjacency graph is disconnected")
+    for eid, incidences in enumerate(cx.edge_faces):
+        if len(incidences) != 2 or incidences[0][1] == incidences[1][1]:
+            raise ValueError("edge incidences are not in (+1, -1) form")
+        (f1, s1), (f2, _) = incidences
+        if (psi[f1] - psi[f2] if s1 == 1 else psi[f2] - psi[f1]) != values[eid]:
+            raise NotHomologous(f"path-dependent integral at edge {cx.edges[eid]}")
+    return TwoChain._exact(cx, psi)
+
+
+def reference_irreducible_class(points) -> LatticeCycleClass:
+    """The irreducible class from the one solution of the barycentric
+    system of the origin, by exact linear solve."""
+    pts = [tuple(int(c) for c in p) for p in points]
+    if not pts:
+        raise ValueError("points must be nonempty")
+    if len(set(pts)) != len(pts):
+        raise NotGeneralPosition("duplicate points")
+    d = len(pts[0])
+    diffs = [[p[i] - pts[0][i] for i in range(d)] for p in pts[1:]]
+    if diffs and exact_rank(diffs) != len(diffs):
+        raise NotGeneralPosition("difference vectors are linearly dependent")
+    rows = [[Rat(p[i]) for p in pts] for i in range(d)] + [[ONE] * len(pts)]
+    try:
+        mu = solve_exact_linear(rows, [ZERO] * d + [ONE])
+    except NoSolution:
+        raise ZeroNotInterior("origin not in the affine hull of the points")
+    if any(c <= 0 for c in mu):
+        raise ZeroNotInterior("origin not in the relative interior of the hull")
+    return LatticeCycleClass(scaled(dict(zip(pts, mu)))[1])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycledec.complexes import (
     TwoChain,
@@ -20,8 +21,8 @@ from cycledec.errors import NotHomologous
 from cycledec.exact_lp import exact_rank
 from cycledec.ratio import ONE, ZERO, Rat
 
-from conftest import cube_complex, face_indicator, gradient_matrix, rand_rat, vertex_indicator
-from oracles import in_d_lambda2
+from conftest import CUBE_FACES, cube_complex, face_indicator, gradient_matrix, rand_rat, vertex_indicator
+from oracles import _dual_connected, in_d_lambda2, reference_recover_psi, reference_validate
 
 
 def plus_minus_faces(cx, eid):
@@ -267,7 +268,7 @@ class TestRecoverPsi:
 
     def test_fig2_band_chain(self):
         cx, phi = fig2_field()
-        psi = recover_psi(phi, base_face=0)
+        psi = recover_psi(phi)
         assert set(psi.values) == {ZERO, ONE}
         band_columns = {fid // 10 for fid in range(100) if psi.values[fid] == ONE}
         assert band_columns == {3, 4, 5, 6}
@@ -277,18 +278,16 @@ class TestRecoverPsi:
         with pytest.raises(NotHomologous):
             recover_psi(harmonic_basis(cx)[0])
 
-    def test_round_trip_and_base_face_shift(self, rng):
+    def test_round_trip(self, rng):
         for cx in (TwoComplex.torus2(4), cube_complex()):
             for _ in range(5):
                 psi = rand_chain(rng, cx)
                 phi = boundary2(psi)
                 back = recover_psi(phi)
                 assert boundary2(back) == phi
+                assert back.values[0] == 0
                 deltas = {a - b for a, b in zip(back.values, psi.values)}
                 assert len(deltas) == 1
-                other = recover_psi(phi, base_face=cx.n_faces - 1)
-                deltas2 = {a - b for a, b in zip(back.values, other.values)}
-                assert len(deltas2) == 1
 
     def test_edges_outside_plus_minus_form_rejected(self):
         # a face with open edges, and Klein-bottle faces declared orientable
@@ -313,6 +312,84 @@ class TestRecoverPsi:
         if not grad.is_zero():
             with pytest.raises(NotHomologous):
                 recover_psi(grad)
+
+
+# fixed example sequence and no example database, so every run is the same
+EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+BASE_SURFACES = {
+    "torus3": TwoComplex.torus2(3),
+    "torus3x4": TwoComplex.torus2(3, 4),
+    "klein3": TwoComplex.klein_grid(3, 3),
+    "klein3x4": TwoComplex.klein_grid(3, 4),
+    "cube": cube_complex(),
+}
+
+
+@st.composite
+def surfaces(draw, bases=sorted(BASE_SURFACES), orientable=st.booleans(),
+             flips=("none", "all", "some"), most=3):
+    """Disjoint unions of one to ``most`` base surfaces in a shuffled face
+    order.  Per base, no face, every face or some faces are traversed
+    backwards."""
+    names = draw(st.lists(st.sampled_from(bases), min_size=1, max_size=most))
+    cycles = []
+    for k, name in enumerate(names):
+        base = BASE_SURFACES[name]
+        flip = draw(st.sampled_from(flips))
+        for fid in range(base.n_faces):
+            cycle = tuple((k, v) for v in base.face_cycle(fid))
+            backwards = flip == "all" or flip == "some" and draw(st.booleans())
+            cycles.append(cycle[::-1] if backwards else cycle)
+    cycles = draw(st.permutations(cycles))
+    return TwoComplex.from_face_cycles(cycles, orientable=draw(orientable))
+
+
+def raised(call, *args):
+    """The result of ``call(*args)``, or the type and message it raised."""
+    try:
+        return call(*args)
+    except (ValueError, NotHomologous) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneFaceWalk:
+    """The face adjacency walk against the traversals it replaced."""
+
+    @EXAMPLES
+    @given(surfaces())
+    def test_validate_equals_two_traversals(self, cx):
+        expected = raised(reference_validate, cx)
+        if not cx.orientable and not _dual_connected(cx):
+            # connectivity is now checked before the orientation claim
+            expected = ValueError, "face adjacency graph is disconnected"
+        assert raised(cx.validate) == expected
+
+    def test_declared_nonorientable_union_of_orientable_surfaces(self):
+        cx = TwoComplex.from_face_cycles(
+            [tuple((k, v) for v in cycle) for k in range(2) for cycle in CUBE_FACES],
+            orientable=False,
+        )
+        assert raised(reference_validate, cx)[1].endswith("agreeing face orientation exists")
+        with pytest.raises(ValueError, match="face adjacency graph is disconnected"):
+            cx.validate()
+
+    @EXAMPLES
+    @given(surfaces(["torus3", "torus3x4", "cube", "klein3"], st.just(True), ("none", "all"), 2),
+           st.data())
+    def test_orientable_recovery_equals_stack_walk(self, cx, data):
+        chain = data.draw(st.lists(st.integers(-5, 5), min_size=cx.n_faces, max_size=cx.n_faces))
+        values = [sum(s * chain[f] for f, s in inc) for inc in cx.edge_faces]
+        if data.draw(st.booleans()):
+            values[data.draw(st.integers(0, cx.n_edges - 1))] += 1
+        den = data.draw(st.integers(1, 4))
+        phi = VectorField._exact(cx, values) if den == 1 else VectorField(cx, [Rat(v, den) for v in values])
+        got, expected = raised(recover_psi, phi), raised(reference_recover_psi, phi)
+        if isinstance(expected, TwoChain):
+            assert got.values == expected.values
+            assert [type(v) for v in got.values] == [type(v) for v in expected.values]
+        else:
+            assert got == expected
 
 
 class TestHodge:

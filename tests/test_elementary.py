@@ -23,7 +23,6 @@ from cycledec.elementary import (
     decompose_1d,
     elementary_decompose,
     in_Re,
-    in_Re_nonorientable,
     pairwise_in_Re,
     r_star_necessary,
     sufficient_diameter_bound,
@@ -198,7 +197,7 @@ class TestNonOrientable:
         for _ in range(8):
             psi = rand_chain(rng, cx)
             rates = field_to_rates(boundary2(psi))
-            verdict = in_Re_nonorientable(rates, cx)
+            verdict = in_Re(rates, cx)
             assert verdict.ok == brute_force_Re_oracle(rates, cx)
             hits[verdict.ok] += 1
         assert hits[False] > 0
@@ -211,11 +210,6 @@ class TestNonOrientable:
         assert verdict.ok
         dec = elementary_decompose(rates, cx)
         assert dec.matches(rates, cx)
-
-    def test_orientable_guard(self):
-        cx = TwoComplex.torus2(3)
-        with pytest.raises(ValueError):
-            in_Re_nonorientable({}, cx)
 
 
 class TestOneDimensional:

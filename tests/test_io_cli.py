@@ -1,6 +1,7 @@
 import functools
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,11 @@ from conftest import CUBE_FACES, cube_complex
 class TestMeasureFormat:
     def test_round_trip(self):
         p = LatticeMeasure(2, {(1, 0): Rat(1, 4), (-1, 2): Rat(3, 4)})
+        assert fio.parse_measure(fio.format_measure(p)) == p
+
+    def test_massless_measure_keeps_its_dimension(self):
+        p = LatticeMeasure(2, {})
+        assert fio.format_measure(p) == "0 0 0/1\n"
         assert fio.parse_measure(fio.format_measure(p)) == p
 
     def test_comments_and_blanks(self):
@@ -325,10 +331,7 @@ def test_mutated_inputs_read_or_report(suffix, data):
     except InputFormatError as exc:
         assert exc.line_no >= 1 or any(m in str(exc) for m in WHOLE_FILE_ERRORS), str(exc)
         return
-    # a measure without positive mass writes as an empty file, which no
-    # reader takes for a measure
-    if suffix != ".msr" or value.atoms:
-        assert key(parse(write(value))) == key(value)
+    assert key(parse(write(value))) == key(value)
 
 
 def run_cli(args):
@@ -584,6 +587,16 @@ class TestCliInputErrors:
         path = str(SAMPLES / "two_columns.field")
         assert run_cli(["decompose", "--mode", "1d", path]) == 2
         assert "expects the 1-d torus" in capsys.readouterr().err
+
+    def test_oversized_field_header_exit_two_before_building(self, workdir, capsys):
+        path = write(workdir / "huge.field", "field torus 999999 999999\n")
+        started = time.perf_counter()
+        assert run_cli(["hodge", path]) == 2
+        assert time.perf_counter() - started < 1
+        limit = fio.FIELD_VERTEX_LIMIT
+        assert f"huge.field:1: torus of 999998000001 vertices exceeds the limit of {limit}" in (
+            capsys.readouterr().err
+        )
 
     def test_heavy_tail_on_a_massless_measure_exit_one(self, workdir, capsys):
         path = write(workdir / "zero.msr", "1 0/1\n-1 0/1\n")

@@ -35,6 +35,7 @@ from cycledec.lattice import (
 from cycledec.ratio import ONE, ZERO, Rat, denominator_lcm, scaled
 
 from conftest import rand_pos_rat
+from oracles import reference_irreducible_class
 
 # fixed example sequence and no example database, so every run is the same
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -180,6 +181,35 @@ class TestIrreducibleClass:
     def test_zero_on_boundary_rejected(self):
         with pytest.raises(ZeroNotInterior):
             irreducible_class([(1, 0), (0, 1)])
+
+    @EXAMPLES
+    @given(st.data())
+    def test_equals_the_linear_solve_route(self, data):
+        """Same class or same exception type as the exact linear solve,
+        on random points, on points around the origin (a positive
+        combination closed by one more point) and on fewer of those plus
+        one extra point, which leaves the origin outside the open
+        simplex."""
+        d = data.draw(st.integers(1, 3))
+        point = st.tuples(*[st.integers(-4, 4)] * d)
+        kind = data.draw(st.sampled_from(["random", "interior", "boundary"]))
+        if kind == "random":
+            points = data.draw(st.lists(point, min_size=1, max_size=d + 2))
+        else:
+            base = data.draw(st.lists(point, max_size=d - (kind == "boundary")))
+            mults = data.draw(st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)))
+            points = base + [tuple(-sum(n * p[i] for n, p in zip(mults, base)) for i in range(d))]
+            if kind == "boundary":
+                points.append(data.draw(point))
+            points = data.draw(st.permutations(points))
+
+        def outcome(build):
+            try:
+                return build(points)
+            except (NotGeneralPosition, ZeroNotInterior, ValueError) as exc:
+                return type(exc)
+
+        assert outcome(irreducible_class) == outcome(reference_irreducible_class)
 
 
 class TestIsIrreducible:
