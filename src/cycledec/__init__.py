@@ -19,7 +19,6 @@ from .errors import (
     ZeroNotInterior,
 )
 from .exact_lp import (
-    BarycentricSolution,
     barycentric_vertex,
     exact_rank,
     solve_exact_linear,
@@ -36,7 +35,6 @@ from .lattice import (
     is_balanced,
     is_irreducible,
     mean,
-    periodic_lift,
 )
 from .finite_graph import (
     GraphCycle,

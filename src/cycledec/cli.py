@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import prod
 
 from . import discretize as dz
 from . import elementary as el
@@ -27,7 +28,6 @@ from .lattice import (
     decompose_1d_heavy_tail,
     decompose_lattice,
     is_balanced,
-    periodic_lift,
 )
 from .ratio import ZERO, parse_rat, rat_str
 
@@ -62,13 +62,31 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(f"expected a rational like 3/2, got {text!r}")
 
 
+def _bounded(shape, flag):
+    """``shape``, refused before it is built when its torus has more
+    vertices than a field file may declare."""
+    size, limit = prod(shape), fio.FIELD_VERTEX_LIMIT
+    if size > limit:
+        raise InputFormatError("<args>", 0, f"{flag}: {size} vertices exceed the limit of {limit}")
+    return shape
+
+
+def _torus_shape(args, dim: int):
+    """The shape ``--torus`` declares, None without it: ``N`` is the 1-d
+    torus in 1-d mode and the ``N x N`` torus otherwise."""
+    shape = args.torus
+    if shape and dim == 2 and len(shape) == 1:
+        shape *= 2
+    return shape and _bounded(shape, "--torus")
+
+
 def _load_complex(args, dim: int = 2):
-    if getattr(args, "surface", None):
+    if args.surface:
         return fio.read_surface(args.surface)
-    shape = getattr(args, "torus", None)
+    shape = _torus_shape(args, dim)
     if shape is None:
         return None
-    return TwoComplex.torus1(*shape) if dim == len(shape) == 1 else TwoComplex.torus2(*shape)
+    return TwoComplex.torus1(*shape) if len(shape) == 1 else TwoComplex.torus2(*shape)
 
 
 def _edge_line(weights: dict, lines, check) -> int:
@@ -90,9 +108,9 @@ def _load_rates(path, args, dim: int = 2):
     """Rates plus complex from a field or graph file."""
     if path.endswith(".field"):
         complex, field = fio.read_field(path)
-        declared = _load_complex(args, dim)
-        if declared is not None and declared.torus_shape != complex.torus_shape:
-            raise InputFormatError(path, 1, "--torus disagrees with the field header")
+        if args.surface or _torus_shape(args, dim) not in (None, complex.torus_shape):
+            flag = "--surface" if args.surface else "--torus"
+            raise InputFormatError("<args>", 0, f"{flag} disagrees with the field header of {path}")
         return field_to_rates(field), complex
     name, weights, lines = fio.read_graph(path)
     complex = _load_complex(args, dim)
@@ -139,10 +157,6 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _decimals(args):
-    return args.decimal if getattr(args, "decimal", None) else None
-
-
 # -- check ----------------------------------------------------------------
 
 
@@ -178,11 +192,9 @@ def _cmd_check(args) -> int:
             print(f"rstar-necessary-condition: {'holds' if ok else 'fails'}")
             print("# full homotopically-trivial membership is not decided")
         return 0 if ok else 1
-    if prop == "elementary":
-        verdict = el.in_Re(rates, complex)
-        print(_verdict_line(verdict))
-        return 0 if verdict.ok else 1
-    raise InputFormatError(path, 0, f"unknown property {prop!r}")
+    verdict = el.in_Re(rates, complex)
+    print(_verdict_line(verdict))
+    return 0 if verdict.ok else 1
 
 
 def _verdict_line(verdict) -> str:
@@ -205,7 +217,7 @@ def _verdict_line(verdict) -> str:
 
 def _cmd_decompose(args) -> int:
     mode = args.mode
-    decimals = _decimals(args)
+    decimals = args.decimal or None
     if mode == "graph":
         name, graph = _load_digraph(args.input)
         dec = decompose_graph(graph)
@@ -222,16 +234,14 @@ def _cmd_decompose(args) -> int:
         text = fio.format_lattice_decomposition(dec, args.input, decimals)
         expected = ("lattice", measure)
         if args.lift:
-            records = periodic_lift(dec.classes(measure.dimension))
-            sys.stdout.write(fio.format_lift(records, decimals))
+            sys.stdout.write(fio.format_lift(dec.classes(measure.dimension), decimals=decimals))
     elif mode == "elementary":
         rates, complex = _load_rates(args.input, args)
         dec = _elementary_decompose(rates, complex, args.constant)
         text = fio.format_elementary_decomposition(dec, complex, args.input, decimals)
         expected = ("on-complex", rates, complex)
         if args.lift and complex.is_torus():
-            records = periodic_lift(dec.cycles(complex), periods=complex.torus_shape)
-            sys.stdout.write(fio.format_lift(records, decimals))
+            sys.stdout.write(fio.format_lift(dec.cycles(complex), complex.torus_shape, decimals))
     elif mode == "1d":
         rates, complex = _load_rates(args.input, args, dim=1)
         try:
@@ -240,7 +250,7 @@ def _cmd_decompose(args) -> int:
             raise InputFormatError(args.input, 0, str(exc))
         text = fio.format_1d_family(family, args.input, args.param, decimals)
         expected = ("on-complex", rates, complex)
-    elif mode == "1d-heavy":
+    else:  # 1d-heavy
         measure = fio.read_measure(args.input)
         if measure.dimension != 1:
             raise InputFormatError(args.input, 0, "1d-heavy expects a 1-d measure")
@@ -251,8 +261,6 @@ def _cmd_decompose(args) -> int:
         terms, residual = decompose_1d_heavy_tail(oracle, args.steps)
         text = fio.format_heavy_tail(terms, residual, args.input, decimals)
         expected = ("heavy", measure)
-    else:
-        raise InputFormatError(args.input, 0, f"unknown mode {mode!r}")
 
     _emit(text, args.output)
     if args.verify:
@@ -306,7 +314,7 @@ def _cmd_hodge(args) -> int:
     if not (complex.is_torus() and complex.torus_dimension() == 2):
         raise InputFormatError(args.input, 1, "hodge expects a 2-d torus field")
     parts = hodge_decompose(field)
-    decimals = _decimals(args)
+    decimals = args.decimal or None
     shape = complex.torus_shape
     lines = [
         "hodge torus " + " ".join(str(n) for n in shape),
@@ -344,7 +352,7 @@ def _cmd_elementary(args) -> int:
         dec = _elementary_decompose(rates, complex, args.constant)
         _emit(
             fio.format_elementary_decomposition(
-                dec, complex, args.input, _decimals(args)
+                dec, complex, args.input, args.decimal or None
             ),
             args.output,
         )
@@ -357,18 +365,17 @@ def _make_potential(args) -> dz.PotentialSampler:
         sampler = dz.sine_potential(args.amplitude)
     elif kind == "band":
         sampler = dz.band_potential(args.lo, args.hi)
-    elif kind == "constant":
-        sampler = dz.constant_potential(args.value)
     else:
-        raise InputFormatError("<args>", 0, f"unknown potential {kind!r}")
+        sampler = dz.constant_potential(args.value)
     sampler.denominator = args.denominator
     return sampler
 
 
 def _cmd_discretize(args) -> int:
     sampler = _make_potential(args)
+    _bounded((args.n, args.n), "--n")
     field, chain = dz.discretize_potential(sampler, args.n)
-    text = fio.format_field(field, _decimals(args))
+    text = fio.format_field(field, args.decimal or None)
     text += f"# oscillation {rat_str(dz.oscillation(chain))}\n"
     _emit(text, args.output)
     return 0
@@ -376,12 +383,13 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_random_env(args) -> int:
     sampler = _make_potential(args)
+    _bounded(args.dims, "--dims")
     try:
         spec = dz.EnvironmentSpec(sampler, args.noise_lo, args.noise_hi, args.seed, args.dims)
     except ValueError as exc:
         raise InputFormatError("<args>", 0, str(exc))
     env = dz.random_environment(spec)
-    _emit(env.serialize(_decimals(args)), args.output)
+    _emit(env.serialize(args.decimal or None), args.output)
     return 0 if env.certificate.ok else 1
 
 
@@ -395,17 +403,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def complex_args(p):
         p.add_argument("--torus", type=_sizes(1, 2), help="torus size N or N1xN2")
         p.add_argument("--surface", help="surface complex file")
+
+    def output_args(p):
         p.add_argument("--decimal", type=int, help="append rounded decimals")
-        if output:
-            p.add_argument("-o", "--output", help="output file (default stdout)")
+        p.add_argument("-o", "--output", help="output file (default stdout)")
 
     p = sub.add_parser("check", help="balance / dlambda2 / elementary verdicts")
     p.add_argument("property", choices=["balance", "bistochastic", "dlambda2", "elementary", "rstar"])
     p.add_argument("input")
-    common(p, output=False)
+    complex_args(p)
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("decompose", help="construct a cyclic decomposition")
@@ -421,12 +430,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="re-read the emitted file and re-check the reconstruction")
     p.add_argument("--lift", action="store_true",
                    help="also print the periodic lift records")
-    common(p)
+    complex_args(p)
+    output_args(p)
     p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("hodge", help="three-part orthogonal field split")
     p.add_argument("input")
-    common(p)
+    output_args(p)
     p.set_defaults(run=_cmd_hodge)
 
     p = sub.add_parser("elementary", help="membership verdict plus decomposition")
@@ -434,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", type=_rational, help="additive constant override")
     p.add_argument("--diameter", action="store_true",
                    help="also report the spanning-tree sufficient bound")
-    common(p)
+    complex_args(p)
+    output_args(p)
     p.set_defaults(run=_cmd_elementary)
 
     def potential_args(p):
@@ -448,8 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discretize", help="snap a smooth potential to a field")
     potential_args(p)
     p.add_argument("--n", type=_at_least(3), required=True, help="torus mesh")
-    p.add_argument("--decimal", type=int)
-    p.add_argument("-o", "--output")
+    output_args(p)
     p.set_defaults(run=_cmd_discretize)
 
     p = sub.add_parser("random-env", help="periodic random environment draw")
@@ -458,8 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-lo", type=_rational, required=True)
     p.add_argument("--noise-hi", type=_rational, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--decimal", type=int)
-    p.add_argument("-o", "--output")
+    output_args(p)
     p.set_defaults(run=_cmd_random_env)
 
     return parser
@@ -470,10 +479,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputFormatError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NotBalanced as exc:

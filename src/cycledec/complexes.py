@@ -61,14 +61,6 @@ class TwoComplex:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def torus(cls, d: int, n: int) -> "TwoComplex":
-        if d == 1:
-            return cls.torus1(n)
-        if d == 2:
-            return cls.torus2(n)
-        raise ValueError("only d in {1, 2} is supported")
-
-    @classmethod
     def torus1(cls, n: int) -> "TwoComplex":
         n = int(n)
         if n < 3:

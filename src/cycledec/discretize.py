@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .complexes import TwoChain, TwoComplex, boundary2, field_to_rates
 from .elementary import ReVerdict, in_Re
-from .ratio import ZERO, Rat, rat_floor, rat_str, to_rat
+from .ratio import ZERO, Rat, rat_str, to_rat
 
 DEFAULT_DENOMINATOR = 10**6
 
@@ -45,10 +45,8 @@ class PotentialSampler:
     periods: tuple | None = None
 
     def sample(self, u1, u2) -> Rat:
-        u1, u2 = to_rat(u1), to_rat(u2)
         p1, p2 = self.periods if self.periods else (1, 1)
-        u1 = u1 - rat_floor(u1 / p1) * p1
-        u2 = u2 - rat_floor(u2 / p2) * p2
+        u1, u2 = to_rat(u1) % p1, to_rat(u2) % p2
         return snap(float(self.fn(float(u1), float(u2))), self.denominator)
 
 
@@ -214,20 +212,10 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
         weights[(u, v)] = minimal.get((u, v), ZERO) + noise
         weights[(v, u)] = minimal.get((v, u), ZERO) + noise
 
-    probabilities = {}
-    for x in complex.vertices:
-        outgoing = [
-            (y, weights[(x, y)])
-            for y in (
-                ((x[0] + 1) % n1, x[1]),
-                (x[0], (x[1] + 1) % n2),
-                ((x[0] - 1) % n1, x[1]),
-                (x[0], (x[1] - 1) % n2),
-            )
-        ]
-        total = sum((w for _, w in outgoing), ZERO)
-        for y, w in outgoing:
-            probabilities[(x, y)] = w / total
+    totals = dict.fromkeys(complex.vertices, ZERO)
+    for (x, _), w in weights.items():
+        totals[x] += w
+    probabilities = {(x, y): w / totals[x] for (x, y), w in weights.items()}
 
     certificate = in_Re(weights, complex)
     certified = spec.noise_lo >= osc / 2

@@ -30,7 +30,6 @@ what the constructive Caratheodory step requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
@@ -152,24 +151,9 @@ def exact_rank(matrix) -> int:
     return len(_row_reduce(rows, dens, n))
 
 
-@dataclass(frozen=True)
-class BarycentricSolution:
-    """A vertex of ``{mu >= 0, sum mu = 1, sum mu * point = target}``.
-
-    The supported points are affinely independent and every coefficient is
-    strictly positive, so the target lies in the relative interior of their
-    simplex.
-    """
-
-    support_indices: tuple
-    coefficients: tuple
-
-    def as_pairs(self, points):
-        return [(points[i], c) for i, c in zip(self.support_indices, self.coefficients)]
-
-
-def barycentric_vertex(points, target) -> BarycentricSolution:
-    """Find a basic feasible barycentric representation of ``target``.
+def barycentric_vertex(points, target) -> dict:
+    """A basic feasible barycentric representation of ``target``: the
+    positive coefficients as ``{index into points: Rat}``, sorted by index.
 
     Raises :class:`Infeasible` exactly when ``target`` is outside the convex
     hull of ``points``.  Duplicate points are collapsed onto their first
@@ -191,14 +175,11 @@ def barycentric_vertex(points, target) -> BarycentricSolution:
     for i, p in enumerate(pts):
         first_index.setdefault(p, i)
     if tgt in first_index:
-        return BarycentricSolution((first_index[tgt],), (ONE,))
+        return {first_index[tgt]: ONE}
 
     unique = sorted(first_index)
     vertex = next(barycentric_rounds(unique, tgt))
-    support = sorted((first_index[unique[j]], c) for j, c in vertex.items())
-    return BarycentricSolution(
-        tuple(i for i, _ in support), tuple(c for _, c in support)
-    )
+    return dict(sorted((first_index[unique[j]], c) for j, c in vertex.items()))
 
 
 def barycentric_rounds(points, target):

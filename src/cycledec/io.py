@@ -405,12 +405,15 @@ def format_heavy_tail(terms, residual, source: str, decimals=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_lift(records, decimals=None) -> str:
+def format_lift(terms, periods=None, decimals=None) -> str:
+    """The periodic lift of ``(cycle, weight)`` terms to the infinite
+    lattice: each class once, its weight standing for every integer (or
+    ``periods``-periodic) translate, which are not enumerated."""
+    scope = "integer" if periods is None else "x".join(map(str, periods)) + "-periodic"
     lines = ["periodic-lift"]
-    for record in records:
-        cycle = record.cycle
+    for cycle, weight in terms:
         body = _class(cycle) if isinstance(cycle, LatticeCycleClass) else str(cycle)
-        lines.append(f"term {_fmt(record.weight, decimals)} {body} @ {record.translates}")
+        lines.append(f"term {_fmt(weight, decimals)} {body} @ all {scope} translates")
     return "\n".join(lines) + "\n"
 
 

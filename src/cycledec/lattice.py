@@ -226,9 +226,9 @@ def irreducible_class(points) -> LatticeCycleClass:
         vertex = barycentric_vertex(pts, (0,) * d)
     except Infeasible:
         raise ZeroNotInterior("origin not in the convex hull of the points")
-    if len(vertex.support_indices) < len(pts):
+    if len(vertex) < len(pts):
         raise ZeroNotInterior("origin not in the relative interior of the hull")
-    return _lcm_class(dict(vertex.as_pairs(pts)))
+    return _lcm_class({pts[j]: c for j, c in vertex.items()})
 
 
 def _lcm_class(mu: dict) -> LatticeCycleClass:
@@ -425,29 +425,3 @@ def decompose_1d_heavy_tail(oracle: HeavyTailOracle1D, steps: int):
             raise AssertionError("peeling produced a negative residual")
         terms.append((cls, weight))
     return terms, residual
-
-
-@dataclass(frozen=True)
-class LiftedTerm:
-    """One cycle class of a periodic decomposition on the infinite lattice.
-
-    The stated weight applies to every translate of the class; translates
-    are not enumerated.
-    """
-
-    cycle: object
-    weight: Rat
-    translates: str
-
-
-def periodic_lift(terms, periods=None):
-    """Describe the periodic lift of ``(cycle, weight)`` terms to the infinite lattice.
-
-    The terms are e.g. :meth:`LatticeDecomposition.classes` or an elementary
-    torus decomposition's cycles.  Emits each class once.
-    """
-    if periods is None:
-        scope = "all integer translates"
-    else:
-        scope = "all " + "x".join(str(int(n)) for n in periods) + "-periodic translates"
-    return [LiftedTerm(cycle, to_rat(weight), scope) for cycle, weight in terms]

@@ -71,18 +71,6 @@ def rat_decimal(q, digits: int) -> str:
     return f"{sign}{magnitude // 10**digits}.{magnitude % 10**digits:0{digits}d}"
 
 
-def rat_floor(q) -> int:
-    q = to_rat(q)
-    return q.numerator // q.denominator
-
-
-def denominator_lcm(values) -> int:
-    result = 1
-    for v in values:
-        result = lcm(result, int(to_rat(v).denominator))
-    return result
-
-
 def scaled(values: dict):
     """Clear denominators: ``(L, {key: value * L})`` with ``L`` the lcm of
     the denominators of the rational values.

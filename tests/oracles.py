@@ -14,7 +14,11 @@ problems the slow, direct way, on ``Fraction`` cells:
   before the face adjacency graph had one walk and the class came from
   the barycentric vertex: one traversal for the orientation claim and one
   for connectivity, a stack walk from any base face, and a general exact
-  linear solve.
+  linear solve;
+* :func:`reference_periodic_reduction` and
+  :func:`reference_row_probabilities`, the floor formula that reduced a
+  sample point into the periods and the fixed four-neighbour walk that
+  normalised each row of a random environment.
 """
 
 from cycledec.complexes import TwoComplex, TwoChain, VectorField, check_rates, recover_psi
@@ -279,3 +283,25 @@ def reference_irreducible_class(points) -> LatticeCycleClass:
     if any(c <= 0 for c in mu):
         raise ZeroNotInterior("origin not in the relative interior of the hull")
     return LatticeCycleClass(scaled(dict(zip(pts, mu)))[1])
+
+
+def reference_periodic_reduction(u, period) -> Rat:
+    """``u`` reduced into ``[0, period)`` as ``u - floor(u / period) * period``."""
+    u = to_rat(u)
+    q = u / period
+    return u - (q.numerator // q.denominator) * period
+
+
+def reference_row_probabilities(weights: dict, dims) -> dict:
+    """Each vertex's weights to its four torus neighbours, walked in a fixed
+    order, over their sum."""
+    n1, n2 = dims
+    probabilities = {}
+    for i in range(n1):
+        for j in range(n2):
+            x = (i, j)
+            ys = [((i + 1) % n1, j), (i, (j + 1) % n2), ((i - 1) % n1, j), (i, (j - 1) % n2)]
+            total = sum((weights[(x, y)] for y in ys), ZERO)
+            for y in ys:
+                probabilities[(x, y)] = weights[(x, y)] / total
+    return probabilities

@@ -52,7 +52,7 @@ from cycledec.lattice import (
     is_balanced,
     is_irreducible,
 )
-from cycledec.ratio import ONE, ZERO, Rat, denominator_lcm
+from cycledec.ratio import ONE, ZERO, Rat, scaled
 
 from conftest import gradient_matrix, rand_pos_rat
 from oracles import brute_force_Re_oracle, in_d_lambda2
@@ -233,7 +233,7 @@ def test_criterion_04_multiplicity_uniqueness():
         cls = irreducible_class(points)
         total = cls.total_multiplicity()
         mu = {v: Rat(m, total) for v, m in cls.entries.items()}
-        b = denominator_lcm(mu.values())
+        b = scaled(mu)[0]
         assert {v: int(b * c) for v, c in mu.items()} == cls.entries
         produced += 1
     report(4, "50 general-position classes reproduce their multiplicities")

@@ -95,10 +95,6 @@ class TestConstruction:
         cx = TwoComplex.torus1(4)
         assert (cx.n_vertices, cx.n_edges, cx.n_faces) == (4, 4, 0)
 
-    def test_torus_dispatcher(self):
-        assert TwoComplex.torus(1, 5).torus_shape == (5,)
-        assert TwoComplex.torus(2, 4).torus_shape == (4, 4)
-
     def test_small_mesh_rejected(self):
         with pytest.raises(ValueError):
             TwoComplex.torus2(2)

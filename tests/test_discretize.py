@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycledec.complexes import boundary2, recover_psi
 from cycledec.discretize import (
@@ -16,8 +17,18 @@ from cycledec.discretize import (
 from cycledec.elementary import in_Re
 from cycledec.ratio import ONE, ZERO, Rat
 
-from oracles import in_d_lambda2
+from oracles import in_d_lambda2, reference_periodic_reduction, reference_row_probabilities
 from test_complexes import fig2_field
+
+
+# fixed example sequence and no example database, so every run is the same
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+periods = st.none() | st.tuples(st.integers(1, 10**6), st.integers(1, 10**6))
+coordinates = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(Rat, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
+)
 
 
 class TestSnap:
@@ -32,6 +43,18 @@ class TestSnap:
     def test_integer_periods(self):
         sampler = PotentialSampler(lambda u1, u2: u1 + u2, denominator=10, periods=(3, 2))
         assert sampler.sample(Rat(7, 2), ONE) == sampler.sample(Rat(1, 2), ONE)
+
+    @EXAMPLES
+    @given(coordinates, coordinates, periods)
+    def test_reduction_equals_floor_formula(self, u1, u2, periods):
+        # the unit square when periods is None, the integer periods otherwise
+        seen = []
+        sampler = PotentialSampler(lambda a, b: seen.append((a, b)) or 0.0, periods=periods)
+        sampler.sample(u1, u2)
+        p1, p2 = periods or (1, 1)
+        reduced = reference_periodic_reduction(u1, p1), reference_periodic_reduction(u2, p2)
+        assert 0 <= reduced[0] < p1 and 0 <= reduced[1] < p2
+        assert seen == [tuple(map(float, reduced))]
 
 
 class TestDiscretizePotential:
@@ -135,6 +158,17 @@ class TestRandomEnvironment:
                     ZERO,
                 )
                 assert total == ONE
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([constant_potential(0.25), band_potential(), sine_potential(0.5)]),
+        st.tuples(st.integers(3, 5), st.integers(3, 5)),
+        st.integers(0, 10**6),
+        st.builds(Rat, st.integers(1, 6), st.integers(1, 6)),
+    )
+    def test_rows_equal_the_four_neighbour_normalisation(self, sampler, dims, seed, lo):
+        env = random_environment(EnvironmentSpec(sampler, lo, 2 * lo, seed, dims))
+        assert env.probabilities == reference_row_probabilities(env.weights, dims)
 
     def test_sufficient_noise_certified(self):
         for seed in range(5):

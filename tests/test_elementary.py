@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycledec import complexes, elementary
+from cycledec import io as fio
 from cycledec.complexes import (
     TwoChain,
     TwoComplex,
@@ -35,7 +36,6 @@ from cycledec.errors import (
     TooLarge,
 )
 from cycledec.finite_graph import GraphCycle, GraphDecomposition, cycle_sum
-from cycledec.lattice import periodic_lift
 from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import cube_complex, face_indicator
@@ -398,9 +398,11 @@ class TestInvariants:
         faces = sorted(dec.face_weights.items())
         pairs += [(face_walk(cx, fid), w) for fid, (w, _) in faces if w != 0]
         pairs += [(face_walk(cx, fid)[::-1], w) for fid, (_, w) in faces if w != 0]
-        lifted = periodic_lift(dec.cycles(cx), periods=cx.torus_shape)
-        assert Counter(lifted) == Counter(periodic_lift(pairs, periods=cx.torus_shape))
+        header, *lifted = fio.format_lift(dec.cycles(cx), cx.torus_shape).splitlines()
+        assert header == "periodic-lift"
+        assert Counter(lifted) == Counter(fio.format_lift(pairs, cx.torus_shape).splitlines()[1:])
         assert len(lifted) == len(pairs)
+        assert all(line.endswith(" @ all 3x4-periodic translates") for line in lifted)
 
     def test_constant_shift_invariance(self, rng):
         # identical verdicts whichever chain recover_psi returns: shifting

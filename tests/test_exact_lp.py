@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from cycledec.errors import Infeasible, NoSolution
 from cycledec.exact_lp import (
-    BarycentricSolution,
     _int_rows,
     _row_reduce,
     barycentric_rounds,
@@ -80,14 +79,15 @@ def dense_rank(matrix):
 
 
 def reference_barycentric(points, target, ties=None):
-    """Reference: ``barycentric_vertex`` on the ``Rat`` tableau."""
+    """Reference: ``barycentric_vertex`` on the ``Rat`` tableau, as the
+    ``{index: Rat}`` map of the positive coefficients sorted by index."""
     pts = [tuple(int(c) for c in p) for p in points]
     tgt = tuple(int(c) for c in target)
     first_index = {}
     for i, p in enumerate(pts):
         first_index.setdefault(p, i)
     if tgt in first_index:
-        return BarycentricSolution((first_index[tgt],), (ONE,))
+        return {first_index[tgt]: ONE}
     unique = sorted(first_index)
     rows = [{j: Rat(p[c]) for j, p in enumerate(unique) if p[c]} for c in range(len(tgt))]
     rows.append({j: ONE for j in range(len(unique))})
@@ -95,10 +95,8 @@ def reference_barycentric(points, target, ties=None):
     values = fraction_phase1_vertex(rows, rhs, len(unique), ties)
     if values is None:
         raise Infeasible("target is outside the convex hull of the points")
-    support = sorted(
-        (first_index[unique[j]], values[j]) for j in range(len(unique)) if values[j] > 0
-    )
-    return BarycentricSolution(tuple(i for i, _ in support), tuple(c for _, c in support))
+    support = ((first_index[unique[j]], c) for j, c in enumerate(values) if c > 0)
+    return dict(sorted(support))
 
 
 small_rats = st.builds(Rat, st.integers(-3, 3), st.integers(1, 12))
@@ -210,7 +208,7 @@ def test_barycentric_vertex_equals_fraction_reference(case):
         with pytest.raises(Infeasible):
             barycentric_vertex(points, target)
         return
-    assert barycentric_vertex(points, target) == expected
+    assert list(barycentric_vertex(points, target).items()) == list(expected.items())
 
 
 @EXAMPLES
@@ -247,7 +245,7 @@ def test_bland_tie_break_equals_fraction_reference():
     ties = []
     expected = reference_barycentric(points, (0, 0), ties)
     assert ties
-    assert barycentric_vertex(points, (0, 0)) == expected
+    assert list(barycentric_vertex(points, (0, 0)).items()) == list(expected.items())
 
 
 class TestSolveExactLinear:
@@ -289,9 +287,7 @@ class TestSolveExactLinear:
 
 class TestBarycentricVertex:
     def test_symmetric_pair(self):
-        sol = barycentric_vertex([(1, 0), (-1, 0)], (0, 0))
-        assert sol.support_indices == (0, 1)
-        assert sol.coefficients == (Rat(1, 2), Rat(1, 2))
+        assert barycentric_vertex([(1, 0), (-1, 0)], (0, 0)) == {0: Rat(1, 2), 1: Rat(1, 2)}
 
     def test_fig1_quadrant_infeasible(self):
         points = [(2, -1), (-1, 2), (4, -2), (-2, 4)]
@@ -300,28 +296,23 @@ class TestBarycentricVertex:
 
     def test_three_vector_thirds(self):
         sol = barycentric_vertex([(2, -1), (-1, 2), (-1, -1)], (0, 0))
-        assert sol.coefficients == (Rat(1, 3), Rat(1, 3), Rat(1, 3))
+        assert sol == {0: Rat(1, 3), 1: Rat(1, 3), 2: Rat(1, 3)}
 
     def test_target_equals_point(self):
-        sol = barycentric_vertex([(3, 1), (5, 5)], (5, 5))
-        assert sol.support_indices == (1,)
-        assert sol.coefficients == (ONE,)
+        assert barycentric_vertex([(3, 1), (5, 5)], (5, 5)) == {1: ONE}
 
     def test_duplicates_collapse_to_first_occurrence(self):
-        sol = barycentric_vertex([(1, 0), (1, 0), (-1, 0)], (0, 0))
-        assert sol.support_indices == (0, 2)
+        assert list(barycentric_vertex([(1, 0), (1, 0), (-1, 0)], (0, 0))) == [0, 2]
 
     def _assert_vertex_contract(self, points, target, sol):
-        assert sum(sol.coefficients, ZERO) == ONE
-        assert all(c > 0 for c in sol.coefficients)
+        assert list(sol) == sorted(sol)
+        assert sum(sol.values(), ZERO) == ONE
+        assert all(type(c) is Rat and c > 0 for c in sol.values())
         d = len(target)
         for i in range(d):
-            total = sum(
-                (c * points[j][i] for j, c in zip(sol.support_indices, sol.coefficients)),
-                ZERO,
-            )
+            total = sum((c * points[j][i] for j, c in sol.items()), ZERO)
             assert total == target[i]
-        support = [points[j] for j in sol.support_indices]
+        support = [points[j] for j in sol]
         diffs = [
             [p[i] - support[0][i] for i in range(d)] for p in support[1:]
         ]

@@ -598,6 +598,42 @@ class TestCliInputErrors:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "elementary", str(SAMPLES / "torus_rates.wg"), "--torus", "5000x5000"],
+            ["elementary", str(SAMPLES / "torus_rates.wg"), "--torus", "5000"],
+            ["decompose", "--mode", "1d", str(SAMPLES / "ring.wg"), "--torus", "40001"],
+            ["check", "elementary", str(SAMPLES / "two_columns.field"), "--torus", "5000"],
+            ["random-env", "--potential", "constant", "--seed", "1", "--dims", "5000x5000",
+             "--noise-lo", "1", "--noise-hi", "1"],
+            ["discretize", "--potential", "band", "--n", "5000"],
+        ],
+        ids=lambda args: " ".join(a.split("/")[-1] for a in args),
+    )
+    def test_oversized_torus_arguments_exit_two_before_building(self, args, capsys):
+        started = time.perf_counter()
+        assert run_cli(args) == 2
+        assert time.perf_counter() - started < 1
+        err = capsys.readouterr().err
+        assert "<args>:0:" in err and f"vertices exceed the limit of {fio.FIELD_VERTEX_LIMIT}" in err
+
+    @pytest.mark.parametrize("flag, value", [("--torus", "6"), ("--surface", "cube.surf")])
+    def test_complex_flag_disagreeing_with_a_field_header_exit_two(self, flag, value, capsys):
+        path = str(SAMPLES / "two_columns.field")
+        value = str(SAMPLES / value) if flag == "--surface" else value
+        assert run_cli(["check", "elementary", path, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"<args>:0: {flag} disagrees with the field header of {path}" in err
+
+    def test_square_torus_shorthand_fits_a_square_field_header(self, capsys):
+        path = str(SAMPLES / "two_columns.field")
+        assert run_cli(["check", "elementary", path]) == 1
+        expected = capsys.readouterr().out
+        for shape in ("10", "10x10"):
+            assert run_cli(["check", "elementary", path, "--torus", shape]) == 1
+            assert capsys.readouterr().out == expected
+
     def test_heavy_tail_on_a_massless_measure_exit_one(self, workdir, capsys):
         path = write(workdir / "zero.msr", "1 0/1\n-1 0/1\n")
         assert run_cli(["decompose", "--mode", "1d-heavy", path]) == 1
@@ -634,6 +670,8 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
          "--constant", "1", "-o", "out"],
         ["decompose", "--mode", "elementary", _sample("klein_rates.wg"), "--surface",
          _sample("klein.surf"), "--constant", "1"],
+        ["hodge", _sample("two_columns.field"), "--torus", "3"],
+        ["check", "balance", _sample("rest2d.msr"), "--decimal", "3"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycledec import io as fio
 from cycledec import lattice as lat
 from cycledec.errors import (
     NotBalanced,
@@ -30,9 +31,8 @@ from cycledec.lattice import (
     is_balanced,
     is_irreducible,
     mean,
-    periodic_lift,
 )
-from cycledec.ratio import ONE, ZERO, Rat, denominator_lcm, scaled
+from cycledec.ratio import ONE, ZERO, Rat, scaled
 
 from conftest import rand_pos_rat
 from oracles import reference_irreducible_class
@@ -55,9 +55,8 @@ def reference_caratheodory_step(p: LatticeMeasure):
     points = [x for x in p.support() if any(x)]
     if not points:
         raise ValueError("measure is trivial (support only at the origin)")
-    solution = barycentric_vertex(points, p.origin())
-    mu = dict(solution.as_pairs(points))
-    b = denominator_lcm(mu.values())
+    mu = {points[j]: c for j, c in barycentric_vertex(points, p.origin()).items()}
+    b = scaled(mu)[0]
     cls = LatticeCycleClass({w: int(b * c) for w, c in mu.items()})
     weight = min(p.mass(w) / c for w, c in mu.items())
     residual = dict(p.atoms)
@@ -324,7 +323,7 @@ def assert_class_shape(cls: LatticeCycleClass):
     total = cls.total_multiplicity()
     mu = {v: Rat(m, total) for v, m in cls.items()}
     assert all(c > 0 for c in mu.values())
-    b = denominator_lcm(mu.values())
+    b = scaled(mu)[0]
     assert {v: int(b * c) for v, c in mu.items()} == cls.entries
 
 
@@ -491,24 +490,27 @@ class TestHeavyTail:
             assert len(inside) <= 1
 
 
-class TestPeriodicLift:
+class TestFormatLift:
     def test_single_shuttle(self):
         cls = LatticeCycleClass({(1, 0): 1, (-1, 0): 1})
-        records = periodic_lift([(cls, ONE)])
-        assert len(records) == 1
-        assert records[0].weight == ONE
-        assert "translates" in records[0].translates
+        assert fio.format_lift([(cls, ONE)]) == (
+            "periodic-lift\nterm 1/1 class -1,0*1 1,0*1 @ all integer translates\n"
+        )
+        assert fio.format_lift([(cls, Rat(2, 3))], decimals=2) == (
+            "periodic-lift\nterm 2/3~0.67 class -1,0*1 1,0*1 @ all integer translates\n"
+        )
 
     def test_empty(self):
-        assert periodic_lift(LatticeDecomposition([], ZERO).classes(2)) == []
+        assert fio.format_lift(LatticeDecomposition([], ZERO).classes(2)) == "periodic-lift\n"
 
-    def test_torus_terms_count(self):
+    def test_torus_terms(self):
         pairs = [(("edge", ((0, 0), (1, 0))), Rat(1, 2)), (("face", 3), Rat(1, 3))]
-        records = periodic_lift(pairs, periods=(4, 4))
-        assert len(records) == 2
-        assert all("4x4" in r.translates for r in records)
+        assert fio.format_lift(pairs, periods=(4, 4)).splitlines() == [
+            "periodic-lift",
+            "term 1/2 ('edge', ((0, 0), (1, 0))) @ all 4x4-periodic translates",
+            "term 1/3 ('face', 3) @ all 4x4-periodic translates",
+        ]
 
     def test_trivial_mass_emitted(self):
-        records = periodic_lift(LatticeDecomposition([], Rat(1, 8)).classes(2))
-        assert len(records) == 1 and records[0].weight == Rat(1, 8)
-        assert records[0].cycle == LatticeCycleClass({(0, 0): 1})
+        text = fio.format_lift(LatticeDecomposition([], Rat(1, 8)).classes(2))
+        assert text == "periodic-lift\nterm 1/8 class 0,0*1 @ all integer translates\n"

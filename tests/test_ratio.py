@@ -5,10 +5,8 @@ import pytest
 from cycledec.ratio import (
     BACKEND,
     Rat,
-    denominator_lcm,
     parse_rat,
     rat_decimal,
-    rat_floor,
     rat_str,
     to_rat,
 )
@@ -49,17 +47,6 @@ def test_to_rat_returns_rationals_unchanged():
 def test_normalization():
     q = Rat(6, 4)
     assert (q.numerator, q.denominator) == (3, 2)
-
-
-def test_rat_floor():
-    assert rat_floor(Rat(7, 2)) == 3
-    assert rat_floor(Rat(-7, 2)) == -4
-    assert rat_floor(Rat(4)) == 4
-
-
-def test_denominator_lcm():
-    assert denominator_lcm([Rat(1, 2), Rat(1, 3), Rat(5, 6)]) == 6
-    assert denominator_lcm([]) == 1
 
 
 def test_rat_decimal_rounding():
