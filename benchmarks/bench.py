@@ -2,10 +2,10 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_12.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_12.json
+    python3 benchmarks/bench.py --label change --out BENCH_14.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_14.json
 
-Four ladders, each on inputs generated from a fixed seed:
+Five ladders, each on inputs generated from a fixed seed:
 
 * ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
   small rational values, n = 6, 10, 14.  The Laplace system goes through
@@ -23,12 +23,17 @@ Four ladders, each on inputs generated from a fixed seed:
 * ``birkhoff``: :func:`birkhoff_decompose` on an n x n bistochastic
   matrix, a mixture of n/2 random permutations with weights 1..12 over
   their total, n = 24, 48, 96.  This is the matching kept across rounds.
+* ``io``: the file layer on the rates of the ``elementary`` ladder, n = 16,
+  32, 64: :func:`parse_graph` and :func:`labels_to_coords` on the rates
+  file, :func:`format_elementary_decomposition` of their decomposition
+  (computed before the timing), then :func:`parse_decomposition` and
+  :func:`reconstruct_on_complex` of that text, checked against the rates.
 
 Each rung runs ``REPEATS`` times in this process and records the best wall
 time, all wall times and the sha256 of its output text (the three Hodge
 parts and the harmonic coefficients; the ``.dec`` text; the witness
-constant and the ``.dec`` text; the ``.dec`` text), which must be the same
-on every repeat.
+constant and the ``.dec`` text; the ``.dec`` text; the ``.dec`` text),
+which must be the same on every repeat.
 The record also carries the commit and a digest of the sources of the
 measured ``cycledec``, the Python version and the rational backend the
 ladders ran on.  ``--src`` measures another checkout's ``src``; ``--out``
@@ -57,6 +62,7 @@ LADDERS = {
     "lattice": (40, 80, 160, 320),
     "elementary": (16, 24, 32),
     "birkhoff": (24, 48, 96),
+    "io": (16, 32, 64),
 }
 
 
@@ -160,6 +166,22 @@ def rung_case(kernel: str, size: int):
             return fio.format_birkhoff_decomposition(birkhoff_decompose(g), "bench")
 
         return graph, f"{len(graph.weights)} entries", run
+    if kernel == "io":
+        cx, rates = torus_rates(size)
+        dec = elementary_decompose(rates, cx)
+        labelled = {(fio.coords_label(u), fio.coords_label(v)): w for (u, v), w in rates.items()}
+        text = fio.format_graph("bench", labelled)
+
+        def run(graph_text):
+            _, weights = fio.parse_graph(graph_text)
+            parsed = fio.labels_to_coords(weights)
+            dec_text = fio.format_elementary_decomposition(dec, cx, "bench")
+            mode, _, records = fio.parse_decomposition(dec_text)
+            if parsed != rates or fio.reconstruct_on_complex(mode, records, cx) != rates:
+                raise RuntimeError(f"io {size}: the rates do not survive a write and a read")
+            return dec_text
+
+        return text, f"{len(text)} bytes of rates", run
     raise ValueError(f"unknown kernel {kernel!r}")
 
 

@@ -217,7 +217,7 @@ def _verdict_line(verdict) -> str:
 
 def _cmd_decompose(args) -> int:
     mode = args.mode
-    decimals = args.decimal or None
+    decimals = args.decimal
     if mode == "graph":
         name, graph = _load_digraph(args.input)
         dec = decompose_graph(graph)
@@ -314,7 +314,6 @@ def _cmd_hodge(args) -> int:
     if not (complex.is_torus() and complex.torus_dimension() == 2):
         raise InputFormatError(args.input, 1, "hodge expects a 2-d torus field")
     parts = hodge_decompose(field)
-    decimals = args.decimal or None
     shape = complex.torus_shape
     lines = [
         "hodge torus " + " ".join(str(n) for n in shape),
@@ -327,7 +326,7 @@ def _cmd_hodge(args) -> int:
         ("harmonic", parts.harmonic),
     ):
         lines.append(f"part {label}")
-        body = fio.format_field(part, decimals).splitlines()[1:]
+        body = fio.format_field(part, args.decimal).splitlines()[1:]
         lines.extend(body)
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -352,7 +351,7 @@ def _cmd_elementary(args) -> int:
         dec = _elementary_decompose(rates, complex, args.constant)
         _emit(
             fio.format_elementary_decomposition(
-                dec, complex, args.input, args.decimal or None
+                dec, complex, args.input, args.decimal
             ),
             args.output,
         )
@@ -375,7 +374,7 @@ def _cmd_discretize(args) -> int:
     sampler = _make_potential(args)
     _bounded((args.n, args.n), "--n")
     field, chain = dz.discretize_potential(sampler, args.n)
-    text = fio.format_field(field, args.decimal or None)
+    text = fio.format_field(field, args.decimal)
     text += f"# oscillation {rat_str(dz.oscillation(chain))}\n"
     _emit(text, args.output)
     return 0
@@ -389,7 +388,7 @@ def _cmd_random_env(args) -> int:
     except ValueError as exc:
         raise InputFormatError("<args>", 0, str(exc))
     env = dz.random_environment(spec)
-    _emit(env.serialize(args.decimal or None), args.output)
+    _emit(env.serialize(args.decimal), args.output)
     return 0 if env.certificate.ok else 1
 
 
@@ -408,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--surface", help="surface complex file")
 
     def output_args(p):
-        p.add_argument("--decimal", type=int, help="append rounded decimals")
+        p.add_argument("--decimal", type=_at_least(0), help="append decimals rounded to N digits")
         p.add_argument("-o", "--output", help="output file (default stdout)")
 
     p = sub.add_parser("check", help="balance / dlambda2 / elementary verdicts")

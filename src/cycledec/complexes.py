@@ -77,30 +77,17 @@ class TwoComplex:
         if n1 < 3 or n2 < 3:
             raise ValueError("torus mesh must be at least 3")
         vertices = [(i, j) for i in range(n1) for j in range(n2)]
+        # vertex (i, j) has id i * n2 + j; its edge in direction d has id 2 * (i * n2 + j) + d
         edges = []
-        eid_of = {}
-        for i in range(n1):
-            for j in range(n2):
-                for d, (di, dj) in enumerate(((1, 0), (0, 1))):
-                    u = (i, j)
-                    v = ((i + di) % n1, (j + dj) % n2)
-                    eid_of[(u, d)] = len(edges)
-                    edges.append((u, v))
+        for i, j in vertices:
+            edges.append(((i, j), ((i + 1) % n1, j)))
+            edges.append(((i, j), (i, (j + 1) % n2)))
         face_edges = []
-        for i in range(n1):
-            for j in range(n2):
-                right = (i, j)
-                up_right = ((i + 1) % n1, j)
-                top = (i, (j + 1) % n2)
-                up_left = (i, j)
-                face_edges.append(
-                    (
-                        (eid_of[(right, 0)], 1),
-                        (eid_of[(up_right, 1)], 1),
-                        (eid_of[(top, 0)], -1),
-                        (eid_of[(up_left, 1)], -1),
-                    )
-                )
+        for i, j in vertices:
+            here = 2 * (i * n2 + j)
+            right = 2 * (((i + 1) % n1) * n2 + j)
+            top = 2 * (i * n2 + (j + 1) % n2)
+            face_edges.append(((here, 1), (right + 1, 1), (top, -1), (here + 1, -1)))
         return cls(vertices, edges, face_edges, orientable=True,
                    torus_shape=(n1, n2), name=f"torus2[{n1}x{n2}]")
 

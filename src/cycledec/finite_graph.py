@@ -75,14 +75,23 @@ def edge_sum(terms, scale: int) -> dict:
 
     ``scale`` is a common multiple of the weight denominators: the weights
     add as integer numerators over it, and each total is divided back
-    once.  ``terms`` may be a generator, so no edge list outlives its term.
+    once per distinct total.  ``terms`` may be a generator, so no edge
+    list outlives its term.
     """
     acc: dict = {}
     for edges, weight in terms:
         n = weight.numerator * (scale // weight.denominator)
         for e in edges:
             acc[e] = acc.get(e, 0) + n
-    return {e: Rat(n, scale) for e, n in acc.items() if n}
+    totals: dict = {}  # many edges share a total; each Rat is built once
+    out = {}
+    for e, n in acc.items():
+        if n:
+            total = totals.get(n)
+            if total is None:
+                total = totals[n] = Rat(n, scale)
+            out[e] = total
+    return out
 
 
 def cycle_sum(terms) -> dict:

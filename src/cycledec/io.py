@@ -3,6 +3,10 @@
 All numeric payloads are ``num/den`` strings.  Writers sort everything, so
 identical inputs give byte-identical files.  Readers raise
 :class:`InputFormatError` with the offending line number.
+
+Files repeat their tokens heavily, so each distinct token is parsed or
+written once per file: every reader, writer and reconstruction keeps a
+local ``{token: value}`` dict that lives as long as its call.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from .ratio import ZERO, parse_rat, rat_decimal, rat_str, to_rat
 
 
 def _content_lines(text: str):
+    comments = "#" in text
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if comments else raw).strip()
         if line:
             yield line_no, line
 
@@ -30,11 +35,16 @@ def _fmt(value, decimals=None) -> str:
     return out
 
 
-def _parse_value(token: str, path, line_no):
-    try:
-        return parse_rat(token.split("~", 1)[0])
-    except ValueError as exc:
-        raise InputFormatError(path, line_no, str(exc))
+def _parse_value(token: str, path, line_no, values: dict):
+    """``token`` as a ``Rat``; ``values`` holds the tokens of this file
+    already parsed, so a repeated token is parsed once."""
+    value = values.get(token)
+    if value is None:
+        try:
+            value = values[token] = parse_rat(token.split("~", 1)[0])
+        except ValueError as exc:
+            raise InputFormatError(path, line_no, str(exc))
+    return value
 
 
 # -- measures -----------------------------------------------------------
@@ -42,6 +52,7 @@ def _parse_value(token: str, path, line_no):
 
 def parse_measure(text: str, path="<measure>") -> LatticeMeasure:
     atoms = {}
+    values = {}
     dimension = None
     for line_no, line in _content_lines(text):
         tokens = line.split()
@@ -59,7 +70,7 @@ def parse_measure(text: str, path="<measure>") -> LatticeMeasure:
             )
         if point in atoms:
             raise InputFormatError(path, line_no, f"duplicate point {point}")
-        mass = _parse_value(tokens[-1], path, line_no)
+        mass = _parse_value(tokens[-1], path, line_no, values)
         if mass.numerator < 0:
             raise InputFormatError(path, line_no, f"negative mass {tokens[-1]} at {point}")
         atoms[point] = mass
@@ -95,6 +106,7 @@ def _parse_graph(text: str, path):
     the weights."""
     name = None
     weights = {}
+    values = {}
     lines = []
     for line_no, line in _content_lines(text):
         tokens = line.split()
@@ -108,7 +120,7 @@ def _parse_graph(text: str, path):
         u, v = tokens[0], tokens[1]
         if (u, v) in weights:
             raise InputFormatError(path, line_no, f"duplicate edge {u} {v}")
-        weight = _parse_value(tokens[2], path, line_no)
+        weight = _parse_value(tokens[2], path, line_no, values)
         if weight.numerator < 0:
             raise InputFormatError(path, line_no, f"negative weight {tokens[2]} on {u} {v}")
         weights[(u, v)] = weight
@@ -139,17 +151,26 @@ def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
     the error; without it the error says line 0.  The order of ``weights``
     is kept, and two labels of one point make a duplicate edge.
     """
+    points = {}  # each distinct label is converted once
     out = {}
     for k, ((u, v), w) in enumerate(weights.items()):
-        line = lines[k] if lines else 0
         try:
-            edge = tuple(int(c) for c in u.split(",")), tuple(int(c) for c in v.split(","))
+            edge = _label_point(u, points), _label_point(v, points)
         except ValueError:
-            raise InputFormatError(path, line, f"label {u!r} or {v!r} is not coordinates")
+            raise InputFormatError(
+                path, lines[k] if lines else 0, f"label {u!r} or {v!r} is not coordinates"
+            )
         if edge in out:
-            raise InputFormatError(path, line, f"duplicate edge {u} {v}")
+            raise InputFormatError(path, lines[k] if lines else 0, f"duplicate edge {u} {v}")
         out[edge] = w
     return out
+
+
+def _label_point(label: str, points: dict) -> tuple:
+    point = points.get(label)
+    if point is None:
+        point = points[label] = tuple(int(c) for c in label.split(","))
+    return point
 
 
 def coords_label(point) -> str:
@@ -176,6 +197,7 @@ def parse_field(text: str, path="<field>"):
     """
     complex = None
     entries = {}
+    values = {}
     for line_no, line in _content_lines(text):
         tokens = line.split()
         if complex is None:
@@ -219,7 +241,7 @@ def parse_field(text: str, path="<field>"):
         key = (point, tuple(head))
         if key in entries:
             raise InputFormatError(path, line_no, f"duplicate edge {point} dir {direction}")
-        entries[key] = _parse_value(tokens[-1], path, line_no)
+        entries[key] = _parse_value(tokens[-1], path, line_no, values)
     if complex is None:
         raise InputFormatError(path, 0, "missing field header")
     return complex, VectorField.from_dict(complex, entries)
@@ -339,11 +361,24 @@ def read_surface(path) -> TwoComplex:
 
 
 def _cycle_terms(terms, decimals) -> list:
-    """One ``term <weight> cycle <vertices>`` line per ``(cycle, weight)``."""
-    return [
-        f"term {_fmt(weight, decimals)} cycle " + " ".join(map(vertex_label, cycle))
-        for cycle, weight in terms
-    ]
+    """One ``term <weight> cycle <vertices>`` line per ``(cycle, weight)``;
+    each distinct weight and vertex is written once."""
+    weights = {}  # (numerator, denominator) -> text: hashing a Rat costs more than writing it
+    labels = {}
+    lines = []
+    for cycle, weight in terms:
+        key = weight.numerator, weight.denominator
+        head = weights.get(key)
+        if head is None:
+            head = weights[key] = f"term {_fmt(weight, decimals)} cycle "
+        body = []
+        for v in cycle:
+            label = labels.get(v)
+            if label is None:
+                label = labels[v] = vertex_label(v)
+            body.append(label)
+        lines.append(head + " ".join(body))
+    return lines
 
 
 def _class(cls) -> str:
@@ -431,6 +466,7 @@ def parse_decomposition(text: str, path="<decomposition>"):
     mode = None
     source = None
     records = []
+    values = {}
     for line_no, line in _content_lines(text):
         tokens = line.split()
         key = tokens[0]
@@ -441,11 +477,11 @@ def parse_decomposition(text: str, path="<decomposition>"):
                 )
             mode, source = tokens[1], tokens[2]
         elif key == "term":
-            records.append(_parse_term(tokens, path, line_no))
+            records.append(_parse_term(tokens, path, line_no, values))
         elif key in ("trivial", "constant", "parameter", "max-parameter"):
             if len(tokens) != 2:
                 raise InputFormatError(path, line_no, f"expected: {key} <num/den>")
-            records.append((key, _parse_value(tokens[1], path, line_no)))
+            records.append((key, _parse_value(tokens[1], path, line_no, values)))
         elif key == "residual":
             if len(tokens) != 3:
                 raise InputFormatError(path, line_no, "expected: residual <x> <num/den>")
@@ -453,7 +489,7 @@ def parse_decomposition(text: str, path="<decomposition>"):
                 x = int(tokens[1])
             except ValueError:
                 raise InputFormatError(path, line_no, "residual point must be an integer")
-            records.append(("residual", x, _parse_value(tokens[2], path, line_no)))
+            records.append(("residual", x, _parse_value(tokens[2], path, line_no, values)))
         elif key == "rstar":
             if len(tokens) != 2 or tokens[1] not in ("yes", "no"):
                 raise InputFormatError(path, line_no, "expected: rstar yes|no")
@@ -465,10 +501,10 @@ def parse_decomposition(text: str, path="<decomposition>"):
     return mode, source, records
 
 
-def _parse_term(tokens, path, line_no):
+def _parse_term(tokens, path, line_no, values):
     if len(tokens) < 3:
         raise InputFormatError(path, line_no, "term needs a weight and a kind")
-    weight = _parse_value(tokens[1], path, line_no)
+    weight = _parse_value(tokens[1], path, line_no, values)
     kind, payload = tokens[2], tokens[3:]
     if kind == "class":
         payload = _parse_class(payload, path, line_no)
@@ -568,18 +604,18 @@ def reconstruct_on_complex(mode, records, complex, path="<decomposition>"):
 def _complex_term_edges(terms, complex, path):
     """``(edges, weight)`` per parsed cycle term, each edge on the complex."""
     vertices = {}  # each vertex token is parsed once
+    index = complex.edge_index
     for weight, kind, payload in terms:
         if kind != "cycle":
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
         cycle = []
         for token in payload:
-            if token not in vertices:
-                vertices[token] = _parse_vertex(token, complex, path)
-            cycle.append(vertices[token])
+            vertex = vertices.get(token)
+            if vertex is None:
+                vertex = vertices[token] = _parse_vertex(token, complex, path)
+            cycle.append(vertex)
         edges = cycle_edges(cycle)
         for u, v in edges:
-            try:
-                complex.edge_id(u, v)
-            except KeyError as exc:
-                raise InputFormatError(path, 0, exc.args[0])
+            if (u, v) not in index and (v, u) not in index:
+                raise InputFormatError(path, 0, f"no edge between {u} and {v}")
         yield edges, weight

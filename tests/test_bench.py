@@ -4,7 +4,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench.py"
-RECORD = ROOT / "BENCH_13.json"
+RECORD = ROOT / "BENCH_14.json"
 
 
 def load_bench():

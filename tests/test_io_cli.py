@@ -11,8 +11,9 @@ from cycledec import io as fio
 from cycledec.complexes import TwoComplex, VectorField, field_to_rates
 from cycledec.discretize import band_potential, discretize_potential
 from cycledec.errors import InputFormatError
+from cycledec.finite_graph import GraphCycle, GraphDecomposition
 from cycledec.lattice import LatticeMeasure
-from cycledec.ratio import ONE, ZERO, Rat
+from cycledec.ratio import ONE, ZERO, Rat, parse_rat, rat_decimal, rat_str
 
 from conftest import CUBE_FACES, cube_complex
 
@@ -161,6 +162,171 @@ class TestReconstructOnComplex:
         mode, _, records = fio.parse_decomposition("decomposition elementary r\nterm 0/1 cycle 0,0 1,1\n")
         with pytest.raises(InputFormatError, match="no edge between"):
             fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3))
+
+
+# -- readers and writers handle each distinct token once per file; these
+# compare them with a token-by-token reference on text that repeats tokens
+
+# equal values in several spellings, with and without a rounded `~` copy
+VALUE_TOKENS = ["1/2", "2/4", "1/2~0.500", "2/4~1", "3", "3/1~3", "0/7", "5/6", "10/12~0.8",
+                "-1/2", "-2/4~-0.5"]
+BAD_TOKENS = ["1/0", "x", "1/2/3", "/2", "3/-4", "-1/2"]
+
+
+def _reference_value(token):
+    """``parse_rat`` of the exact part of ``token``; None when it is no rational."""
+    try:
+        return parse_rat(token.split("~", 1)[0])
+    except ValueError:
+        return None
+
+
+# per reader: its text with the value token of record k on line k + 2, the
+# first n values it reads back in record order, and whether it refuses a
+# negative value
+TOKEN_READERS = {
+    "graph": (
+        lambda tokens: "digraph g\n" + "".join(
+            f"{k % 3},{k // 3} {(k + 1) % 3},{k // 3} {t}\n" for k, t in enumerate(tokens)),
+        lambda text, n: list(fio.parse_graph(text)[1].values()),
+        True,
+    ),
+    "measure": (
+        lambda tokens: "\n" + "".join(f"{k} 0 {t}\n" for k, t in enumerate(tokens)),
+        lambda text, n: [fio.parse_measure(text).mass((k, 0)) for k in range(n)],
+        True,
+    ),
+    "field": (
+        lambda tokens: "field torus 3 3\n" + "".join(
+            f"{k // 6} {k // 2 % 3} {k % 2 + 1} {t}\n" for k, t in enumerate(tokens)),
+        lambda text, n: fio.parse_field(text)[1].values[:n],
+        False,
+    ),
+    "decomposition": (
+        lambda tokens: "decomposition elementary r\n" + "".join(
+            f"term {t} cycle {k},0 {k},1\n" for k, t in enumerate(tokens)),
+        lambda text, n: [record[1] for record in fio.parse_decomposition(text)[2]],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", TOKEN_READERS)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    tokens=st.lists(st.sampled_from(VALUE_TOKENS), min_size=2, max_size=18),
+    bad=st.one_of(st.none(), st.sampled_from(BAD_TOKENS)),
+    comment=st.booleans(),
+    data=st.data(),
+)
+def test_readers_parse_repeated_tokens_like_parse_rat(reader, tokens, bad, comment, data):
+    """A reader returns the values a token-by-token ``parse_rat`` gives, or
+    reports the first line whose token is bad; a bad token sits on two lines."""
+    build, read, refuses_negative = TOKEN_READERS[reader]
+    if bad is not None:
+        for k in data.draw(st.lists(st.integers(0, len(tokens) - 1), min_size=2, max_size=2,
+                                    unique=True)):
+            tokens[k] = bad
+    text = build(tokens)
+    if comment:
+        text = text.replace("\n", "  # note\n", 2)
+    values = [_reference_value(t) for t in tokens]
+    first_bad = next(
+        (k + 2 for k, v in enumerate(values) if v is None or (refuses_negative and v < 0)), None
+    )
+    if first_bad is None:
+        read_back = read(text, len(tokens))
+        assert read_back == values
+        assert all(type(v) is Rat for v in read_back)
+    else:
+        with pytest.raises(InputFormatError) as info:
+            read(text, len(tokens))
+        assert info.value.line_no == first_bad
+
+
+LABELS = ["0,0", "0,1", "1,0", "00,1", "+1,0", "1,1,1", "a", "0,x"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)),
+                min_size=1, max_size=10, unique=True))
+def test_labels_to_coords_names_the_first_bad_or_duplicate_edge(tmp_path_factory, edges):
+    """Labels convert as a label-by-label reference does, and the error names
+    the line of the first edge with a bad label or an earlier point pair."""
+    body = "".join(f"# edge {k}\n{u} {v} {k}/1\n" for k, (u, v) in enumerate(edges))
+    path = tmp_path_factory.mktemp("labels") / "g.wg"
+    path.write_text("digraph g\n" + body, encoding="utf-8")
+    expected, error = {}, None
+    for k, (u, v) in enumerate(edges):
+        try:
+            edge = tuple(int(c) for c in u.split(",")), tuple(int(c) for c in v.split(","))
+        except ValueError:
+            error = f"{path}:{2 * k + 3}: label {u!r} or {v!r} is not coordinates"
+            break
+        if edge in expected:
+            error = f"{path}:{2 * k + 3}: duplicate edge {u} {v}"
+            break
+        expected[edge] = Rat(k)
+    _, weights, lines = fio.read_graph(path)
+    if error is None:
+        assert list(fio.labels_to_coords(weights, path, lines).items()) == list(expected.items())
+    else:
+        with pytest.raises(InputFormatError) as info:
+            fio.labels_to_coords(weights, path, lines)
+        assert str(info.value) == error
+
+
+# vertex cycles on the 3 x 3 torus that share edges in both directions;
+# the last two take a step that is not an edge
+TORUS_CYCLES = [
+    "0,0 1,0", "1,0 0,0", "0,1 1,1", "0,0 1,0 1,1 0,1", "1,1 0,1 0,0 1,0", "0,0 0,1 0,2",
+    "2,0 0,0 0,1 2,1", "0,0 1,1", "1,0 2,0 0,1",
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(VALUE_TOKENS), st.sampled_from(TORUS_CYCLES)),
+                min_size=1, max_size=8))
+def test_reconstruct_on_complex_sums_repeated_tokens_like_parse_rat(terms):
+    """The edge sums equal a term-by-term ``Rat`` sum, and the first step
+    that is not an edge of the torus is named."""
+    complex = TwoComplex.torus2(3)
+    text = "decomposition elementary r\n" + "".join(
+        f"term {w} cycle {cycle}\n" for w, cycle in terms
+    )
+    mode, _, records = fio.parse_decomposition(text)
+    expected, missing = {}, None
+    for w, cycle in terms:
+        points = [tuple(int(c) for c in token.split(",")) for token in cycle.split()]
+        for u, v in zip(points, points[1:] + points[:1]):
+            if missing is None and not ((u, v) in complex.edge_index or (v, u) in complex.edge_index):
+                missing = u, v
+            expected[(u, v)] = expected.get((u, v), ZERO) + _reference_value(w)
+    if missing is None:
+        assert fio.reconstruct_on_complex(mode, records, complex) == {
+            e: w for e, w in expected.items() if w != 0
+        }
+    else:
+        with pytest.raises(InputFormatError) as info:
+            fio.reconstruct_on_complex(mode, records, complex)
+        assert str(info.value) == f"<decomposition>:0: no edge between {missing[0]} and {missing[1]}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]), min_size=1,
+                                max_size=4, unique=True),
+                       st.sampled_from([Rat(1, 2), Rat(2, 4), Rat(-1, 3), ZERO, Rat(7, 3)])),
+             max_size=8),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+def test_cycle_writer_formats_repeated_tokens_like_term_by_term(terms, decimals):
+    dec = GraphDecomposition([(GraphCycle(cycle), w) for cycle, w in terms])
+    lines = ["decomposition graph g"]
+    for cycle, w in dec.terms:
+        weight = rat_str(w) + ("" if decimals is None else "~" + rat_decimal(w, decimals))
+        lines.append(f"term {weight} cycle " + " ".join(fio.coords_label(v) for v in cycle))
+    assert fio.format_graph_decomposition(dec, "g", decimals) == "\n".join(lines) + "\n"
 
 
 class TestMalformedDecomposition:
@@ -498,6 +664,18 @@ class TestCliOther:
         # annotated output re-parses: the exact value wins
         mode, _, records = fio.parse_decomposition(out)
         assert records[0][1] == Rat(1, 3)
+
+    def test_decimal_zero_rounds_to_integers(self, workdir, capsys):
+        path = write(workdir / "t.wg", "digraph t\na b 5/3\nb a 5/3\n")
+        assert run_cli(["decompose", "--mode", "graph", path, "--decimal", "0"]) == 0
+        assert "term 5/3~2 cycle a b\n" in capsys.readouterr().out
+
+    def test_negative_decimal_exit_two(self, workdir, capsys):
+        path = write(workdir / "t.wg", "digraph t\na b 5/3\nb a 5/3\n")
+        with pytest.raises(SystemExit) as info:
+            run_cli(["decompose", "--mode", "graph", path, "--decimal", "-1"])
+        assert info.value.code == 2
+        assert "argument --decimal: expected an integer >= 0, got '-1'" in capsys.readouterr().err
 
     def test_random_env_deterministic(self, workdir, capsys):
         args = [
