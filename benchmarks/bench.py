@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_14.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_14.json
+    python3 benchmarks/bench.py --label change --out BENCH_15.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_15.json
 
 Five ladders, each on inputs generated from a fixed seed:
 
@@ -11,10 +11,11 @@ Five ladders, each on inputs generated from a fixed seed:
   small rational values, n = 6, 10, 14.  The Laplace system goes through
   ``solve_exact_linear``, so this is the exact-elimination ladder.
 * ``lattice``: :func:`decompose_lattice` on a balanced Z^2 measure that
-  sums the empirical measures of random closed walks (steps within
-  ``REACH``), support about 40, 80, 160, 320.  The Caratheodory rounds run
-  on one warm-started revised simplex, ``exact_lp.barycentric_rounds``,
-  per measure.
+  sums the empirical measures of random closed walks (steps within the
+  rung's ``REACH``), support about 40, 80, 160, 320, 640, 1280, checked
+  to reconstruct the measure in at most ``|support|`` terms.  The
+  Caratheodory rounds run on one warm-started revised simplex,
+  ``exact_lp.barycentric_rounds``, per measure.
 * ``elementary``: :func:`in_Re` and then :func:`elementary_decompose` on
   decomposable n x n torus rates, n = 16, 24, 32: the minimal rates of the
   boundary of a random chain (values over denominators up to 12) plus
@@ -56,10 +57,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
-REACH = 12  # (2 * REACH + 1)^2 = 625 lattice points leave room for support 320
+# walk steps per lattice rung: (2 * reach + 1)^2 lattice points leave room
+# for the support (625 for 320, 1681 for 640, 3249 for 1280)
+REACH = {40: 12, 80: 12, 160: 12, 320: 12, 640: 20, 1280: 28}
 LADDERS = {
     "hodge": (6, 10, 14),
-    "lattice": (40, 80, 160, 320),
+    "lattice": (40, 80, 160, 320, 640, 1280),
     "elementary": (16, 24, 32),
     "birkhoff": (24, 48, 96),
     "io": (16, 32, 64),
@@ -68,14 +71,16 @@ LADDERS = {
 
 def balanced_measure(support: int, seed: int = 7) -> dict:
     """Atoms of a mean-zero Z^2 measure with at least ``support`` points:
-    a sum of empirical measures of closed walks, masses over 6."""
+    a sum of empirical measures of closed walks with steps within
+    ``REACH[support]``, masses over 6."""
+    reach = REACH[support]
     rng = random.Random(f"lattice/{support}/{seed}")
     atoms = {}
     while len(atoms) < support:
-        steps = [(rng.randint(-REACH, REACH), rng.randint(-REACH, REACH)) for _ in range(rng.randint(1, 3))]
+        steps = [(rng.randint(-reach, reach), rng.randint(-reach, reach)) for _ in range(rng.randint(1, 3))]
         closing = (-sum(s[0] for s in steps), -sum(s[1] for s in steps))
         walk = steps + [closing]
-        if not all(any(s) for s in walk) or max(map(abs, closing)) > REACH:
+        if not all(any(s) for s in walk) or max(map(abs, closing)) > reach:
             continue
         mass = Fraction(rng.randint(1, 12), 6)
         for point in walk:
@@ -146,7 +151,10 @@ def rung_case(kernel: str, size: int):
         measure = LatticeMeasure(2, balanced_measure(size))
 
         def run(p):
-            return fio.format_lattice_decomposition(decompose_lattice(p), "bench")
+            dec = decompose_lattice(p)
+            if dec.reconstruct(2).atoms != p.atoms or len(dec.terms) > len(p.atoms):
+                raise RuntimeError(f"lattice {size}: the decomposition does not rebuild the measure")
+            return fio.format_lattice_decomposition(dec, "bench")
 
         return measure, f"support {len(measure.atoms)}", run
     if kernel == "elementary":

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for success or a positive verdict, 1 for a negative verdict
-(not balanced, not decomposable), 2 for malformed inputs or bad arguments.
+(not balanced, not decomposable), 2 for malformed inputs, bad arguments or
+inputs above a size limit.
 All outputs are deterministic given identical inputs and seeds.
 """
 
@@ -15,7 +16,7 @@ from . import discretize as dz
 from . import elementary as el
 from . import io as fio
 from .complexes import TwoComplex, check_rates, field_to_rates, hodge_decompose
-from .errors import CycleDecError, InputFormatError, NotBalanced
+from .errors import CycleDecError, InputFormatError, NotBalanced, TooLarge
 from .finite_graph import (
     WeightedDigraph,
     birkhoff_decompose,
@@ -478,7 +479,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (InputFormatError, FileNotFoundError) as exc:
+    except (InputFormatError, FileNotFoundError, TooLarge) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NotBalanced as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .complexes import TwoChain, TwoComplex, boundary2, field_to_rates
 from .elementary import ReVerdict, in_Re
-from .ratio import ZERO, Rat, rat_str, to_rat
+from .ratio import ZERO, Rat, rat_decimal, rat_str, to_rat
 
 DEFAULT_DENOMINATOR = 10**6
 
@@ -168,7 +168,7 @@ class Environment:
                     y = ((i + dx) % n1, (j + dy) % n2)
                     value = rat_str(self.probabilities[(x, y)])
                     if decimals is not None:
-                        value += f"~{float(self.probabilities[(x, y)]):.{decimals}f}"
+                        value += "~" + rat_decimal(self.probabilities[(x, y)], decimals)
                     row.append(value)
                 lines.append(f"{i} {j} : " + " ".join(row))
         lines.append(

@@ -19,9 +19,12 @@ The barycentric system ``sum x_j (p_j, 1) = (target, 1)`` has just
 ``d + 1`` rows however many points it has, so :func:`barycentric_rounds`
 runs a revised phase-I simplex on it: it keeps only the basis, as its
 integer adjugate over its determinant, and prices the point columns
-against it.  That state lives across the rounds of a Caratheodory
-decomposition: killed points leave the problem and the simplex pivots
-back to a vertex of what is left, without a rebuild.
+against it.  The point of largest price enters (Dantzig 1963), except
+right after a degenerate pivot, when the least index with a positive
+price does (Bland 1977), so that the simplex cannot cycle.  That state
+lives across the rounds of a Caratheodory decomposition: killed points
+leave the problem and the simplex pivots back to a vertex of what is
+left, without a rebuild, in about one pivot per round.
 :func:`barycentric_vertex` is its first vertex.  A basic feasible solution
 of the barycentric system is exactly a set of affinely independent points
 carrying the target in the relative interior of their simplex, which is
@@ -203,28 +206,40 @@ def barycentric_rounds(points, target):
     columns of the start and, after a kill, the killed columns, so that
     the same loop drives them to zero from the current basis (a dead
     column left basic at level zero acts like an artificial).  Its prices
-    are ``y``, the sum of the rows of ``M`` at the dead basic positions; a
-    live point enters when ``y . a_j > 0``, the least index first (Bland
-    1977), and the ratio test cross-multiplies, a tie going to the smaller
-    basic index.  The loop stops as soon as the dead variables are zero.
-    From there every pivot with a negative reduced cost would be
-    degenerate, so the first vertex is the one a full phase-I tableau with
-    the same rules ends at (the tests compare it with their ``Fraction``
-    tableau, ``fraction_phase1_vertex``), and no artificial column needs a
+    are ``y``, the sum of the rows of ``M`` at the dead basic positions,
+    and a live point may enter when its price ``y . a_j`` is positive.
+    The one of largest price enters, the least index on a tie (Dantzig
+    1963), except right after a degenerate pivot, one whose leaving basic
+    value was zero: then the least index with a positive price enters
+    (Bland 1977).  The ratio test cross-multiplies, a tie going to the
+    smaller basic index, which is Bland's leaving rule.  The loop stops as
+    soon as the dead variables are zero, and no artificial column needs a
     price: while the dead sum is positive and the target is in the hull,
-    some live point has a negative reduced cost.
+    some live point has a positive price.
+
+    Termination: between two kills the phase-I objective is fixed, and a
+    pivot that is not degenerate lowers it strictly, so a sequence of
+    pivots that comes back to a basis is made of degenerate pivots only.
+    Each of them follows a degenerate pivot, so each is a Bland pivot.  A
+    dead column never enters, so it cannot leave inside such a cycle
+    either; the cycle is then one of Bland's rule on the problem without
+    the dead nonbasic columns, and Bland's rule does not cycle.  Kills
+    are finitely many, so the generator reaches every vertex it yields
+    after finitely many pivots.  The tests run the same rules on a
+    ``Fraction`` tableau, ``fraction_phase1_rounds``, and compare every
+    vertex.
     """
     n = len(points)
     m = len(target) + 1
     # a row with a negative right-hand side is negated, so that the
     # artificial start (column n + i is the i-th unit vector) is feasible
     signs = [-1 if c < 0 else 1 for c in target] + [1]
-    live = [(j, [s * c for s, c in zip(signs, (*p, 1))]) for j, p in enumerate(points)]
-    columns = dict(live)
+    live = {j: [s * c for s, c in zip(signs, (*p, 1))] for j, p in enumerate(points)}
     M = [[int(i == j) for j in range(m)] + [b] for i, b in enumerate([*map(abs, target), 1])]
     D = 1
     basis = list(range(n, n + m))
     killed = set()
+    degenerate = False
 
     while True:
         while True:
@@ -232,10 +247,16 @@ def barycentric_rounds(points, target):
             if not any(row[m] for row in dead):
                 break
             y = [sum(c) for c in zip(*dead)]
-            enter = next((j for j, a in live if sum(map(mul, y, a)) > 0), None)
+            enter, top = None, 0
+            for j, a in live.items():
+                price = sum(map(mul, y, a))
+                if price > top:
+                    enter, top = j, price
+                    if degenerate:
+                        break
             if enter is None:
                 raise Infeasible("target is outside the convex hull of the points")
-            w = [sum(map(mul, row, columns[enter])) for row in M]
+            w = [sum(map(mul, row, live[enter])) for row in M]
             leave = None
             for i, (row, a) in enumerate(zip(M, w)):
                 if a > 0:
@@ -253,7 +274,9 @@ def barycentric_rounds(points, target):
                     M[i] = [(v * best_a - f * u) // D for v, u in zip(row, pivot_row)]
             D = best_a
             basis[leave] = enter
+            degenerate = not best_b
 
         vertex = sorted((j, Rat(M[i][m], D)) for i, j in enumerate(basis) if j < n and M[i][m])
-        killed.update((yield dict(vertex)) or ())
-        live = [(j, a) for j, a in live if j not in killed]
+        for j in (yield dict(vertex)) or ():
+            killed.add(j)
+            live.pop(j, None)

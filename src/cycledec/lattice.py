@@ -33,6 +33,10 @@ from .exact_lp import barycentric_rounds, barycentric_vertex, exact_rank
 from .ratio import ONE, ZERO, Rat, scaled, to_rat
 
 IRREDUCIBILITY_BOUND = 24
+# the largest support decompose_lattice takes: on a 2-core x86_64 container
+# a Z^2 or Z^3 measure at the limit decomposes in about 2.3 or 2.9 s, and
+# one of twice the support in about 9 or 10 s, the budget for one call
+SUPPORT_LIMIT = 4096
 
 
 def _point(p) -> tuple:
@@ -343,11 +347,16 @@ def decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
     """Full cyclic decomposition of a balanced finite-support measure.
 
     Raises :class:`NotBalanced` when the mean is nonzero (equivalently, no
-    cyclic decomposition exists).  The result reproduces ``p`` atom by atom
-    exactly, using at most ``|support|`` terms.
+    cyclic decomposition exists) and then :class:`TooLarge` when the
+    support has more than ``SUPPORT_LIMIT`` points.  The result reproduces
+    ``p`` atom by atom exactly, using at most ``|support|`` terms.
     """
     if not is_balanced(p):
         raise NotBalanced("measure has nonzero mean", violators=[mean(p)])
+    if len(p.atoms) > SUPPORT_LIMIT:
+        raise TooLarge(
+            f"support of {len(p.atoms)} points exceeds lattice.SUPPORT_LIMIT = {SUPPORT_LIMIT}"
+        )
     scale, atoms = scaled(p.atoms)
     residual = {x: m for x, m in atoms.items() if any(x)}
     return LatticeDecomposition(

@@ -3,8 +3,9 @@
 None of these runs in the library or the CLI.  They solve the same
 problems the slow, direct way, on ``Fraction`` cells:
 
-* :func:`fraction_phase1_vertex`, a phase-I tableau simplex with Bland's
-  rule, and :func:`reference_lp_feasible` on top of it;
+* :func:`fraction_phase1_rounds`, a phase-I tableau simplex with the
+  pricing and the kill protocol of the library's revised simplex, and
+  :func:`reference_lp_feasible` on its first solution;
 * :func:`brute_force_Re_oracle`, elementary decomposability as the
   feasibility of its defining linear system;
 * :func:`in_d_lambda2`, membership of a field in the face-boundary image;
@@ -51,15 +52,25 @@ def fraction_pivot(rows, r, c):
                 del other[j]
 
 
-def fraction_phase1_vertex(rows, rhs, n, ties=None):
-    """Phase-I simplex with Bland's rule on ``{x >= 0 : A x = b}``.
+def fraction_phase1_rounds(rows, rhs, n, ties=None, fallbacks=None):
+    """Phase-I tableau simplex on ``{x >= 0 : A x = b}`` over a shrinking
+    set of live columns, with the pricing of ``barycentric_rounds``.
 
     ``rows`` are the ``{column: Rat}`` rows of ``A`` over ``n`` columns and
     ``rhs`` is ``b``.  The tableau keeps the right-hand side as its last
-    column and the reduced costs as its last row.  Returns one value per
-    column for a basic feasible solution, or ``None`` when the system is
-    infeasible.  Every ratio-test tie is appended to ``ties`` when a list
-    is given.
+    column.  The generator yields one value per column for a basic
+    feasible solution, or ``None`` (and stops) when the live columns
+    cannot reach ``b``, and then receives the columns killed since; a
+    killed column never enters again and counts, like an artificial one,
+    in the phase-I objective.  The reduced costs are recomputed from the
+    tableau before every pivot, for the live columns ``j < n`` only.  The
+    entering column has the most negative reduced cost, the least index
+    on a tie, except right after a pivot whose leaving value was zero,
+    when it is the least index with a negative reduced cost (Bland); each
+    such pivot where the two choices differ is appended to ``fallbacks``
+    as ``(Bland's column, the most negative column)``.  The leaving row
+    has the least ratio, the smaller basic index on a tie, and every
+    ratio-test tie is appended to ``ties``.
     """
     m = len(rows)
     rhs_col = n + m
@@ -73,42 +84,51 @@ def fraction_phase1_vertex(rows, rhs, n, ties=None):
             t[rhs_col] = abs(b)
         T.append(t)
     basis = list(range(n, n + m))
-    cost = {}
-    for t in T:
-        for j, v in t.items():
-            if j < n or j == rhs_col:
-                cost[j] = cost.get(j, ZERO) - v
-    T.append({j: v for j, v in cost.items() if v})
+    killed = set()
+    degenerate = False
 
     while True:
-        negative = [j for j, v in T[m].items() if v < 0 and j != rhs_col]
-        if not negative:
-            break
-        enter = min(negative)
-        leave = None
-        best = None
-        for i in range(m):
-            a = T[i].get(enter, ZERO)
-            if a > 0:
-                ratio = T[i].get(rhs_col, ZERO) / a
-                if best is not None and ratio == best and ties is not None:
-                    ties.append((enter, i, leave))
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        assert leave is not None
-        fraction_pivot(T, leave, enter)
-        basis[leave] = enter
+        while True:
+            dead = [T[i] for i, j in enumerate(basis) if j >= n or j in killed]
+            if not any(rhs_col in t for t in dead):
+                break
+            cost = {}
+            for t in dead:
+                for j, v in t.items():
+                    if j < n and j not in killed:
+                        cost[j] = cost.get(j, ZERO) - v
+            negative = sorted(j for j, v in cost.items() if v < 0)
+            if not negative:
+                yield None
+                return
+            enter = min(negative, key=lambda j: cost[j])
+            if degenerate and negative[0] != enter:
+                if fallbacks is not None:
+                    fallbacks.append((negative[0], enter))
+                enter = negative[0]
+            leave = None
+            best = None
+            for i in range(m):
+                a = T[i].get(enter, ZERO)
+                if a > 0:
+                    ratio = T[i].get(rhs_col, ZERO) / a
+                    if best is not None and ratio == best and ties is not None:
+                        ties.append((enter, i, leave))
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            assert leave is not None
+            degenerate = best == 0
+            fraction_pivot(T, leave, enter)
+            basis[leave] = enter
 
-    if rhs_col in T[m]:
-        return None
-    values = [ZERO] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            values[j] = T[i].get(rhs_col, ZERO)
-    return values
+        values = [ZERO] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                values[j] = T[i].get(rhs_col, ZERO)
+        killed.update((yield values) or ())
 
 
 def reference_lp_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), n_vars=None):
@@ -126,7 +146,7 @@ def reference_lp_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), n_vars=None):
     for i in range(len(a_ub)):
         rows[i][n_vars + i] = ONE
     rhs = [to_rat(v) for v in [*b_ub, *b_eq]]
-    values = fraction_phase1_vertex(rows, rhs, n_vars + len(a_ub))
+    values = next(fraction_phase1_rounds(rows, rhs, n_vars + len(a_ub)))
     if values is None:
         return False, None
     return True, values[:n_vars]

@@ -191,6 +191,16 @@ class TestRandomEnvironment:
             band_spec(2)
         ).serialize()
 
+    @pytest.mark.parametrize(
+        "value, digits, text", [(Rat(5, 2), 0, "5/2~3"), (Rat(1, 8), 2, "1/8~0.13")]
+    )
+    def test_decimal_copies_round_exactly(self, value, digits, text):
+        # a float rendering rounds both halves to even: ~2 and ~0.12
+        env = random_environment(band_spec(3))
+        env.probabilities = dict.fromkeys(env.probabilities, value)
+        row = env.serialize(digits).splitlines()[3]
+        assert row == "0 0 : " + " ".join([text] * 4)
+
     def test_noise_bounds_validated(self):
         with pytest.raises(ValueError):
             band_spec(1, lo=ZERO)

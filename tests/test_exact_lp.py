@@ -15,7 +15,7 @@ from cycledec.exact_lp import (
 from cycledec.ratio import ONE, ZERO, Rat, to_rat
 
 from conftest import rand_rat
-from oracles import fraction_phase1_vertex, reference_lp_feasible
+from oracles import fraction_phase1_rounds, reference_lp_feasible
 
 # fixed example sequence and no example database, so every run is the same
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -78,7 +78,23 @@ def dense_rank(matrix):
     return r
 
 
-def reference_barycentric(points, target, ties=None):
+def reference_rounds(points, target, ties=None, fallbacks=None):
+    """Reference: ``barycentric_rounds`` on the ``Rat`` tableau, yielding
+    each vertex as the ``{index: Rat}`` map of its positive coefficients
+    sorted by index and raising :class:`Infeasible` like the engine."""
+    rows = [{j: Rat(p[c]) for j, p in enumerate(points) if p[c]} for c in range(len(target))]
+    rows.append({j: ONE for j in range(len(points))})
+    rhs = [Rat(c) for c in target] + [ONE]
+    tableau = fraction_phase1_rounds(rows, rhs, len(points), ties, fallbacks)
+    killed = None
+    while True:
+        values = tableau.send(killed)
+        if values is None:
+            raise Infeasible("target is outside the convex hull of the points")
+        killed = yield {j: c for j, c in enumerate(values) if c > 0}
+
+
+def reference_barycentric(points, target, ties=None, fallbacks=None):
     """Reference: ``barycentric_vertex`` on the ``Rat`` tableau, as the
     ``{index: Rat}`` map of the positive coefficients sorted by index."""
     pts = [tuple(int(c) for c in p) for p in points]
@@ -89,14 +105,8 @@ def reference_barycentric(points, target, ties=None):
     if tgt in first_index:
         return {first_index[tgt]: ONE}
     unique = sorted(first_index)
-    rows = [{j: Rat(p[c]) for j, p in enumerate(unique) if p[c]} for c in range(len(tgt))]
-    rows.append({j: ONE for j in range(len(unique))})
-    rhs = [Rat(c) for c in tgt] + [ONE]
-    values = fraction_phase1_vertex(rows, rhs, len(unique), ties)
-    if values is None:
-        raise Infeasible("target is outside the convex hull of the points")
-    support = ((first_index[unique[j]], c) for j, c in enumerate(values) if c > 0)
-    return dict(sorted(support))
+    vertex = next(reference_rounds(unique, tgt, ties, fallbacks))
+    return dict(sorted((first_index[unique[j]], c) for j, c in vertex.items()))
 
 
 small_rats = st.builds(Rat, st.integers(-3, 3), st.integers(1, 12))
@@ -239,9 +249,70 @@ def test_rounds_give_a_vertex_of_the_live_points_after_every_kill(case, data):
         live -= set(killed)
 
 
+@st.composite
+def boundary_cases(draw):
+    """``(points, target)``: distinct sorted points on Z^1 to Z^3 whose
+    coordinates come from three values, so that prices and ratios tie, and
+    a target on the boundary of their hull: the greatest point, which is a
+    vertex of the hull, any point, or a point of the facet of largest first
+    coordinate."""
+    d = draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3, unique=True))
+    coords = st.tuples(*[st.sampled_from(values)] * d)
+    points = draw(st.lists(coords, min_size=2, max_size=8, unique=True))
+    kind = draw(st.sampled_from(["vertex", "point", "facet"]))
+    if kind == "vertex":
+        target = max(points)
+    elif kind == "point":
+        target = draw(st.sampled_from(points))
+    else:
+        # p and p + 2v both lie on the facet of largest first coordinate
+        p = max(points)
+        v = (0,) + draw(st.tuples(*[st.integers(-2, 2)] * (d - 1)))
+        points.append(tuple(a + 2 * b for a, b in zip(p, v)))
+        target = tuple(a + b for a, b in zip(p, v))
+    return sorted(set(points)), target
+
+
+@EXAMPLES
+@given(boundary_cases(), st.data())
+def test_rounds_equal_fraction_reference_after_every_kill(case, data):
+    points, target = case
+    engine = barycentric_rounds(points, target)
+    reference = reference_rounds(points, target)
+    live = set(range(len(points)))
+    killed = None
+    while live:
+        try:
+            expected = reference.send(killed)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                engine.send(killed)
+            return
+        assert list(engine.send(killed).items()) == list(expected.items())
+        # kill one or two live points, on the vertex or off it
+        killed = data.draw(st.lists(st.sampled_from(sorted(live)), min_size=1, max_size=2, unique=True))
+        live -= set(killed)
+
+
+def test_degenerate_pivot_falls_back_to_least_index():
+    # point 3 enters first and leaves a coordinate row at level zero, so the
+    # second pivot takes point 0, the least index with a positive price,
+    # over point 1, the largest; that pivot is not degenerate, and the
+    # third takes the largest price again, point 2 over point 1.  Entering
+    # point 1 at either of the two ends at {0: 3/10, 1: 1/10, 3: 3/5}.
+    points = [(-3, -2), (-3, 0), (-2, 1), (2, 1)]
+    fallbacks = []
+    expected = reference_barycentric(points, (0, 0), fallbacks=fallbacks)
+    assert fallbacks == [(0, 1)]
+    assert expected == {0: Rat(1, 3), 2: Rat(1, 12), 3: Rat(7, 12)}
+    assert list(barycentric_vertex(points, (0, 0)).items()) == list(expected.items())
+
+
 def test_bland_tie_break_equals_fraction_reference():
-    # the other choice at the tie ends at the vertex on points 1, 2, 3
-    points = [(-1, -3), (1, -1), (-3, -1), (3, 3)]
+    # point 2 ties rows 0 and 1 at ratio zero; leaving the larger basic
+    # index there ends at {0: 5/12, 2: 11/24, 3: 1/8}
+    points = [(-2, -3), (0, -1), (1, 3), (3, -1)]
     ties = []
     expected = reference_barycentric(points, (0, 0), ties)
     assert ties

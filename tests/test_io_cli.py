@@ -566,6 +566,16 @@ class TestCliDecompose:
         assert run_cli(["decompose", "--mode", "lattice", path]) == 1
         assert "negative verdict" in capsys.readouterr().err
 
+    def test_lattice_support_above_the_limit_exit_two(self, workdir, capsys):
+        lines = [f"{x} {y} 1/1\n" for i in range(2049) for x, y in ((i, 1), (-i, -1))]
+        path = write(workdir / "big.msr", "".join(lines))
+        assert run_cli(["decompose", "--mode", "lattice", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: support of 4098 points exceeds lattice.SUPPORT_LIMIT = 4096\n"
+        )
+
     def test_lattice_verify_and_lift(self, workdir, capsys):
         path = write(
             workdir / "p.msr", "1 0 1/4\n-1 0 1/4\n0 1 1/4\n0 -1 1/4\n"

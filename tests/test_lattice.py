@@ -345,6 +345,22 @@ class TestDecomposeLattice:
         with pytest.raises(NotBalanced):
             decompose_lattice(measure(2, {(2, -1): Rat(1, 2), (-1, 2): Rat(1, 2)}))
 
+    def test_support_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(lat, "SUPPORT_LIMIT", 4)
+        p = measure(2, {(1, 0): ONE, (-1, 0): ONE, (0, 1): ONE, (0, -1): ONE})
+        assert decompose_lattice(p).reconstruct(2) == p
+        with pytest.raises(TooLarge, match=r"support of 5 points exceeds lattice\.SUPPORT_LIMIT = 4"):
+            decompose_lattice(measure(2, {**p.atoms, (0, 0): ONE}))
+
+    def test_support_above_the_limit_refused_before_any_round(self):
+        atoms = {x: ONE for i in range(lat.SUPPORT_LIMIT // 2 + 1) for x in ((i, 1), (-i, -1))}
+        with pytest.raises(TooLarge, match=r"lattice\.SUPPORT_LIMIT = 4096"):
+            decompose_lattice(measure(2, atoms))
+        # a nonzero mean is still the verdict above the limit
+        atoms[(0, 1)] += ONE
+        with pytest.raises(NotBalanced):
+            decompose_lattice(measure(2, atoms))
+
     def test_random_reconstruction_and_class_shape(self, rng):
         for _ in range(25):
             d = rng.choice([1, 2, 3])
