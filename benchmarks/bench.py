@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_15.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_15.json
+    python3 benchmarks/bench.py --label change --out BENCH_16.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_16.json --budget 10
 
 Five ladders, each on inputs generated from a fixed seed:
 
 * ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
-  small rational values, n = 6, 10, 14.  The Laplace system goes through
-  ``solve_exact_linear``, so this is the exact-elimination ladder.
+  small rational values, n = 6, 10, 14, 20, 28, 40.  The Laplace system
+  goes through the p-adic solver ``exact_lp._dixon_solve``, so this is the
+  sparse exact-solve ladder.
 * ``lattice``: :func:`decompose_lattice` on a balanced Z^2 measure that
   sums the empirical measures of random closed walks (steps within the
   rung's ``REACH``), support about 40, 80, 160, 320, 640, 1280, checked
@@ -39,7 +40,9 @@ The record also carries the commit and a digest of the sources of the
 measured ``cycledec``, the Python version and the rational backend the
 ladders ran on.  ``--src`` measures another checkout's ``src``; ``--out``
 merges the record into a JSON file under ``--label`` and otherwise it
-goes to stdout.
+goes to stdout.  ``--budget S`` ends a ladder after its first rung whose
+best time is above ``S`` seconds, so that an older checkout whose curve
+is much steeper still finishes; the record then lacks the larger rungs.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ REPEATS = 3
 # for the support (625 for 320, 1681 for 640, 3249 for 1280)
 REACH = {40: 12, 80: 12, 160: 12, 320: 12, 640: 20, 1280: 28}
 LADDERS = {
-    "hodge": (6, 10, 14),
+    "hodge": (6, 10, 14, 20, 28, 40),
     "lattice": (40, 80, 160, 320, 640, 1280),
     "elementary": (16, 24, 32),
     "birkhoff": (24, 48, 96),
@@ -250,6 +253,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding cycledec")
     parser.add_argument("--label", default="run", help="key of the record in --out")
     parser.add_argument("--out", help="JSON file to merge the record into")
+    parser.add_argument("--budget", type=float, help="seconds after which a ladder stops")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -260,6 +264,8 @@ def main(argv=None) -> int:
             rung = run_rung(kernel, size)
             print(f"{kernel:10s} {size:4d}  {rung['wall_s']:8.3f} s  {rung['digest'][:16]}", file=sys.stderr)
             rungs.append(rung)
+            if args.budget is not None and rung["wall_s"] > args.budget:
+                break
     record = {"provenance": provenance(src), "rungs": rungs}
     if not args.out:
         print(json.dumps(record, indent=1))

@@ -22,11 +22,16 @@ sizes below three would identify opposite neighbors, so they are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .errors import NoSolution, NotHomologous
-from .exact_lp import solve_exact_linear
+from .errors import NoSolution, NotHomologous, TooLarge
+from .exact_lp import _dixon_solve, solve_exact_linear
 from .finite_graph import cycle_edges
-from .ratio import ONE, ZERO, Rat, scaled, to_rat
+from .ratio import ONE, ZERO, Rat, to_rat
+
+# largest torus, in vertices, that hodge_decompose takes on: the 64 x 64
+# torus took about 5 s, and 72 x 72 about 9 s, on a 2-core x86_64 machine
+HODGE_VERTEX_LIMIT = 4096
 
 
 class TwoComplex:
@@ -77,19 +82,35 @@ class TwoComplex:
         if n1 < 3 or n2 < 3:
             raise ValueError("torus mesh must be at least 3")
         vertices = [(i, j) for i in range(n1) for j in range(n2)]
-        # vertex (i, j) has id i * n2 + j; its edge in direction d has id 2 * (i * n2 + j) + d
+        # vertex (i, j) has id i * n2 + j; its edge in direction d has id
+        # 2 * (i * n2 + j) + d, and face (i, j) has the id of its corner
         edges = []
-        for i, j in vertices:
-            edges.append(((i, j), ((i + 1) % n1, j)))
-            edges.append(((i, j), (i, (j + 1) % n2)))
         face_edges = []
+        edge_faces = []
         for i, j in vertices:
-            here = 2 * (i * n2 + j)
-            right = 2 * (((i + 1) % n1) * n2 + j)
-            top = 2 * (i * n2 + (j + 1) % n2)
-            face_edges.append(((here, 1), (right + 1, 1), (top, -1), (here + 1, -1)))
-        return cls(vertices, edges, face_edges, orientable=True,
-                   torus_shape=(n1, n2), name=f"torus2[{n1}x{n2}]")
+            here = i * n2 + j
+            right = ((i + 1) % n1) * n2 + j
+            top = i * n2 + (j + 1) % n2
+            below = i * n2 + (j - 1) % n2
+            left = ((i - 1) % n1) * n2 + j
+            edges.append(((i, j), vertices[right]))
+            edges.append(((i, j), vertices[top]))
+            face_edges.append(((2 * here, 1), (2 * right + 1, 1), (2 * top, -1), (2 * here + 1, -1)))
+            # each edge lists its two faces in face order, as __init__ does
+            edge_faces.append(((here, 1), (below, -1)) if here < below else ((below, -1), (here, 1)))
+            edge_faces.append(((here, -1), (left, 1)) if here < left else ((left, 1), (here, -1)))
+        # the structure is valid by construction, so __init__'s checks are skipped
+        cx = cls.__new__(cls)
+        cx.name = f"torus2[{n1}x{n2}]"
+        cx.vertices = vertices
+        cx.vertex_index = {v: k for k, v in enumerate(vertices)}
+        cx.edges = edges
+        cx.edge_index = {e: k for k, e in enumerate(edges)}
+        cx.face_edges = face_edges
+        cx.edge_faces = edge_faces
+        cx.orientable = True
+        cx.torus_shape = (n1, n2)
+        return cx
 
     @classmethod
     def from_face_cycles(cls, face_cycles, orientable, name="surface"):
@@ -436,8 +457,10 @@ def recover_psi(phi: VectorField) -> TwoChain:
     the field's own number type: the integer numerators of
     :func:`_field_and_symmetric` give an integer chain on the same scale,
     a field of ``Rat`` values a ``Rat`` chain.  Non-orientable complexes:
-    the preimage is unique, found by exact linear solve, and comes back as
-    ``Rat`` values (on the field's scale).
+    the preimage is unique, found by the Gauss-Jordan solve
+    :func:`solve_exact_linear` on the integer rows of
+    :func:`face_boundary_matrix`, and comes back as ``Rat`` values (on the
+    field's scale).
     """
     cx = phi.complex
     values = phi.values
@@ -474,44 +497,66 @@ def recover_psi(phi: VectorField) -> TwoChain:
 def hodge_decompose(phi: VectorField) -> HodgeParts:
     """Orthogonal gradient + homologous + harmonic split on the 2-torus.
 
-    The gradient potential solves the exact Laplace system with the first
-    vertex pinned; harmonic coefficients are the inner products against
-    the two constant direction fields over their norms; the homologous
-    part is the remainder and passes the membership test by construction.
+    The gradient potential ``f`` has ``f = 0`` on the first vertex and
+    solves ``L f = -div phi`` on the others, where ``L`` is the graph
+    Laplacian (degree minus adjacency) with that vertex removed: sparse
+    integer rows, symmetric and positive definite, solved exactly by the
+    p-adic solver ``exact_lp._dixon_solve``.  Harmonic coefficients are the
+    inner products against the two constant direction fields over their
+    norms; the homologous part is the remainder and passes the membership
+    test by construction.  Everything runs on integer numerators over the
+    lcm of the field's denominators; ``Rat`` comes back only in the three
+    parts and the coefficients.  A torus of more than :data:`HODGE_VERTEX_LIMIT`
+    vertices raises :class:`TooLarge` before any system is built.
     """
     cx = phi.complex
     if not (cx.is_torus() and cx.torus_dimension() == 2):
         raise ValueError("hodge decomposition implemented on the 2-d torus")
-
-    div = boundary1(phi)
     n = cx.n_vertices
-    rows = []
-    rhs = []
-    neighbor_ids = [[] for _ in range(n)]
-    for u, v in cx.edges:
-        iu, iv = cx.vertex_index[u], cx.vertex_index[v]
-        neighbor_ids[iu].append(iv)
-        neighbor_ids[iv].append(iu)
-    for i in range(n - 1):
-        row = [ZERO] * n
-        row[i] = -Rat(len(neighbor_ids[i]))
-        for j in neighbor_ids[i]:
-            row[j] += ONE
-        rows.append(row)
-        rhs.append(div.values[i])
-    pin = [ZERO] * n
-    pin[0] = ONE
-    rows.append(pin)
-    rhs.append(ZERO)
-    potential = ZeroForm(cx, solve_exact_linear(rows, rhs))
-    gradient = coboundary0(potential)
+    if n > HODGE_VERTEX_LIMIT:
+        raise TooLarge(
+            f"torus of {n} vertices exceeds complexes.HODGE_VERTEX_LIMIT = {HODGE_VERTEX_LIMIT}"
+        )
 
-    basis = harmonic_basis(cx)
-    coefficients = tuple(
-        phi.inner(b) / b.inner(b) for b in basis
+    # the field as integer numerators over ``scale``; row and column
+    # i - 1 of the Laplacian stand for vertex i
+    scale = lcm(*(q.denominator for q in phi.values))
+    field = [q.numerator * (scale // q.denominator) for q in phi.values]
+    index = cx.vertex_index
+    ends = [(index[u], index[v]) for u, v in cx.edges]
+    div = [0] * n
+    rows = [{i: 0} for i in range(n - 1)]
+    for (iu, iv), value in zip(ends, field):
+        div[iu] += value
+        div[iv] -= value
+        for a, b in ((iu - 1, iv - 1), (iv - 1, iu - 1)):
+            if a >= 0:
+                row = rows[a]
+                row[a] += 1
+                if b >= 0:
+                    row[b] = row.get(b, 0) - 1
+    numerators, den = _dixon_solve(rows, [-d for d in div[1:]])
+    potential = [0, *numerators]
+
+    directions = [cx.edge_direction(eid) for eid in range(cx.n_edges)]
+    counts = [directions.count(0), directions.count(1)]
+    sums = [0, 0]
+    for d, value in zip(directions, field):
+        sums[d] += value
+    coefficients = tuple(Rat(total, scale * count) for total, count in zip(sums, counts))
+    # every part as integer numerators over one denominator
+    common = scale * lcm(den, *counts)
+    per_field, per_potential = common // scale, common // (scale * den)
+    per_harmonic = [total * common // (scale * count) for total, count in zip(sums, counts)]
+    gradient, homologous = [], []
+    for (iu, iv), d, value in zip(ends, directions, field):
+        g = (potential[iv] - potential[iu]) * per_potential
+        gradient.append(Rat(g, common))
+        homologous.append(Rat(value * per_field - g - per_harmonic[d], common))
+    harmonic = [coefficients[d] for d in directions]
+    gradient, homologous, harmonic = (
+        VectorField._exact(cx, part) for part in (gradient, homologous, harmonic)
     )
-    harmonic = basis[0].scale(coefficients[0]) + basis[1].scale(coefficients[1])
-    homologous = phi - gradient - harmonic
     return HodgeParts(gradient, homologous, harmonic, coefficients)
 
 
@@ -537,19 +582,46 @@ def check_rates(rates: dict, complex: TwoComplex) -> dict:
 def _field_and_symmetric(rates: dict, complex: TwoComplex):
     """The one validated pass from rates to ``(D, field, symmetric)``.
 
-    The validated rates are scaled once by ``D``, the lcm of their
-    denominators.  Per chosen edge ``(u, v)``, with ``a = D r(u, v)`` and
-    ``b = D r(v, u)``, the field carries the integer ``a - b`` and the
-    symmetric part is the integer ``min(a, b)``; the symmetric parts come
-    back as a list indexed by edge id.  Scaling by a positive integer keeps
-    every comparison, so callers decide on these numerators and divide by
-    ``D`` only in the values they return (``Rat(n, D)``).
+    One pass over the rates coerces each one, checks its pair and its
+    sign, files its numerator and denominator under its edge and direction
+    and takes ``D``, the lcm of the denominators; a failure reruns
+    :func:`check_rates`, which raises the error it names, so every error
+    and message is that of the validation.  Then, per chosen edge
+    ``(u, v)``, with
+    ``a = D r(u, v)`` and ``b = D r(v, u)``, the field carries the integer
+    ``a - b`` and the symmetric part is the integer ``min(a, b)``; the
+    symmetric parts come back as a list indexed by edge id.  Scaling by a
+    positive integer keeps every comparison, so callers decide on these
+    numerators and divide by ``D`` only in the values they return
+    (``Rat(n, D)``).
     """
-    scale, numerators = scaled(check_rates(rates, complex))
+    index = complex.edge_index
+    forward = [0] * len(complex.edges)
+    backward = list(forward)
+    scale = 1
+    try:
+        for (u, v), w in rates.items():
+            if type(w) is not Rat:
+                w = to_rat(w)
+            eid = index.get((u, v))
+            if eid is None:
+                eid, side = index[(v, u)], backward
+            else:
+                side = forward
+            n = w.numerator
+            if n < 0:
+                raise ValueError
+            d = w.denominator
+            if scale % d:
+                scale = scale // gcd(scale, d) * d
+            side[eid] = (n, d)
+    except (KeyError, TypeError, ValueError):
+        check_rates(rates, complex)
+        raise
     values, s = [], []
-    for u, v in complex.edges:
-        a = numerators.get((u, v), 0)
-        b = numerators.get((v, u), 0)
+    for a, b in zip(forward, backward):
+        a = a[0] * (scale // a[1]) if a else 0
+        b = b[0] * (scale // b[1]) if b else 0
         values.append(a - b)
         s.append(a if a < b else b)
     return scale, VectorField._exact(complex, values), s
@@ -568,11 +640,11 @@ def field_to_rates(phi: VectorField) -> dict:
 
 
 def face_boundary_matrix(complex: TwoComplex):
-    """Matrix of the face boundary, one column per chosen face."""
+    """Matrix of the face boundary as int rows, one column per chosen face."""
     rows = []
     for incidences in complex.edge_faces:
-        row = [ZERO] * complex.n_faces
+        row = [0] * complex.n_faces
         for fid, sign in incidences:
-            row[fid] += Rat(sign)
+            row[fid] += sign
         rows.append(row)
     return rows

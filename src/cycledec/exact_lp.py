@@ -1,6 +1,6 @@
 """Exact rational linear algebra and a vertex-producing barycentric solver.
 
-Every exact solve and rank goes through one elimination kernel,
+The general exact solve and rank go through one elimination kernel,
 :func:`_pivot`, acting on fraction-free integer rows: row ``i`` is a
 sparse ``{column: int}`` numerator map that never stores a zero, plus one
 positive row denominator ``dens[i]``, and stands for the values
@@ -9,11 +9,23 @@ the pivot numerator instead of dividing (Edmonds 1967, Bareiss 1968) and
 then divides each changed row by its content, the gcd of its numerators
 and its denominator, so no cell ever becomes a ``Rat``.  Rationals appear
 only at the edges: an input row is brought to integers over the lcm of its
-denominators, and results come back as ``Rat(numerator, denominator)``.
-:func:`solve_exact_linear` and :func:`exact_rank` pivot column by column
-(Gauss-Jordan).  The solve serves the Laplace system of the torus Hodge
-split and the chain recovery on non-orientable complexes; the rank, the
+denominators (integer cells pass through as they are), and results come
+back as ``Rat(numerator, denominator)``.  :func:`solve_exact_linear` and
+:func:`exact_rank` pivot column by column (Gauss-Jordan).  The solve
+serves the chain recovery on non-orientable complexes; the rank, the
 general-position test of the irreducible lattice class.
+
+The Laplace system of the torus Hodge split is square, sparse, symmetric
+and nonsingular, and its solution has far fewer bits than the
+intermediate values of an elimination over the rationals.
+:func:`_dixon_solve` therefore never eliminates over the integers: it
+factors the system once modulo a word-size prime (a symmetric ``L D L^T``
+in minimum-degree order), lifts the solution p-adically (Dixon 1982) and
+reads the rationals off the p-adic approximation by rational
+reconstruction over one running common denominator (Wang 1981; Monagan
+2004).  A candidate is accepted only when its integer residual is exactly
+zero, so the answer never depends on the prime; a pivot that vanishes
+modulo the prime moves the solve to the next one of :data:`_PRIMES`.
 
 The barycentric system ``sum x_j (p_j, 1) = (target, 1)`` has just
 ``d + 1`` rows however many points it has, so :func:`barycentric_rounds`
@@ -30,11 +42,11 @@ of the barycentric system is exactly a set of affinely independent points
 carrying the target in the relative interior of their simplex, which is
 what the constructive Caratheodory step requires.
 """
-
 from __future__ import annotations
 
-from math import gcd, lcm
-from operator import mul
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt, lcm
+from operator import mul, sub
 
 from .errors import Infeasible, NoSolution
 from .ratio import ONE, ZERO, Rat, to_rat
@@ -42,12 +54,21 @@ from .ratio import ONE, ZERO, Rat, to_rat
 
 def _int_rows(matrix):
     """Rational rows as ``(rows, dens)``: each row's numerators, without
-    zeros, over the lcm of its denominators, which leaves content one."""
+    zeros, over the lcm of its denominators, which leaves content one.
+
+    Integer cells are kept as they are and zero ones skipped; every other
+    cell is coerced, and dropped when it comes out zero."""
     rows, dens = [], []
     for row in matrix:
-        qs = [to_rat(v) for v in row]
-        den = lcm(*(q.denominator for q in qs))
-        rows.append({j: q.numerator * (den // q.denominator) for j, q in enumerate(qs) if q})
+        qs = {}
+        for j, v in enumerate(row):
+            if type(v) is int:
+                if v:
+                    qs[j] = v
+            elif q := to_rat(v):
+                qs[j] = q
+        den = lcm(*(q.denominator for q in qs.values()))
+        rows.append({j: q.numerator * (den // q.denominator) for j, q in qs.items()})
         dens.append(den)
     return rows, dens
 
@@ -152,6 +173,169 @@ def exact_rank(matrix) -> int:
     n = _width(matrix)
     rows, dens = _int_rows(matrix)
     return len(_row_reduce(rows, dens, n))
+
+
+# Word-size primes for :func:`_dixon_solve`, tried in this order.
+_PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
+
+
+def _elimination_order(rows):
+    """Minimum-degree order of the symmetric pattern of ``rows``, the
+    least index on a tie: ``(k, later)`` per pivot in order, ``later``
+    being the rows that share an entry with ``k`` when it is eliminated,
+    in elimination order.  The order depends on the pattern alone.
+    """
+    adjacent = [set(row) - {k} for k, row in enumerate(rows)]
+    heap = [(len(s), k) for k, s in enumerate(adjacent)]
+    heapify(heap)
+    done = [False] * len(rows)
+    plan = []
+    while heap:
+        degree, k = heappop(heap)
+        neighbours = adjacent[k]
+        if done[k] or degree != len(neighbours):
+            continue
+        done[k] = True
+        for i in neighbours:
+            other = adjacent[i]
+            other |= neighbours
+            other.discard(i)
+            other.discard(k)
+            heappush(heap, (len(other), i))
+        plan.append((k, neighbours))
+    position = [0] * len(rows)
+    for t, (k, _) in enumerate(plan):
+        position[k] = t
+    return [(k, sorted(later, key=position.__getitem__)) for k, later in plan]
+
+
+def _ldl_mod(rows, plan, p):
+    """``L D L^T`` of the symmetric ``{column: int}`` rows modulo ``p`` in
+    the order ``plan`` of :func:`_elimination_order`, or None when a pivot
+    is zero modulo ``p``.
+
+    One step per pivot ``k``: ``(k, 1 / d_k, column)``, where ``column``
+    lists ``(i, l_ik)`` over the rows eliminated later.  Each row keeps the
+    entries on and after its own pivot only, over the pattern the plan
+    predicts, and is reduced modulo ``p`` when it becomes the pivot row.
+    """
+    a = [None] * len(rows)
+    for k, later in plan:
+        a[k] = dict.fromkeys(later, 0)
+        a[k][k] = 0
+    for k, row in enumerate(rows):
+        ak = a[k]
+        for j, v in row.items():
+            if j in ak:
+                ak[j] += v
+    steps = []
+    for k, later in plan:
+        row = a[k]
+        a[k] = None
+        d = row[k] % p
+        if not d:
+            return None
+        inv = pow(d, -1, p)
+        values = [row[j] % p for j in later]
+        column = []
+        for t, i in enumerate(later):
+            f = values[t] * inv % p
+            column.append((i, f))
+            other = a[i]
+            tail = later[t:]
+            other.update(zip(tail, map(sub, map(other.__getitem__, tail), map(f.__mul__, values[t:]))))
+        steps.append((k, inv, column))
+    return steps
+
+
+def _solve_mod(steps, r, p):
+    """``x`` with ``A x = r`` modulo ``p``, from the factor of :func:`_ldl_mod`."""
+    y = list(r)
+    for k, _, column in steps:
+        yk = y[k] = y[k] % p
+        if yk:
+            for i, l in column:
+                y[i] -= l * yk
+    for k, inv, column in reversed(steps):
+        v = y[k] * inv
+        for i, l in column:
+            v -= l * y[i]
+        y[k] = v % p
+    return y
+
+
+def _reconstruct(x, modulus):
+    """Numerators over one common denominator whose ratios are congruent
+    to ``x`` modulo ``modulus``, with numerator and denominator bounded by
+    ``sqrt(modulus / 2)`` component by component; None if one has no such
+    fraction.
+
+    The denominator found so far multiplies each next component before
+    the extended Euclidean algorithm runs on it (Wang 1981), so once the
+    denominators are known a component costs one product.
+    """
+    bound = isqrt(modulus // 2)
+    half = modulus // 2
+    den = 1
+    found = []
+    for v in x:
+        y = v * den % modulus
+        if y > half:
+            y -= modulus
+        if -bound <= y <= bound:
+            found.append((y, den))
+            continue
+        r0, r1, t0, t1 = modulus, y % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if not t1 or abs(t1) > bound:
+            return None
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        den *= t1
+        found.append((r1, den))
+    return [n * (den // d) for n, d in found], den
+
+
+def _dixon_solve(rows, b):
+    """The solution of ``A x = b`` for a square nonsingular symmetric
+    integer ``A``, given as sparse ``{column: int}`` rows, and an integer
+    ``b``: ``(numerators, den)`` with ``x = numerators / den``.
+
+    With ``A`` factored modulo ``p`` (:func:`_ldl_mod`), each step solves
+    ``A c = r`` modulo ``p``, adds ``c p^k`` to the p-adic approximation
+    and replaces ``r`` by ``(r - A c) / p``, an exact integer division
+    (Dixon 1982).  After each step the approximation is reconstructed
+    (:func:`_reconstruct`), and the candidate is returned once
+    ``A numerators = den b`` holds exactly.  A zero pivot moves the solve
+    to the next prime of :data:`_PRIMES`; raises :class:`NoSolution` when
+    none is left.
+    """
+    plan = _elimination_order(rows)
+    for p in _PRIMES:
+        steps = _ldl_mod(rows, plan, p)
+        if steps is not None:
+            break
+    else:
+        raise NoSolution("a pivot vanishes modulo every prime")
+    x = [0] * len(b)
+    modulus = 1
+    r = b
+    while True:
+        c = _solve_mod(steps, r, p)
+        x = [xi + ci * modulus for xi, ci in zip(x, c)]
+        modulus *= p
+        r = [(ri - sum(map(mul, row.values(), map(c.__getitem__, row)))) // p for ri, row in zip(r, rows)]
+        candidate = _reconstruct(x, modulus)
+        if candidate is None:
+            continue
+        numerators, den = candidate
+        if all(
+            sum(map(mul, row.values(), map(numerators.__getitem__, row))) == den * bi
+            for row, bi in zip(rows, b)
+        ):
+            return candidate
 
 
 def barycentric_vertex(points, target) -> dict:

@@ -16,13 +16,29 @@ problems the slow, direct way, on ``Fraction`` cells:
   the barycentric vertex: one traversal for the orientation claim and one
   for connectivity, a stack walk from any base face, and a general exact
   linear solve;
+* :func:`reference_hodge_decompose`, the torus Hodge split with its
+  Laplace system, vertex 0 pinned, solved by Gauss-Jordan
+  (``solve_exact_linear``) on dense ``Rat`` rows, and the harmonic part
+  from inner products, as the library computed it before the p-adic
+  solver;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
   normalised each row of a random environment.
 """
 
-from cycledec.complexes import TwoComplex, TwoChain, VectorField, check_rates, recover_psi
+from cycledec.complexes import (
+    HodgeParts,
+    TwoChain,
+    TwoComplex,
+    VectorField,
+    ZeroForm,
+    boundary1,
+    check_rates,
+    coboundary0,
+    harmonic_basis,
+    recover_psi,
+)
 from cycledec.errors import NoSolution, NotGeneralPosition, NotHomologous, TooLarge, ZeroNotInterior
 from cycledec.exact_lp import exact_rank, solve_exact_linear
 from cycledec.lattice import LatticeCycleClass
@@ -303,6 +319,35 @@ def reference_irreducible_class(points) -> LatticeCycleClass:
     if any(c <= 0 for c in mu):
         raise ZeroNotInterior("origin not in the relative interior of the hull")
     return LatticeCycleClass(scaled(dict(zip(pts, mu)))[1])
+
+
+def reference_hodge_decompose(phi: VectorField) -> HodgeParts:
+    """Gradient, homologous and harmonic parts of a 2-torus field, with the
+    potential from the dense Laplace system and the harmonic coefficients
+    as inner products over norms."""
+    cx = phi.complex
+    div = boundary1(phi)
+    n = cx.n_vertices
+    neighbor_ids = [[] for _ in range(n)]
+    for u, v in cx.edges:
+        iu, iv = cx.vertex_index[u], cx.vertex_index[v]
+        neighbor_ids[iu].append(iv)
+        neighbor_ids[iv].append(iu)
+    rows, rhs = [], []
+    for i in range(n - 1):
+        row = [ZERO] * n
+        row[i] = -Rat(len(neighbor_ids[i]))
+        for j in neighbor_ids[i]:
+            row[j] += ONE
+        rows.append(row)
+        rhs.append(div.values[i])
+    rows.append([ONE] + [ZERO] * (n - 1))
+    rhs.append(ZERO)
+    gradient = coboundary0(ZeroForm(cx, solve_exact_linear(rows, rhs)))
+    basis = harmonic_basis(cx)
+    coefficients = tuple(phi.inner(b) / b.inner(b) for b in basis)
+    harmonic = basis[0].scale(coefficients[0]) + basis[1].scale(coefficients[1])
+    return HodgeParts(gradient, phi - gradient - harmonic, harmonic, coefficients)
 
 
 def reference_periodic_reduction(u, period) -> Rat:

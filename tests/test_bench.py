@@ -4,7 +4,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench.py"
-RECORD = ROOT / "BENCH_15.json"
+RECORD = ROOT / "BENCH_16.json"
 
 
 def load_bench():
@@ -21,14 +21,15 @@ def test_smallest_rungs_reproduce_the_recorded_outputs():
         label: {(r["kernel"], r["size"]): r["digest"] for r in record["rungs"]}
         for label, record in recorded.items()
     }
-    # the two runs of the record straddle a change of the simplex pricing,
-    # which gives the lattice rounds other exact classes; nothing else moved
-    unchanged = {
-        label: {rung: digest for rung, digest in runs.items() if rung[0] != "lattice"}
-        for label, runs in digests.items()
-    }
-    assert unchanged["parent"] == unchanged["change"]
-    assert digests["parent"].keys() == digests["change"].keys()
+    # the parent ran with a time budget, so its Hodge ladder stops early;
+    # every rung it has gives the change's output
+    parent, change = digests["parent"], digests["change"]
+    assert change.keys() == {(k, n) for k, sizes in bench.LADDERS.items() for n in sizes}
+    assert parent.items() <= change.items()
+    assert {k for k, _ in parent} == set(bench.LADDERS)
+    # and every rung of the previous record, the same output again
+    earlier = json.loads((ROOT / "BENCH_15.json").read_text())["change"]["rungs"]
+    assert {(r["kernel"], r["size"]): r["digest"] for r in earlier}.items() <= change.items()
     for kernel, sizes in bench.LADDERS.items():
         rung = bench.run_rung(kernel, sizes[0], repeats=1)
         assert rung["digest"] == digests["change"][(kernel, sizes[0])]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycledec import complexes, exact_lp
 from cycledec.complexes import (
     TwoChain,
     TwoComplex,
@@ -17,12 +18,18 @@ from cycledec.complexes import (
     hodge_decompose,
     recover_psi,
 )
-from cycledec.errors import NotHomologous
+from cycledec.errors import NoSolution, NotHomologous, TooLarge
 from cycledec.exact_lp import exact_rank
 from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import CUBE_FACES, cube_complex, face_indicator, gradient_matrix, rand_rat, vertex_indicator
-from oracles import _dual_connected, in_d_lambda2, reference_recover_psi, reference_validate
+from oracles import (
+    _dual_connected,
+    in_d_lambda2,
+    reference_hodge_decompose,
+    reference_recover_psi,
+    reference_validate,
+)
 
 
 def plus_minus_faces(cx, eid):
@@ -417,6 +424,17 @@ class TestHodge:
             assert again.homologous == parts.homologous
             assert again.gradient.is_zero() and again.harmonic.is_zero()
 
+    def test_torus_above_the_limit_is_refused_before_any_system(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a system was solved")
+
+        monkeypatch.setattr(complexes, "_dixon_solve", no_solve)
+        cx = TwoComplex.torus2(17, 241)
+        assert cx.n_vertices == complexes.HODGE_VERTEX_LIMIT + 1
+        # a field without values: reading them would fail with a TypeError
+        with pytest.raises(TooLarge, match="complexes.HODGE_VERTEX_LIMIT = 4096"):
+            hodge_decompose(VectorField._exact(cx, None))
+
     def test_dimension_counts(self):
         for n in (3, 4):
             cx = TwoComplex.torus2(n)
@@ -470,3 +488,81 @@ class TestRatesAndFields:
             assert VectorField(cx, [Rat(n, min_scale) for n in min_phi.values]) == phi
             for u, v in cx.edges:
                 assert min(minimal.get((u, v), ZERO), minimal.get((v, u), ZERO)) == ZERO
+
+
+@st.composite
+def torus_fields(draw):
+    n1, n2 = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    cx = TwoComplex.torus2(n1, n2)
+    value = st.builds(Rat, st.integers(-9, 9), st.integers(1, 12))
+    return VectorField(cx, draw(st.lists(value, min_size=cx.n_edges, max_size=cx.n_edges)))
+
+
+def assert_same_split(got, expected):
+    assert got.harmonic_coefficients == expected.harmonic_coefficients
+    for part in ("gradient", "homologous", "harmonic"):
+        assert getattr(got, part) == getattr(expected, part)
+        assert {type(v) for v in getattr(got, part).values} == {Rat}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(torus_fields())
+def test_hodge_matches_the_gauss_jordan_reference(phi):
+    assert_same_split(hodge_decompose(phi), reference_hodge_decompose(phi))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 7), (8, 5)])
+def test_hodge_on_small_primes_falls_back_and_lifts_exactly(monkeypatch, rng, shape):
+    # 2 divides every vertex degree of the torus, so the first pivot vanishes
+    monkeypatch.setattr(exact_lp, "_PRIMES", (2, 97, 101, 103, 107, 109, 113))
+    factors, steps = [], []
+    real_ldl, real_solve = exact_lp._ldl_mod, exact_lp._solve_mod
+
+    def ldl(rows, plan, p):
+        factors.append(real_ldl(rows, plan, p))
+        return factors[-1]
+
+    def solve(factor, r, p):
+        steps.append(p)
+        return real_solve(factor, r, p)
+
+    monkeypatch.setattr(exact_lp, "_ldl_mod", ldl)
+    monkeypatch.setattr(exact_lp, "_solve_mod", solve)
+    cx = TwoComplex.torus2(*shape)
+    phi = VectorField(cx, [Rat(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in cx.edges])
+    assert_same_split(hodge_decompose(phi), reference_hodge_decompose(phi))
+    assert factors[0] is None and factors[-1] is not None
+    assert len(steps) >= 5 and steps[0] != 2
+
+
+def test_dixon_solve_raises_when_every_prime_has_a_zero_pivot(monkeypatch):
+    monkeypatch.setattr(exact_lp, "_PRIMES", (2,))
+    with pytest.raises(NoSolution):
+        exact_lp._dixon_solve([{0: 2, 1: 1}, {0: 1, 1: 2}], [1, 1])
+
+
+def test_dixon_solve_accepts_only_a_zero_residual(monkeypatch):
+    # modulo 97^2 the solution 1000 reconstructs to -45/47, which the
+    # residual rejects; 97^4 is the first modulus whose bound reaches 1000
+    monkeypatch.setattr(exact_lp, "_PRIMES", (97,))
+    candidates = []
+    real = exact_lp._reconstruct
+
+    def reconstruct(x, modulus):
+        candidates.append(real(x, modulus))
+        return candidates[-1]
+
+    monkeypatch.setattr(exact_lp, "_reconstruct", reconstruct)
+    assert exact_lp._dixon_solve([{0: 1}], [1000]) == ([1000], 1)
+    assert ([-45], 47) in candidates
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 5), (7, 4), (16, 16)])
+def test_torus2_equals_the_validated_construction(shape):
+    built = TwoComplex.torus2(*shape)
+    validated = TwoComplex(
+        built.vertices, built.edges, built.face_edges, orientable=True,
+        torus_shape=shape, name=built.name,
+    )
+    assert vars(built) == vars(validated)
+    validated.validate()

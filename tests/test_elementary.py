@@ -508,15 +508,22 @@ def test_verdict_matches_pairwise_test_and_lp_oracle():
 
 @pytest.mark.parametrize("cx", SMALL_COMPLEXES, ids=lambda cx: cx.name)
 def test_rates_are_validated_once_per_query(monkeypatch, cx):
-    calls = []
-    real = elementary.check_rates
+    # the one validating pass is _field_and_symmetric; on valid rates it
+    # never falls back to check_rates
+    calls, fallbacks = [], []
+    real = elementary._field_and_symmetric
+    real_check = complexes.check_rates
 
     def counting(rates, complex):
         calls.append(complex)
         return real(rates, complex)
 
-    for module in (complexes, elementary):
-        monkeypatch.setattr(module, "check_rates", counting)
+    def check(rates, complex):
+        fallbacks.append(complex)
+        return real_check(rates, complex)
+
+    monkeypatch.setattr(elementary, "_field_and_symmetric", counting)
+    monkeypatch.setattr(complexes, "check_rates", check)
     rates = symmetric_rates(cx, Rat(1, 2))
     for query in (in_Re, pairwise_in_Re, r_star_necessary):
         calls.clear()
@@ -526,6 +533,38 @@ def test_rates_are_validated_once_per_query(monkeypatch, cx):
         calls.clear()
         decompose_1d(rates, cx)
         assert len(calls) == 1
+    assert fallbacks == []
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), info.value.args
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        # an unknown pair before a float: the pair is named, not the float
+        ({((0, 0), (2, 2)): 1, ((0, 0), (1, 0)): 0.5}, KeyError, "no edge between (0, 0) and (2, 2)"),
+        ({((0, 0), (1, 0)): 0.5, ((0, 0), (2, 2)): 1}, TypeError, "floats are not exact"),
+        # a negative rate after an unknown pair
+        ({((0, 0), (2, 2)): 1, ((1, 0), (0, 0)): -1}, KeyError, "no edge between (0, 0) and (2, 2)"),
+        ({((1, 0), (0, 0)): Rat(-1, 2), ((0, 0), (2, 2)): 1}, ValueError, "negative rate on ((1, 0), (0, 0))"),
+        ({((0, 0), (1, 0)): 1, ((1, 0), (0, 0)): "-1"}, ValueError, "negative rate on ((1, 0), (0, 0))"),
+        # an unknown pair of weight zero still fails
+        ({((0, 0), (1, 0)): 1, ((0, 0), (2, 2)): 0}, KeyError, "no edge between (0, 0) and (2, 2)"),
+        # a self-loop key
+        ({((0, 0), (0, 0)): 1}, KeyError, "no edge between (0, 0) and (0, 0)"),
+        ({((0, 0), (1, 0)): "1/0"}, ValueError, "denominator must be positive"),
+    ],
+)
+def test_one_pass_raises_what_check_rates_raises(bad, error, message):
+    cx = TwoComplex.torus2(3)
+    expected = _raised(check_rates, bad, cx)
+    assert expected[0] is error and message in str(expected[1][0])
+    assert _raised(complexes._field_and_symmetric, bad, cx) == expected
+    assert _raised(in_Re, bad, cx) == expected
 
 
 # -- reference: the elementary pass on Fraction values, one rational per step --

@@ -175,6 +175,18 @@ def test_kernel_rows_stay_reduced_integers_over_positive_denominators(system):
         assert row[c] == den
 
 
+def test_int_rows_drop_cells_that_coerce_to_zero():
+    rows, dens = _int_rows([["0", 1, Rat(0), "1/2", 0, "-0/3"], [0, "0", Rat(0)]])
+    assert rows == [{1: 2, 3: 1}, {}]
+    assert dens == [2, 1]
+    assert all(type(v) is int and v for row in rows for v in row.values())
+
+
+def test_int_rows_still_reject_float_cells():
+    with pytest.raises(TypeError):
+        _int_rows([[1, 0.0]])
+
+
 @st.composite
 def barycentric_cases(draw):
     """``(points, target)`` on Z^1 to Z^3 with duplicate points; the target

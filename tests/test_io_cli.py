@@ -786,6 +786,14 @@ class TestCliInputErrors:
             capsys.readouterr().err
         )
 
+    def test_hodge_above_its_limit_exits_two(self, workdir, capsys):
+        # 17 x 241 = HODGE_VERTEX_LIMIT + 1 vertices, under the field file limit
+        path = write(workdir / "wide.field", "field torus 17 241\n")
+        assert run_cli(["hodge", path]) == 2
+        assert "torus of 4097 vertices exceeds complexes.HODGE_VERTEX_LIMIT = 4096" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize(
         "args",
         [
