@@ -2,10 +2,10 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_16.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_16.json --budget 10
+    python3 benchmarks/bench.py --label change --out BENCH_17.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_17.json --budget 10
 
-Five ladders, each on inputs generated from a fixed seed:
+Six ladders, each on inputs generated from a fixed seed:
 
 * ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
   small rational values, n = 6, 10, 14, 20, 28, 40.  The Laplace system
@@ -22,6 +22,11 @@ Five ladders, each on inputs generated from a fixed seed:
   boundary of a random chain (values over denominators up to 12) plus
   enough symmetric noise on every edge.  This is the interval pass on the
   recovered chain.
+* ``klein``: the same :func:`in_Re` and :func:`elementary_decompose` on
+  decomposable rates of the same construction on the n x n grid of the
+  Klein bottle, n = 6, 10, 14, 18.  This is the chain recovery on a
+  non-orientable surface, where the face-tree integration solves for the
+  one constant of face 0.
 * ``birkhoff``: :func:`birkhoff_decompose` on an n x n bistochastic
   matrix, a mixture of n/2 random permutations with weights 1..12 over
   their total, n = 24, 48, 96.  This is the matching kept across rounds.
@@ -34,7 +39,8 @@ Five ladders, each on inputs generated from a fixed seed:
 Each rung runs ``REPEATS`` times in this process and records the best wall
 time, all wall times and the sha256 of its output text (the three Hodge
 parts and the harmonic coefficients; the ``.dec`` text; the witness
-constant and the ``.dec`` text; the ``.dec`` text; the ``.dec`` text),
+constant and the ``.dec`` text, twice; the ``.dec`` text; the ``.dec``
+text),
 which must be the same on every repeat.
 The record also carries the commit and a digest of the sources of the
 measured ``cycledec``, the Python version and the rational backend the
@@ -67,6 +73,7 @@ LADDERS = {
     "hodge": (6, 10, 14, 20, 28, 40),
     "lattice": (40, 80, 160, 320, 640, 1280),
     "elementary": (16, 24, 32),
+    "klein": (6, 10, 14, 18),
     "birkhoff": (24, 48, 96),
     "io": (16, 32, 64),
 }
@@ -91,22 +98,29 @@ def balanced_measure(support: int, seed: int = 7) -> dict:
     return atoms
 
 
-def torus_rates(n: int, seed: int = 7):
-    """Decomposable rates on the n x n torus, keyed ``((i, j), (k, l))``:
-    the boundary of a random chain with values in [-9, 9] over
-    denominators up to 12, as minimal rates, plus symmetric noise of at
-    least 9 on every edge, which covers half the chain's range."""
-    from cycledec.complexes import TwoChain, TwoComplex, boundary2, field_to_rates
+def surface_rates(cx, rng) -> dict:
+    """Decomposable rates on the complex ``cx``, keyed by vertex pairs: the
+    boundary of a random chain with values in [-9, 9] over denominators up
+    to 12, as minimal rates, plus symmetric noise of at least 9 on every
+    edge, which covers half the chain's range."""
+    from cycledec.complexes import TwoChain, boundary2, field_to_rates
 
-    rng = random.Random(f"elementary/{n}/{seed}")
-    cx = TwoComplex.torus2(n)
     chain = TwoChain(cx, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(cx.n_faces)])
     rates = field_to_rates(boundary2(chain))
     for u, v in cx.edges:
         noise = 9 + Fraction(rng.randint(0, 4), rng.randint(1, 12))
         for e in ((u, v), (v, u)):
             rates[e] = rates.get(e, 0) + noise
-    return cx, rates
+    return rates
+
+
+def torus_rates(n: int, seed: int = 7):
+    """The n x n torus and :func:`surface_rates` on it, keyed
+    ``((i, j), (k, l))``."""
+    from cycledec.complexes import TwoComplex
+
+    cx = TwoComplex.torus2(n)
+    return cx, surface_rates(cx, random.Random(f"elementary/{n}/{seed}"))
 
 
 def permutation_mixture(n: int, seed: int = 7) -> dict:
@@ -160,8 +174,12 @@ def rung_case(kernel: str, size: int):
             return fio.format_lattice_decomposition(dec, "bench")
 
         return measure, f"support {len(measure.atoms)}", run
-    if kernel == "elementary":
-        cx, rates = torus_rates(size)
+    if kernel in ("elementary", "klein"):
+        if kernel == "elementary":
+            cx, rates = torus_rates(size)
+        else:
+            cx = TwoComplex.klein_grid(size, size)
+            rates = surface_rates(cx, random.Random(f"klein/{size}"))
 
         def run(r):
             verdict = in_Re(r, cx)

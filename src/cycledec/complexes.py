@@ -218,8 +218,8 @@ class TwoComplex:
 
         Orientable complexes must come with pairwise agreeing face
         orientations; non-orientable ones must genuinely admit no agreeing
-        reorientation: each face is flipped to agree with its parent in
-        :meth:`_face_tree`, and then some edge must still disagree.
+        reorientation: with each face flipped to agree with its parent in
+        :meth:`_face_tree`, some edge must still disagree.
         """
         if self.n_faces == 0:
             return
@@ -233,7 +233,7 @@ class TwoComplex:
                 raise ValueError(
                     f"edge {self.edges[eid]} repeats inside a single face"
                 )
-        tree = self._face_tree()
+        tree, flip = self._face_tree()
         if self.orientable:
             for eid, incidences in enumerate(self.edge_faces):
                 if {s for _, s in incidences} != {1, -1}:
@@ -244,37 +244,41 @@ class TwoComplex:
         if len(tree) < self.n_faces:
             raise ValueError("face adjacency graph is disconnected")
         if not self.orientable:
-            flip = [1] * self.n_faces
-            for fid, parent, _, parent_sign, sign in tree[1:]:
-                flip[fid] = flip[parent] if sign != parent_sign else -flip[parent]
             if all(flip[f1] * s1 != flip[f2] * s2 for (f1, s1), (f2, s2) in self.edge_faces):
                 raise ValueError(
                     "complex declared non-orientable but an agreeing "
                     "face orientation exists"
                 )
 
-    def _face_tree(self) -> list:
+    def _face_tree(self):
         """Depth-first spanning tree of the face adjacency graph from face 0.
 
-        One ``(face, parent, edge, parent sign, face sign)`` entry per face
-        reached, in the order they are reached: ``edge`` is the shared edge
-        the walk crossed and the signs are how the two faces traverse it.
-        The root comes first as ``(0, None, None, None, None)``, and a list
-        shorter than the face count means the graph is disconnected.
+        Returns ``(tree, flip)``.  ``tree`` has one ``(face, parent, edge,
+        parent sign, face sign)`` entry per face reached, in the order they
+        are reached: ``edge`` is the shared edge the walk crossed and the
+        signs are how the two faces traverse it.  The root comes first as
+        ``(0, None, None, None, None)``, and a list shorter than the face
+        count means the graph is disconnected.  ``flip[f]`` is the
+        orientation, ``+1`` or ``-1`` times the chosen one, in which face
+        ``f`` agrees with its tree parent across the tree edge, with face 0
+        at ``+1`` and unreached faces at 0.  A complex declared orientable
+        claims that its chosen orientations agree, so there every reached
+        face has flip ``+1``.
         """
         tree = [(0, None, None, None, None)]
-        seen = [False] * self.n_faces
-        seen[0] = True
+        flip = [0] * self.n_faces
+        flip[0] = 1
+        turn = not self.orientable
         stack = [0]
         while stack:
             fid = stack.pop()
             for eid, sign in self.face_edges[fid]:
                 for other, other_sign in self.edge_faces[eid]:
-                    if not seen[other]:
-                        seen[other] = True
+                    if not flip[other]:
+                        flip[other] = -flip[fid] if turn and sign == other_sign else flip[fid]
                         tree.append((other, fid, eid, sign, other_sign))
                         stack.append(other)
-        return tree
+        return tree, flip
 
 
 class _Valued:
@@ -451,16 +455,21 @@ def harmonic_basis(complex: TwoComplex):
 def recover_psi(phi: VectorField) -> TwoChain:
     """Find a chain whose boundary is ``phi``, exactly.
 
-    Orientable complexes: integrate along :meth:`TwoComplex._face_tree`,
-    with face 0 pinned to zero, and verify every remaining adjacency; any
-    mismatch certifies that no preimage exists.  The integration stays in
-    the field's own number type: the integer numerators of
-    :func:`_field_and_symmetric` give an integer chain on the same scale,
-    a field of ``Rat`` values a ``Rat`` chain.  Non-orientable complexes:
-    the preimage is unique, found by the Gauss-Jordan solve
-    :func:`solve_exact_linear` on the integer rows of
-    :func:`face_boundary_matrix`, and comes back as ``Rat`` values (on the
-    field's scale).
+    One integration for every complex with faces: along
+    :meth:`TwoComplex._face_tree`, in the orientations its flips give, with
+    face 0 at an unknown constant ``t`` taken as zero.  Every edge is then
+    visited once.  An edge whose faces agree under the flips checks the
+    integral; a mismatch certifies that no preimage exists.  An edge whose
+    faces disagree, which only a non-orientable surface has, gives one row
+    of ``2 t = +-phi(edge) - psi'_1 - psi'_2``.  Without such rows the chain
+    keeps the field's number type: the integer numerators of
+    :func:`_field_and_symmetric` give an integer chain on the same scale, a
+    field of ``Rat`` values a ``Rat`` chain.  With them,
+    :func:`solve_exact_linear` finds ``t`` (an inconsistent system
+    certifies that no preimage exists) and the unique chain comes back as
+    ``Rat`` values on the field's scale.  An edge outside exactly two
+    faces, or one whose faces disagree on a complex declared orientable,
+    raises ``ValueError``.
     """
     cx = phi.complex
     values = phi.values
@@ -468,29 +477,42 @@ def recover_psi(phi: VectorField) -> TwoChain:
         if phi.is_zero():
             return TwoChain(cx, [])
         raise NotHomologous("no faces, only the zero field is a boundary")
-    if not cx.orientable:
-        try:
-            chain = solve_exact_linear(face_boundary_matrix(cx), values)
-        except NoSolution:
-            raise NotHomologous("field is not a boundary on this complex")
-        return TwoChain._exact(cx, chain)
-
-    tree = cx._face_tree()
+    tree, flip = cx._face_tree()
     if len(tree) < cx.n_faces:
         raise NotHomologous("face adjacency graph is disconnected")
+    # the chain in the flipped orientations, less t
     psi = [None] * cx.n_faces
     psi[0] = values[0] * 0 if values else ZERO
     for fid, parent, eid, parent_sign, _ in tree[1:]:
-        # psi[f_plus] - psi[f_minus] = phi(edge)
-        psi[fid] = psi[parent] - values[eid] if parent_sign == 1 else psi[parent] + values[eid]
+        # psi[f_plus] - psi[f_minus] = phi(edge) in the flipped orientations
+        psi[fid] = psi[parent] - values[eid] if flip[parent] == parent_sign else psi[parent] + values[eid]
+    rows, rhs = [], []
     for eid, incidences in enumerate(cx.edge_faces):
-        if len(incidences) != 2 or incidences[0][1] == incidences[1][1]:
+        if len(incidences) != 2:
             raise ValueError("edge incidences are not in (+1, -1) form")
-        (f1, s1), (f2, _) = incidences
-        if (psi[f1] - psi[f2] if s1 == 1 else psi[f2] - psi[f1]) != values[eid]:
-            raise NotHomologous(
-                f"path-dependent integral at edge {cx.edges[eid]}"
-            )
+        (f1, s1), (f2, s2) = incidences
+        s1 *= flip[f1]
+        if s1 != flip[f2] * s2:
+            if (psi[f1] - psi[f2] if s1 == 1 else psi[f2] - psi[f1]) != values[eid]:
+                raise NotHomologous(
+                    f"path-dependent integral at edge {cx.edges[eid]}"
+                )
+        elif cx.orientable:
+            # every flip is +1 there, so these faces break the claim
+            raise ValueError("edge incidences are not in (+1, -1) form")
+        else:
+            # s1 (psi[f1] + psi[f2] + 2 t) = phi(edge)
+            rows.append([2])
+            rhs.append((values[eid] if s1 == 1 else -values[eid]) - psi[f1] - psi[f2])
+    if rows:
+        try:
+            t = solve_exact_linear(rows, rhs)[0]
+        except NoSolution:
+            raise NotHomologous("field is not a boundary on this complex")
+        psi = [f * (t + v) for f, v in zip(flip, psi)]
+    elif -1 in flip:
+        # an agreeing orientation, on a complex declared non-orientable
+        psi = [f * v for f, v in zip(flip, psi)]
     return TwoChain._exact(cx, psi)
 
 
@@ -637,14 +659,3 @@ def field_to_rates(phi: VectorField) -> dict:
         elif value < 0:
             out[(v, u)] = -value
     return out
-
-
-def face_boundary_matrix(complex: TwoComplex):
-    """Matrix of the face boundary as int rows, one column per chosen face."""
-    rows = []
-    for incidences in complex.edge_faces:
-        row = [0] * complex.n_faces
-        for fid, sign in incidences:
-            row[fid] += sign
-        rows.append(row)
-    return rows

@@ -20,8 +20,9 @@ complement of an open interval instead.
 The pass runs on Python ints over one scale ``D``, the lcm of the rate
 denominators: the field, the symmetric parts, the chain and the interval
 ends are integer numerators over ``D``, so every comparison and
-subtraction is an integer one (on non-orientable complexes the chain comes
-from an exact solve and its values are rationals on the same scale).
+subtraction is an integer one (on non-orientable complexes the chain adds
+the one constant that an exact solve finds, a multiple of 1/2, and its
+values are rationals on the same scale).
 ``Rat`` comes back only in returned values: the witness constant is
 ``Rat(lo + hi, 2 D)`` and every weight is ``Rat(n, D)``, or ``Rat(n, D q)``
 for a chosen constant with denominator ``q``.

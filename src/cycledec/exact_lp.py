@@ -12,8 +12,9 @@ only at the edges: an input row is brought to integers over the lcm of its
 denominators (integer cells pass through as they are), and results come
 back as ``Rat(numerator, denominator)``.  :func:`solve_exact_linear` and
 :func:`exact_rank` pivot column by column (Gauss-Jordan).  The solve
-serves the chain recovery on non-orientable complexes; the rank, the
-general-position test of the irreducible lattice class.
+serves only the one-unknown system of the chain recovery on a
+non-orientable complex, one row ``2 t = c`` per edge whose faces disagree;
+the rank, the general-position test of the irreducible lattice class.
 
 The Laplace system of the torus Hodge split is square, sparse, symmetric
 and nonsingular, and its solution has far fewer bits than the

@@ -17,6 +17,7 @@ throughout, and rationals appear only in the emitted weights.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from itertools import product
@@ -243,9 +244,11 @@ def _lcm_class(mu: dict) -> LatticeCycleClass:
 def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND) -> bool:
     """No proper nonempty sub-multiset of the displacements sums to zero.
 
-    Exhaustive search over sub-multisets, meet-in-the-middle over the two
-    halves of the distinct-vector list.  Refuses classes with total
-    multiplicity above ``max_total`` (default 24) via :class:`TooLarge`.
+    The empty and the full multiset always sum to zero, so the class is
+    irreducible exactly when they are the only two zero-sum sub-multisets.
+    Exhaustive count, meet-in-the-middle over the two halves of the
+    distinct-vector list.  Refuses classes with total multiplicity above
+    ``max_total`` (default 24) via :class:`TooLarge`.
     """
     if cls.total_multiplicity() > max_total:
         raise TooLarge(
@@ -254,43 +257,18 @@ def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND
     items = cls.items()
     d = cls.dimension
     half = len(items) // 2
-    left, right = items[:half], items[half:]
 
-    def combos(group):
-        out = []
-        ranges = [range(n + 1) for _, n in group]
-        for counts in product(*ranges):
+    def sums(group):
+        for counts in product(*(range(n + 1) for _, n in group)):
             s = [0] * d
             for (vec, _), c in zip(group, counts):
                 for i, x in enumerate(vec):
                     s[i] += c * x
-            out.append(
-                (
-                    tuple(s),
-                    all(c == 0 for c in counts),
-                    all(c == n for c, (_, n) in zip(counts, group)),
-                )
-            )
-        return out
+            yield tuple(s)
 
-    right_map: dict = {}
-    for s, empty, full in combos(right):
-        count, n_empty, n_full = right_map.get(s, (0, 0, 0))
-        right_map[s] = (count + 1, n_empty + int(empty), n_full + int(full))
-
-    for s, empty, full in combos(left):
-        key = tuple(-c for c in s)
-        entry = right_map.get(key)
-        if entry is None:
-            continue
-        count, n_empty, n_full = entry
-        if empty:
-            count -= n_empty
-        if full:
-            count -= n_full
-        if count > 0:
-            return False
-    return True
+    right = Counter(sums(items[half:]))
+    zero_sums = sum(right[tuple(-c for c in s)] for s in sums(items[:half]))
+    return zero_sums == 2
 
 
 def _rounds(scale: int, residual: dict, origin: tuple):

@@ -16,6 +16,11 @@ problems the slow, direct way, on ``Fraction`` cells:
   the barycentric vertex: one traversal for the orientation claim and one
   for connectivity, a stack walk from any base face, and a general exact
   linear solve;
+* :func:`face_boundary_matrix` and
+  :func:`reference_nonorientable_recover_psi`, the dense face-boundary
+  rows and the chain recovery on a non-orientable complex by Gauss-Jordan
+  (``solve_exact_linear``) on them, as the library computed it before
+  the face-tree integration served every surface;
 * :func:`reference_hodge_decompose`, the torus Hodge split with its
   Laplace system, vertex 0 pinned, solved by Gauss-Jordan
   (``solve_exact_linear``) on dense ``Rat`` rows, and the harmonic part
@@ -297,6 +302,28 @@ def reference_recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
         if (psi[f1] - psi[f2] if s1 == 1 else psi[f2] - psi[f1]) != values[eid]:
             raise NotHomologous(f"path-dependent integral at edge {cx.edges[eid]}")
     return TwoChain._exact(cx, psi)
+
+
+def face_boundary_matrix(complex: TwoComplex):
+    """Matrix of the face boundary as int rows, one column per chosen face."""
+    rows = []
+    for incidences in complex.edge_faces:
+        row = [0] * complex.n_faces
+        for fid, sign in incidences:
+            row[fid] += sign
+        rows.append(row)
+    return rows
+
+
+def reference_nonorientable_recover_psi(phi: VectorField) -> TwoChain:
+    """The unique chain with boundary ``phi`` on a non-orientable complex,
+    by exact solve of the face-boundary system."""
+    cx = phi.complex
+    try:
+        chain = solve_exact_linear(face_boundary_matrix(cx), phi.values)
+    except NoSolution:
+        raise NotHomologous("field is not a boundary on this complex")
+    return TwoChain._exact(cx, chain)
 
 
 def reference_irreducible_class(points) -> LatticeCycleClass:

@@ -14,7 +14,6 @@ from cycledec.complexes import (
     VectorField,
     boundary1,
     boundary2,
-    face_boundary_matrix,
     field_to_rates,
     hodge_decompose,
     recover_psi,
@@ -55,7 +54,7 @@ from cycledec.lattice import (
 from cycledec.ratio import ONE, ZERO, Rat, scaled
 
 from conftest import gradient_matrix, rand_pos_rat
-from oracles import brute_force_Re_oracle, in_d_lambda2
+from oracles import brute_force_Re_oracle, face_boundary_matrix, in_d_lambda2
 
 
 def report(number, text):

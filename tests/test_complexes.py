@@ -12,7 +12,6 @@ from cycledec.complexes import (
     boundary2,
     coboundary0,
     coboundary1,
-    face_boundary_matrix,
     field_to_rates,
     harmonic_basis,
     hodge_decompose,
@@ -25,8 +24,10 @@ from cycledec.ratio import ONE, ZERO, Rat
 from conftest import CUBE_FACES, cube_complex, face_indicator, gradient_matrix, rand_rat, vertex_indicator
 from oracles import (
     _dual_connected,
+    face_boundary_matrix,
     in_d_lambda2,
     reference_hodge_decompose,
+    reference_nonorientable_recover_psi,
     reference_recover_psi,
     reference_validate,
 )
@@ -293,11 +294,15 @@ class TestRecoverPsi:
                 assert len(deltas) == 1
 
     def test_edges_outside_plus_minus_form_rejected(self):
-        # a face with open edges, and Klein-bottle faces declared orientable
+        # a face with open edges, Klein-bottle faces declared orientable, and
+        # cube faces declared orientable, though some of them are reversed
         klein = TwoComplex.klein_grid(3, 3)
+        reversed_cube = [cycle[::-1] if k % 2 else cycle for k, cycle in enumerate(CUBE_FACES)]
         for cx in (
             TwoComplex.from_face_cycles([("a", "b", "c")], orientable=True),
+            TwoComplex.from_face_cycles([("a", "b", "c")], orientable=False),
             TwoComplex(klein.vertices, klein.edges, klein.face_edges, orientable=True),
+            TwoComplex.from_face_cycles(reversed_cube, orientable=True),
         ):
             with pytest.raises(ValueError, match=r"not in \(\+1, -1\) form"):
                 recover_psi(VectorField.zero(cx))
@@ -393,6 +398,67 @@ class TestOneFaceWalk:
             assert [type(v) for v in got.values] == [type(v) for v in expected.values]
         else:
             assert got == expected
+
+
+KLEIN_GRIDS = [TwoComplex.klein_grid(*shape) for shape in ((3, 3), (3, 4), (4, 3), (5, 5))]
+
+
+@EXAMPLES
+@given(st.sampled_from(KLEIN_GRIDS), st.data())
+def test_klein_recovery_equals_the_gauss_jordan_reference(cx, data):
+    chain = data.draw(st.lists(st.integers(-5, 5), min_size=cx.n_faces, max_size=cx.n_faces))
+    den = data.draw(st.integers(1, 4))
+    if den == 1:
+        values = [sum(s * chain[f] for f, s in inc) for inc in cx.edge_faces]
+    else:
+        values = boundary2(TwoChain(cx, [Rat(v, den) for v in chain])).values
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(0, cx.n_edges - 1))] += 1
+    phi = VectorField._exact(cx, values)
+    try:
+        expected = reference_nonorientable_recover_psi(phi)
+    except NotHomologous:
+        with pytest.raises(NotHomologous):
+            recover_psi(phi)
+        return
+    got = recover_psi(phi)
+    assert got.values == expected.values
+    assert {type(v) for v in got.values} == {type(v) for v in expected.values} == {Rat}
+
+
+def test_only_the_klein_recovery_solves_and_for_one_unknown(monkeypatch, rng):
+    systems = []
+    real = complexes.solve_exact_linear
+
+    def recording(matrix, rhs):
+        systems.append(matrix)
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(complexes, "solve_exact_linear", recording)
+    torus = TwoComplex.torus2(4, 5)
+    recover_psi(boundary2(rand_chain(rng, torus)))
+    assert systems == []
+    klein = TwoComplex.klein_grid(4, 5)
+    psi = rand_chain(rng, klein)
+    assert recover_psi(boundary2(psi)) == psi
+    (matrix,) = systems
+    assert matrix and all(row == [2] for row in matrix)
+
+
+def test_recovery_on_complexes_validate_rejects():
+    # an orientable surface, some faces reversed, declared non-orientable:
+    # the chain is pinned at face 0
+    cycles = [cycle[::-1] if k % 2 else cycle for k, cycle in enumerate(CUBE_FACES)]
+    cx = TwoComplex.from_face_cycles(cycles, orientable=False)
+    chain = TwoChain(cx, [Rat(f + 1, 2) for f in range(cx.n_faces)])
+    psi = recover_psi(boundary2(chain))
+    assert psi.values[0] == 0 and boundary2(psi) == boundary2(chain)
+    # two Klein bottles, one complex declared non-orientable
+    cycles = [tuple((k, v) for v in KLEIN_GRIDS[0].face_cycle(f))
+              for k in range(2) for f in range(KLEIN_GRIDS[0].n_faces)]
+    cx = TwoComplex.from_face_cycles(cycles, orientable=False)
+    with pytest.raises(NotHomologous, match="face adjacency graph is disconnected"):
+        recover_psi(VectorField.zero(cx))
 
 
 class TestHodge:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cycledec import cli
 from cycledec import io as fio
-from cycledec.complexes import TwoComplex, VectorField, field_to_rates
+from cycledec.complexes import TwoComplex, VectorField, field_to_rates, harmonic_basis
 from cycledec.discretize import band_potential, discretize_potential
 from cycledec.errors import InputFormatError
 from cycledec.finite_graph import GraphCycle, GraphDecomposition
@@ -521,6 +521,11 @@ class TestCliCheck:
         assert run_cli(["check", "balance", path]) == 0
         assert "yes" in capsys.readouterr().out
 
+    def test_unbalanced_graph_names_its_violators(self, workdir, capsys):
+        path = write(workdir / "u.wg", "digraph u\na b 1/1\nb c 2/1\nc a 1/1\n")
+        assert run_cli(["check", "balance", path]) == 1
+        assert capsys.readouterr().out == "balanced: no violators=b,c\n"
+
     def test_unbalanced_measure_exit_one(self, workdir, capsys):
         path = write(workdir / "p.msr", "2 -1 1/2\n-1 2 1/2\n")
         assert run_cli(["check", "balance", path]) == 1
@@ -615,6 +620,32 @@ class TestCliDecompose:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "formatter, args",
+        [
+            ("format_graph_decomposition", ["--mode", "graph", "samples/triangle.wg"]),
+            ("format_lattice_decomposition", ["--mode", "lattice", "samples/walk2d.msr"]),
+            ("format_elementary_decomposition",
+             ["--mode", "elementary", "samples/klein_rates.wg", "--surface", "samples/klein.surf"]),
+        ],
+    )
+    def test_verify_rejects_a_corrupted_term(self, formatter, args, monkeypatch, capsys):
+        real = getattr(fio, formatter)
+
+        def corrupting(*a, **kw):
+            # the first term weight n/d becomes (n + 1)/d
+            head, term, rest = real(*a, **kw).partition("\nterm ")
+            weight, _, tail = rest.partition(" ")
+            n, d = weight.split("/")
+            return f"{head}{term}{int(n) + 1}/{d} {tail}"
+
+        monkeypatch.chdir(SAMPLES.parent)
+        monkeypatch.setattr(fio, formatter, corrupting)
+        assert run_cli(["decompose", *args, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert "confirmed" not in captured.out
+        assert captured.err.startswith("negative verdict: reconstruction differs from the input")
+
     def test_one_dimensional_family(self, workdir, capsys):
         lines = ["digraph c"]
         for i in range(3):
@@ -654,6 +685,23 @@ class TestCliOther:
         assert run_cli(["elementary", path, "--diameter"]) == 1
         out = capsys.readouterr().out
         assert "verdict no" in out and "diameter-bound" in out
+
+    def test_elementary_diameter_on_a_field_that_is_no_boundary(self, workdir, capsys):
+        field = harmonic_basis(TwoComplex.torus2(3))[0]
+        path = write(workdir / "h.field", fio.format_field(field))
+        assert run_cli(["elementary", path, "--diameter"]) == 1
+        assert capsys.readouterr().out == (
+            "verdict no reason=NotHomologous\n"
+            "diameter-bound unavailable: field is not a face boundary\n"
+        )
+
+    def test_elementary_output_equals_decompose(self, workdir, monkeypatch, capsys):
+        surface = ["samples/klein_rates.wg", "--surface", "samples/klein.surf"]
+        monkeypatch.chdir(SAMPLES.parent)
+        assert run_cli(["elementary", *surface, "-o", str(workdir / "e.dec")]) == 0
+        assert capsys.readouterr().out == "verdict yes witness_c=0/1\n"
+        assert run_cli(["decompose", "--mode", "elementary", *surface]) == 0
+        assert (workdir / "e.dec").read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_discretize_writes_field(self, workdir, capsys):
         out_path = workdir / "band.field"
@@ -785,6 +833,14 @@ class TestCliInputErrors:
         assert f"huge.field:1: torus of 999998000001 vertices exceeds the limit of {limit}" in (
             capsys.readouterr().err
         )
+
+    def test_hodge_on_a_one_dimensional_field_exit_two(self, workdir, capsys):
+        field = VectorField(TwoComplex.torus1(4), [ONE] * 4)
+        path = write(workdir / "one.field", fio.format_field(field))
+        assert run_cli(["hodge", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}:1: hodge expects a 2-d torus field\n"
 
     def test_hodge_above_its_limit_exits_two(self, workdir, capsys):
         # 17 x 241 = HODGE_VERTEX_LIMIT + 1 vertices, under the field file limit

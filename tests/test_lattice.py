@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,36 @@ class TestIsIrreducible:
         cls = LatticeCycleClass({(1,): 20, (-1,): 20})
         with pytest.raises(TooLarge):
             is_irreducible(cls)
+
+
+@st.composite
+def cycle_classes(draw, most=10):
+    """Zero-sum displacement multisets in Z^1..Z^3 of total multiplicity at
+    most ``most``: drawn nonzero vectors closed by minus their sum, or the
+    trivial class."""
+    d = draw(st.integers(1, 3))
+    if draw(st.integers(0, 9)) == 0:
+        return LatticeCycleClass({(0,) * d: 1})
+    coord = st.integers(-2, 2)
+    vectors = draw(st.lists(st.tuples(*[coord] * d).filter(any), min_size=1, max_size=most - 1))
+    closing = tuple(-sum(c) for c in zip(*vectors))
+    if any(closing):
+        vectors.append(closing)
+    elif len(vectors) == 1:
+        vectors.append(tuple(-c for c in vectors[0]))
+    return LatticeCycleClass(Counter(vectors))
+
+
+@EXAMPLES
+@given(cycle_classes())
+def test_is_irreducible_equals_brute_force_enumeration(cls):
+    vectors = [vec for vec, n in cls.items() for _ in range(n)]
+    proper_zero_sum = any(
+        not any(map(sum, zip(*chosen)))
+        for r in range(1, len(vectors))
+        for chosen in combinations(vectors, r)
+    )
+    assert is_irreducible(cls) == (not proper_zero_sum)
 
 
 def first_round(p: LatticeMeasure):
