@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import prod
+from math import isfinite, prod
 
 from . import discretize as dz
 from . import elementary as el
@@ -61,6 +61,15 @@ def _rational(text: str):
         return parse_rat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/2, got {text!r}")
+
+
+def _finite(text: str) -> float:
+    try:
+        if isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _bounded(shape, flag):
@@ -374,7 +383,10 @@ def _make_potential(args) -> dz.PotentialSampler:
 def _cmd_discretize(args) -> int:
     sampler = _make_potential(args)
     _bounded((args.n, args.n), "--n")
-    field, chain = dz.discretize_potential(sampler, args.n)
+    try:
+        field, chain = dz.discretize_potential(sampler, args.n)
+    except ValueError as exc:
+        raise InputFormatError("<args>", 0, str(exc))
     text = fio.format_field(field, args.decimal)
     text += f"# oscillation {rat_str(dz.oscillation(chain))}\n"
     _emit(text, args.output)
@@ -386,9 +398,9 @@ def _cmd_random_env(args) -> int:
     _bounded(args.dims, "--dims")
     try:
         spec = dz.EnvironmentSpec(sampler, args.noise_lo, args.noise_hi, args.seed, args.dims)
+        env = dz.random_environment(spec)
     except ValueError as exc:
         raise InputFormatError("<args>", 0, str(exc))
-    env = dz.random_environment(spec)
     _emit(env.serialize(args.decimal), args.output)
     return 0 if env.certificate.ok else 1
 
@@ -450,10 +462,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def potential_args(p):
         p.add_argument("--potential", required=True, choices=["sine", "band", "constant"])
-        p.add_argument("--amplitude", type=float, default=1.0)
-        p.add_argument("--lo", type=float, default=0.3)
-        p.add_argument("--hi", type=float, default=0.7)
-        p.add_argument("--value", type=float, default=0.0)
+        p.add_argument("--amplitude", type=_finite, default=1.0)
+        p.add_argument("--lo", type=_finite, default=0.3)
+        p.add_argument("--hi", type=_finite, default=0.7)
+        p.add_argument("--value", type=_finite, default=0.0)
         p.add_argument("--denominator", type=_at_least(1), default=dz.DEFAULT_DENOMINATOR)
 
     p = sub.add_parser("discretize", help="snap a smooth potential to a field")

@@ -27,8 +27,12 @@ DEFAULT_DENOMINATOR = 10**6
 
 
 def snap(value: float, denominator: int = DEFAULT_DENOMINATOR) -> Rat:
-    """Nearest rational with the given denominator."""
-    return Rat(round(value * denominator), denominator)
+    """Nearest rational with the given denominator; ``ValueError`` when
+    ``value`` is not finite or its scaled value overflows a float."""
+    try:
+        return Rat(round(value * denominator), denominator)
+    except (ValueError, OverflowError):
+        raise ValueError(f"cannot snap {value!r} to a multiple of 1/{denominator}") from None
 
 
 @dataclass

@@ -1,20 +1,15 @@
 """Exact rational linear algebra and a vertex-producing barycentric solver.
 
-The general exact solve and rank go through one elimination kernel,
-:func:`_pivot`, acting on fraction-free integer rows: row ``i`` is a
-sparse ``{column: int}`` numerator map that never stores a zero, plus one
-positive row denominator ``dens[i]``, and stands for the values
-``rows[i][j] / dens[i]``.  A pivot multiplies the other rows through by
-the pivot numerator instead of dividing (Edmonds 1967, Bareiss 1968) and
-then divides each changed row by its content, the gcd of its numerators
-and its denominator, so no cell ever becomes a ``Rat``.  Rationals appear
-only at the edges: an input row is brought to integers over the lcm of its
-denominators (integer cells pass through as they are), and results come
-back as ``Rat(numerator, denominator)``.  :func:`solve_exact_linear` and
-:func:`exact_rank` pivot column by column (Gauss-Jordan).  The solve
-serves only the one-unknown system of the chain recovery on a
-non-orientable complex, one row ``2 t = c`` per edge whose faces disagree;
-the rank, the general-position test of the irreducible lattice class.
+The general exact solve and rank share one dense Gauss-Jordan elimination
+on ``Rat`` rows, :func:`_gauss_jordan`: it takes the columns in order,
+divides the pivot row by its pivot and clears the pivot column from every
+other row.  Only small systems are left for it, so it keeps no sparse or
+fraction-free representation.  :func:`solve_exact_linear` serves the
+chain recovery on a non-orientable complex: one unknown, with one row
+``2 t = c`` per edge whose faces disagree, about ten cells per operation
+of the ``surface-fields`` benchmark workload and none on the others.
+:func:`exact_rank` serves the general-position test of the irreducible
+lattice class, on at most ``d`` difference vectors.
 
 The Laplace system of the torus Hodge split is square, sparse, symmetric
 and nonsingular, and its solution has far fewer bits than the
@@ -46,32 +41,11 @@ what the constructive Caratheodory step requires.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt, lcm
+from math import isqrt
 from operator import mul, sub
 
 from .errors import Infeasible, NoSolution
 from .ratio import ONE, ZERO, Rat, to_rat
-
-
-def _int_rows(matrix):
-    """Rational rows as ``(rows, dens)``: each row's numerators, without
-    zeros, over the lcm of its denominators, which leaves content one.
-
-    Integer cells are kept as they are and zero ones skipped; every other
-    cell is coerced, and dropped when it comes out zero."""
-    rows, dens = [], []
-    for row in matrix:
-        qs = {}
-        for j, v in enumerate(row):
-            if type(v) is int:
-                if v:
-                    qs[j] = v
-            elif q := to_rat(v):
-                qs[j] = q
-        den = lcm(*(q.denominator for q in qs.values()))
-        rows.append({j: q.numerator * (den // q.denominator) for j, q in qs.items()})
-        dens.append(den)
-    return rows, dens
 
 
 def _width(matrix) -> int:
@@ -82,65 +56,27 @@ def _width(matrix) -> int:
     return widths.pop() if widths else 0
 
 
-def _pivot(rows, dens, r, c):
-    """Make the entry of row ``r`` in column ``c`` one and clear column
-    ``c`` from every other row.
+def _gauss_jordan(rows, ncols):
+    """Reduce the ``Rat`` rows in place on their first ``ncols`` columns,
+    taking the columns in order, and return the pivot columns.
 
-    Row ``r`` keeps its numerators over the pivot numerator ``p`` as its
-    denominator, divided by their gcd and negated when the pivot is
-    negative, so every denominator stays positive.  Every other row with
-    an entry ``f`` in column ``c`` becomes ``row * p - f * rows[r]`` over
-    ``den * p`` (the old denominator of row ``r`` cancels), with ``p`` and
-    ``f`` first divided by their gcd, and is then divided by its content.
-    Rows without an entry in ``c`` are not touched.
-    """
-    row = rows[r]
-    p = row[c]
-    g = gcd(*row.values())
-    if p < 0:
-        g = -g
-    if g != 1:
-        row = rows[r] = {j: v // g for j, v in row.items()}
-        p //= g
-    dens[r] = p
-    for i, other in enumerate(rows):
-        f = other.get(c)
-        if f is None or i == r:
-            continue
-        g = gcd(p, f)
-        a, f = p // g, f // g
-        if a != 1:
-            other = {j: v * a for j, v in other.items()}
-        for j, v in row.items():
-            w = other.get(j, 0) - f * v
-            if w:
-                other[j] = w
-            else:
-                del other[j]
-        den = dens[i] * a
-        g = gcd(den, *other.values())
-        if g != 1:
-            other = {j: v // g for j, v in other.items()}
-            den //= g
-        rows[i] = other
-        dens[i] = den
-
-
-def _row_reduce(rows, dens, ncols):
-    """Gauss-Jordan on the first ``ncols`` columns, taking them in order.
-
-    Moves the ``k``-th pivot row to position ``k`` and returns the pivot
-    columns; the rows after the pivot rows are zero on those columns.
+    The ``k``-th pivot row moves to position ``k`` and is divided by its
+    pivot; the pivot column is then cleared from every other row.  The
+    rows after the pivot rows are zero on the first ``ncols`` columns.
     """
     pivots = []
     for c in range(ncols):
         r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        dens[r], dens[i] = dens[i], dens[r]
-        _pivot(rows, dens, r, c)
+        p = rows[r][c]
+        pivot = rows[r] = [v / p for v in rows[r]]
+        for i, other in enumerate(rows):
+            f = other[c]
+            if f and i != r:
+                rows[i] = [a - f * b if b else a for a, b in zip(other, pivot)]
         pivots.append(c)
     return pivots
 
@@ -148,32 +84,30 @@ def _row_reduce(rows, dens, ncols):
 def solve_exact_linear(matrix, rhs):
     """Solve ``matrix @ x = rhs`` exactly by Gauss-Jordan elimination.
 
-    Each equation becomes an integer row over its own denominator (see
-    the module docstring); the pivots stay on integers, and only the
-    returned values are rationals.  Returns one exact solution (free
-    variables pinned to zero when the system is underdetermined).  Raises
-    :class:`NoSolution` when the system is inconsistent and
-    ``ValueError`` when the rows differ in width.
+    Cells are coerced with :func:`to_rat`.  Returns one exact solution as
+    ``Rat`` values (free variables pinned to zero when the system is
+    underdetermined).  Raises :class:`NoSolution` when the system is
+    inconsistent and ``ValueError`` when the rows differ in width or their
+    count differs from the length of ``rhs``.
     """
     rhs = list(rhs)
     if len(matrix) != len(rhs):
         raise ValueError("matrix and rhs sizes differ")
     n = _width(matrix)
-    rows, dens = _int_rows([*row, v] for row, v in zip(matrix, rhs))
-    pivots = _row_reduce(rows, dens, n)
-    if any(rows[len(pivots):]):
+    rows = [[*map(to_rat, row), to_rat(b)] for row, b in zip(matrix, rhs)]
+    pivots = _gauss_jordan(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
         raise NoSolution("inconsistent linear system")
     x = [ZERO] * n
-    for row, den, c in zip(rows, dens, pivots):
-        if n in row:
-            x[c] = Rat(row[n], den)
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
     return x
 
 
 def exact_rank(matrix) -> int:
+    """The rank of ``matrix`` over the rationals."""
     n = _width(matrix)
-    rows, dens = _int_rows(matrix)
-    return len(_row_reduce(rows, dens, n))
+    return len(_gauss_jordan([list(map(to_rat, row)) for row in matrix], n))
 
 
 # Word-size primes for :func:`_dixon_solve`, tried in this order.

@@ -4,8 +4,8 @@ Every quantity this package computes with (weights, measures, potentials,
 barycentric coefficients) is an exact rational; there is no floating point
 in any decision path.  The scalar type ``Rat`` is ``fractions.Fraction``:
 values in lowest terms with a positive denominator that interoperate with
-Python ints.  The kernels clear denominators and run on plain ints, so
-``Rat`` appears only at their inputs and outputs.  ``BACKEND`` names the
+Python ints.  The large kernels clear denominators and run on plain ints,
+so ``Rat`` appears only at their inputs and outputs.  ``BACKEND`` names the
 scalar type for the benchmark records.
 """
 

@@ -1,7 +1,7 @@
 """Reference implementations that the tests compare the library against.
 
 None of these runs in the library or the CLI.  They solve the same
-problems the slow, direct way, on ``Fraction`` cells:
+problems the slow, direct way, on ``Fraction`` cells or on integers:
 
 * :func:`fraction_phase1_rounds`, a phase-I tableau simplex with the
   pricing and the kill protocol of the library's revised simplex, and
@@ -16,21 +16,29 @@ problems the slow, direct way, on ``Fraction`` cells:
   the barycentric vertex: one traversal for the orientation claim and one
   for connectivity, a stack walk from any base face, and a general exact
   linear solve;
+* :func:`reference_solve_exact_linear` and :func:`reference_exact_rank`,
+  the fraction-free sparse Gauss-Jordan the library used before its dense
+  ``Rat`` elimination: integer rows without zeros over one positive
+  denominator each, every pivot multiplying the other rows through and
+  dividing them by their content (Edmonds 1967, Bareiss 1968).  The other
+  references below solve with it, so none of them shares the library's
+  elimination, and it is fast enough for their 64-vertex Laplace systems;
 * :func:`face_boundary_matrix` and
   :func:`reference_nonorientable_recover_psi`, the dense face-boundary
   rows and the chain recovery on a non-orientable complex by Gauss-Jordan
-  (``solve_exact_linear``) on them, as the library computed it before
-  the face-tree integration served every surface;
+  on them, as the library computed it before the face-tree integration
+  served every surface;
 * :func:`reference_hodge_decompose`, the torus Hodge split with its
-  Laplace system, vertex 0 pinned, solved by Gauss-Jordan
-  (``solve_exact_linear``) on dense ``Rat`` rows, and the harmonic part
-  from inner products, as the library computed it before the p-adic
-  solver;
+  Laplace system, vertex 0 pinned, solved by Gauss-Jordan on dense
+  ``Rat`` rows, and the harmonic part from inner products, as the library
+  computed it before the p-adic solver;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
   normalised each row of a random environment.
 """
+
+from math import gcd, lcm
 
 from cycledec.complexes import (
     HodgeParts,
@@ -45,7 +53,7 @@ from cycledec.complexes import (
     recover_psi,
 )
 from cycledec.errors import NoSolution, NotGeneralPosition, NotHomologous, TooLarge, ZeroNotInterior
-from cycledec.exact_lp import exact_rank, solve_exact_linear
+from cycledec.exact_lp import _width
 from cycledec.lattice import LatticeCycleClass
 from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
 
@@ -304,6 +312,122 @@ def reference_recover_psi(phi: VectorField, base_face: int = 0) -> TwoChain:
     return TwoChain._exact(cx, psi)
 
 
+def _int_rows(matrix):
+    """Rational rows as ``(rows, dens)``: each row's numerators, without
+    zeros, over the lcm of its denominators, which leaves content one.
+
+    Integer cells are kept as they are and zero ones skipped; every other
+    cell is coerced, and dropped when it comes out zero."""
+    rows, dens = [], []
+    for row in matrix:
+        qs = {}
+        for j, v in enumerate(row):
+            if type(v) is int:
+                if v:
+                    qs[j] = v
+            elif q := to_rat(v):
+                qs[j] = q
+        den = lcm(*(q.denominator for q in qs.values()))
+        rows.append({j: q.numerator * (den // q.denominator) for j, q in qs.items()})
+        dens.append(den)
+    return rows, dens
+
+
+def _int_pivot(rows, dens, r, c):
+    """Make the entry of row ``r`` in column ``c`` one and clear column
+    ``c`` from every other row.
+
+    Row ``r`` keeps its numerators over the pivot numerator ``p`` as its
+    denominator, divided by their gcd and negated when the pivot is
+    negative, so every denominator stays positive.  Every other row with
+    an entry ``f`` in column ``c`` becomes ``row * p - f * rows[r]`` over
+    ``den * p`` (the old denominator of row ``r`` cancels), with ``p`` and
+    ``f`` first divided by their gcd, and is then divided by its content.
+    Rows without an entry in ``c`` are not touched.
+    """
+    row = rows[r]
+    p = row[c]
+    g = gcd(*row.values())
+    if p < 0:
+        g = -g
+    if g != 1:
+        row = rows[r] = {j: v // g for j, v in row.items()}
+        p //= g
+    dens[r] = p
+    for i, other in enumerate(rows):
+        f = other.get(c)
+        if f is None or i == r:
+            continue
+        g = gcd(p, f)
+        a, f = p // g, f // g
+        if a != 1:
+            other = {j: v * a for j, v in other.items()}
+        for j, v in row.items():
+            w = other.get(j, 0) - f * v
+            if w:
+                other[j] = w
+            else:
+                del other[j]
+        den = dens[i] * a
+        g = gcd(den, *other.values())
+        if g != 1:
+            other = {j: v // g for j, v in other.items()}
+            den //= g
+        rows[i] = other
+        dens[i] = den
+
+
+def _int_row_reduce(rows, dens, ncols):
+    """Gauss-Jordan on the first ``ncols`` columns, taking them in order.
+
+    Moves the ``k``-th pivot row to position ``k`` and returns the pivot
+    columns; the rows after the pivot rows are zero on those columns.
+    """
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        dens[r], dens[i] = dens[i], dens[r]
+        _int_pivot(rows, dens, r, c)
+        pivots.append(c)
+    return pivots
+
+
+def reference_solve_exact_linear(matrix, rhs):
+    """Solve ``matrix @ x = rhs`` exactly by Gauss-Jordan elimination.
+
+    Each equation becomes an integer row over its own denominator
+    (:func:`_int_rows`); the pivots stay on integers, and only the
+    returned values are rationals.  Returns one exact solution (free
+    variables pinned to zero when the system is underdetermined).  Raises
+    :class:`NoSolution` when the system is inconsistent and
+    ``ValueError`` when the rows differ in width.
+    """
+    rhs = list(rhs)
+    if len(matrix) != len(rhs):
+        raise ValueError("matrix and rhs sizes differ")
+    n = _width(matrix)
+    rows, dens = _int_rows([*row, v] for row, v in zip(matrix, rhs))
+    pivots = _int_row_reduce(rows, dens, n)
+    if any(rows[len(pivots):]):
+        raise NoSolution("inconsistent linear system")
+    x = [ZERO] * n
+    for row, den, c in zip(rows, dens, pivots):
+        if n in row:
+            x[c] = Rat(row[n], den)
+    return x
+
+
+def reference_exact_rank(matrix) -> int:
+    """The rank of ``matrix`` by the fraction-free elimination."""
+    n = _width(matrix)
+    rows, dens = _int_rows(matrix)
+    return len(_int_row_reduce(rows, dens, n))
+
+
 def face_boundary_matrix(complex: TwoComplex):
     """Matrix of the face boundary as int rows, one column per chosen face."""
     rows = []
@@ -320,7 +444,7 @@ def reference_nonorientable_recover_psi(phi: VectorField) -> TwoChain:
     by exact solve of the face-boundary system."""
     cx = phi.complex
     try:
-        chain = solve_exact_linear(face_boundary_matrix(cx), phi.values)
+        chain = reference_solve_exact_linear(face_boundary_matrix(cx), phi.values)
     except NoSolution:
         raise NotHomologous("field is not a boundary on this complex")
     return TwoChain._exact(cx, chain)
@@ -336,11 +460,11 @@ def reference_irreducible_class(points) -> LatticeCycleClass:
         raise NotGeneralPosition("duplicate points")
     d = len(pts[0])
     diffs = [[p[i] - pts[0][i] for i in range(d)] for p in pts[1:]]
-    if diffs and exact_rank(diffs) != len(diffs):
+    if diffs and reference_exact_rank(diffs) != len(diffs):
         raise NotGeneralPosition("difference vectors are linearly dependent")
     rows = [[Rat(p[i]) for p in pts] for i in range(d)] + [[ONE] * len(pts)]
     try:
-        mu = solve_exact_linear(rows, [ZERO] * d + [ONE])
+        mu = reference_solve_exact_linear(rows, [ZERO] * d + [ONE])
     except NoSolution:
         raise ZeroNotInterior("origin not in the affine hull of the points")
     if any(c <= 0 for c in mu):
@@ -370,7 +494,7 @@ def reference_hodge_decompose(phi: VectorField) -> HodgeParts:
         rhs.append(div.values[i])
     rows.append([ONE] + [ZERO] * (n - 1))
     rhs.append(ZERO)
-    gradient = coboundary0(ZeroForm(cx, solve_exact_linear(rows, rhs)))
+    gradient = coboundary0(ZeroForm(cx, reference_solve_exact_linear(rows, rhs)))
     basis = harmonic_basis(cx)
     coefficients = tuple(phi.inner(b) / b.inner(b) for b in basis)
     harmonic = basis[0].scale(coefficients[0]) + basis[1].scale(coefficients[1])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,11 @@ class TestSnap:
     def test_exact_on_grid(self):
         assert snap(0.5, 10) == Rat(1, 2)
         assert snap(1 / 3, 3) == Rat(1, 3)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e308])
+    def test_values_that_do_not_scale_raise_value_error_naming_them(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"cannot snap {value!r} to a multiple of 1/1000000")):
+            snap(value)
 
     def test_periodic_reduction(self):
         sampler = PotentialSampler(lambda u1, u2: u1, denominator=100)

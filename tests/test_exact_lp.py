@@ -1,21 +1,22 @@
-from math import gcd
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycledec.errors import Infeasible, NoSolution
 from cycledec.exact_lp import (
-    _int_rows,
-    _row_reduce,
     barycentric_rounds,
     barycentric_vertex,
     exact_rank,
     solve_exact_linear,
 )
-from cycledec.ratio import ONE, ZERO, Rat, to_rat
+from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import rand_rat
-from oracles import fraction_phase1_rounds, reference_lp_feasible
+from oracles import (
+    fraction_phase1_rounds,
+    reference_exact_rank,
+    reference_lp_feasible,
+    reference_solve_exact_linear,
+)
 
 # fixed example sequence and no example database, so every run is the same
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -23,59 +24,6 @@ EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 def mat_vec(matrix, vector):
     return [sum((a * x for a, x in zip(row, vector)), ZERO) for row in matrix]
-
-
-def dense_solve(matrix, rhs):
-    """Reference: dense Gauss-Jordan, pivoting column by column."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [[to_rat(v) for v in row] + [to_rat(b)] for row, b in zip(matrix, rhs)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * p for a, p in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][n] != 0 for i in range(r, m)):
-        raise NoSolution("inconsistent linear system")
-    x = [ZERO] * n
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][n]
-    return x
-
-
-def dense_rank(matrix):
-    """Reference: dense forward elimination."""
-    rows = [[to_rat(v) for v in row] for row in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(r + 1, m):
-            if rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 def reference_rounds(points, target, ties=None, fallbacks=None):
@@ -148,43 +96,58 @@ def linear_systems(draw):
 
 @EXAMPLES
 @given(linear_systems())
-def test_sparse_kernel_matches_dense_reference(system):
+def test_solve_and_rank_match_the_fraction_free_reference(system):
     kind, matrix, rhs = system
-    assert exact_rank(matrix) == dense_rank(matrix)
+    assert exact_rank(matrix) == reference_exact_rank(matrix)
     if kind == "inconsistent":
         with pytest.raises(NoSolution):
-            dense_solve(matrix, rhs)
+            reference_solve_exact_linear(matrix, rhs)
         with pytest.raises(NoSolution):
             solve_exact_linear(matrix, rhs)
         return
     x = solve_exact_linear(matrix, rhs)
-    assert x == dense_solve(matrix, rhs)
+    assert x == reference_solve_exact_linear(matrix, rhs)
+    assert all(type(v) is Rat for v in x)
     assert mat_vec(matrix, x) == rhs
 
 
-@EXAMPLES
-@given(linear_systems())
-def test_kernel_rows_stay_reduced_integers_over_positive_denominators(system):
-    _, matrix, rhs = system
-    rows, dens = _int_rows([*row, b] for row, b in zip(matrix, rhs))
-    pivots = _row_reduce(rows, dens, len(matrix[0]))
-    for row, den in zip(rows, dens):
-        assert all(type(v) is int and v for v in row.values())
-        assert den > 0 and gcd(den, *row.values()) == 1
-    for row, den, c in zip(rows, dens, pivots):
-        assert row[c] == den
+def test_cells_that_coerce_to_zero_act_as_zeros():
+    assert exact_rank([["0", 1, Rat(0), "1/2", 0, "-0/3"], [0, "0", Rat(0), "-0/3", 0, 0]]) == 1
+    x = solve_exact_linear([["0", 2, "-0/3"], [Rat(0), 0, "0"]], ["1/2", "-0/3"])
+    assert x == [ZERO, Rat(1, 4), ZERO]
 
 
-def test_int_rows_drop_cells_that_coerce_to_zero():
-    rows, dens = _int_rows([["0", 1, Rat(0), "1/2", 0, "-0/3"], [0, "0", Rat(0)]])
-    assert rows == [{1: 2, 3: 1}, {}]
-    assert dens == [2, 1]
-    assert all(type(v) is int and v for row in rows for v in row.values())
-
-
-def test_int_rows_still_reject_float_cells():
+def test_float_cells_are_rejected():
     with pytest.raises(TypeError):
-        _int_rows([[1, 0.0]])
+        exact_rank([[1, 0.0]])
+    with pytest.raises(TypeError):
+        solve_exact_linear([[1, 0.0]], [1])
+    with pytest.raises(TypeError):
+        solve_exact_linear([[1]], [0.5])
+
+
+def test_systems_without_unknowns():
+    assert solve_exact_linear([], []) == []
+    assert exact_rank([]) == 0
+    assert solve_exact_linear([[]], [0]) == []
+    with pytest.raises(NoSolution, match="inconsistent linear system"):
+        solve_exact_linear([[]], [1])
+
+
+def test_row_count_must_match_the_rhs():
+    with pytest.raises(ValueError, match="matrix and rhs sizes differ"):
+        solve_exact_linear([[1, 2]], [1, 2])
+    with pytest.raises(ValueError, match="matrix and rhs sizes differ"):
+        solve_exact_linear([[1], [2]], [1])
+
+
+def test_every_returned_value_is_a_rat():
+    # integer cells, a zero right-hand side and pinned free variables
+    for matrix, rhs in [([[2, 0, 4]], [6]), ([[2]], [0]), ([[2], [2]], [3, 3]), ([[0, 1]], [0])]:
+        x = solve_exact_linear(matrix, rhs)
+        assert x and all(type(v) is Rat for v in x)
+        assert mat_vec(matrix, x) == rhs
+    assert solve_exact_linear([[2, 0, 4]], [6]) == [Rat(3), ZERO, ZERO]
 
 
 @st.composite
@@ -400,7 +363,7 @@ class TestBarycentricVertex:
             [p[i] - support[0][i] for i in range(d)] for p in support[1:]
         ]
         if diffs:
-            assert dense_rank(diffs) == len(diffs)
+            assert reference_exact_rank(diffs) == len(diffs)
 
     def test_vertex_contract_on_random_instances(self, rng):
         for _ in range(60):

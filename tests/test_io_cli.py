@@ -941,6 +941,32 @@ def test_bad_arguments_exit_two(args, workdir, capsys):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["discretize", "--potential", "sine", "--amplitude", "nan", "--n", "4"],
+        ["discretize", "--potential", "sine", "--amplitude", "inf", "--n", "4"],
+        ["discretize", "--potential", "sine", "--amplitude", "1e308", "--n", "4"],
+        ["discretize", "--potential", "band", "--lo", "nan", "--n", "4"],
+        ["discretize", "--potential", "band", "--hi=-inf", "--n", "4"],
+        RANDOM_ENV + ["--value", "inf", "--dims", "3x3", "--noise-lo", "1/2", "--noise-hi", "1"],
+        RANDOM_ENV + ["--value", "1e308", "--dims", "3x3", "--noise-lo", "1/2", "--noise-hi", "1"],
+    ],
+    ids=" ".join,
+)
+def test_potentials_that_do_not_snap_exit_two(args, capsys):
+    # nan and infinities are refused as arguments; a finite value whose
+    # scaled sample overflows a float is refused when it is snapped
+    try:
+        code = run_cli(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def _sample_commands():
     """Every subcommand each sample applies to, with every complex option.
 
