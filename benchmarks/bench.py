@@ -2,10 +2,10 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_17.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_17.json --budget 10
+    python3 benchmarks/bench.py --label change --out BENCH_19.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_19.json --budget 10
 
-Six ladders, each on inputs generated from a fixed seed:
+Seven ladders, each on inputs generated from a fixed seed:
 
 * ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
   small rational values, n = 6, 10, 14, 20, 28, 40.  The Laplace system
@@ -27,6 +27,11 @@ Six ladders, each on inputs generated from a fixed seed:
   Klein bottle, n = 6, 10, 14, 18.  This is the chain recovery on a
   non-orientable surface, where the face-tree integration solves for the
   one constant of face 0.
+* ``peel``: :func:`decompose_graph` and then
+  :func:`format_graph_decomposition` on a balanced digraph that sums
+  random 2- to 8-cycles on |E|/4 vertices, |E| about 400, 800, 1600, 3200,
+  6400, checked to reconstruct the weights in at most ``|E|`` terms.  This
+  is the greedy cycle peel.
 * ``birkhoff``: :func:`birkhoff_decompose` on an n x n bistochastic
   matrix, a mixture of n/2 random permutations with weights 1..12 over
   their total, n = 24, 48, 96.  This is the matching kept across rounds.
@@ -39,8 +44,7 @@ Six ladders, each on inputs generated from a fixed seed:
 Each rung runs ``REPEATS`` times in this process and records the best wall
 time, all wall times and the sha256 of its output text (the three Hodge
 parts and the harmonic coefficients; the ``.dec`` text; the witness
-constant and the ``.dec`` text, twice; the ``.dec`` text; the ``.dec``
-text),
+constant and the ``.dec`` text, twice; the ``.dec`` text, three times),
 which must be the same on every repeat.
 The record also carries the commit and a digest of the sources of the
 measured ``cycledec``, the Python version and the rational backend the
@@ -74,6 +78,7 @@ LADDERS = {
     "lattice": (40, 80, 160, 320, 640, 1280),
     "elementary": (16, 24, 32),
     "klein": (6, 10, 14, 18),
+    "peel": (400, 800, 1600, 3200, 6400),
     "birkhoff": (24, 48, 96),
     "io": (16, 32, 64),
 }
@@ -123,6 +128,21 @@ def torus_rates(n: int, seed: int = 7):
     return cx, surface_rates(cx, random.Random(f"elementary/{n}/{seed}"))
 
 
+def cycle_sum_graph(n_edges: int, seed: int = 7) -> dict:
+    """A balanced digraph keyed ``(u, v)`` with at least ``n_edges`` edges:
+    random simple 2- to 8-cycles on ``n_edges // 4`` int vertices, each
+    with weight 1..12 over 1..6."""
+    rng = random.Random(f"peel/{n_edges}/{seed}")
+    vertices = range(n_edges // 4)
+    weights = {}
+    while len(weights) < n_edges:
+        cycle = rng.sample(vertices, rng.randint(2, 8))
+        w = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+        for e in zip(cycle, cycle[1:] + cycle[:1]):
+            weights[e] = weights.get(e, 0) + w
+    return weights
+
+
 def permutation_mixture(n: int, seed: int = 7) -> dict:
     """A bistochastic n x n matrix keyed ``(row, column)``: n/2 random
     permutations with weights 1..12, over their total."""
@@ -145,7 +165,7 @@ def rung_case(kernel: str, size: int):
     from cycledec import io as fio
     from cycledec.complexes import TwoComplex, VectorField, hodge_decompose
     from cycledec.elementary import elementary_decompose, in_Re
-    from cycledec.finite_graph import WeightedDigraph, birkhoff_decompose
+    from cycledec.finite_graph import WeightedDigraph, birkhoff_decompose, decompose_graph
     from cycledec.lattice import LatticeMeasure, decompose_lattice
     from cycledec.ratio import Rat, rat_str
 
@@ -187,6 +207,17 @@ def rung_case(kernel: str, size: int):
             return rat_str(verdict.witness_c) + "\n" + fio.format_elementary_decomposition(dec, cx, "bench")
 
         return rates, f"{cx.n_edges} edges", run
+    if kernel == "peel":
+        weights = cycle_sum_graph(size)
+        graph = WeightedDigraph(tuple(range(size // 4)), weights)
+
+        def run(g):
+            dec = decompose_graph(g)
+            if not dec.matches(g) or len(dec.terms) > len(g.weights):
+                raise RuntimeError(f"peel {size}: the decomposition does not rebuild the weights")
+            return fio.format_graph_decomposition(dec, "bench")
+
+        return graph, f"{len(graph.weights)} edges", run
     if kernel == "birkhoff":
         weights = permutation_mixture(size)
         graph = WeightedDigraph(tuple(range(size)), weights, allow_self_loops=True)

@@ -345,6 +345,10 @@ def _cmd_hodge(args) -> int:
 def _cmd_elementary(args) -> int:
     rates, complex = _load_rates(args.input, args)
     verdict = el.in_Re(rates, complex)
+    dec = None
+    if verdict.ok and args.output:
+        # decomposed first, so a refused --constant leaves stdout empty
+        dec = _elementary_decompose(rates, complex, args.constant)
     print(_verdict_line(verdict))
     if args.diameter:
         try:
@@ -357,8 +361,7 @@ def _cmd_elementary(args) -> int:
             print(f"diameter-bound unavailable: {exc}")
     if not verdict.ok:
         return 1
-    if args.output:
-        dec = _elementary_decompose(rates, complex, args.constant)
+    if dec is not None:
         _emit(
             fio.format_elementary_decomposition(
                 dec, complex, args.input, args.decimal

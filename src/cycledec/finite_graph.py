@@ -7,10 +7,13 @@ by balance), cut at the first repeated vertex and subtract the cycle's
 minimal weight.  Each round deletes at least one edge, so the number of
 terms never exceeds the edge count.
 
-The peel is incremental and heap-driven on integer residuals: the weights
-are scaled once by the lcm of their denominators, a lazily invalidated
-heap yields the least edge at the global minimum, and each vertex sorts
-its successors once and skips deleted edges as the walk meets them.
+The peel runs on integer ids: the weights are scaled once by the lcm of
+their denominators, the edges are numbered in sorted ``(u, v)`` order and
+the vertices in sorted label order, so the least id is the least label.
+Residuals live in a list by edge id, a heap of one-int keys
+``weight * |E| + edge`` yields the least edge at the global minimum, and
+each vertex keeps its outgoing edge ids sorted once and skips dead edges
+as the walk meets them.  Labels come back only in the yielded cycles.
 Balance and bistochasticity are one pass over the edges on the same
 integers.
 
@@ -46,13 +49,7 @@ class GraphCycle:
     vertices: tuple
 
     def __post_init__(self):
-        vs = tuple(self.vertices)
-        if not vs:
-            raise ValueError("cycle must be nonempty")
-        if len(set(vs)) != len(vs):
-            raise ValueError("cycle vertices must be distinct")
-        pivot = vs.index(min(vs))
-        object.__setattr__(self, "vertices", vs[pivot:] + vs[:pivot])
+        object.__setattr__(self, "vertices", canonical_cycle(self.vertices))
 
     def __len__(self):
         return len(self.vertices)
@@ -62,6 +59,20 @@ class GraphCycle:
 
     def edges(self):
         return cycle_edges(self.vertices)
+
+
+def canonical_cycle(vertices) -> tuple:
+    """``vertices`` as a tuple rotated to start at its least vertex.
+
+    Raises :class:`ValueError` when they are empty or repeat a vertex.
+    """
+    vs = tuple(vertices)
+    if not vs:
+        raise ValueError("cycle must be nonempty")
+    if len(set(vs)) != len(vs):
+        raise ValueError("cycle vertices must be distinct")
+    pivot = vs.index(min(vs))
+    return vs[pivot:] + vs[:pivot]
 
 
 def cycle_edges(vertices) -> list:
@@ -118,9 +129,9 @@ class WeightedDigraph:
             if u == v and not self.allow_self_loops:
                 raise ValueError(f"self-loop at {u} not allowed")
             w = to_rat(w)
-            if w < 0:
+            if w.numerator < 0:
                 raise ValueError(f"negative weight on ({u}, {v})")
-            if w > 0:
+            if w.numerator:
                 cleaned[(u, v)] = w
         self.weights = cleaned
 
@@ -185,47 +196,69 @@ def _peel(weights):
     residual edge weighs at least the round's minimum, so that target is
     admissible.  Raises :class:`NotBalanced` when the walk reaches a vertex
     without outgoing weight, which a balanced graph never does.
+
+    Edge ids follow sorted ``(u, v)`` order and vertex ids sorted labels,
+    so comparing ids compares labels.  A heap key ``n * |E| + eid`` orders
+    by weight and then by edge, and a residual of 0 marks a dead edge.
     """
-    scale, residual = scaled(weights)
-    heap = [(n, e) for e, n in residual.items()]
+    scale, numerators = scaled(weights)
+    keys = sorted(numerators)
+    n_edges = len(keys)
+    labels = sorted({x for e in keys for x in e})
+    vid = {x: i for i, x in enumerate(labels)}
+    tail = [vid[u] for u, _ in keys]
+    head = [vid[v] for _, v in keys]
+    residual = [numerators[e] for e in keys]
+    heap = [n * n_edges + eid for eid, n in enumerate(residual)]
     heapify(heap)
-    # successors in descending order, so the least live one is at the end
-    succ: dict = {}
-    for u, v in sorted(residual, reverse=True):
-        succ.setdefault(u, []).append(v)
-    while residual:
+    # outgoing edge ids in descending order, so the least live one is at the end
+    succ = [[] for _ in labels]
+    for eid in reversed(range(n_edges)):
+        succ[tail[eid]].append(eid)
+    pos = [-1] * len(labels)  # a vertex's index in this round's walk
+    live = n_edges
+    while live:
         # residuals only fall, so an entry is stale iff its weight differs
-        while residual.get(heap[0][1]) != heap[0][0]:
+        n, seed = divmod(heap[0], n_edges)
+        while residual[seed] != n:
             heappop(heap)
-        seed = heap[0][1]
-        walk = [seed[0], seed[1]]
-        seen = {seed[0]: 0, seed[1]: 1}
+            n, seed = divmod(heap[0], n_edges)
+        walk = [tail[seed], head[seed]]
+        pos[walk[0]] = 0
+        pos[walk[1]] = 1
+        steps = [seed]  # steps[i] leads from walk[i] on
         while True:
             here = walk[-1]
-            targets = succ.get(here)
-            while targets and (here, targets[-1]) not in residual:
+            targets = succ[here]
+            while targets and not residual[targets[-1]]:
                 targets.pop()
             if not targets:
                 raise NotBalanced(
-                    f"greedy walk stalled at {here}; graph is not balanced",
-                    violators=[here],
+                    f"greedy walk stalled at {labels[here]}; graph is not balanced",
+                    violators=[labels[here]],
                 )
-            nxt = targets[-1]
-            if nxt in seen:
-                cycle = GraphCycle(tuple(walk[seen[nxt]:]))
+            eid = targets[-1]
+            steps.append(eid)
+            nxt = head[eid]
+            start = pos[nxt]
+            if start >= 0:
                 break
-            seen[nxt] = len(walk)
+            pos[nxt] = len(walk)
             walk.append(nxt)
-        edges = cycle.edges()
-        m = min(residual[e] for e in edges)
-        yield cycle, Rat(m, scale)
+        for x in walk:
+            pos[x] = -1
+        edges = steps[start:]
+        m = min(map(residual.__getitem__, edges))
+        # a tuple of a list is allocated at its final size; a tuple of an
+        # iterator is resized as it grows, which raised the peak resident set
+        yield GraphCycle(tuple([labels[x] for x in walk[start:]])), Rat(m, scale)
         for e in edges:
             n = residual[e] - m
+            residual[e] = n
             if n:
-                residual[e] = n
-                heappush(heap, (n, e))
+                heappush(heap, n * n_edges + e)
             else:
-                del residual[e]
+                live -= 1
 
 
 def extract_min_cycle(g: WeightedDigraph):

@@ -16,7 +16,7 @@ from math import lcm, prod
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
 from .lattice import LatticeCycleClass, LatticeDecomposition, LatticeMeasure, class_sum
-from .finite_graph import GraphCycle, GraphDecomposition, cycle_edges, edge_sum
+from .finite_graph import GraphDecomposition, canonical_cycle, cycle_edges, edge_sum
 from .ratio import ZERO, parse_rat, rat_decimal, rat_str, to_rat
 
 
@@ -570,7 +570,7 @@ def _graph_term_edges(terms, path):
     for weight, kind, payload in terms:
         if kind == "cycle":
             try:
-                edges = GraphCycle(tuple(payload)).edges()
+                edges = cycle_edges(canonical_cycle(payload))
             except ValueError as exc:
                 raise InputFormatError(path, 0, str(exc))
         elif kind == "perm":

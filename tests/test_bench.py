@@ -4,7 +4,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench.py"
-RECORD = ROOT / "BENCH_18.json"
+RECORD = ROOT / "BENCH_19.json"
 
 
 def load_bench():
@@ -26,7 +26,7 @@ def test_smallest_rungs_reproduce_the_recorded_outputs():
     assert change.keys() == {(k, n) for k, sizes in bench.LADDERS.items() for n in sizes}
     assert parent == change
     # and every rung of the previous record, the same output again
-    earlier = json.loads((ROOT / "BENCH_17.json").read_text())["change"]["rungs"]
+    earlier = json.loads((ROOT / "BENCH_18.json").read_text())["change"]["rungs"]
     assert {(r["kernel"], r["size"]): r["digest"] for r in earlier}.items() <= change.items()
     for kernel, sizes in bench.LADDERS.items():
         rung = bench.run_rung(kernel, sizes[0], repeats=1)

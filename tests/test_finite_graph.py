@@ -11,6 +11,7 @@ from cycledec.finite_graph import (
     GraphDecomposition,
     WeightedDigraph,
     _augment,
+    _peel,
     birkhoff_decompose,
     cycle_sum,
     decompose_graph,
@@ -64,15 +65,13 @@ def reference_greedy_cycle(weights):
 
 def reference_peel(weights):
     residual = dict(weights)
-    terms = []
     while residual:
         cycle, m = reference_greedy_cycle(residual)
         for e in cycle.edges():
             residual[e] -= m
             if residual[e] == 0:
                 del residual[e]
-        terms.append((cycle, m))
-    return terms
+        yield cycle, m
 
 
 def reference_hopcroft_karp(rows, cols, adjacency):
@@ -173,15 +172,36 @@ def exact_terms(terms):
     return [(c.vertices, type(m), str(m)) for c, m in terms]
 
 
+# vertex labels of three types; among the strings "v10" < "v2"
+LABELS = [
+    list(range(13)),
+    [f"v{i}" for i in range(12)],
+    [(i, j) for i in range(-1, 3) for j in range(-1, 3)],
+]
+
+
+def peel_outcome(rounds):
+    """Exact terms of ``rounds()`` up to a stall, and the stall's violators."""
+    terms = []
+    try:
+        for term in rounds():
+            terms.append(term)
+    except NotBalanced as exc:
+        return exact_terms(terms), exc.violators
+    return exact_terms(terms), None
+
+
 @st.composite
 def balanced_graphs(draw):
-    """Sums of random cycles (self-loops included) with mixed denominators.
+    """Sums of random cycles (self-loops included) with mixed denominators,
+    on int, string or tuple labels.
 
     Every weight is at least ``base`` and cycles drawn at exactly ``base``
     leave ties at the global minimum.
     """
-    n = draw(st.integers(2, 8))
-    vertices = [f"v{i}" for i in range(n)]
+    pool = draw(st.sampled_from(LABELS))
+    vertices = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8, unique=True))
+    n = len(vertices)
     dens = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
     base = Rat(draw(st.integers(1, 4)), draw(st.sampled_from(dens)))
     loops = draw(st.booleans())
@@ -358,6 +378,13 @@ def test_peel_matches_rebuild_every_round_reference(g, data):
         with pytest.raises(NotBalanced) as info:
             decompose_graph(bad)
         assert info.value.violators == violators
+    # the peel itself stalls where the reference walk stalls
+    assert peel_outcome(lambda: _peel(bad.weights)) == peel_outcome(
+        lambda: reference_peel(bad.weights)
+    )
+    assert peel_outcome(lambda: [extract_min_cycle(bad)]) == peel_outcome(
+        lambda: [reference_greedy_cycle(bad.weights)]
+    )
 
 
 class TestBistochastic:

@@ -357,6 +357,11 @@ class TestMalformedDecomposition:
         with pytest.raises(InputFormatError, match="distinct"):
             fio.reconstruct_decomposition(mode, records)
 
+    def test_empty_graph_cycle(self):
+        mode, _, records = fio.parse_decomposition("decomposition graph g\nterm 1/1 cycle\n")
+        with pytest.raises(InputFormatError, match="nonempty"):
+            fio.reconstruct_decomposition(mode, records)
+
 
 # one written decomposition per mode, with the complex it is read on (if any)
 VALID_DECOMPOSITIONS = [
@@ -939,6 +944,25 @@ def test_bad_arguments_exit_two(args, workdir, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["elementary", _sample("klein_rates.wg"), "--surface", _sample("klein.surf"),
+         "--constant", "1", "-o", "out"],
+        ["decompose", "--mode", "elementary", _sample("klein_rates.wg"), "--surface",
+         _sample("klein.surf"), "--constant", "1"],
+    ],
+    ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
+)
+def test_refused_constant_leaves_stdout_empty(args, workdir, capsys):
+    code = run_cli(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--constant: non-orientable recovery admits no constant freedom" in captured.err
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize(
