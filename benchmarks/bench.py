@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_19.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_19.json --budget 10
+    python3 benchmarks/bench.py --label change --out BENCH_20.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_20.json --budget 10
 
 Seven ladders, each on inputs generated from a fixed seed:
 

@@ -196,9 +196,8 @@ class TwoComplex:
 
     def face_cycle(self, fid: int) -> tuple:
         """Vertex cycle traversed by a chosen face's boundary."""
-        return tuple(
-            self.edges[eid][0 if sign == 1 else 1] for eid, sign in self.face_edges[fid]
-        )
+        edges = self.edges
+        return tuple([edges[eid][0 if sign == 1 else 1] for eid, sign in self.face_edges[fid]])
 
     def oriented_edges(self):
         """All oriented edges of the full edge set, both directions."""
@@ -622,18 +621,19 @@ def _field_and_symmetric(rates: dict, complex: TwoComplex):
     backward = list(forward)
     scale = 1
     try:
-        for (u, v), w in rates.items():
+        for pair, w in rates.items():
             if type(w) is not Rat:
                 w = to_rat(w)
-            eid = index.get((u, v))
+            # the pair as given is its own key; the reversed one is built on a miss
+            eid = index.get(pair)
             if eid is None:
+                u, v = pair
                 eid, side = index[(v, u)], backward
             else:
                 side = forward
-            n = w.numerator
+            n, d = w.as_integer_ratio()
             if n < 0:
                 raise ValueError
-            d = w.denominator
             if scale % d:
                 scale = scale // gcd(scale, d) * d
             side[eid] = (n, d)

@@ -190,16 +190,29 @@ class ElementaryDecomposition:
     def cycles(self, complex: TwoComplex) -> list:
         """The nonzero terms as ``(vertex cycle, weight)`` pairs.
 
-        Edge 2-cycles come first, sorted by the printed edge, then each
-        face in id order contributes its cycle and the reversed cycle.
+        Edge 2-cycles come first, sorted by the string ``str((u, v))`` of
+        their edge, then each face in id order contributes its cycle and
+        the reversed cycle.
         """
-        order = sorted(self.edge_weights, key=lambda eid: str(complex.edges[eid]))
-        terms = [(complex.edges[eid], self.edge_weights[eid]) for eid in order]
+        edges = complex.edges
+        weights = self.edge_weights
+        # str((u, v)) is "(" + repr(u) + ", " + repr(v) + ")": one repr per vertex
+        rep = {v: repr(v) for v in complex.vertices}
+
+        def key(eid):
+            u, v = edges[eid]
+            return "(" + rep[u] + ", " + rep[v] + ")"
+
+        live = [eid for eid, weight in weights.items() if weight]
+        terms = [(edges[eid], weights[eid]) for eid in sorted(live, key=key)]
         for fid in sorted(self.face_weights):
             forward, backward = self.face_weights[fid]
             cycle = complex.face_cycle(fid)
-            terms += [(cycle, forward), (cycle[::-1], backward)]
-        return [(cycle, weight) for cycle, weight in terms if weight != 0]
+            if forward:
+                terms.append((cycle, forward))
+            if backward:
+                terms.append((cycle[::-1], backward))
+        return terms
 
     def reconstruct(self, complex: TwoComplex) -> dict:
         return cycle_sum(self.cycles(complex))
@@ -235,20 +248,28 @@ def elementary_decompose(
     q = c.denominator
     shift = c.numerator * scale
     unit = scale * q
+    rats = {}  # many weights share a numerator; each Rat is built once
     face_weights = {}
     for fid, value in enumerate(psi.values):
         value = value * q + shift
-        face_weights[fid] = (Rat(value, unit), ZERO) if value > 0 else (ZERO, Rat(-value, unit))
+        n = value if value > 0 else -value
+        weight = rats.get(n)
+        if weight is None:
+            weight = rats[n] = Rat(n, unit)
+        face_weights[fid] = (weight, ZERO) if value > 0 else (ZERO, weight)
     edge_weights = {}
     for eid, span in enumerate(spans):
-        weight = s[eid] * q
+        n = s[eid] * q
         if span is not None:
-            weight -= _distance_to_zero(span[0] * q + shift, span[1] * q + shift, span[2])
-        if weight < 0:
+            n -= _distance_to_zero(span[0] * q + shift, span[1] * q + shift, span[2])
+        if n < 0:
             raise NegativeEdgeWeight(
                 f"constant {c} is infeasible at edge {complex.edges[eid]}"
             )
-        edge_weights[eid] = Rat(weight, unit)
+        weight = rats.get(n)
+        if weight is None:
+            weight = rats[n] = Rat(n, unit)
+        edge_weights[eid] = weight
     return ElementaryDecomposition(edge_weights, face_weights, c)
 
 

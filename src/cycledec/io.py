@@ -117,13 +117,18 @@ def _parse_graph(text: str, path):
             continue
         if len(tokens) != 3:
             raise InputFormatError(path, line_no, "expected: <u> <v> <num/den>")
-        u, v = tokens[0], tokens[1]
-        if (u, v) in weights:
-            raise InputFormatError(path, line_no, f"duplicate edge {u} {v}")
-        weight = _parse_value(tokens[2], path, line_no, values)
-        if weight.numerator < 0:
-            raise InputFormatError(path, line_no, f"negative weight {tokens[2]} on {u} {v}")
-        weights[(u, v)] = weight
+        key = tokens[0], tokens[1]
+        if key in weights:
+            raise InputFormatError(path, line_no, f"duplicate edge {key[0]} {key[1]}")
+        # a token seen before in this file was parsed and passed the sign check
+        weight = values.get(tokens[2])
+        if weight is None:
+            weight = _parse_value(tokens[2], path, line_no, values)
+            if weight.numerator < 0:
+                raise InputFormatError(
+                    path, line_no, f"negative weight {tokens[2]} on {key[0]} {key[1]}"
+                )
+        weights[key] = weight
         lines.append(line_no)
     if name is None:
         raise InputFormatError(path, 0, "missing digraph header")
@@ -154,23 +159,23 @@ def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
     points = {}  # each distinct label is converted once
     out = {}
     for k, ((u, v), w) in enumerate(weights.items()):
-        try:
-            edge = _label_point(u, points), _label_point(v, points)
-        except ValueError:
-            raise InputFormatError(
-                path, lines[k] if lines else 0, f"label {u!r} or {v!r} is not coordinates"
-            )
+        a = points.get(u)
+        b = points.get(v)
+        if a is None or b is None:
+            try:
+                if a is None:
+                    a = points[u] = tuple(map(int, u.split(",")))
+                if b is None:
+                    b = points[v] = tuple(map(int, v.split(",")))
+            except ValueError:
+                raise InputFormatError(
+                    path, lines[k] if lines else 0, f"label {u!r} or {v!r} is not coordinates"
+                )
+        edge = a, b
         if edge in out:
             raise InputFormatError(path, lines[k] if lines else 0, f"duplicate edge {u} {v}")
         out[edge] = w
     return out
-
-
-def _label_point(label: str, points: dict) -> tuple:
-    point = points.get(label)
-    if point is None:
-        point = points[label] = tuple(int(c) for c in label.split(","))
-    return point
 
 
 def coords_label(point) -> str:
@@ -367,7 +372,7 @@ def _cycle_terms(terms, decimals) -> list:
     labels = {}
     lines = []
     for cycle, weight in terms:
-        key = weight.numerator, weight.denominator
+        key = weight.as_integer_ratio()
         head = weights.get(key)
         if head is None:
             head = weights[key] = f"term {_fmt(weight, decimals)} cycle "
@@ -583,7 +588,7 @@ def _graph_term_edges(terms, path):
 def _parse_vertex(token: str, complex, path):
     if complex.is_torus():
         try:
-            return tuple(int(c) for c in token.split(","))
+            return tuple(map(int, token.split(",")))
         except ValueError:
             raise InputFormatError(path, 0, f"bad coordinates {token!r}")
     return token
@@ -592,10 +597,12 @@ def _parse_vertex(token: str, complex, path):
 def reconstruct_on_complex(mode, records, complex, path="<decomposition>"):
     """Rebuild elementary or 1d decomposition weights on a complex.
 
-    Every term is a vertex cycle; each traversed oriented edge (including
-    both directions of a 2-cycle) must exist on the complex and collects
-    the term's weight.
+    Every term is a nonempty vertex cycle; each traversed oriented edge
+    (including both directions of a 2-cycle) must exist on the complex and
+    collects the term's weight.  Records of any other mode are refused.
     """
+    if mode not in ("elementary", "1d"):
+        raise InputFormatError(path, 0, f"no reconstruction rule for mode {mode!r}")
     terms = [record[1:] for record in records if record[0] == "term"]
     scale = lcm(*(weight.denominator for weight, _, _ in terms))
     return edge_sum(_complex_term_edges(terms, complex, path), scale)
@@ -608,6 +615,8 @@ def _complex_term_edges(terms, complex, path):
     for weight, kind, payload in terms:
         if kind != "cycle":
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
+        if not payload:
+            raise InputFormatError(path, 0, "cycle must be nonempty")
         cycle = []
         for token in payload:
             vertex = vertices.get(token)
@@ -615,7 +624,9 @@ def _complex_term_edges(terms, complex, path):
                 vertex = vertices[token] = _parse_vertex(token, complex, path)
             cycle.append(vertex)
         edges = cycle_edges(cycle)
-        for u, v in edges:
-            if (u, v) not in index and (v, u) not in index:
-                raise InputFormatError(path, 0, f"no edge between {u} and {v}")
+        for step in edges:
+            if step not in index:
+                u, v = step
+                if (v, u) not in index:
+                    raise InputFormatError(path, 0, f"no edge between {u} and {v}")
         yield edges, weight

@@ -32,6 +32,15 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   Laplace system, vertex 0 pinned, solved by Gauss-Jordan on dense
   ``Rat`` rows, and the harmonic part from inner products, as the library
   computed it before the p-adic solver;
+* :func:`reference_field_and_symmetric`, the field and the symmetric
+  parts of oriented-edge rates on ``Fraction`` values after
+  :func:`check_rates`, one rational per step, as the library computed
+  them before it scaled the rates to integer numerators in one pass;
+* :func:`reference_cycles`, the terms of an elementary decomposition as
+  the library listed them before it dropped zero weights ahead of the
+  sort and built the sort key from one ``repr`` per vertex: edge
+  2-cycles sorted by ``str`` of the edge, then both orientations of every
+  face, and the zero weights filtered out last;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
@@ -521,3 +530,30 @@ def reference_row_probabilities(weights: dict, dims) -> dict:
             for y in ys:
                 probabilities[(x, y)] = weights[(x, y)] / total
     return probabilities
+
+
+def reference_field_and_symmetric(rates: dict, cx: TwoComplex):
+    """``(field, symmetric)``: the field ``r(u, v) - r(v, u)`` and the list
+    of ``min(r(u, v), r(v, u))`` per chosen edge, on ``Rat`` values."""
+    rates = check_rates(rates, cx)
+    values, s = [], []
+    for u, v in cx.edges:
+        a = rates.get((u, v), ZERO)
+        b = rates.get((v, u), ZERO)
+        values.append(a - b)
+        s.append(min(a, b))
+    return VectorField(cx, values), s
+
+
+def reference_cycles(dec, cx: TwoComplex) -> list:
+    """The nonzero ``(vertex cycle, weight)`` terms of an elementary
+    decomposition in ``.dec`` order."""
+    order = sorted(dec.edge_weights, key=lambda eid: str(cx.edges[eid]))
+    terms = [(cx.edges[eid], dec.edge_weights[eid]) for eid in order]
+    for fid in sorted(dec.face_weights):
+        forward, backward = dec.face_weights[fid]
+        cycle = tuple(
+            cx.edges[eid][0 if sign == 1 else 1] for eid, sign in cx.face_edges[fid]
+        )
+        terms += [(cycle, forward), (cycle[::-1], backward)]
+    return [(cycle, weight) for cycle, weight in terms if weight != 0]

@@ -1,7 +1,8 @@
 from collections import Counter
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cycledec import complexes, elementary
 from cycledec import io as fio
@@ -36,10 +37,15 @@ from cycledec.errors import (
     TooLarge,
 )
 from cycledec.finite_graph import GraphCycle, GraphDecomposition, cycle_sum
-from cycledec.ratio import ONE, ZERO, Rat
+from cycledec.ratio import ONE, ZERO, Rat, rat_decimal, rat_str
 
 from conftest import cube_complex, face_indicator
-from oracles import brute_force_Re_oracle, in_d_lambda2
+from oracles import (
+    brute_force_Re_oracle,
+    in_d_lambda2,
+    reference_cycles,
+    reference_field_and_symmetric,
+)
 
 from test_complexes import fig2_field, rand_chain
 
@@ -570,17 +576,6 @@ def test_one_pass_raises_what_check_rates_raises(bad, error, message):
 # -- reference: the elementary pass on Fraction values, one rational per step --
 
 
-def reference_field_and_symmetric(rates, cx):
-    rates = check_rates(rates, cx)
-    values, s = [], []
-    for u, v in cx.edges:
-        a = rates.get((u, v), ZERO)
-        b = rates.get((v, u), ZERO)
-        values.append(a - b)
-        s.append(min(a, b))
-    return VectorField(cx, values), s
-
-
 def reference_need(constraint, c=ZERO):
     """Symmetric mass an edge needs at constant ``c``: ``(lo, hi, opposite)``."""
     if constraint is None:
@@ -789,3 +784,134 @@ def test_public_values_stay_rational():
         recovered = recover_psi(boundary2(psi))
         assert_all_rat(*recovered.values)
     assert_all_rat(*cycle_sum([(("a", "b"), 1), (("b", "a"), Rat(1, 2))]).values())
+
+
+# -- the one validating pass and the term list against their references --
+
+# an orientable torus whose str order of edges differs from their tuple
+# order ("(10, 0)" < "(2, 0)"), and complexes with string vertex labels
+TERM_COMPLEXES = SMALL_COMPLEXES + (TwoComplex.torus2(11, 3),)
+
+
+def _value_spelling(draw, n, d):
+    """``n/d`` as an int (when ``d`` is 1), a string or a ``Rat``."""
+    forms = ["str", "Rat"] + (["int"] if d == 1 else [])
+    form = draw(st.sampled_from(forms))
+    if form == "int":
+        return n
+    if form == "str":
+        return draw(st.sampled_from([f"{n}/{d}", f" {n}/{d} "] + ([str(n)] if d == 1 else [])))
+    return Rat(n, d)
+
+
+# entries that check_rates refuses: a pair that is no edge, a key that is
+# not a pair, and values that are negative, inexact or not rationals
+BAD_ENTRIES = [
+    (((0, 0), (2, 2)), 1),
+    (((0, 0), (0, 0)), 1),
+    (((0, 0), (1, 0), 1), 1),
+    (5, 1),
+    (None, -1),
+    (None, "-1/2"),
+    (None, Rat(-1, 3)),
+    (None, 0.5),
+    (None, "1/0"),
+    (None, "x"),
+    (None, None),
+]
+
+
+def test_one_pass_matches_fraction_reference_on_any_spelling():
+    """``_field_and_symmetric`` gives the reference's field and symmetric
+    parts over the lcm of the rate denominators, for int, string and
+    ``Rat`` rates, and otherwise raises the reference's error type and
+    message."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def agree(data):
+        draw = data.draw
+        cx = draw(st.sampled_from((TwoComplex.torus2(3), TwoComplex.torus2(4, 3))))
+        rates = {}
+        for e in cx.oriented_edges():
+            if draw(st.booleans()):
+                rates[e] = _value_spelling(draw, draw(st.integers(0, 9)), draw(st.integers(1, 6)))
+        for _ in range(draw(st.integers(0, 2))):
+            key, value = draw(st.sampled_from(BAD_ENTRIES))
+            if key is None:
+                key = draw(st.sampled_from(list(cx.oriented_edges())))
+            entries = list(rates.items())
+            entries.insert(draw(st.integers(0, len(entries))), (key, value))
+            rates = dict(entries)
+        try:
+            phi, s = reference_field_and_symmetric(rates, cx)
+        except Exception:
+            expected = _raised(reference_field_and_symmetric, rates, cx)
+            assert _raised(complexes._field_and_symmetric, rates, cx) == expected
+            seen.add(expected[0])
+            return
+        scale, field, symmetric = complexes._field_and_symmetric(rates, cx)
+        assert scale == lcm(*(w.denominator for w in check_rates(rates, cx).values()))
+        assert all(type(n) is int for n in field.values + symmetric)
+        assert [Rat(n, scale) for n in field.values] == phi.values
+        assert [Rat(n, scale) for n in symmetric] == s
+        seen.add(scale > 1)
+
+    agree()
+    assert seen == {KeyError, TypeError, ValueError, True, False}
+
+
+def _reference_text(dec, cx, decimals):
+    def fmt(w):
+        return rat_str(w) + ("" if decimals is None else "~" + rat_decimal(w, decimals))
+
+    lines = ["decomposition elementary r", f"constant {fmt(dec.chosen_constant)}"]
+    for cycle, w in reference_cycles(dec, cx):
+        lines.append(f"term {fmt(w)} cycle " + " ".join(fio.vertex_label(v) for v in cycle))
+    return "\n".join(lines) + "\n"
+
+
+def test_cycles_and_text_match_the_str_sorted_reference():
+    """``cycles()`` and the ``.dec`` text list the terms in the reference's
+    order, with zero edge weights and zero face halves dropped, on drawn
+    decompositions and on built ones at a constant with a denominator."""
+    seen = set()
+    weight = st.one_of(st.just(ZERO), st.builds(Rat, st.integers(0, 9), st.integers(1, 7)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def agree(data):
+        draw = data.draw
+        if draw(st.booleans()):
+            cx = draw(st.sampled_from(TERM_COMPLEXES))
+            dec = ElementaryDecomposition(
+                {eid: draw(weight) for eid in range(cx.n_edges) if draw(st.booleans())},
+                {fid: (draw(weight), draw(weight)) for fid in range(cx.n_faces)},
+                Rat(draw(st.integers(-9, 9)), draw(st.integers(1, 7))),
+            )
+            zeros = sum(1 for w in dec.edge_weights.values() if w == 0)
+            zeros += sum(1 for pair in dec.face_weights.values() for w in pair if w == 0)
+            seen.add((cx.name, "drawn", zeros > 0))
+            live = [eid for eid, w in dec.edge_weights.items() if w]
+            if sorted(live, key=lambda eid: str(cx.edges[eid])) != sorted(live, key=cx.edges.__getitem__):
+                seen.add("str order is not tuple order")
+        else:
+            cx, rates, offset = draw(mixed_rates())
+            verdict = in_Re(rates, cx)
+            assume(verdict.ok)
+            c = verdict.witness_c + offset if cx.orientable else None
+            try:
+                dec = elementary_decompose(rates, cx, c)
+            except NegativeEdgeWeight:
+                dec = elementary_decompose(rates, cx)
+            seen.add(("built", dec.chosen_constant.denominator > 1))
+        decimals = draw(st.sampled_from([None, 0, 3]))
+        assert dec.cycles(cx) == reference_cycles(dec, cx)
+        text = fio.format_elementary_decomposition(dec, cx, "r", decimals)
+        assert text == _reference_text(dec, cx, decimals)
+
+    agree()
+    assert {("built", True), ("built", False), "str order is not tuple order"} <= seen
+    for cx in TERM_COMPLEXES:
+        assert (cx.name, "drawn", True) in seen, cx.name

@@ -79,6 +79,29 @@ class TestGraphFormat:
                 fio.labels_to_coords(weights, path, lines)
             assert info.value.line_no == 4
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [("-1/3", "negative weight -1/3 on b c"), ("1/x", "invalid literal"), ("2/0", "denominator")],
+    )
+    def test_repeated_bad_weight_names_its_first_line(self, token, message):
+        # the token repeats on later lines, and only the first one is named
+        text = f"digraph g\na b 1/3\nb c {token}\nc a {token}\na c 1/3\nc b {token}\n"
+        with pytest.raises(InputFormatError, match=message) as info:
+            fio.parse_graph(text, path="bad.wg")
+        assert info.value.line_no == 3
+
+    def test_two_spellings_of_one_point_name_the_second_line(self):
+        _, weights, lines = fio._parse_graph("digraph g\n1,0 0,0 1/2\n\n01,0 0,0 1/2\n", "p.wg")
+        with pytest.raises(InputFormatError) as info:
+            fio.labels_to_coords(weights, "p.wg", lines)
+        assert str(info.value) == "p.wg:4: duplicate edge 01,0 0,0"
+
+    @pytest.mark.parametrize("u, v", [("0,0", "1,a"), ("1,", "0,0"), ("0;1", "0,0"), ("", "0,0")])
+    def test_bad_label_keeps_its_message(self, u, v):
+        with pytest.raises(InputFormatError) as info:
+            fio.labels_to_coords({("0,0", "0,1"): ONE, (u, v): ONE}, "p.wg", [2, 3])
+        assert str(info.value) == f"p.wg:3: label {u!r} or {v!r} is not coordinates"
+
 
 class TestFieldFormat:
     def test_round_trip(self):
@@ -161,6 +184,27 @@ class TestReconstructOnComplex:
     def test_every_step_must_be_an_edge(self):
         mode, _, records = fio.parse_decomposition("decomposition elementary r\nterm 0/1 cycle 0,0 1,1\n")
         with pytest.raises(InputFormatError, match="no edge between"):
+            fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # graph cycles whose steps are torus edges: not summed onto the torus
+            "decomposition graph g\nterm 1/2 cycle 0,0 1,0\n",
+            "decomposition lattice m\ntrivial 1/2\n",
+        ],
+    )
+    def test_other_modes_are_refused(self, text):
+        mode, _, records = fio.parse_decomposition(text, path="x.dec")
+        with pytest.raises(InputFormatError) as info:
+            fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3), "x.dec")
+        assert str(info.value) == f"x.dec:0: no reconstruction rule for mode {mode!r}"
+
+    @pytest.mark.parametrize("mode", ["elementary", "1d"])
+    def test_empty_cycle_is_refused(self, mode):
+        text = f"decomposition {mode} r\nterm 1/2 cycle 0,0 1,0\nterm 1/2 cycle\n"
+        _, _, records = fio.parse_decomposition(text)
+        with pytest.raises(InputFormatError, match="cycle must be nonempty"):
             fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3))
 
 
