@@ -189,7 +189,7 @@ def rung_case(kernel: str, size: int):
 
         def run(p):
             dec = decompose_lattice(p)
-            if dec.reconstruct(2).atoms != p.atoms or len(dec.terms) > len(p.atoms):
+            if dec.reconstruct().atoms != p.atoms or len(dec.terms) > len(p.atoms):
                 raise RuntimeError(f"lattice {size}: the decomposition does not rebuild the measure")
             return fio.format_lattice_decomposition(dec, "bench")
 

@@ -3,7 +3,6 @@
 from .ratio import BACKEND, Rat, rat_str, to_rat
 from .errors import (
     CycleDecError,
-    EmptyGraph,
     Infeasible,
     InputFormatError,
     NegativeEdgeWeight,
@@ -42,10 +41,8 @@ from .finite_graph import (
     WeightedDigraph,
     birkhoff_decompose,
     decompose_graph,
-    extract_min_cycle,
     is_balanced_graph,
     is_bistochastic,
-    permutation_to_cycles,
 )
 from .complexes import (
     HodgeParts,
@@ -78,10 +75,8 @@ from .discretize import (
     EnvironmentSpec,
     PotentialSampler,
     band_potential,
-    check_re_sufficient,
     constant_potential,
     discretize_potential,
-    oscillation_bound,
     random_environment,
     sine_potential,
 )

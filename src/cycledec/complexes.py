@@ -199,12 +199,6 @@ class TwoComplex:
         edges = self.edges
         return tuple([edges[eid][0 if sign == 1 else 1] for eid, sign in self.face_edges[fid]])
 
-    def oriented_edges(self):
-        """All oriented edges of the full edge set, both directions."""
-        for u, v in self.edges:
-            yield (u, v)
-            yield (v, u)
-
     def edge_direction(self, eid: int) -> int:
         if not self.is_torus() or self.torus_dimension() != 2:
             raise ValueError("direction only defined on the 2-d torus")
@@ -339,9 +333,6 @@ class ZeroForm(_Valued):
             [to_rat(mapping.get(v, default)) for v in complex.vertices],
         )
 
-    def at(self, vertex) -> Rat:
-        return self.values[self.complex.vertex_index[vertex]]
-
 
 class VectorField(_Valued):
     """Antisymmetric edge function, stored on the chosen orientations."""
@@ -364,10 +355,6 @@ class VectorField(_Valued):
                 raise ValueError(f"conflicting values on edge {complex.edges[eid]}")
         return cls(complex, [v if v is not None else default for v in values])
 
-    def at(self, u, v) -> Rat:
-        eid, sign = self.complex.edge_id(u, v)
-        return sign * self.values[eid]
-
     def inner(self, other) -> Rat:
         self._check(other)
         return sum((a * b for a, b in zip(self.values, other.values)), ZERO)
@@ -389,9 +376,6 @@ class HodgeParts:
     homologous: VectorField
     harmonic: VectorField
     harmonic_coefficients: tuple
-
-    def recompose(self) -> VectorField:
-        return self.gradient + self.homologous + self.harmonic
 
 
 # -- operators ---------------------------------------------------------

@@ -107,20 +107,6 @@ def oscillation(chain: TwoChain) -> Rat:
     return max(chain.values) - min(chain.values)
 
 
-def oscillation_bound(potential: PotentialSampler, n: int) -> Rat:
-    """Max minus min over the sampled face centers.
-
-    This is the grid oscillation, a lower bound for the continuous one;
-    certificates built on it are exact for the snapped potential.
-    """
-    return oscillation(discretize_potential(potential, n)[1])
-
-
-def check_re_sufficient(potential: PotentialSampler, n: int, s_min) -> bool:
-    """Symmetric part at least half the oscillation certifies membership."""
-    return to_rat(s_min) >= oscillation_bound(potential, n) / 2
-
-
 @dataclass
 class EnvironmentSpec:
     """Inputs for one random environment draw; it holds its own copy of the sampler."""

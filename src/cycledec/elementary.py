@@ -318,9 +318,6 @@ class OneDimFamily:
         terms += [(loop, rho_plus), (loop[:1] + loop[:0:-1], rho_minus)]
         return [(cycle, weight) for cycle, weight in terms if weight != 0]
 
-    def reconstruct_at(self, a) -> dict:
-        return cycle_sum(self.cycles_at(a))
-
 
 def decompose_1d(rates: dict, complex: TwoComplex) -> OneDimFamily:
     """Closed-form decomposition family on the one-dimensional torus.

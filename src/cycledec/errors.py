@@ -39,10 +39,6 @@ class OracleExhausted(CycleDecError):
     """A one-sided mass scan found nothing within the search limit."""
 
 
-class EmptyGraph(CycleDecError):
-    """Operation requires at least one positive-weight edge."""
-
-
 class NotBistochastic(CycleDecError):
     """Row or column sums of the weight matrix differ from one."""
 

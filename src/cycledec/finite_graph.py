@@ -28,13 +28,8 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .errors import (
-    EmptyGraph,
-    NoPerfectMatching,
-    NotBalanced,
-    NotBistochastic,
-)
-from .ratio import ZERO, Rat, scaled, to_rat
+from .errors import NoPerfectMatching, NotBalanced, NotBistochastic
+from .ratio import Rat, scaled, to_rat
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,6 @@ class GraphCycle:
 
     def __iter__(self):
         return iter(self.vertices)
-
-    def edges(self):
-        return cycle_edges(self.vertices)
 
 
 def canonical_cycle(vertices) -> tuple:
@@ -146,12 +138,6 @@ class WeightedDigraph:
             vs.add(u)
             vs.add(v)
         return cls(tuple(vs), weights, allow_self_loops)
-
-    def weight(self, u, v) -> Rat:
-        return self.weights.get((u, v), ZERO)
-
-    def edges(self):
-        return sorted(self.weights)
 
 
 @dataclass
@@ -261,18 +247,6 @@ def _peel(weights):
                 live -= 1
 
 
-def extract_min_cycle(g: WeightedDigraph):
-    """Greedy cycle whose edges all weigh at least the global minimum.
-
-    Seeds at the lexicographically least edge achieving the global minimum
-    weight and always extends to the least admissible target, so the result
-    is deterministic.  Returns the cycle and its minimal edge weight.
-    """
-    if not g.weights:
-        raise EmptyGraph("no positive-weight edges")
-    return next(_peel(g.weights))
-
-
 def decompose_graph(g: WeightedDigraph) -> GraphDecomposition:
     """Peel greedy cycles until no edge remains.
 
@@ -287,9 +261,9 @@ def decompose_graph(g: WeightedDigraph) -> GraphDecomposition:
 
 
 def is_bistochastic(g: WeightedDigraph) -> bool:
-    """Every row and column of the weight matrix sums to exactly one."""
+    """Every row and column of a nonempty weight matrix sums to exactly one."""
     scale, inflow, outflow = _flux(g)
-    return all(inflow[x] == scale == outflow[x] for x in g.vertices)
+    return bool(g.vertices) and all(inflow[x] == scale == outflow[x] for x in g.vertices)
 
 
 def _augment(root, adjacency, match_row, match_col) -> bool:
@@ -367,31 +341,3 @@ def birkhoff_decompose(g: WeightedDigraph):
                 free.append(u)
     return terms
 
-
-def permutation_to_cycles(pi: dict):
-    """Orbit decomposition of a permutation.
-
-    Returns ``(cycles, fixed_points)``: vertex-disjoint cycles of length at
-    least two, plus the fixed points reported separately.
-    """
-    domain = sorted(pi)
-    if sorted(pi.values()) != domain:
-        raise ValueError("mapping is not a permutation of its domain")
-    seen = set()
-    cycles = []
-    fixed = []
-    for start in domain:
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        x = pi[start]
-        while x != start:
-            orbit.append(x)
-            seen.add(x)
-            x = pi[x]
-        if len(orbit) == 1:
-            fixed.append(start)
-        else:
-            cycles.append(GraphCycle(tuple(orbit)))
-    return cycles, fixed

@@ -404,9 +404,12 @@ def format_graph_decomposition(dec: GraphDecomposition, source: str, decimals=No
 def format_lattice_decomposition(
     dec: LatticeDecomposition, source: str, decimals=None
 ) -> str:
+    """A decomposition without terms writes its ``trivial`` record even at
+    mass zero, so its dimension reads back."""
     lines = [f"decomposition lattice {source}"]
-    if dec.trivial_mass != 0:
-        lines.append(f"trivial {_fmt(dec.trivial_mass, decimals)}")
+    if dec.trivial_mass or not dec.terms:
+        origin = coords_label((0,) * dec.dimension)
+        lines.append(f"trivial {origin} {_fmt(dec.trivial_mass, decimals)}")
     return "\n".join(lines + _class_terms(dec.terms, decimals)) + "\n"
 
 
@@ -461,7 +464,7 @@ def parse_decomposition(text: str, path="<decomposition>"):
     """Generic reader for the ``decomposition`` formats.
 
     Returns ``(mode, source, records)`` where records are
-    ``("term", weight, kind, payload)``, ``("trivial", mass)``,
+    ``("term", weight, kind, payload)``, ``("trivial", origin, mass)``,
     ``("constant", value)``, ``("parameter", value)`` or other
     ``(key, value)`` headers in file order.  A ``class`` payload is the
     parsed :class:`LatticeCycleClass`; ``cycle`` and ``perm`` payloads are
@@ -483,10 +486,16 @@ def parse_decomposition(text: str, path="<decomposition>"):
             mode, source = tokens[1], tokens[2]
         elif key == "term":
             records.append(_parse_term(tokens, path, line_no, values))
-        elif key in ("trivial", "constant", "parameter", "max-parameter"):
+        elif key in ("constant", "parameter", "max-parameter"):
             if len(tokens) != 2:
                 raise InputFormatError(path, line_no, f"expected: {key} <num/den>")
             records.append((key, _parse_value(tokens[1], path, line_no, values)))
+        elif key == "trivial":
+            # the point is the origin, written out to state the dimension
+            if len(tokens) != 3 or set(tokens[1].split(",")) != {"0"}:
+                raise InputFormatError(path, line_no, "expected: trivial 0,..,0 <num/den>")
+            origin = (0,) * (tokens[1].count(",") + 1)
+            records.append(("trivial", origin, _parse_value(tokens[2], path, line_no, values)))
         elif key == "residual":
             if len(tokens) != 3:
                 raise InputFormatError(path, line_no, "expected: residual <x> <num/den>")
@@ -538,18 +547,24 @@ def _parse_class(tokens, path, line_no) -> LatticeCycleClass:
 
 
 def lattice_decomposition(records, path="<decomposition>") -> LatticeDecomposition:
-    """The decomposition that lattice-like records describe."""
+    """The decomposition that lattice-like records describe, in the one
+    dimension that its trivial points and classes name (None if none does)."""
     terms = []
     trivial = ZERO
+    dims = set()
     for record in records:
         if record[0] == "trivial":
-            trivial += record[1]
+            dims.add(len(record[1]))
+            trivial += record[2]
         elif record[0] == "term":
             _, weight, kind, cls = record
             if kind != "class":
                 raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
+            dims.add(cls.dimension)
             terms.append((cls, weight))
-    return LatticeDecomposition(terms, trivial)
+    if len(dims) > 1:
+        raise InputFormatError(path, 0, f"records of dimensions {sorted(dims)}")
+    return LatticeDecomposition(terms, trivial, dims.pop() if dims else None)
 
 
 def reconstruct_decomposition(mode, records, path="<decomposition>"):
@@ -564,9 +579,7 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
         scale = lcm(*(weight.denominator for weight, _, _ in terms))
         return edge_sum(_graph_term_edges(terms, path), scale)
     if mode in ("lattice", "1d-heavy"):
-        dec = lattice_decomposition(records, path)
-        # the file does not state its dimension: a trivial-only one reads as 1-d
-        return class_sum(dec.classes(dec.terms[0][0].dimension if dec.terms else 1))
+        return class_sum(lattice_decomposition(records, path).classes())
     raise InputFormatError(path, 0, f"no reconstruction rule for mode {mode!r}")
 
 

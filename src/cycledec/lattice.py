@@ -73,9 +73,6 @@ class LatticeMeasure:
     def mass(self, point) -> Rat:
         return self.atoms.get(_point(point), ZERO)
 
-    def total_mass(self) -> Rat:
-        return sum(self.atoms.values(), ZERO)
-
     def support(self):
         return sorted(self.atoms)
 
@@ -134,9 +131,6 @@ class LatticeCycleClass:
     def items(self):
         return sorted(self.entries.items())
 
-    def is_trivial(self) -> bool:
-        return set(self.entries) == {(0,) * self.dimension}
-
     def __hash__(self):
         return hash(tuple(self.items()))
 
@@ -146,22 +140,21 @@ class LatticeCycleClass:
 
 @dataclass
 class LatticeDecomposition:
-    """Terms ``(class, weight)`` plus the mass carried by the trivial class."""
+    """Terms ``(class, weight)`` plus the mass carried by the trivial class,
+    on ``Z^dimension``; ``dimension`` is None only when neither names it."""
 
     terms: list
     trivial_mass: Rat
+    dimension: int | None
 
-    def total_weight(self) -> Rat:
-        return sum((w for _, w in self.terms), ZERO) + self.trivial_mass
-
-    def classes(self, dimension: int) -> list:
+    def classes(self) -> list:
         """The terms, then the trivial mass as the one-point class at the origin."""
         if self.trivial_mass == 0:
             return list(self.terms)
-        return self.terms + [(LatticeCycleClass({(0,) * dimension: 1}), self.trivial_mass)]
+        return self.terms + [(LatticeCycleClass({(0,) * self.dimension: 1}), self.trivial_mass)]
 
-    def reconstruct(self, dimension: int) -> LatticeMeasure:
-        return LatticeMeasure(dimension, class_sum(self.classes(dimension)))
+    def reconstruct(self) -> LatticeMeasure:
+        return LatticeMeasure(self.dimension, class_sum(self.classes()))
 
 
 def class_sum(terms) -> dict:
@@ -338,7 +331,7 @@ def decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
     scale, atoms = scaled(p.atoms)
     residual = {x: m for x, m in atoms.items() if any(x)}
     return LatticeDecomposition(
-        list(_rounds(scale, residual, p.origin())), p.mass(p.origin())
+        list(_rounds(scale, residual, p.origin())), p.mass(p.origin()), p.dimension
     )
 
 

@@ -45,6 +45,10 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
   normalised each row of a random environment.
+
+A few small helpers serve only the tests and live here for that reason:
+:func:`permutation_to_cycles`, the orbits of a permutation, and
+:func:`oriented_edges`, both directions of every edge of a complex.
 """
 
 from math import gcd, lcm
@@ -63,6 +67,7 @@ from cycledec.complexes import (
 )
 from cycledec.errors import NoSolution, NotGeneralPosition, NotHomologous, TooLarge, ZeroNotInterior
 from cycledec.exact_lp import _width
+from cycledec.finite_graph import GraphCycle
 from cycledec.lattice import LatticeCycleClass
 from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
 
@@ -557,3 +562,37 @@ def reference_cycles(dec, cx: TwoComplex) -> list:
         )
         terms += [(cycle, forward), (cycle[::-1], backward)]
     return [(cycle, weight) for cycle, weight in terms if weight != 0]
+
+
+def oriented_edges(cx: TwoComplex):
+    """All oriented edges of the full edge set, both directions."""
+    return [e for u, v in cx.edges for e in ((u, v), (v, u))]
+
+
+def permutation_to_cycles(pi: dict):
+    """Orbit decomposition of a permutation.
+
+    Returns ``(cycles, fixed_points)``: vertex-disjoint cycles of length at
+    least two, plus the fixed points reported separately.
+    """
+    domain = sorted(pi)
+    if sorted(pi.values()) != domain:
+        raise ValueError("mapping is not a permutation of its domain")
+    seen = set()
+    cycles = []
+    fixed = []
+    for start in domain:
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        x = pi[start]
+        while x != start:
+            orbit.append(x)
+            seen.add(x)
+            x = pi[x]
+        if len(orbit) == 1:
+            fixed.append(start)
+        else:
+            cycles.append(GraphCycle(tuple(orbit)))
+    return cycles, fixed

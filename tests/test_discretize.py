@@ -8,10 +8,9 @@ from cycledec.discretize import (
     EnvironmentSpec,
     PotentialSampler,
     band_potential,
-    check_re_sufficient,
     constant_potential,
     discretize_potential,
-    oscillation_bound,
+    oscillation,
     random_environment,
     sine_potential,
     snap,
@@ -94,34 +93,39 @@ class TestDiscretizePotential:
             discretize_potential(constant_potential(), 2)
 
 
+def grid_oscillation(sampler, n):
+    """Max minus min of the snapped potential over the face centers of the
+    ``n`` by ``n`` torus."""
+    return oscillation(discretize_potential(sampler, n)[1])
+
+
 class TestOscillation:
     def test_constant(self):
-        assert oscillation_bound(constant_potential(5.0), 4) == ZERO
+        assert grid_oscillation(constant_potential(5.0), 4) == ZERO
 
     def test_band(self):
-        assert oscillation_bound(band_potential(), 10) == ONE
+        assert grid_oscillation(band_potential(), 10) == ONE
 
     def test_sine_scan(self):
-        sampler = sine_potential()
-        _, chain = discretize_potential(sampler, 8)
-        assert oscillation_bound(sampler, 8) == max(chain.values) - min(chain.values)
+        _, chain = discretize_potential(sine_potential(), 8)
+        assert oscillation(chain) == max(chain.values) - min(chain.values)
 
 
 class TestSufficientCheck:
+    # symmetric noise of at least half the oscillation certifies membership
     def test_half_oscillation_passes(self):
-        assert check_re_sufficient(band_potential(), 10, Rat(1, 2))
+        assert Rat(1, 2) >= grid_oscillation(band_potential(), 10) / 2
 
     def test_below_half_fails(self):
-        assert not check_re_sufficient(band_potential(), 10, Rat(1, 4))
+        assert not Rat(1, 4) >= grid_oscillation(band_potential(), 10) / 2
 
     def test_zero_oscillation_any_noise(self):
-        assert check_re_sufficient(constant_potential(), 4, ZERO)
+        assert ZERO >= grid_oscillation(constant_potential(), 4) / 2
 
     def test_sufficient_implies_membership(self):
         sampler = band_potential()
         n = 10
-        half = oscillation_bound(sampler, n) / 2
-        assert check_re_sufficient(sampler, n, half)
+        half = grid_oscillation(sampler, n) / 2
         field, _ = discretize_potential(sampler, n)
         from cycledec.complexes import field_to_rates
 

@@ -2,7 +2,7 @@ from collections import Counter
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cycledec import complexes, elementary
 from cycledec import io as fio
@@ -43,6 +43,7 @@ from conftest import cube_complex, face_indicator
 from oracles import (
     brute_force_Re_oracle,
     in_d_lambda2,
+    oriented_edges,
     reference_cycles,
     reference_field_and_symmetric,
 )
@@ -54,7 +55,7 @@ EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 def with_noise(rates, cx, level):
     out = dict(rates)
-    for e in cx.oriented_edges():
+    for e in oriented_edges(cx):
         out[e] = out.get(e, ZERO) + level
     return {e: w for e, w in out.items() if w != 0}
 
@@ -65,7 +66,7 @@ def face_walk(cx, fid):
 
 
 def symmetric_rates(cx, value=ONE):
-    return {e: value for e in cx.oriented_edges()}
+    return {e: value for e in oriented_edges(cx)}
 
 
 class TestIntervalArithmetic:
@@ -239,7 +240,7 @@ class TestOneDimensional:
         edge_w, plus, minus = family.weights_at(ONE)
         assert set(edge_w.values()) == {ZERO} and plus == Rat(2) and minus == ONE
         for a in (ZERO, Rat(1, 2), ONE):
-            assert family.reconstruct_at(a) == rates
+            assert cycle_sum(family.cycles_at(a)) == rates
         loop = ((0,), (1,), (2,))
         half = Rat(1, 2)
         assert family.cycles_at(half) == [
@@ -253,7 +254,7 @@ class TestOneDimensional:
         rates = self.make_rates(cx, Rat(5, 3), Rat(5, 3))
         family = decompose_1d(rates, cx)
         assert family.in_r_star and family.constant == ZERO
-        assert family.reconstruct_at(ZERO) == rates
+        assert cycle_sum(family.cycles_at(ZERO)) == rates
 
     def test_parameter_outside_range_rejected(self):
         cx = TwoComplex.torus1(3)
@@ -474,7 +475,7 @@ def complex_rates(draw):
         for e in ((u, v), (v, u)):
             rates[e] = rates.get(e, ZERO) + noise
     if draw(st.integers(0, 3)) == 0:
-        e = draw(st.sampled_from(list(cx.oriented_edges())))
+        e = draw(st.sampled_from(oriented_edges(cx)))
         rates[e] = rates.get(e, ZERO) + Rat(draw(st.integers(1, 3)), 2)
     return cx, {e: w for e, w in rates.items() if w != 0}
 
@@ -711,7 +712,7 @@ def mixed_rates(draw):
         for e in ((u, v), (v, u)):
             rates[e] = rates.get(e, ZERO) + noise
     if draw(st.sampled_from([False, False, False, True])):
-        e = draw(st.sampled_from(list(cx.oriented_edges())))
+        e = draw(st.sampled_from(oriented_edges(cx)))
         rates[e] = rates.get(e, ZERO) + mixed_rat(draw, 1, 4)
     return cx, {e: w for e, w in rates.items() if w != 0}, mixed_rat(draw, -3, 3)
 
@@ -720,11 +721,37 @@ def assert_all_rat(*values):
     assert all(type(v) is Rat for v in values), [type(v) for v in values]
 
 
+def with_examples(cases):
+    """``@example(case)`` for every case, so that a coverage check after a
+    derandomized run does not rest on which inputs happen to be drawn."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+def differential_examples():
+    """Per complex, ``(complex, rates, offset 0)`` for unit rates, which are
+    in Re at the witness constant and not 100 above it, and on a complex
+    with faces for the minimal rates of the chain 0, 1, 2, ..., which
+    violate the polyhedron."""
+    cases = []
+    for cx in DIFFERENTIAL_COMPLEXES:
+        cases.append((cx, symmetric_rates(cx), ZERO))
+        if cx.n_faces:
+            cases.append((cx, field_to_rates(boundary2(TwoChain(cx, range(cx.n_faces)))), ZERO))
+    return cases
+
+
 def test_integer_pass_matches_fraction_reference():
     seen = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(mixed_rates())
+    @with_examples(differential_examples())
     def agree(case):
         cx, rates, offset = case
         verdict = in_Re(rates, cx)
@@ -760,8 +787,9 @@ def test_integer_pass_matches_fraction_reference():
             if isinstance(family, OneDimFamily):
                 assert_all_rat(family.constant, family.min_weight, *family.symmetric)
                 for a in (ZERO, family.min_weight / 2, family.min_weight):
-                    assert family.reconstruct_at(a) == check_rates(rates, cx)
-                    assert_all_rat(*family.reconstruct_at(a).values())
+                    rebuilt = cycle_sum(family.cycles_at(a))
+                    assert rebuilt == check_rates(rates, cx)
+                    assert_all_rat(*rebuilt.values())
 
     agree()
     for cx in DIFFERENTIAL_COMPLEXES:
@@ -834,13 +862,13 @@ def test_one_pass_matches_fraction_reference_on_any_spelling():
         draw = data.draw
         cx = draw(st.sampled_from((TwoComplex.torus2(3), TwoComplex.torus2(4, 3))))
         rates = {}
-        for e in cx.oriented_edges():
+        for e in oriented_edges(cx):
             if draw(st.booleans()):
                 rates[e] = _value_spelling(draw, draw(st.integers(0, 9)), draw(st.integers(1, 6)))
         for _ in range(draw(st.integers(0, 2))):
             key, value = draw(st.sampled_from(BAD_ENTRIES))
             if key is None:
-                key = draw(st.sampled_from(list(cx.oriented_edges())))
+                key = draw(st.sampled_from(oriented_edges(cx)))
             entries = list(rates.items())
             entries.insert(draw(st.integers(0, len(entries))), (key, value))
             rates = dict(entries)
@@ -872,24 +900,60 @@ def _reference_text(dec, cx, decimals):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def term_cases(draw):
+    """``(complex, decomposition, drawn, decimals)``: a drawn decomposition
+    on ``TERM_COMPLEXES`` with zero weights allowed, or one built from
+    ``mixed_rates`` at the witness constant plus the drawn offset."""
+    weight = st.one_of(st.just(ZERO), st.builds(Rat, st.integers(0, 9), st.integers(1, 7)))
+    drawn = draw(st.booleans())
+    if drawn:
+        cx = draw(st.sampled_from(TERM_COMPLEXES))
+        dec = ElementaryDecomposition(
+            {eid: draw(weight) for eid in range(cx.n_edges) if draw(st.booleans())},
+            {fid: (draw(weight), draw(weight)) for fid in range(cx.n_faces)},
+            Rat(draw(st.integers(-9, 9)), draw(st.integers(1, 7))),
+        )
+    else:
+        cx, rates, offset = draw(mixed_rates())
+        verdict = in_Re(rates, cx)
+        assume(verdict.ok)
+        c = verdict.witness_c + offset if cx.orientable else None
+        try:
+            dec = elementary_decompose(rates, cx, c)
+        except NegativeEdgeWeight:
+            dec = elementary_decompose(rates, cx)
+    return cx, dec, drawn, draw(st.sampled_from([None, 0, 3]))
+
+
+def term_examples():
+    """On every complex a decomposition with unit weights but for one zero
+    edge weight and zero backward face halves, so the 11 x 3 torus has
+    live edges out of ``str`` order; and unit rates on the 3 x 3 torus
+    built at the constants 0 and 1/2."""
+    cases = []
+    for cx in TERM_COMPLEXES:
+        edges = {eid: ONE if eid else ZERO for eid in range(cx.n_edges)}
+        faces = {fid: (ONE, ZERO) for fid in range(cx.n_faces)}
+        cases.append((cx, ElementaryDecomposition(edges, faces, Rat(1, 2)), True, None))
+    cx = TERM_COMPLEXES[0]
+    for c in (ZERO, Rat(1, 2)):
+        cases.append((cx, elementary_decompose(symmetric_rates(cx), cx, c), False, 3))
+    return cases
+
+
 def test_cycles_and_text_match_the_str_sorted_reference():
     """``cycles()`` and the ``.dec`` text list the terms in the reference's
     order, with zero edge weights and zero face halves dropped, on drawn
     decompositions and on built ones at a constant with a denominator."""
     seen = set()
-    weight = st.one_of(st.just(ZERO), st.builds(Rat, st.integers(0, 9), st.integers(1, 7)))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.data())
-    def agree(data):
-        draw = data.draw
-        if draw(st.booleans()):
-            cx = draw(st.sampled_from(TERM_COMPLEXES))
-            dec = ElementaryDecomposition(
-                {eid: draw(weight) for eid in range(cx.n_edges) if draw(st.booleans())},
-                {fid: (draw(weight), draw(weight)) for fid in range(cx.n_faces)},
-                Rat(draw(st.integers(-9, 9)), draw(st.integers(1, 7))),
-            )
+    @given(term_cases())
+    @with_examples(term_examples())
+    def agree(case):
+        cx, dec, drawn, decimals = case
+        if drawn:
             zeros = sum(1 for w in dec.edge_weights.values() if w == 0)
             zeros += sum(1 for pair in dec.face_weights.values() for w in pair if w == 0)
             seen.add((cx.name, "drawn", zeros > 0))
@@ -897,16 +961,7 @@ def test_cycles_and_text_match_the_str_sorted_reference():
             if sorted(live, key=lambda eid: str(cx.edges[eid])) != sorted(live, key=cx.edges.__getitem__):
                 seen.add("str order is not tuple order")
         else:
-            cx, rates, offset = draw(mixed_rates())
-            verdict = in_Re(rates, cx)
-            assume(verdict.ok)
-            c = verdict.witness_c + offset if cx.orientable else None
-            try:
-                dec = elementary_decompose(rates, cx, c)
-            except NegativeEdgeWeight:
-                dec = elementary_decompose(rates, cx)
             seen.add(("built", dec.chosen_constant.denominator > 1))
-        decimals = draw(st.sampled_from([None, 0, 3]))
         assert dec.cycles(cx) == reference_cycles(dec, cx)
         text = fio.format_elementary_decomposition(dec, cx, "r", decimals)
         assert text == _reference_text(dec, cx, decimals)

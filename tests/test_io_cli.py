@@ -12,10 +12,11 @@ from cycledec.complexes import TwoComplex, VectorField, field_to_rates, harmonic
 from cycledec.discretize import band_potential, discretize_potential
 from cycledec.errors import InputFormatError
 from cycledec.finite_graph import GraphCycle, GraphDecomposition
-from cycledec.lattice import LatticeMeasure
+from cycledec.lattice import LatticeMeasure, decompose_lattice
 from cycledec.ratio import ONE, ZERO, Rat, parse_rat, rat_decimal, rat_str
 
 from conftest import CUBE_FACES, cube_complex
+from oracles import oriented_edges
 
 
 class TestMeasureFormat:
@@ -191,7 +192,7 @@ class TestReconstructOnComplex:
         [
             # graph cycles whose steps are torus edges: not summed onto the torus
             "decomposition graph g\nterm 1/2 cycle 0,0 1,0\n",
-            "decomposition lattice m\ntrivial 1/2\n",
+            "decomposition lattice m\ntrivial 0,0 1/2\n",
         ],
     )
     def test_other_modes_are_refused(self, text):
@@ -373,6 +374,38 @@ def test_cycle_writer_formats_repeated_tokens_like_term_by_term(terms, decimals)
     assert fio.format_graph_decomposition(dec, "g", decimals) == "\n".join(lines) + "\n"
 
 
+class TestLatticeDecompositionFormat:
+    @pytest.mark.parametrize(
+        "text, record",
+        [("0 0 1/1\n", "trivial 0,0 1/1"), ("0 0 0 1/1\n", "trivial 0,0,0 1/1"),
+         ("0 0 0/1\n", "trivial 0,0 0/1")],
+    )
+    def test_mass_only_at_the_origin_reads_back(self, text, record):
+        measure = fio.parse_measure(text)
+        written = fio.format_lattice_decomposition(decompose_lattice(measure), "m")
+        assert written == f"decomposition lattice m\n{record}\n"
+        mode, _, records = fio.parse_decomposition(written)
+        assert fio.reconstruct_decomposition(mode, records) == measure.atoms
+        dec = fio.lattice_decomposition(records)
+        assert dec.dimension == measure.dimension and dec.reconstruct() == measure
+
+    @pytest.mark.parametrize(
+        "line",
+        ["trivial 1/1", "trivial 0,0 1/1 1/1", "trivial 0,1 1/1", "trivial 0,x 1/1",
+         "trivial 0.0 1/1", "trivial 0,,0 1/1", "trivial , 1/1"],
+    )
+    def test_malformed_trivial_record_names_its_line(self, line):
+        with pytest.raises(InputFormatError, match=r"expected: trivial 0,\.\.,0 <num/den>") as info:
+            fio.parse_decomposition(f"decomposition lattice m\n# note\n{line}\n", path="bad.dec")
+        assert info.value.line_no == 3
+
+    def test_records_of_two_dimensions_are_refused(self):
+        text = "decomposition lattice m\ntrivial 0,0 1/2\nterm 1/2 class 1*1 -1*1\n"
+        mode, _, records = fio.parse_decomposition(text)
+        with pytest.raises(InputFormatError, match=r"records of dimensions \[1, 2\]"):
+            fio.reconstruct_decomposition(mode, records)
+
+
 class TestMalformedDecomposition:
     @pytest.mark.parametrize(
         "mode, line",
@@ -411,7 +444,7 @@ class TestMalformedDecomposition:
 VALID_DECOMPOSITIONS = [
     ("decomposition graph t\nterm 2/1 cycle a b c\nterm 1/3 cycle a c\n", None),
     ("decomposition birkhoff h\nterm 1/2 perm a>a b>b\nterm 1/2 perm a>b b>a\n", None),
-    ("decomposition lattice m\ntrivial 1/6\nterm 1/3 class 0,-1*1 0,1*1\n"
+    ("decomposition lattice m\ntrivial 0,0 1/6\nterm 1/3 class 0,-1*1 0,1*1\n"
      "term 1/6 class -2,-2*1 1,1*2\n", None),
     ("decomposition 1d-heavy m\nterm 1/2 class -1*1 1*1\nterm 1/8 class -2*1 1*2\n"
      "residual -2 0/1\nresidual 1 1/3\n", None),
@@ -603,6 +636,15 @@ class TestCliCheck:
         )
         assert run_cli(["check", "bistochastic", path]) == 0
 
+    def test_empty_digraph_is_not_bistochastic(self, workdir, capsys):
+        path = write(workdir / "e.wg", "digraph e\n")
+        assert run_cli(["check", "bistochastic", path]) == 1
+        assert capsys.readouterr().out == "bistochastic: no\n"
+        out = workdir / "e.dec"
+        assert run_cli(["decompose", "--mode", "birkhoff", path, "--verify", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "negative verdict: row or column sums differ from 1\n"
+
 
 class TestCliDecompose:
     def test_graph_verify(self, workdir, capsys):
@@ -658,7 +700,7 @@ class TestCliDecompose:
         field, _ = discretize_potential(band_potential(), 10)
         rates = field_to_rates(field)
         cx = field.complex
-        for u, v in cx.oriented_edges():
+        for u, v in oriented_edges(cx):
             rates[(u, v)] = rates.get((u, v), ZERO) + Rat(1, 2)
         weights = {
             (fio.coords_label(u), fio.coords_label(v)): w for (u, v), w in rates.items()
@@ -743,6 +785,21 @@ class TestCliOther:
             "verdict no reason=NotHomologous\n"
             "diameter-bound unavailable: field is not a face boundary\n"
         )
+
+    @pytest.mark.parametrize("surface", [False, True])
+    def test_elementary_diameter_without_faces(self, workdir, capsys, surface):
+        # a 1-d torus field, or rates on a surface file with no faces
+        if surface:
+            path = write(workdir / "r.wg", "digraph r\na b 1/1\nb a 1/1\n")
+            extra = ["--surface", write(workdir / "s.surf", "surface s\norientable yes\n"
+                                        "vertex a\nvertex b\nedge a b\n")]
+        else:
+            path = write(workdir / "f.field", "field torus 4\n" + "".join(
+                f"{i} 1 1/1\n" for i in range(4)))
+            extra = []
+        assert run_cli(["elementary", path, "--diameter", *extra]) == (0 if surface else 1)
+        out = capsys.readouterr().out
+        assert out.endswith("\ndiameter-bound unavailable: complex has no faces\n")
 
     def test_elementary_output_equals_decompose(self, workdir, monkeypatch, capsys):
         surface = ["samples/klein_rates.wg", "--surface", "samples/klein.surf"]

@@ -79,7 +79,7 @@ def reference_decompose_lattice(p: LatticeMeasure) -> LatticeDecomposition:
     while current.atoms:
         cls, weight, current = reference_caratheodory_step(current)
         terms.append((cls, weight))
-    return LatticeDecomposition(terms, trivial)
+    return LatticeDecomposition(terms, trivial, p.dimension)
 
 
 def reference_class_sum(terms) -> dict:
@@ -346,7 +346,7 @@ def assert_class_shape(cls: LatticeCycleClass):
     """Every emitted class must look like a lcm-normalized simplex class."""
     points = [v for v, _ in cls.items()]
     d = cls.dimension
-    if not cls.is_trivial():
+    if cls.entries != {(0,) * d: 1}:
         diffs = [[p[i] - points[0][i] for i in range(d)] for p in points[1:]]
         if diffs:
             assert exact_rank(diffs) == len(points) - 1
@@ -369,7 +369,7 @@ class TestDecomposeLattice:
             {(1, 0): Rat(1, 4), (-1, 0): Rat(1, 4), (0, 1): Rat(1, 4), (0, -1): Rat(1, 4)},
         )
         dec = decompose_lattice(p)
-        assert dec.reconstruct(2) == p
+        assert dec.reconstruct() == p
         assert sorted(w for _, w in dec.terms) == [Rat(1, 2), Rat(1, 2)]
 
     def test_unbalanced_rejected(self):
@@ -379,7 +379,7 @@ class TestDecomposeLattice:
     def test_support_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(lat, "SUPPORT_LIMIT", 4)
         p = measure(2, {(1, 0): ONE, (-1, 0): ONE, (0, 1): ONE, (0, -1): ONE})
-        assert decompose_lattice(p).reconstruct(2) == p
+        assert decompose_lattice(p).reconstruct() == p
         with pytest.raises(TooLarge, match=r"support of 5 points exceeds lattice\.SUPPORT_LIMIT = 4"):
             decompose_lattice(measure(2, {**p.atoms, (0, 0): ONE}))
 
@@ -397,9 +397,9 @@ class TestDecomposeLattice:
             d = rng.choice([1, 2, 3])
             p = random_balanced_measure(rng, d)
             dec = decompose_lattice(p)
-            assert dec.reconstruct(d) == p
+            assert dec.reconstruct() == p
             assert len(dec.terms) <= len(p.support())
-            assert dec.total_weight() == p.total_mass()
+            assert sum((w for _, w in dec.terms), dec.trivial_mass) == sum(p.atoms.values(), ZERO)
             for cls, weight in dec.terms:
                 assert weight > 0
                 assert_class_shape(cls)
@@ -440,7 +440,7 @@ def test_rounds_match_rebuild_every_round_reference(p, data):
     # later terms differ from the reference but must still be valid
     assert exact_terms(dec.terms[:1]) == exact_terms(reference.terms[:1])
     assert dec.trivial_mass == reference.trivial_mass
-    assert dec.reconstruct(p.dimension) == p
+    assert dec.reconstruct() == p
     assert len(dec.terms) <= len(p.support())
     for cls, weight in dec.terms:
         assert type(weight) is Rat and weight > 0
@@ -449,7 +449,7 @@ def test_rounds_match_rebuild_every_round_reference(p, data):
         diffs = [[a - b for a, b in zip(v, points[0])] for v in points[1:]]
         assert not diffs or exact_rank(diffs) == len(diffs)
 
-    classes = dec.classes(p.dimension)
+    classes = dec.classes()
     assert class_sum(classes) == reference_class_sum(classes) == p.atoms
     signed = [
         (cls, Rat(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 12))))
@@ -548,7 +548,7 @@ class TestFormatLift:
         )
 
     def test_empty(self):
-        assert fio.format_lift(LatticeDecomposition([], ZERO).classes(2)) == "periodic-lift\n"
+        assert fio.format_lift(LatticeDecomposition([], ZERO, 2).classes()) == "periodic-lift\n"
 
     def test_torus_terms(self):
         pairs = [(("edge", ((0, 0), (1, 0))), Rat(1, 2)), (("face", 3), Rat(1, 3))]
@@ -559,5 +559,5 @@ class TestFormatLift:
         ]
 
     def test_trivial_mass_emitted(self):
-        text = fio.format_lift(LatticeDecomposition([], Rat(1, 8)).classes(2))
+        text = fio.format_lift(LatticeDecomposition([], Rat(1, 8), 2).classes())
         assert text == "periodic-lift\nterm 1/8 class 0,0*1 @ all integer translates\n"
