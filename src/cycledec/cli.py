@@ -355,7 +355,7 @@ def _cmd_elementary(args) -> int:
                 f"diameter-bound M={rat_str(bound)} "
                 f"sufficient={'yes' if sufficient else 'no'}"
             )
-        except (CycleDecError, ValueError) as exc:  # NotHomologous, or no faces
+        except CycleDecError as exc:  # no faces, or NotHomologous
             print(f"diameter-bound unavailable: {exc}")
     if not verdict.ok:
         return 1

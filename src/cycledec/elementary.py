@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    CycleDecError,
     NegativeEdgeWeight,
     NotBalanced,
     NotHomologous,
@@ -364,7 +365,7 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
     ``(sufficient, M)``; a negative answer decides nothing.
     """
     if complex.n_faces == 0:
-        raise ValueError("complex has no faces")
+        raise CycleDecError("complex has no faces")
     scale, phi, s = _field_and_symmetric(rates, complex)
     try:
         recover_psi(phi)

@@ -19,7 +19,10 @@ integers.
 
 Bistochastic weight matrices additionally split into permutation matrices:
 keep one perfect matching of the positive support, subtract its minimal
-entry and re-match only the rows whose entry reached zero.
+entry and re-match only the rows whose entry reached zero.  The split
+runs on integer ids as well: rows and columns numbered in sorted label
+order, the scaled residual in a dict of the support under int keys, the
+matching in two lists.
 """
 
 from __future__ import annotations
@@ -154,14 +157,15 @@ class GraphDecomposition:
 
 
 def _flux(g: WeightedDigraph):
-    """``(L, inflow, outflow)``: per-vertex weight sums times ``L``, one pass."""
+    """``(L, numerators, inflow, outflow)``: the weights and per-vertex
+    weight sums times ``L``, one pass."""
     scale, numerators = scaled(g.weights)
     inflow = dict.fromkeys(g.vertices, 0)
     outflow = dict.fromkeys(g.vertices, 0)
     for (u, v), n in numerators.items():
         outflow[u] += n
         inflow[v] += n
-    return scale, inflow, outflow
+    return scale, numerators, inflow, outflow
 
 
 def is_balanced_graph(g: WeightedDigraph):
@@ -169,7 +173,7 @@ def is_balanced_graph(g: WeightedDigraph):
 
     Returns ``(verdict, violators)`` with the offending vertices sorted.
     """
-    _, inflow, outflow = _flux(g)
+    _, _, inflow, outflow = _flux(g)
     violators = [x for x in g.vertices if inflow[x] != outflow[x]]
     return not violators, violators
 
@@ -260,38 +264,51 @@ def decompose_graph(g: WeightedDigraph) -> GraphDecomposition:
     return GraphDecomposition(list(_peel(g.weights)))
 
 
+def _bistochastic_scaled(g: WeightedDigraph):
+    """``(L, numerators)`` of ``g`` as :func:`scaled` gives them when every
+    row and column of a nonempty weight matrix sums to exactly one, else
+    None."""
+    scale, numerators, inflow, outflow = _flux(g)
+    if g.vertices and all(inflow[x] == scale == outflow[x] for x in g.vertices):
+        return scale, numerators
+    return None
+
+
 def is_bistochastic(g: WeightedDigraph) -> bool:
     """Every row and column of a nonempty weight matrix sums to exactly one."""
-    scale, inflow, outflow = _flux(g)
-    return bool(g.vertices) and all(inflow[x] == scale == outflow[x] for x in g.vertices)
+    return _bistochastic_scaled(g) is not None
 
 
-def _augment(root, adjacency, match_row, match_col) -> bool:
+def _augment(root, adjacency, match_row, match_col, seen, stamp) -> bool:
     """Match the free row ``root`` along one augmenting path (Kuhn 1955).
 
-    Depth-first search that enters every row at most once and first looks
-    among the row's columns for a free one (Duff 1981), with an explicit
-    stack: paths can be longer than the recursion limit.  ``via[i]`` is
-    the column that leads from ``path[i]`` on.  Returns False, leaving the
-    matching as it was, when no path exists.
+    Rows and columns are ids; ``adjacency[r]`` lists the columns of row
+    ``r`` and ``match_row`` / ``match_col`` hold -1 where unmatched.
+    Depth-first search that enters every row at most once, marking it
+    with ``seen[r] = stamp`` (a value no earlier call used), and first
+    looks among the row's columns for a free one (Duff 1981), with an
+    explicit stack: paths can be longer than the recursion limit.
+    ``via[i]`` is the column that leads from ``path[i]`` on.  Returns
+    False, leaving the matching as it was, when no path exists.
     """
     path, via, scans = [root], [], [None]
-    seen = {root}
+    seen[root] = stamp
     while path:
         r = path[-1]
-        if scans[-1] is None:
-            free = next((c for c in adjacency[r] if c not in match_col), None)
-            if free is not None:
-                via.append(free)
-                for u, col in zip(path, via):
-                    match_row[u] = col
-                    match_col[col] = u
-                return True
-            scans[-1] = iter(adjacency[r])
-        for c in scans[-1]:
+        scan = scans[-1]
+        if scan is None:
+            for c in adjacency[r]:
+                if match_col[c] < 0:
+                    via.append(c)
+                    for u, col in zip(path, via):
+                        match_row[u] = col
+                        match_col[col] = u
+                    return True
+            scan = scans[-1] = iter(adjacency[r])
+        for c in scan:
             nxt = match_col[c]
-            if nxt not in seen:
-                seen.add(nxt)
+            if seen[nxt] != stamp:
+                seen[nxt] = stamp
                 via.append(c)
                 path.append(nxt)
                 scans.append(None)
@@ -311,33 +328,52 @@ def birkhoff_decompose(g: WeightedDigraph):
     minimal entry; the rows whose matched entry reaches zero are matched
     again, each by one augmenting path.  The weights sum to one and the
     number of terms is at most ``(n - 1)^2 + 1``.
+
+    Rows and columns are numbered in sorted label order, so every choice
+    on ids is the one on labels.  The scaled residual of entry ``(r, c)``
+    sits under the int key ``r * n + c`` of a dict of the support, so
+    space stays linear in the entries.
     """
-    if not is_bistochastic(g):
+    checked = _bistochastic_scaled(g)
+    if checked is None:
         raise NotBistochastic("row or column sums differ from 1")
-    scale, residual = scaled(g.weights)
-    adjacency = {r: [] for r in g.vertices}
-    for u, v in sorted(residual):
-        adjacency[u].append(v)
-    match_row: dict = {}
-    match_col: dict = {}
-    free = g.vertices
+    scale, numerators = checked
+    labels = g.vertices
+    n = len(labels)
+    vid = {x: i for i, x in enumerate(labels)}
+    residual = {}
+    adjacency = [[] for _ in labels]
+    for (u, v), w in numerators.items():
+        r, c = vid[u], vid[v]
+        residual[r * n + c] = w
+        adjacency[r].append(c)
+    for cols in adjacency:
+        cols.sort()
+    match_row = [-1] * n
+    match_col = [-1] * n
+    seen = [-1] * n
+    stamp = 0
+    free = range(n)
+    live = len(numerators)
     terms = []
-    while residual:
+    while live:
         for r in free:
-            if not _augment(r, adjacency, match_row, match_col):
+            if not _augment(r, adjacency, match_row, match_col, seen, stamp):
                 raise NoPerfectMatching(
                     "no perfect matching on a bistochastic support; arithmetic bug"
                 )
-        matching = {r: match_row[r] for r in g.vertices}
-        m = min(residual[e] for e in matching.items())
-        terms.append((matching, Rat(m, scale)))
+            stamp += 1
+        cells = [r * n + c for r, c in enumerate(match_row)]
+        m = min(map(residual.__getitem__, cells))
+        terms.append((dict(zip(labels, map(labels.__getitem__, match_row))), Rat(m, scale)))
         free = []
-        for u, v in matching.items():
-            residual[(u, v)] -= m
-            if residual[(u, v)] == 0:
-                del residual[(u, v)]
-                adjacency[u].remove(v)
-                del match_row[u], match_col[v]
-                free.append(u)
+        for r, cell in enumerate(cells):
+            left = residual[cell] - m
+            residual[cell] = left
+            if not left:
+                c = match_row[r]
+                adjacency[r].remove(c)
+                match_row[r] = match_col[c] = -1
+                free.append(r)
+                live -= 1
     return terms
-

@@ -585,6 +585,7 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
 
 def _graph_term_edges(terms, path):
     """``(edges, weight)`` per parsed graph or Birkhoff term, checked."""
+    pairs = {}  # each ``u>v`` token is split once
     for weight, kind, payload in terms:
         if kind == "cycle":
             try:
@@ -592,7 +593,12 @@ def _graph_term_edges(terms, path):
             except ValueError as exc:
                 raise InputFormatError(path, 0, str(exc))
         elif kind == "perm":
-            edges = [tuple(token.split(">", 1)) for token in payload]
+            edges = []
+            for token in payload:
+                edge = pairs.get(token)
+                if edge is None:
+                    edge = pairs[token] = tuple(token.split(">", 1))
+                edges.append(edge)
         else:
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
         yield edges, weight

@@ -41,6 +41,11 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   sort and built the sort key from one ``repr`` per vertex: edge
   2-cycles sorted by ``str`` of the edge, then both orientations of every
   face, and the zero weights filtered out last;
+* :func:`reference_birkhoff_decompose` and :func:`reference_augment`,
+  the Birkhoff split as the library computed it before it numbered the
+  rows and columns: the residual in a dict keyed by label pairs, the
+  matching in two dicts, the rows seen in a set, and the bistochastic
+  check as a pass of its own;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
@@ -65,9 +70,17 @@ from cycledec.complexes import (
     harmonic_basis,
     recover_psi,
 )
-from cycledec.errors import NoSolution, NotGeneralPosition, NotHomologous, TooLarge, ZeroNotInterior
+from cycledec.errors import (
+    NoPerfectMatching,
+    NoSolution,
+    NotBistochastic,
+    NotGeneralPosition,
+    NotHomologous,
+    TooLarge,
+    ZeroNotInterior,
+)
 from cycledec.exact_lp import _width
-from cycledec.finite_graph import GraphCycle
+from cycledec.finite_graph import GraphCycle, is_bistochastic
 from cycledec.lattice import LatticeCycleClass
 from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
 
@@ -513,6 +526,75 @@ def reference_hodge_decompose(phi: VectorField) -> HodgeParts:
     coefficients = tuple(phi.inner(b) / b.inner(b) for b in basis)
     harmonic = basis[0].scale(coefficients[0]) + basis[1].scale(coefficients[1])
     return HodgeParts(gradient, phi - gradient - harmonic, harmonic, coefficients)
+
+
+def reference_augment(root, adjacency, match_row, match_col) -> bool:
+    """Match the free row ``root`` along one augmenting path, on labels.
+
+    The same Kuhn search with Duff's look-ahead as the library's, with
+    the matching in dicts that lack unmatched keys and a set of the rows
+    seen.  Returns False, leaving the matching as it was, when no path
+    exists.
+    """
+    path, via, scans = [root], [], [None]
+    seen = {root}
+    while path:
+        r = path[-1]
+        if scans[-1] is None:
+            free = next((c for c in adjacency[r] if c not in match_col), None)
+            if free is not None:
+                via.append(free)
+                for u, col in zip(path, via):
+                    match_row[u] = col
+                    match_col[col] = u
+                return True
+            scans[-1] = iter(adjacency[r])
+        for c in scans[-1]:
+            nxt = match_col[c]
+            if nxt not in seen:
+                seen.add(nxt)
+                via.append(c)
+                path.append(nxt)
+                scans.append(None)
+                break
+        else:
+            path.pop()
+            scans.pop()
+            if via:
+                via.pop()
+    return False
+
+
+def reference_birkhoff_decompose(g):
+    """Birkhoff terms from one kept matching on label pairs."""
+    if not is_bistochastic(g):
+        raise NotBistochastic("row or column sums differ from 1")
+    scale, residual = scaled(g.weights)
+    adjacency = {r: [] for r in g.vertices}
+    for u, v in sorted(residual):
+        adjacency[u].append(v)
+    match_row: dict = {}
+    match_col: dict = {}
+    free = g.vertices
+    terms = []
+    while residual:
+        for r in free:
+            if not reference_augment(r, adjacency, match_row, match_col):
+                raise NoPerfectMatching(
+                    "no perfect matching on a bistochastic support; arithmetic bug"
+                )
+        matching = {r: match_row[r] for r in g.vertices}
+        m = min(residual[e] for e in matching.items())
+        terms.append((matching, Rat(m, scale)))
+        free = []
+        for u, v in matching.items():
+            residual[(u, v)] -= m
+            if residual[(u, v)] == 0:
+                del residual[(u, v)]
+                adjacency[u].remove(v)
+                del match_row[u], match_col[v]
+                free.append(u)
+    return terms
 
 
 def reference_periodic_reduction(u, period) -> Rat:

@@ -488,11 +488,39 @@ VERDICT_KINDS = {
 }
 
 
+def with_examples(cases):
+    """``@example(case)`` for every case, so that a coverage check after a
+    derandomized run does not rest on which inputs happen to be drawn."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+def verdict_examples():
+    """Per complex, unit rates (in Re), unit rates with 1/2 more on one
+    oriented edge (not a boundary) and, with faces, the minimal rates of
+    the chain 0, 1, 2, ... (the polyhedron is violated)."""
+    cases = []
+    for cx in SMALL_COMPLEXES:
+        rates = symmetric_rates(cx)
+        cases.append((cx, rates))
+        e = oriented_edges(cx)[0]
+        cases.append((cx, {**rates, e: rates[e] + Rat(1, 2)}))
+        if cx.n_faces:
+            cases.append((cx, field_to_rates(boundary2(TwoChain(cx, range(cx.n_faces))))))
+    return cases
+
+
 def test_verdict_matches_pairwise_test_and_lp_oracle():
     seen = set()
 
     @EXAMPLES
     @given(complex_rates())
+    @with_examples(verdict_examples())
     def agree(case):
         cx, rates = case
         verdict = in_Re(rates, cx)
@@ -721,18 +749,6 @@ def assert_all_rat(*values):
     assert all(type(v) is Rat for v in values), [type(v) for v in values]
 
 
-def with_examples(cases):
-    """``@example(case)`` for every case, so that a coverage check after a
-    derandomized run does not rest on which inputs happen to be drawn."""
-
-    def decorate(test):
-        for case in cases:
-            test = example(case)(test)
-        return test
-
-    return decorate
-
-
 def differential_examples():
     """Per complex, ``(complex, rates, offset 0)`` for unit rates, which are
     in Re at the witness constant and not 100 above it, and on a complex
@@ -849,6 +865,36 @@ BAD_ENTRIES = [
 ]
 
 
+@st.composite
+def spelled_rates(draw):
+    """``(complex, rates)`` on a torus: some oriented edges with int, string
+    or ``Rat`` values, and up to two of ``BAD_ENTRIES`` among them."""
+    cx = draw(st.sampled_from((TwoComplex.torus2(3), TwoComplex.torus2(4, 3))))
+    rates = {}
+    for e in oriented_edges(cx):
+        if draw(st.booleans()):
+            rates[e] = _value_spelling(draw, draw(st.integers(0, 9)), draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(0, 2))):
+        key, value = draw(st.sampled_from(BAD_ENTRIES))
+        if key is None:
+            key = draw(st.sampled_from(oriented_edges(cx)))
+        entries = list(rates.items())
+        entries.insert(draw(st.integers(0, len(entries))), (key, value))
+        rates = dict(entries)
+    return cx, rates
+
+
+def spelling_examples():
+    """Unit int rates (scale 1) and string halves (scale 2) on the 3 x 3
+    torus, and each of ``BAD_ENTRIES`` among unit rates there."""
+    cx = TwoComplex.torus2(3)
+    edges = oriented_edges(cx)
+    cases = [(cx, dict.fromkeys(edges, 1)), (cx, dict.fromkeys(edges, "1/2"))]
+    for key, value in BAD_ENTRIES:
+        cases.append((cx, {**dict.fromkeys(edges, ONE), edges[0] if key is None else key: value}))
+    return cases
+
+
 def test_one_pass_matches_fraction_reference_on_any_spelling():
     """``_field_and_symmetric`` gives the reference's field and symmetric
     parts over the lcm of the rate denominators, for int, string and
@@ -857,21 +903,10 @@ def test_one_pass_matches_fraction_reference_on_any_spelling():
     seen = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.data())
-    def agree(data):
-        draw = data.draw
-        cx = draw(st.sampled_from((TwoComplex.torus2(3), TwoComplex.torus2(4, 3))))
-        rates = {}
-        for e in oriented_edges(cx):
-            if draw(st.booleans()):
-                rates[e] = _value_spelling(draw, draw(st.integers(0, 9)), draw(st.integers(1, 6)))
-        for _ in range(draw(st.integers(0, 2))):
-            key, value = draw(st.sampled_from(BAD_ENTRIES))
-            if key is None:
-                key = draw(st.sampled_from(oriented_edges(cx)))
-            entries = list(rates.items())
-            entries.insert(draw(st.integers(0, len(entries))), (key, value))
-            rates = dict(entries)
+    @given(spelled_rates())
+    @with_examples(spelling_examples())
+    def agree(case):
+        cx, rates = case
         try:
             phi, s = reference_field_and_symmetric(rates, cx)
         except Exception:

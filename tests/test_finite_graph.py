@@ -1,8 +1,9 @@
 import sys
+import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cycledec import io as fio
 from cycledec.errors import NotBalanced, NotBistochastic
@@ -22,7 +23,7 @@ from cycledec.finite_graph import (
 from cycledec.ratio import ONE, ZERO, Rat
 
 from conftest import rand_pos_rat
-from oracles import permutation_to_cycles
+from oracles import permutation_to_cycles, reference_augment, reference_birkhoff_decompose
 
 # fixed example sequence and no example database, so every run is the same
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -439,6 +440,24 @@ class TestBirkhoff:
         with pytest.raises(NotBistochastic):
             birkhoff_decompose(graph([("a", "b", 1), ("b", "a", Rat(1, 2))]))
 
+    def test_sparse_split_takes_space_linear_in_the_entries(self):
+        # a cyclic shift on 5000 vertices has 5000 entries; a table of all
+        # n * n cells would take about 200 MB, the split takes about 2 MB
+        n = 5000
+        shift = {(i, (i + 1) % n): ONE for i in range(n)}
+        g = WeightedDigraph(tuple(range(n)), shift)
+        spoiled = WeightedDigraph(tuple(range(n)), {**shift, (0, 1): Rat(1, 2)})
+        tracemalloc.start()
+        try:
+            terms = birkhoff_decompose(g)
+            with pytest.raises(NotBistochastic):
+                birkhoff_decompose(spoiled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert terms == [({u: v for u, v in shift}, ONE)]
+        assert peak < 20_000_000
+
     def test_random_convex_combinations(self, rng):
         for _ in range(20):
             n = rng.randrange(2, 8)
@@ -499,30 +518,96 @@ def test_birkhoff_matches_resorting_reference(g):
     assert len(reference_birkhoff(g)) <= bound
 
 
-def augmented_matching(rows, adjacency):
-    """Grow a matching from empty, one augmenting-path search per row."""
-    match_row, match_col = {}, {}
-    for r in rows:
-        before = dict(match_row)
-        if not _augment(r, adjacency, match_row, match_col):
+def mixture(vertices, perms, coeffs, spoil=ZERO):
+    """The mixture of the permutations ``perms`` of ``vertices`` with the
+    weights ``coeffs`` over their total, plus ``spoil`` on the first
+    entry of the first permutation."""
+    total = sum(coeffs, ZERO)
+    weights = {(vertices[0], perms[0][0]): spoil}
+    for pi, coeff in zip(perms, coeffs):
+        for u, v in zip(vertices, pi):
+            weights[(u, v)] = weights.get((u, v), ZERO) + coeff / total
+    return WeightedDigraph(tuple(vertices), weights, allow_self_loops=True)
+
+
+@st.composite
+def labelled_permutation_mixtures(draw):
+    """Permutation mixtures on int labels or on strings whose sorted order
+    is not numeric ("v10" < "v2"), n = 1 to 12.  Fixed points are
+    self-loops, permutations drawn from a small pool repeat and tie their
+    entries, and one case in five is spoiled, so a row sums to more than
+    one."""
+    n = draw(st.integers(1, 12))
+    vertices = draw(st.sampled_from([list(range(n)), [f"v{i}" for i in range(n)]]))
+    pool = draw(st.lists(st.permutations(vertices), min_size=1, max_size=4))
+    perms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    coeffs = [Rat(draw(st.integers(1, 6)), draw(st.integers(1, 6))) for _ in perms]
+    spoil = Rat(1, 7) if draw(st.integers(0, 4)) == 0 else ZERO
+    return mixture(vertices, perms, coeffs, spoil)
+
+
+def split_outcome(split, g):
+    """The terms as plain data, dict key order included, or the error."""
+    try:
+        terms = split(g)
+    except NotBistochastic as exc:
+        return NotBistochastic, str(exc)
+    return [(list(pi.items()), type(w), str(w)) for pi, w in terms]
+
+
+STRINGS = [f"v{i}" for i in range(12)]
+
+
+@EXAMPLES
+@given(labelled_permutation_mixtures())
+@example(mixture([0], [[0]], [ONE]))
+@example(mixture(["v0"], [["v0"]], [ONE], spoil=ONE))
+@example(WeightedDigraph(("a", "b"), {("a", "a"): ONE, ("b", "a"): ONE}, allow_self_loops=True))
+@example(mixture(STRINGS, [STRINGS[::-1], STRINGS, STRINGS[1:] + STRINGS[:1]], [ONE] * 3))
+@example(mixture(list(range(12)), [list(range(11, -1, -1)), list(range(12))] * 2, [ONE, 2, ONE, 2]))
+def test_birkhoff_on_ids_matches_the_label_reference(g):
+    assert split_outcome(birkhoff_decompose, g) == split_outcome(reference_birkhoff_decompose, g)
+
+
+def augmented_matching(rows, adjacency, n_cols):
+    """Grow a matching from empty, one augmenting-path search per row.
+
+    ``rows`` orders the row ids ``0..len(rows)-1`` and ``adjacency[r]``
+    lists the column ids of row ``r``.
+    """
+    match_row, match_col = [-1] * len(rows), [-1] * n_cols
+    seen = [-1] * len(rows)
+    for stamp, r in enumerate(rows):
+        before = list(match_row)
+        if not _augment(r, adjacency, match_row, match_col, seen, stamp):
             assert match_row == before
-    assert match_col == {c: r for r, c in match_row.items()}
-    return match_row
+    inverse = [-1] * n_cols
+    for r, c in enumerate(match_row):
+        if c >= 0:
+            inverse[c] = r
+    assert match_col == inverse
+    return {r: c for r, c in enumerate(match_row) if c >= 0}
 
 
 @EXAMPLES
 @given(st.integers(1, 7), st.integers(1, 7), st.data())
 def test_augmenting_paths_match_the_hopcroft_karp_reference(n_rows, n_cols, data):
     rows = data.draw(st.permutations(range(n_rows)))
-    cols = [f"c{j}" for j in range(n_cols)]
-    adjacency = {
+    cols = range(n_cols)
+    drawn = {
         r: data.draw(st.lists(st.sampled_from(cols), unique=True, max_size=n_cols))
         for r in rows
     }
-    matching = augmented_matching(rows, adjacency)
+    adjacency = [drawn[r] for r in range(n_rows)]
+    matching = augmented_matching(rows, adjacency, n_cols)
     assert all(c in adjacency[r] for r, c in matching.items())
     assert len(set(matching.values())) == len(matching)
     assert len(matching) == len(reference_hopcroft_karp(rows, cols, adjacency))
+    # and the very matching of the same search on labels
+    match_row, match_col = {}, {}
+    for r in rows:
+        reference_augment(r, adjacency, match_row, match_col)
+    assert matching == match_row
 
 
 def test_augmenting_path_deeper_than_recursion_limit():
@@ -531,8 +616,8 @@ def test_augmenting_path_deeper_than_recursion_limit():
     # every row
     n = sys.getrecursionlimit() + 4000
     rows = list(range(n - 1, -1, -1))
-    adjacency = {r: [r - 1, r] if r else [0] for r in rows}
-    assert augmented_matching(rows, adjacency) == {r: r for r in rows}
+    adjacency = [[r - 1, r] if r else [0] for r in range(n)]
+    assert augmented_matching(rows, adjacency, n) == {r: r for r in rows}
 
 
 @st.composite

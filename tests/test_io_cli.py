@@ -801,6 +801,18 @@ class TestCliOther:
         out = capsys.readouterr().out
         assert out.endswith("\ndiameter-bound unavailable: complex has no faces\n")
 
+    def test_elementary_diameter_fault_is_not_unavailable(self, workdir, monkeypatch, capsys):
+        # a ValueError raised inside the bound is a fault, not a refusal
+        def faulty(rates, complex):
+            raise ValueError("fault inside the bound")
+
+        monkeypatch.setattr(cli.el, "sufficient_diameter_bound", faulty)
+        field, _ = discretize_potential(band_potential(), 10)
+        path = write(workdir / "f.field", fio.format_field(field))
+        with pytest.raises(ValueError, match="fault inside the bound"):
+            run_cli(["elementary", path, "--diameter"])
+        assert "unavailable" not in capsys.readouterr().out
+
     def test_elementary_output_equals_decompose(self, workdir, monkeypatch, capsys):
         surface = ["samples/klein_rates.wg", "--surface", "samples/klein.surf"]
         monkeypatch.chdir(SAMPLES.parent)
