@@ -30,7 +30,7 @@ from .lattice import (
     decompose_lattice,
     is_balanced,
 )
-from .ratio import ZERO, parse_rat, rat_str
+from .ratio import ZERO, Rat, parse_rat, rat_str
 
 
 # argparse type converters: a bad value exits 2 with a usage message
@@ -487,6 +487,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _violators_detail(violators) -> str:
+    """The violators of a :class:`NotBalanced` in the file spelling: a
+    lattice mean, the one violator made of rationals, as `` mean=1/2 0/1``,
+    vertices as `` violators=b,c``."""
+    if not violators:
+        return ""
+    first = violators[0]
+    if isinstance(first, tuple) and all(type(c) is Rat for c in first):
+        return " mean=" + " ".join(map(rat_str, first))
+    return " violators=" + ",".join(map(fio.vertex_label, violators))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -496,8 +508,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NotBalanced as exc:
-        detail = f" violators={exc.violators}" if exc.violators else ""
-        print(f"negative verdict: {exc}{detail}", file=sys.stderr)
+        print(f"negative verdict: {exc}{_violators_detail(exc.violators)}", file=sys.stderr)
         return 1
     except CycleDecError as exc:
         print(f"negative verdict: {exc}", file=sys.stderr)

@@ -32,11 +32,13 @@ right after a degenerate pivot, when the least index with a positive
 price does (Bland 1977), so that the simplex cannot cycle.  That state
 lives across the rounds of a Caratheodory decomposition: killed points
 leave the problem and the simplex pivots back to a vertex of what is
-left, without a rebuild, in about one pivot per round.
-:func:`barycentric_vertex` is its first vertex.  A basic feasible solution
-of the barycentric system is exactly a set of affinely independent points
-carrying the target in the relative interior of their simplex, which is
-what the constructive Caratheodory step requires.
+left, without a rebuild, in about one pivot per round.  Each vertex
+comes out as integer numerators over the determinant of its basis, so a
+caller that clears denominators never meets a ``Rat``;
+:func:`barycentric_vertex` is the first vertex, as rationals.  A basic
+feasible solution of the barycentric system is exactly a set of affinely
+independent points carrying the target in the relative interior of their
+simplex, which is what the constructive Caratheodory step requires.
 """
 from __future__ import annotations
 
@@ -300,8 +302,8 @@ def barycentric_vertex(points, target) -> dict:
         return {first_index[tgt]: ONE}
 
     unique = sorted(first_index)
-    vertex = next(barycentric_rounds(unique, tgt))
-    return dict(sorted((first_index[unique[j]], c) for j, c in vertex.items()))
+    den, vertex = next(barycentric_rounds(unique, tgt))
+    return dict(sorted((first_index[unique[j]], Rat(n, den)) for j, n in vertex.items()))
 
 
 def barycentric_rounds(points, target):
@@ -310,11 +312,13 @@ def barycentric_rounds(points, target):
 
     ``points`` are distinct integer tuples and ``target`` an integer tuple
     of the same length ``d``.  The generator yields a vertex as
-    ``{index: Rat}`` over its positive coordinates, sorted by index, and
-    then receives (through ``send``) the indices of the points killed since;
-    it may be sent ``None`` or an empty list.  Killed points never enter
-    the basis again.  Raises :class:`Infeasible` when ``target`` is outside
-    the convex hull of the live points.
+    ``(D, {index: numerator})``, the coordinate of point ``index`` being
+    ``numerator / D``: ``D`` is positive, the map holds the positive
+    coordinates only, sorted by index, as ints summing to ``D``, and no
+    fraction is reduced.  It then receives (through ``send``) the indices
+    of the points killed since; it may be sent ``None`` or an empty list.
+    Killed points never enter the basis again.  Raises :class:`Infeasible`
+    when ``target`` is outside the convex hull of the live points.
 
     The ``m = d + 1`` basic columns ``B`` are kept as their adjugate ``M``
     over ``D = det B``, with ``M b`` as an extra last column.  Entering
@@ -395,7 +399,7 @@ def barycentric_rounds(points, target):
             basis[leave] = enter
             degenerate = not best_b
 
-        vertex = sorted((j, Rat(M[i][m], D)) for i, j in enumerate(basis) if j < n and M[i][m])
-        for j in (yield dict(vertex)) or ():
+        vertex = sorted((j, M[i][m]) for i, j in enumerate(basis) if j < n and M[i][m])
+        for j in (yield D, dict(vertex)) or ():
             killed.add(j)
             live.pop(j, None)

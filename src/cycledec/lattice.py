@@ -5,14 +5,16 @@ moment vanishes (finite support makes it integrable, where balancedness and
 mean zero coincide).  Balanced measures split into a nonnegative
 superposition of empirical measures of cycle classes; the splitting is
 constructive and exact: each round extracts a vertex of the barycentric
-polytope over the current support, converts its coefficients into integer
-multiplicities via their lcm, and peels off as much mass as nonnegativity
-allows.  Every round kills at least one non-origin atom, so at most
-``|support|`` rounds run.  The vertices come from one warm-started simplex,
-:func:`~cycledec.exact_lp.barycentric_rounds`, started once per
+polytope over the current support, takes its integer multiplicities (the
+coefficients cleared over their lcm), and peels off as much mass as
+nonnegativity allows.  Every round kills at least one non-origin atom, so
+at most ``|support|`` rounds run.  The vertices come from one warm-started
+simplex, :func:`~cycledec.exact_lp.barycentric_rounds`, started once per
 decomposition; it is told the killed atoms and pivots from the last
-vertex to the next.  The masses are integer numerators over one scale
-throughout, and rationals appear only in the emitted weights.
+vertex to the next.  It yields each vertex as integer numerators over one
+determinant, and the masses are integer numerators over one scale, so a
+round stays on ints from the engine to the emitted class; rationals
+appear only in the emitted weights.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from itertools import product
+from operator import mul
 
 from .errors import (
     Infeasible,
@@ -41,7 +44,7 @@ SUPPORT_LIMIT = 4096
 
 
 def _point(p) -> tuple:
-    return tuple(int(c) for c in p)
+    return tuple(map(int, p))
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,9 @@ class LatticeMeasure:
             if len(point) != self.dimension:
                 raise ValueError(f"point {point} is not {self.dimension}-dimensional")
             mass = to_rat(mass)
-            if mass < 0:
+            if mass.numerator < 0:
                 raise ValueError(f"negative mass at {point}")
-            if mass > 0:
+            if mass.numerator:
                 if point in cleaned:
                     raise ValueError(f"duplicate atom at {point}")
                 cleaned[point] = mass
@@ -121,6 +124,13 @@ class LatticeCycleClass:
             raise ValueError("zero displacement only allowed as the trivial class")
         object.__setattr__(self, "entries", cleaned)
 
+    @classmethod
+    def _exact(cls, entries: dict):
+        """Wrap entries already known to form a class, uncoerced and unchecked."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     @property
     def dimension(self) -> int:
         return len(next(iter(self.entries)))
@@ -169,7 +179,7 @@ def class_sum(terms) -> dict:
     acc: dict = {}
     for (cls, weight), den in zip(terms, dens):
         n = weight.numerator * (scale // den)
-        for vec, mult in cls.items():
+        for vec, mult in cls.entries.items():
             acc[vec] = acc.get(vec, 0) + n * mult
     return {x: Rat(m, scale) for x, m in acc.items() if m}
 
@@ -226,12 +236,7 @@ def irreducible_class(points) -> LatticeCycleClass:
         raise ZeroNotInterior("origin not in the convex hull of the points")
     if len(vertex) < len(pts):
         raise ZeroNotInterior("origin not in the relative interior of the hull")
-    return _lcm_class({pts[j]: c for j, c in vertex.items()})
-
-
-def _lcm_class(mu: dict) -> LatticeCycleClass:
-    """Barycentric coefficients cleared to integer multiplicities ``lcm * mu``."""
-    return LatticeCycleClass(scaled(mu)[1])
+    return LatticeCycleClass(scaled({pts[j]: c for j, c in vertex.items()})[1])
 
 
 def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND) -> bool:
@@ -270,13 +275,17 @@ def _rounds(scale: int, residual: dict, origin: tuple):
     ``residual`` maps the non-origin points of a balanced measure to their
     positive masses times ``scale``, as ints, and is drained in place.  One
     :func:`barycentric_rounds` engine over the sorted support gives each
-    round's vertex ``mu``; the round weighs its class ``n`` by
-    ``min residual(w) / mu(w)``, found by cross-multiplying ``residual(w)``
-    and ``n(w)``, and subtracts it, and the atoms it empties are deleted
-    and reported to the engine as killed.  When the subtraction is not a
-    whole multiple of ``1 / scale``, every mass and the scale are first
-    multiplied by the missing factor.  The residual stays nonnegative and
-    balanced.
+    round's vertex ``mu`` as numerators ``a(w)`` over ``D``.  Its class is
+    ``n(w) = a(w) / gcd(a)``, the coefficients cleared over their lcm: the
+    ``a(w)`` sum to ``D``, so ``gcd(a)`` divides ``D``.  The class is
+    checked on its ints (positive multiplicities, zero weighted sum), and
+    a failure is an engine fault, raised as ``AssertionError``.  The round
+    weighs the class by ``min residual(w) / mu(w)``, found by
+    cross-multiplying ``residual(w)`` and ``n(w)``, and subtracts it, and
+    the atoms it empties are deleted and reported to the engine as killed.
+    When the subtraction is not a whole multiple of ``1 / scale``, every
+    mass and the scale are first multiplied by the missing factor.  The
+    residual stays nonnegative and balanced.
     """
     points = sorted(residual)
     index = {x: j for j, x in enumerate(points)}
@@ -284,11 +293,15 @@ def _rounds(scale: int, residual: dict, origin: tuple):
     killed = None
     while residual:
         try:
-            mu = engine.send(killed)
+            den, mu = engine.send(killed)
         except Infeasible as exc:  # impossible for a balanced residual
             raise AssertionError("balanced measure with origin outside hull") from exc
-        cls = _lcm_class({points[j]: c for j, c in mu.items()})
-        mults = cls.entries
+        g = gcd(*mu.values()) or 1  # 0 only on a faulty all-zero vertex
+        mults = {points[j]: a // g for j, a in mu.items()}
+        ns = mults.values()
+        if not mults or min(ns) <= 0 or any(sum(map(mul, ns, axis)) for axis in zip(*mults)):
+            raise AssertionError(f"engine vertex {mu} over {den} is not a cycle class")
+        cls = LatticeCycleClass._exact(mults)
         # the class weight is (least residual(w) / n(w)) / scale * sum(n);
         # the search starts from 1 / 0, above every ratio
         low, n_low = 1, 0

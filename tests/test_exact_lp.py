@@ -206,17 +206,18 @@ def test_rounds_give_a_vertex_of_the_live_points_after_every_kill(case, data):
     killed = None
     while live:
         try:
-            vertex = engine.send(killed)
+            den, vertex = engine.send(killed)
         except Infeasible:
             with pytest.raises(Infeasible):
                 reference_barycentric([unique[j] for j in sorted(live)], target)
             return
+        assert type(den) is int and den > 0
         assert list(vertex) == sorted(vertex) and set(vertex) <= live
-        assert all(type(c) is Rat and c > 0 for c in vertex.values())
-        assert sum(vertex.values()) == ONE
+        assert all(type(n) is int and n > 0 for n in vertex.values())
+        assert sum(vertex.values()) == den
         support = [unique[j] for j in vertex]
-        combination = [sum(c * p[i] for p, c in zip(support, vertex.values())) for i in range(len(target))]
-        assert combination == list(target)
+        combination = [sum(n * p[i] for p, n in zip(support, vertex.values())) for i in range(len(target))]
+        assert combination == [den * c for c in target]
         diffs = [[a - b for a, b in zip(p, support[0])] for p in support[1:]]
         assert not diffs or exact_rank(diffs) == len(diffs)
         # kill one or two live points, on the vertex or off it
@@ -264,7 +265,10 @@ def test_rounds_equal_fraction_reference_after_every_kill(case, data):
             with pytest.raises(Infeasible):
                 engine.send(killed)
             return
-        assert list(engine.send(killed).items()) == list(expected.items())
+        den, vertex = engine.send(killed)
+        assert den > 0 and all(type(n) is int and n > 0 for n in vertex.values())
+        assert sum(vertex.values()) == den
+        assert [(j, Rat(n, den)) for j, n in vertex.items()] == list(expected.items())
         # kill one or two live points, on the vertex or off it
         killed = data.draw(st.lists(st.sampled_from(sorted(live)), min_size=1, max_size=2, unique=True))
         live -= set(killed)

@@ -662,6 +662,25 @@ class TestCliDecompose:
         assert run_cli(["decompose", "--mode", "lattice", path]) == 1
         assert "negative verdict" in capsys.readouterr().err
 
+    def test_unbalanced_lattice_reports_its_mean_in_the_file_spelling(self, workdir, capsys):
+        path = write(workdir / "p.msr", "1 0 1/2\n0 0 1/2\n")
+        assert run_cli(["decompose", "--mode", "lattice", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "negative verdict: measure has nonzero mean mean=1/2 0/1\n"
+
+    def test_unbalanced_graph_reports_its_violators_as_labels(self, workdir, capsys):
+        path = write(workdir / "u.wg", "digraph u\na b 1/1\nb c 2/1\nc a 1/1\n")
+        assert run_cli(["decompose", "--mode", "graph", path]) == 1
+        assert capsys.readouterr().err == (
+            "negative verdict: in-weight differs from out-weight violators=b,c\n"
+        )
+
+    def test_nonconstant_1d_field_reports_its_violators_as_labels(self, workdir, capsys):
+        path = write(workdir / "c.wg", "digraph c\n0 1 2/1\n1 2 1/1\n2 0 1/1\n")
+        assert run_cli(["decompose", "--mode", "1d", path, "--torus", "3"]) == 1
+        assert capsys.readouterr().err == "negative verdict: field is not constant violators=0,1\n"
+
     def test_lattice_support_above_the_limit_exit_two(self, workdir, capsys):
         lines = [f"{x} {y} 1/1\n" for i in range(2049) for x, y in ((i, 1), (-i, -1))]
         path = write(workdir / "big.msr", "".join(lines))

@@ -17,7 +17,7 @@ from cycledec.errors import (
     TooLarge,
     ZeroNotInterior,
 )
-from cycledec.exact_lp import barycentric_vertex, exact_rank
+from cycledec.exact_lp import barycentric_rounds, barycentric_vertex, exact_rank
 from cycledec.lattice import (
     HeavyTailOracle1D,
     LatticeCycleClass,
@@ -456,6 +456,56 @@ def test_rounds_match_rebuild_every_round_reference(p, data):
         for cls, _ in classes
     ]
     assert class_sum(signed) == reference_class_sum(signed)
+
+
+def recording(vertices):
+    """``barycentric_rounds`` that appends ``(points, D, vertex)`` per vertex."""
+
+    def engine(points, target):
+        rounds = barycentric_rounds(points, target)
+        killed = None
+        while True:
+            den, vertex = rounds.send(killed)
+            vertices.append((points, den, dict(vertex)))
+            killed = yield den, vertex
+
+    return engine
+
+
+@EXAMPLES
+@given(balanced_measures())
+def test_round_class_is_the_lcm_class_of_its_engine_vertex(p):
+    scale, atoms = scaled(p.atoms)
+    residual = {x: m for x, m in atoms.items() if any(x)}
+    vertices = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lat, "barycentric_rounds", recording(vertices))
+        classes = [cls for cls, _ in _rounds(scale, residual, p.origin())]
+    assert len(classes) == len(vertices)
+    for cls, (points, den, vertex) in zip(classes, vertices):
+        expected = LatticeCycleClass(scaled({points[j]: Rat(n, den) for j, n in vertex.items()})[1])
+        assert cls == expected and cls.items() == expected.items()
+        assert all(type(n) is int for n in cls.entries.values())
+        assert all(type(c) is int for v in cls.entries for c in v)
+
+
+@pytest.mark.parametrize(
+    "vertex",
+    [
+        (2, {0: 1, 1: 1}),  # (-1, 0) + (0, -1) is not zero
+        (-2, {0: -1, 3: -1}),  # zero sum, negative multiplicities
+        (2, {0: 0, 3: 0}),  # zero multiplicities
+        (1, {}),  # no displacement at all
+    ],
+)
+def test_rounds_refuse_an_engine_vertex_that_is_not_a_cycle_class(monkeypatch, vertex):
+    def faulty(points, target):
+        yield vertex
+
+    monkeypatch.setattr(lat, "barycentric_rounds", faulty)
+    p = measure(2, {(1, 0): ONE, (-1, 0): ONE, (0, 1): ONE, (0, -1): ONE})
+    with pytest.raises(AssertionError, match="is not a cycle class"):
+        decompose_lattice(p)
 
 
 @pytest.mark.parametrize("sample", ["walk2d.msr", "heavy_tail.msr"])
