@@ -348,7 +348,7 @@ class VectorField(_Valued):
         values = [None] * complex.n_edges
         for (u, v), value in mapping.items():
             eid, sign = complex.edge_id(u, v)
-            value = to_rat(value) * sign
+            value = to_rat(value) if sign > 0 else -to_rat(value)
             if values[eid] is None:
                 values[eid] = value
             elif values[eid] != value:

@@ -6,7 +6,10 @@ identical inputs give byte-identical files.  Readers raise
 
 Files repeat their tokens heavily, so each distinct token is parsed or
 written once per file: every reader, writer and reconstruction keeps a
-local ``{token: value}`` dict that lives as long as its call.
+local ``{token: value}`` dict that lives as long as its call.  Checks run
+once per distinct item too: the graph readers find a duplicate edge by
+size and locate it only when there is one, and reconstruction on a
+complex runs on vertex ids, testing each distinct oriented step once.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from math import lcm, prod
 
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
-from .lattice import LatticeCycleClass, LatticeDecomposition, LatticeMeasure, class_sum
+from .lattice import (
+    LatticeCycleClass, LatticeDecomposition, LatticeMeasure, _class_error, class_sum,
+)
 from .finite_graph import GraphDecomposition, canonical_cycle, cycle_edges, edge_sum
-from .ratio import ZERO, parse_rat, rat_decimal, rat_str, to_rat
+from .ratio import ZERO, Rat, parse_rat, rat_decimal, rat_str, to_rat
 
 
 def _content_lines(text: str):
@@ -103,7 +108,13 @@ def parse_graph(text: str, path="<graph>"):
 
 def _parse_graph(text: str, path):
     """``parse_graph`` plus the line number of each edge, in the order of
-    the weights."""
+    the weights.
+
+    A repeated edge is found by size: the weights then hold fewer edges
+    than there are edge lines.  Its line is located by a second scan, run
+    only when the sizes differ or another error is about to be raised, so
+    the first faulty line is still the one named.
+    """
     name = None
     weights = {}
     values = {}
@@ -116,23 +127,43 @@ def _parse_graph(text: str, path):
             name = tokens[1]
             continue
         if len(tokens) != 3:
+            if len(weights) != len(lines):
+                _raise_duplicate_edge(text, path)
             raise InputFormatError(path, line_no, "expected: <u> <v> <num/den>")
         key = tokens[0], tokens[1]
-        if key in weights:
-            raise InputFormatError(path, line_no, f"duplicate edge {key[0]} {key[1]}")
         # a token seen before in this file was parsed and passed the sign check
         weight = values.get(tokens[2])
         if weight is None:
-            weight = _parse_value(tokens[2], path, line_no, values)
-            if weight.numerator < 0:
-                raise InputFormatError(
-                    path, line_no, f"negative weight {tokens[2]} on {key[0]} {key[1]}"
-                )
+            try:
+                weight = _parse_value(tokens[2], path, line_no, values)
+                if weight.numerator < 0:
+                    raise InputFormatError(
+                        path, line_no, f"negative weight {tokens[2]} on {key[0]} {key[1]}"
+                    )
+            except InputFormatError:
+                if len(weights) != len(lines) or key in weights:
+                    _raise_duplicate_edge(text, path)
+                raise
         weights[key] = weight
         lines.append(line_no)
     if name is None:
         raise InputFormatError(path, 0, "missing digraph header")
+    if len(weights) != len(lines):
+        _raise_duplicate_edge(text, path)
     return name, weights, lines
+
+
+def _raise_duplicate_edge(text: str, path):
+    """Raise the error of the first edge line that repeats an earlier edge;
+    the lines before it are known to be well formed."""
+    seen = set()
+    content = _content_lines(text)
+    next(content)  # the header
+    for line_no, line in content:
+        key = tuple(line.split()[:2])
+        if key in seen:
+            raise InputFormatError(path, line_no, f"duplicate edge {key[0]} {key[1]}")
+        seen.add(key)
 
 
 def format_graph(name: str, weights: dict, decimals=None) -> str:
@@ -154,11 +185,13 @@ def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
 
     ``lines`` (as from :func:`read_graph`) names the line of a bad edge in
     the error; without it the error says line 0.  The order of ``weights``
-    is kept, and two labels of one point make a duplicate edge.
+    is kept, and two labels of one point make a duplicate edge, found by
+    size and located only when the sizes differ or another error is about
+    to be raised.
     """
     points = {}  # each distinct label is converted once
     out = {}
-    for k, ((u, v), w) in enumerate(weights.items()):
+    for (u, v), w in weights.items():
         a = points.get(u)
         b = points.get(v)
         if a is None or b is None:
@@ -168,18 +201,31 @@ def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
                 if b is None:
                     b = points[v] = tuple(map(int, v.split(",")))
             except ValueError:
+                k = list(weights).index((u, v))
+                if len(out) != k:
+                    _raise_duplicate_point_edge(weights, points, path, lines)
                 raise InputFormatError(
                     path, lines[k] if lines else 0, f"label {u!r} or {v!r} is not coordinates"
                 )
-        edge = a, b
-        if edge in out:
-            raise InputFormatError(path, lines[k] if lines else 0, f"duplicate edge {u} {v}")
-        out[edge] = w
+        out[a, b] = w
+    if len(out) != len(weights):
+        _raise_duplicate_point_edge(weights, points, path, lines)
     return out
 
 
+def _raise_duplicate_point_edge(weights, points, path, lines):
+    """Raise the error of the first edge whose two points an earlier edge
+    joins; the labels before it are in ``points``."""
+    seen = set()
+    for k, (u, v) in enumerate(weights):
+        edge = points[u], points[v]
+        if edge in seen:
+            raise InputFormatError(path, lines[k] if lines else 0, f"duplicate edge {u} {v}")
+        seen.add(edge)
+
+
 def coords_label(point) -> str:
-    return ",".join(str(c) for c in point)
+    return ",".join(map(str, point))
 
 
 def vertex_label(v) -> str:
@@ -485,7 +531,11 @@ def parse_decomposition(text: str, path="<decomposition>"):
                 )
             mode, source = tokens[1], tokens[2]
         elif key == "term":
-            records.append(_parse_term(tokens, path, line_no, values))
+            if len(tokens) > 2 and tokens[2] == "cycle":
+                weight = _parse_value(tokens[1], path, line_no, values)
+                records.append(("term", weight, "cycle", tokens[3:]))
+            else:
+                records.append(_parse_term(tokens, path, line_no, values))
         elif key in ("constant", "parameter", "max-parameter"):
             if len(tokens) != 2:
                 raise InputFormatError(path, line_no, f"expected: {key} <num/den>")
@@ -530,20 +580,21 @@ def _parse_term(tokens, path, line_no, values):
 
 
 def _parse_class(tokens, path, line_no) -> LatticeCycleClass:
+    """The class of ``x,y*m`` tokens, checked once on its ints."""
     entries = {}
     for token in tokens:
         coords, _, mult = token.rpartition("*")
         try:
-            vec, n = tuple(int(c) for c in coords.split(",")), int(mult)
+            vec, n = tuple(map(int, coords.split(","))), int(mult)
         except ValueError:
             raise InputFormatError(path, line_no, f"malformed class entry {token!r}")
         if vec in entries:
             raise InputFormatError(path, line_no, f"repeated displacement {token!r}")
         entries[vec] = n
-    try:
-        return LatticeCycleClass(entries)
-    except ValueError as exc:
-        raise InputFormatError(path, line_no, str(exc))
+    error = _class_error(entries)
+    if error is not None:
+        raise InputFormatError(path, line_no, error)
+    return LatticeCycleClass._exact(entries)
 
 
 def lattice_decomposition(records, path="<decomposition>") -> LatticeDecomposition:
@@ -619,33 +670,65 @@ def reconstruct_on_complex(mode, records, complex, path="<decomposition>"):
     Every term is a nonempty vertex cycle; each traversed oriented edge
     (including both directions of a 2-cycle) must exist on the complex and
     collects the term's weight.  Records of any other mode are refused.
+
+    The sum runs on vertex ids: each vertex token is mapped to its id on
+    the complex once, each oriented step ``(a, b)`` is the int key
+    ``a * n + b`` over the ``n`` vertices, and the weights add as integer
+    numerators over one common denominator.  A step is tested against the
+    complex when its key first enters the sum, so the first step that is
+    no edge, in term order, is named.  A token of a vertex not on the
+    complex gets a fresh id from ``n * n`` up, so the key of each of its
+    steps lies above the keys of the complex's steps and is tested.
     """
     if mode not in ("elementary", "1d"):
         raise InputFormatError(path, 0, f"no reconstruction rule for mode {mode!r}")
-    terms = [record[1:] for record in records if record[0] == "term"]
-    scale = lcm(*(weight.denominator for weight, _, _ in terms))
-    return edge_sum(_complex_term_edges(terms, complex, path), scale)
-
-
-def _complex_term_edges(terms, complex, path):
-    """``(edges, weight)`` per parsed cycle term, each edge on the complex."""
-    vertices = {}  # each vertex token is parsed once
+    scale = lcm(*{record[1].denominator for record in records if record[0] == "term"})
+    vertices = complex.vertices
+    vertex_index = complex.vertex_index
     index = complex.edge_index
-    for weight, kind, payload in terms:
+    n = len(vertices)
+    ids = {}  # token -> vertex id
+    extra = []  # vertices not on the complex, by id - n * n
+    acc = {}  # step key -> integer numerator over scale
+    for record in records:
+        if record[0] != "term":
+            continue
+        _, weight, kind, payload = record
         if kind != "cycle":
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
         if not payload:
             raise InputFormatError(path, 0, "cycle must be nonempty")
         cycle = []
         for token in payload:
-            vertex = vertices.get(token)
-            if vertex is None:
-                vertex = vertices[token] = _parse_vertex(token, complex, path)
-            cycle.append(vertex)
-        edges = cycle_edges(cycle)
-        for step in edges:
-            if step not in index:
-                u, v = step
-                if (v, u) not in index:
+            a = ids.get(token)
+            if a is None:
+                vertex = _parse_vertex(token, complex, path)
+                a = vertex_index.get(vertex)
+                if a is None:
+                    a = n * n + len(extra)
+                    extra.append(vertex)
+                ids[token] = a
+            cycle.append(a)
+        w = weight.numerator * (scale // weight.denominator)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            key = a * n + b
+            total = acc.get(key)
+            if total is None:
+                u = vertices[a] if a < n else extra[a - n * n]
+                v = vertices[b] if b < n else extra[b - n * n]
+                if (u, v) not in index and (v, u) not in index:
                     raise InputFormatError(path, 0, f"no edge between {u} and {v}")
-        yield edges, weight
+                acc[key] = w
+            else:
+                acc[key] = total + w
+    totals = {}  # many edges share a total; each Rat is built once
+    out = {}
+    for key, total in acc.items():
+        if total:
+            value = totals.get(total)
+            if value is None:
+                value = totals[total] = Rat(total, scale)
+            a, b = divmod(key, n)
+            out[vertices[a], vertices[b]] = value
+    return out
+

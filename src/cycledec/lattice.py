@@ -47,6 +47,29 @@ def _point(p) -> tuple:
     return tuple(map(int, p))
 
 
+def _class_error(entries: dict):
+    """Why ``{int tuple: int}`` entries form no cycle class, or None when
+    they form one; the checks run in the order :class:`LatticeCycleClass`
+    makes them."""
+    if any(mult <= 0 for mult in entries.values()):
+        return "multiplicities must be positive"
+    if not entries:
+        return "cycle class must be nonempty"
+    d = len(next(iter(entries)))
+    if any(len(vec) != d for vec in entries):
+        return "displacements of mixed dimension"
+    total = [0] * d
+    for vec, mult in entries.items():
+        for i, c in enumerate(vec):
+            total[i] += mult * c
+    if any(total):
+        return "weighted displacements must sum to zero"
+    zero = (0,) * d
+    if zero in entries and (len(entries) > 1 or entries[zero] != 1):
+        return "zero displacement only allowed as the trivial class"
+    return None
+
+
 @dataclass(frozen=True)
 class LatticeMeasure:
     """Finite-support nonnegative rational measure on Z^d.
@@ -107,21 +130,9 @@ class LatticeCycleClass:
             if vec in cleaned:
                 raise ValueError(f"duplicate displacement {vec}")
             cleaned[vec] = mult
-        if not cleaned:
-            raise ValueError("cycle class must be nonempty")
-        dims = {len(v) for v in cleaned}
-        if len(dims) != 1:
-            raise ValueError("displacements of mixed dimension")
-        d = dims.pop()
-        total = [0] * d
-        for vec, mult in cleaned.items():
-            for i, c in enumerate(vec):
-                total[i] += mult * c
-        if any(total):
-            raise ValueError("weighted displacements must sum to zero")
-        zero = (0,) * d
-        if zero in cleaned and (len(cleaned) > 1 or cleaned[zero] != 1):
-            raise ValueError("zero displacement only allowed as the trivial class")
+        error = _class_error(cleaned)
+        if error is not None:
+            raise ValueError(error)
         object.__setattr__(self, "entries", cleaned)
 
     @classmethod

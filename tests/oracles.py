@@ -46,6 +46,13 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   rows and columns: the residual in a dict keyed by label pairs, the
   matching in two dicts, the rows seen in a set, and the bistochastic
   check as a pass of its own;
+* :func:`reference_reconstruct_on_complex`, the rebuild of an elementary
+  or 1d decomposition as the library computed it before it ran on vertex
+  ids: every step of every term a tuple of vertex tuples, looked up on
+  the complex and then summed by :func:`edge_sum`;
+* :func:`reference_parse_graph`, the graph reader as it was before it
+  found duplicate edges by size: each edge line looked up for a
+  duplicate before its weight is read;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
@@ -71,6 +78,7 @@ from cycledec.complexes import (
     recover_psi,
 )
 from cycledec.errors import (
+    InputFormatError,
     NoPerfectMatching,
     NoSolution,
     NotBistochastic,
@@ -80,7 +88,8 @@ from cycledec.errors import (
     ZeroNotInterior,
 )
 from cycledec.exact_lp import _width
-from cycledec.finite_graph import GraphCycle, is_bistochastic
+from cycledec.finite_graph import GraphCycle, cycle_edges, edge_sum, is_bistochastic
+from cycledec.io import _content_lines, _parse_value
 from cycledec.lattice import LatticeCycleClass
 from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
 
@@ -595,6 +604,77 @@ def reference_birkhoff_decompose(g):
                 del match_row[u], match_col[v]
                 free.append(u)
     return terms
+
+
+def reference_reconstruct_on_complex(mode, records, complex, path="<decomposition>"):
+    """Oriented-edge weights of elementary or 1d records on ``complex``."""
+    if mode not in ("elementary", "1d"):
+        raise InputFormatError(path, 0, f"no reconstruction rule for mode {mode!r}")
+    terms = [record[1:] for record in records if record[0] == "term"]
+    scale = lcm(*(weight.denominator for weight, _, _ in terms))
+    return edge_sum(_reference_complex_term_edges(terms, complex, path), scale)
+
+
+def _reference_complex_term_edges(terms, complex, path):
+    vertices = {}
+    index = complex.edge_index
+    for weight, kind, payload in terms:
+        if kind != "cycle":
+            raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
+        if not payload:
+            raise InputFormatError(path, 0, "cycle must be nonempty")
+        cycle = []
+        for token in payload:
+            vertex = vertices.get(token)
+            if vertex is None:
+                if complex.is_torus():
+                    try:
+                        vertex = tuple(map(int, token.split(",")))
+                    except ValueError:
+                        raise InputFormatError(path, 0, f"bad coordinates {token!r}")
+                else:
+                    vertex = token
+                vertices[token] = vertex
+            cycle.append(vertex)
+        edges = cycle_edges(cycle)
+        for step in edges:
+            if step not in index:
+                u, v = step
+                if (v, u) not in index:
+                    raise InputFormatError(path, 0, f"no edge between {u} and {v}")
+        yield edges, weight
+
+
+def reference_parse_graph(text: str, path):
+    """``(name, weights, lines)`` of a graph file, checked line by line."""
+    name = None
+    weights = {}
+    values = {}
+    lines = []
+    for line_no, line in _content_lines(text):
+        tokens = line.split()
+        if name is None:
+            if tokens[0] != "digraph" or len(tokens) != 2:
+                raise InputFormatError(path, line_no, "expected header: digraph <name>")
+            name = tokens[1]
+            continue
+        if len(tokens) != 3:
+            raise InputFormatError(path, line_no, "expected: <u> <v> <num/den>")
+        key = tokens[0], tokens[1]
+        if key in weights:
+            raise InputFormatError(path, line_no, f"duplicate edge {key[0]} {key[1]}")
+        weight = values.get(tokens[2])
+        if weight is None:
+            weight = _parse_value(tokens[2], path, line_no, values)
+            if weight.numerator < 0:
+                raise InputFormatError(
+                    path, line_no, f"negative weight {tokens[2]} on {key[0]} {key[1]}"
+                )
+        weights[key] = weight
+        lines.append(line_no)
+    if name is None:
+        raise InputFormatError(path, 0, "missing digraph header")
+    return name, weights, lines
 
 
 def reference_periodic_reduction(u, period) -> Rat:

@@ -4,7 +4,7 @@ import pathlib
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cycledec import cli
 from cycledec import io as fio
@@ -12,11 +12,11 @@ from cycledec.complexes import TwoComplex, VectorField, field_to_rates, harmonic
 from cycledec.discretize import band_potential, discretize_potential
 from cycledec.errors import InputFormatError
 from cycledec.finite_graph import GraphCycle, GraphDecomposition
-from cycledec.lattice import LatticeMeasure, decompose_lattice
+from cycledec.lattice import LatticeCycleClass, LatticeMeasure, decompose_lattice
 from cycledec.ratio import ONE, ZERO, Rat, parse_rat, rat_decimal, rat_str
 
 from conftest import CUBE_FACES, cube_complex
-from oracles import oriented_edges
+from oracles import oriented_edges, reference_parse_graph, reference_reconstruct_on_complex
 
 
 class TestMeasureFormat:
@@ -96,6 +96,20 @@ class TestGraphFormat:
         with pytest.raises(InputFormatError) as info:
             fio.labels_to_coords(weights, "p.wg", lines)
         assert str(info.value) == "p.wg:4: duplicate edge 01,0 0,0"
+
+    @pytest.mark.parametrize(
+        "labels, error",
+        [
+            ([("0,1", "1,0"), ("00,1", "1,0"), ("a", "0,0")], "p.wg:3: duplicate edge 00,1 1,0"),
+            ([("0,1", "1,0"), ("a", "0,0"), ("00,1", "1,0")],
+             "p.wg:3: label 'a' or '0,0' is not coordinates"),
+        ],
+    )
+    def test_first_of_a_duplicate_and_a_bad_label_is_named(self, labels, error):
+        weights = {edge: ONE for edge in labels}
+        with pytest.raises(InputFormatError) as info:
+            fio.labels_to_coords(weights, "p.wg", [2, 3, 4])
+        assert str(info.value) == error
 
     @pytest.mark.parametrize("u, v", [("0,0", "1,a"), ("1,", "0,0"), ("0;1", "0,0"), ("", "0,0")])
     def test_bad_label_keeps_its_message(self, u, v):
@@ -357,6 +371,118 @@ def test_reconstruct_on_complex_sums_repeated_tokens_like_parse_rat(terms):
         assert str(info.value) == f"<decomposition>:0: no edge between {missing[0]} and {missing[1]}"
 
 
+def _walks(cx):
+    """Vertex-label cycles along edges of ``cx``: every edge there and
+    back, every face boundary both ways, and on a ring the whole ring."""
+    label = fio.vertex_label
+    walks = [[label(u), label(v)] for u, v in cx.edges]
+    for fid in range(cx.n_faces):
+        cycle = [label(v) for v in cx.face_cycle(fid)]
+        walks += [cycle, cycle[::-1]]
+    if cx.n_faces == 0:
+        ring = [label(u) for u, _ in cx.edges]
+        walks += [ring, ring[::-1]]
+    return walks
+
+
+# each complex with its mode, its walks, and tokens that are no vertex of
+# it or another spelling of one
+ON_COMPLEX = {
+    "torus2": ("elementary", TwoComplex.torus2(3), ["5,5", "0,x", "00,1", "+1,2", "0", "0,0,0"]),
+    "torus1": ("1d", TwoComplex.torus1(4), ["9", "x", "01", "0,0", "-1"]),
+    "cube": ("elementary", cube_complex(), ["5,5", "0,x", "0001", "zz"]),
+    "klein": ("elementary", TwoComplex.klein_grid(3, 3), ["5,5", "0,x", "00,1", "3,0"]),
+}
+
+
+def _negated(token):
+    return token[1:] if token.startswith("-") else "-" + token
+
+
+@pytest.mark.parametrize("kind", ON_COMPLEX)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_reconstruct_on_vertex_ids_matches_the_tuple_reference(kind, data):
+    """The rebuild on vertex ids returns the reference's items in the same
+    order, or the same error: unknown vertices, bad coordinates, empty
+    cycles, later faults and weights that cancel included."""
+    mode, cx, odd = ON_COMPLEX[kind]
+    walks = _walks(cx)
+    lines = [f"decomposition {mode} r", "constant 0/1"]
+    for _ in range(data.draw(st.integers(1, 8))):
+        cycle = list(data.draw(st.sampled_from(walks)))
+        fault = data.draw(st.sampled_from([None, None, None, "replace", "insert", "empty"]))
+        if fault == "empty":
+            cycle = []
+        elif fault is not None:
+            at = data.draw(st.integers(0, len(cycle) - 1))
+            token = data.draw(st.sampled_from(odd))
+            if fault == "replace":
+                cycle[at] = token
+            else:
+                cycle.insert(at, token)
+        weight = data.draw(st.sampled_from(VALUE_TOKENS))
+        lines.append(f"term {weight} cycle " + " ".join(cycle))
+        if data.draw(st.booleans()):
+            lines.append(f"term {_negated(weight)} cycle " + " ".join(cycle))
+    _, _, records = fio.parse_decomposition("\n".join(lines) + "\n")
+    try:
+        expected = list(reference_reconstruct_on_complex(mode, records, cx, "d.dec").items())
+    except InputFormatError as exc:
+        with pytest.raises(InputFormatError) as info:
+            fio.reconstruct_on_complex(mode, records, cx, "d.dec")
+        assert str(info.value) == str(exc)
+    else:
+        assert list(fio.reconstruct_on_complex(mode, records, cx, "d.dec").items()) == expected
+
+
+GRAPH_LABELS = ["a", "b", "c", "0,0", "1,0"]
+GRAPH_WEIGHTS = ["1/2", "2/4~0.5", "3", "0/1", "5/6~0.83"]
+# per kind of graph line: how to draw it, given the edge lines before it
+GRAPH_LINES = {
+    "edge": lambda data, earlier: " ".join(data.draw(st.sampled_from(GRAPH_LABELS)) for _ in "uv")
+    + " " + data.draw(st.sampled_from(GRAPH_WEIGHTS)),
+    "duplicate": lambda data, earlier: " ".join(data.draw(st.sampled_from(earlier)).split()[:2])
+    + " " + data.draw(st.sampled_from(GRAPH_WEIGHTS)) if earlier else "",
+    "bad": lambda data, earlier: "a c " + data.draw(st.sampled_from(["x", "1/0", "1/2/3"])),
+    "negative": lambda data, earlier: "c a " + data.draw(st.sampled_from(["-1/2", "-3~-3.0"])),
+    "short": lambda data, earlier: data.draw(st.sampled_from(["a b", "a", "a b 1/2 3"])),
+    "comment": lambda data, earlier: "# note",
+    "commented edge": lambda data, earlier: "b c 1/3~0.33  # tail",
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    header=st.sampled_from(["digraph g"] * 8 + ["graph g", None]),
+    kinds=st.lists(st.sampled_from(["edge", "edge", "edge", *GRAPH_LINES]), max_size=10),
+    data=st.data(),
+)
+def test_parse_graph_names_faults_like_the_line_by_line_reference(header, kinds, data):
+    """A graph file reads as the line-by-line reference reads it, or fails
+    with the same error: duplicate edges before and after a bad token, a
+    negative weight or a short line, a missing header, comments and ``~``
+    decimals included."""
+    lines = [] if header is None else [header]
+    edges = []
+    for kind in kinds:
+        line = GRAPH_LINES[kind](data, edges)
+        if kind in ("edge", "duplicate") and line:
+            edges.append(line)
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    try:
+        expected = reference_parse_graph(text, "g.wg")
+    except InputFormatError as exc:
+        with pytest.raises(InputFormatError) as info:
+            fio._parse_graph(text, "g.wg")
+        assert str(info.value) == str(exc)
+    else:
+        name, weights, numbers = fio._parse_graph(text, "g.wg")
+        assert (name, list(weights.items()), numbers) == (
+            expected[0], list(expected[1].items()), expected[2])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.tuples(st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]), min_size=1,
@@ -372,6 +498,54 @@ def test_cycle_writer_formats_repeated_tokens_like_term_by_term(terms, decimals)
         weight = rat_str(w) + ("" if decimals is None else "~" + rat_decimal(w, decimals))
         lines.append(f"term {weight} cycle " + " ".join(fio.coords_label(v) for v in cycle))
     assert fio.format_graph_decomposition(dec, "g", decimals) == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    entries=st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(tuple),
+                               st.integers(-1, 3)), max_size=5),
+    balance=st.booleans(),
+    junk=st.one_of(st.none(), st.sampled_from(["1,x*1", "1,0", "*2", "1,0*y"])),
+)
+@example(entries=[((0, 0), 1)], balance=False, junk=None)
+@example(entries=[((0, 0), 2)], balance=False, junk=None)
+@example(entries=[((0,), 1), ((1,), 1), ((-1,), 1)], balance=False, junk=None)
+@example(entries=[((1, 0), 1), ((1,), 1)], balance=False, junk=None)
+def test_class_records_read_as_lattice_cycle_class(entries, balance, junk):
+    """A ``class`` payload reads as ``LatticeCycleClass`` of its entries, in
+    their order, or fails with the text that the class check gives."""
+    if balance and entries and len({len(vec) for vec, _ in entries}) == 1:
+        total = [sum(n * vec[i] for vec, n in entries) for i in range(len(entries[0][0]))]
+        if any(total):
+            entries = entries + [(tuple(-t for t in total), 1)]
+    tokens = [",".join(map(str, vec)) + f"*{n}" for vec, n in entries]
+    parsed = list(entries)
+    if junk is not None:
+        tokens.insert(len(tokens) // 2, junk)
+        parsed.insert(len(parsed) // 2, None)
+    seen, error = {}, None
+    for token, entry in zip(tokens, parsed):
+        if entry is None:
+            error = f"malformed class entry {token!r}"
+            break
+        if entry[0] in seen:
+            error = f"repeated displacement {token!r}"
+            break
+        seen[entry[0]] = entry[1]
+    if error is None:
+        try:
+            expected = LatticeCycleClass(seen)
+        except ValueError as exc:
+            error = str(exc)
+    text = "decomposition lattice m\nterm 1/2 class " + " ".join(tokens) + "\n"
+    if error is None:
+        cls = fio.parse_decomposition(text)[2][0][3]
+        assert cls == expected and hash(cls) == hash(expected)
+        assert list(cls.entries.items()) == list(expected.entries.items())
+    else:
+        with pytest.raises(InputFormatError) as info:
+            fio.parse_decomposition(text)
+        assert str(info.value) == f"<decomposition>:2: {error}"
 
 
 class TestLatticeDecompositionFormat:
