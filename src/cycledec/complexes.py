@@ -35,8 +35,15 @@ HODGE_VERTEX_LIMIT = 4096
 
 
 class TwoComplex:
-    def __init__(self, vertices, edges, face_edges, orientable, torus_shape=None,
-                 name="complex"):
+    """Vertices, chosen edges and faces with their signed incidences.
+
+    Only :meth:`torus1` and :meth:`torus2` set ``torus_shape``; they lay
+    out the torus so that the edge leaving vertex id ``v`` in direction
+    ``k`` has id ``d v + k`` on the ``d``-torus, and every reader of a
+    torus edge's direction takes it from that id.
+    """
+
+    def __init__(self, vertices, edges, face_edges, orientable, name="complex"):
         self.name = name
         self.vertices = list(vertices)
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
@@ -61,7 +68,7 @@ class TwoComplex:
                 self.edge_faces[eid].append((fid, sign))
         self.edge_faces = [tuple(inc) for inc in self.edge_faces]
         self.orientable = bool(orientable)
-        self.torus_shape = tuple(torus_shape) if torus_shape else None
+        self.torus_shape = None
 
     # -- constructors -------------------------------------------------
 
@@ -72,8 +79,9 @@ class TwoComplex:
             raise ValueError("torus mesh must be at least 3")
         vertices = [(i,) for i in range(n)]
         edges = [((i,), ((i + 1) % n,)) for i in range(n)]
-        return cls(vertices, edges, [], orientable=True, torus_shape=(n,),
-                   name=f"torus1[{n}]")
+        cx = cls(vertices, edges, [], orientable=True, name=f"torus1[{n}]")
+        cx.torus_shape = (n,)
+        return cx
 
     @classmethod
     def torus2(cls, n1: int, n2: int | None = None) -> "TwoComplex":
@@ -142,7 +150,7 @@ class TwoComplex:
         return cls(vertices, edges, face_edges, orientable, name=name)
 
     @classmethod
-    def klein_grid(cls, n1: int, n2: int, name=None) -> "TwoComplex":
+    def klein_grid(cls, n1: int, n2: int) -> "TwoComplex":
         """Grid cellulation of the Klein bottle (vertical wrap flipped)."""
         n1, n2 = int(n1), int(n2)
         if n1 < 3 or n2 < 3:
@@ -158,9 +166,7 @@ class TwoComplex:
             for j in range(n2):
                 corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
                 faces.append([ident(a, b) for a, b in corners])
-        return cls.from_face_cycles(
-            faces, orientable=False, name=name or f"klein[{n1}x{n2}]"
-        )
+        return cls.from_face_cycles(faces, orientable=False, name=f"klein[{n1}x{n2}]")
 
     # -- structure queries --------------------------------------------
 
@@ -202,9 +208,7 @@ class TwoComplex:
     def edge_direction(self, eid: int) -> int:
         if not self.is_torus() or self.torus_dimension() != 2:
             raise ValueError("direction only defined on the 2-d torus")
-        u, v = self.edges[eid]
-        n1, n2 = self.torus_shape
-        return 0 if v == ((u[0] + 1) % n1, u[1]) else 1
+        return eid % 2
 
     def validate(self):
         """Check the two-cells-per-edge invariant and the orientation claim.
@@ -322,17 +326,6 @@ class _Valued:
 class ZeroForm(_Valued):
     """Rational function on the vertices."""
 
-    @classmethod
-    def zero(cls, complex):
-        return cls(complex, [ZERO] * complex.n_vertices)
-
-    @classmethod
-    def from_dict(cls, complex, mapping, default=ZERO):
-        return cls(
-            complex,
-            [to_rat(mapping.get(v, default)) for v in complex.vertices],
-        )
-
 
 class VectorField(_Valued):
     """Antisymmetric edge function, stored on the chosen orientations."""
@@ -342,7 +335,7 @@ class VectorField(_Valued):
         return cls(complex, [ZERO] * complex.n_edges)
 
     @classmethod
-    def from_dict(cls, complex, mapping, default=ZERO):
+    def from_dict(cls, complex, mapping):
         """Build from oriented-edge values; opposite entries must agree
         antisymmetrically if both are present."""
         values = [None] * complex.n_edges
@@ -353,7 +346,7 @@ class VectorField(_Valued):
                 values[eid] = value
             elif values[eid] != value:
                 raise ValueError(f"conflicting values on edge {complex.edges[eid]}")
-        return cls(complex, [v if v is not None else default for v in values])
+        return cls(complex, [v if v is not None else ZERO for v in values])
 
     def inner(self, other) -> Rat:
         self._check(other)
@@ -424,15 +417,12 @@ def coboundary1(phi: VectorField) -> TwoChain:
 
 
 def harmonic_basis(complex: TwoComplex):
-    """The two constant direction fields spanning the 2-torus harmonics."""
-    fields = []
-    for direction in (0, 1):
-        values = [
-            ONE if complex.edge_direction(eid) == direction else ZERO
-            for eid in range(complex.n_edges)
-        ]
-        fields.append(VectorField(complex, values))
-    return fields
+    """The two constant direction fields spanning the 2-torus harmonics:
+    ones on the even edge ids, then ones on the odd ones."""
+    if not (complex.is_torus() and complex.torus_dimension() == 2):
+        raise ValueError("direction only defined on the 2-d torus")
+    n = complex.n_vertices
+    return [VectorField(complex, [ONE, ZERO] * n), VectorField(complex, [ZERO, ONE] * n)]
 
 
 def recover_psi(phi: VectorField) -> TwoChain:
@@ -543,22 +533,19 @@ def hodge_decompose(phi: VectorField) -> HodgeParts:
     numerators, den = _dixon_solve(rows, [-d for d in div[1:]])
     potential = [0, *numerators]
 
-    directions = [cx.edge_direction(eid) for eid in range(cx.n_edges)]
-    counts = [directions.count(0), directions.count(1)]
-    sums = [0, 0]
-    for d, value in zip(directions, field):
-        sums[d] += value
-    coefficients = tuple(Rat(total, scale * count) for total, count in zip(sums, counts))
+    # edge 2v + k points in direction k, so each direction has n edges
+    sums = [sum(field[0::2]), sum(field[1::2])]
+    coefficients = tuple(Rat(total, scale * n) for total in sums)
     # every part as integer numerators over one denominator
-    common = scale * lcm(den, *counts)
+    common = scale * lcm(den, n)
     per_field, per_potential = common // scale, common // (scale * den)
-    per_harmonic = [total * common // (scale * count) for total, count in zip(sums, counts)]
+    per_harmonic = [total * common // (scale * n) for total in sums]
     gradient, homologous = [], []
-    for (iu, iv), d, value in zip(ends, directions, field):
+    for (iu, iv), value, h in zip(ends, field, per_harmonic * n):
         g = (potential[iv] - potential[iu]) * per_potential
         gradient.append(Rat(g, common))
-        homologous.append(Rat(value * per_field - g - per_harmonic[d], common))
-    harmonic = [coefficients[d] for d in directions]
+        homologous.append(Rat(value * per_field - g - h, common))
+    harmonic = list(coefficients) * n
     gradient, homologous, harmonic = (
         VectorField._exact(cx, part) for part in (gradient, homologous, harmonic)
     )

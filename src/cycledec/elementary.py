@@ -69,8 +69,6 @@ def _spans(psi: TwoChain, complex: TwoComplex) -> list:
         if not incidences:
             out.append(None)
             continue
-        if len(incidences) != 2:
-            raise ValueError("edge incidences must come in pairs")
         (f1, s1), (f2, s2) = incidences
         a, b = values[f1], values[f2]
         out.append((a, b, s1 != s2) if a <= b else (b, a, s1 != s2))

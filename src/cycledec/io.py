@@ -244,10 +244,11 @@ def parse_field(text: str, path="<field>"):
     """Returns ``(complex, field)``; the header fixes the torus shape.
 
     A header of more than :data:`FIELD_VERTEX_LIMIT` vertices is refused
-    before the torus is built.
+    before the torus is built.  On the ``d``-torus the record of vertex
+    id ``v`` and direction ``k`` fills edge ``d v + k - 1``.
     """
     complex = None
-    entries = {}
+    entries = {}  # edge id -> value
     values = {}
     for line_no, line in _content_lines(text):
         tokens = line.split()
@@ -287,15 +288,14 @@ def parse_field(text: str, path="<field>"):
         shape = complex.torus_shape
         if any(not 0 <= c < n for c, n in zip(point, shape)):
             raise InputFormatError(path, line_no, f"vertex {point} outside the torus")
-        head = list(point)
-        head[direction - 1] = (head[direction - 1] + 1) % shape[direction - 1]
-        key = (point, tuple(head))
-        if key in entries:
+        eid = d * complex.vertex_index[point] + direction - 1
+        if eid in entries:
             raise InputFormatError(path, line_no, f"duplicate edge {point} dir {direction}")
-        entries[key] = _parse_value(tokens[-1], path, line_no, values)
+        entries[eid] = _parse_value(tokens[-1], path, line_no, values)
     if complex is None:
         raise InputFormatError(path, 0, "missing field header")
-    return complex, VectorField.from_dict(complex, entries)
+    field = [entries.get(eid, ZERO) for eid in range(complex.n_edges)]
+    return complex, VectorField._exact(complex, field)
 
 
 def format_field(field: VectorField, decimals=None) -> str:
@@ -303,18 +303,15 @@ def format_field(field: VectorField, decimals=None) -> str:
     if not complex.is_torus():
         raise ValueError("field files are defined for torus complexes")
     shape = complex.torus_shape
+    d = len(shape)
     lines = ["field torus " + " ".join(str(n) for n in shape)]
     for eid in sorted(range(complex.n_edges), key=lambda e: complex.edges[e]):
         value = field.values[eid]
         if value == 0:
             continue
-        u, v = complex.edges[eid]
-        if complex.torus_dimension() == 1:
-            direction = 1
-        else:
-            direction = complex.edge_direction(eid) + 1
         lines.append(
-            " ".join(str(c) for c in u) + f" {direction} " + _fmt(value, decimals)
+            " ".join(str(c) for c in complex.edges[eid][0])
+            + f" {eid % d + 1} " + _fmt(value, decimals)
         )
     return "\n".join(lines) + "\n"
 

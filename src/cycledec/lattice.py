@@ -250,18 +250,18 @@ def irreducible_class(points) -> LatticeCycleClass:
     return LatticeCycleClass(scaled({pts[j]: c for j, c in vertex.items()})[1])
 
 
-def is_irreducible(cls: LatticeCycleClass, max_total: int = IRREDUCIBILITY_BOUND) -> bool:
+def is_irreducible(cls: LatticeCycleClass) -> bool:
     """No proper nonempty sub-multiset of the displacements sums to zero.
 
     The empty and the full multiset always sum to zero, so the class is
     irreducible exactly when they are the only two zero-sum sub-multisets.
     Exhaustive count, meet-in-the-middle over the two halves of the
     distinct-vector list.  Refuses classes with total multiplicity above
-    ``max_total`` (default 24) via :class:`TooLarge`.
+    :data:`IRREDUCIBILITY_BOUND` via :class:`TooLarge`.
     """
-    if cls.total_multiplicity() > max_total:
+    if cls.total_multiplicity() > IRREDUCIBILITY_BOUND:
         raise TooLarge(
-            f"total multiplicity {cls.total_multiplicity()} exceeds {max_total}"
+            f"total multiplicity {cls.total_multiplicity()} exceeds {IRREDUCIBILITY_BOUND}"
         )
     items = cls.items()
     d = cls.dimension

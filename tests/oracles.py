@@ -53,6 +53,10 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
 * :func:`reference_parse_graph`, the graph reader as it was before it
   found duplicate edges by size: each edge line looked up for a
   duplicate before its weight is read;
+* :func:`reference_parse_field`, the field reader as it was before it
+  filed each value under its edge id: each record's head worked out from
+  its coordinates, the values keyed by ``(tail, head)`` and passed
+  through :meth:`VectorField.from_dict`;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
@@ -63,7 +67,7 @@ A few small helpers serve only the tests and live here for that reason:
 :func:`oriented_edges`, both directions of every edge of a complex.
 """
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from cycledec.complexes import (
     HodgeParts,
@@ -89,7 +93,7 @@ from cycledec.errors import (
 )
 from cycledec.exact_lp import _width
 from cycledec.finite_graph import GraphCycle, cycle_edges, edge_sum, is_bistochastic
-from cycledec.io import _content_lines, _parse_value
+from cycledec.io import FIELD_VERTEX_LIMIT, _content_lines, _parse_value
 from cycledec.lattice import LatticeCycleClass
 from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
 
@@ -675,6 +679,61 @@ def reference_parse_graph(text: str, path):
     if name is None:
         raise InputFormatError(path, 0, "missing digraph header")
     return name, weights, lines
+
+
+def reference_parse_field(text: str, path):
+    """``(complex, field)`` of a field file, each edge found from its
+    tail's coordinates."""
+    complex = None
+    entries = {}
+    values = {}
+    for line_no, line in _content_lines(text):
+        tokens = line.split()
+        if complex is None:
+            if len(tokens) not in (3, 4) or tokens[0] != "field" or tokens[1] != "torus":
+                raise InputFormatError(
+                    path, line_no, "expected header: field torus <N> [<N2>]"
+                )
+            try:
+                dims = [int(t) for t in tokens[2:]]
+            except ValueError:
+                raise InputFormatError(path, line_no, "torus sizes must be integers")
+            if min(dims) >= 3 and prod(dims) > FIELD_VERTEX_LIMIT:
+                raise InputFormatError(
+                    path, line_no,
+                    f"torus of {prod(dims)} vertices exceeds the limit of {FIELD_VERTEX_LIMIT}",
+                )
+            try:
+                complex = (
+                    TwoComplex.torus1(*dims) if len(dims) == 1 else TwoComplex.torus2(*dims)
+                )
+            except ValueError as exc:
+                raise InputFormatError(path, line_no, str(exc))
+            continue
+        d = complex.torus_dimension()
+        if len(tokens) != d + 2:
+            raise InputFormatError(
+                path, line_no, f"expected {d} coordinates, a direction and a value"
+            )
+        try:
+            point = tuple(int(t) for t in tokens[:d])
+            direction = int(tokens[d])
+        except ValueError:
+            raise InputFormatError(path, line_no, "coordinates must be integers")
+        if not 1 <= direction <= d:
+            raise InputFormatError(path, line_no, f"direction must be in 1..{d}")
+        shape = complex.torus_shape
+        if any(not 0 <= c < n for c, n in zip(point, shape)):
+            raise InputFormatError(path, line_no, f"vertex {point} outside the torus")
+        head = list(point)
+        head[direction - 1] = (head[direction - 1] + 1) % shape[direction - 1]
+        key = (point, tuple(head))
+        if key in entries:
+            raise InputFormatError(path, line_no, f"duplicate edge {point} dir {direction}")
+        entries[key] = _parse_value(tokens[-1], path, line_no, values)
+    if complex is None:
+        raise InputFormatError(path, 0, "missing field header")
+    return complex, VectorField.from_dict(complex, entries)
 
 
 def reference_periodic_reduction(u, period) -> Rat:

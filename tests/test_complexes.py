@@ -627,8 +627,74 @@ def test_dixon_solve_accepts_only_a_zero_residual(monkeypatch):
 def test_torus2_equals_the_validated_construction(shape):
     built = TwoComplex.torus2(*shape)
     validated = TwoComplex(
-        built.vertices, built.edges, built.face_edges, orientable=True,
-        torus_shape=shape, name=built.name,
+        built.vertices, built.edges, built.face_edges, orientable=True, name=built.name,
     )
+    validated.torus_shape = shape
     assert vars(built) == vars(validated)
     validated.validate()
+
+
+TORI = [TwoComplex.torus1(n) for n in (3, 5)] + [
+    TwoComplex.torus2(*shape) for shape in ((3, 3), (3, 5), (4, 3), (6, 6))
+]
+
+
+@pytest.mark.parametrize("cx", TORI, ids=lambda cx: cx.name)
+def test_torus_edge_ids_follow_the_layout(cx):
+    """Edge ``eid`` of the d-torus leaves vertex ``eid // d`` one step in
+    direction ``eid % d``; ``edge_direction`` and ``harmonic_basis``, which
+    read it from the id, agree with the edges' coordinates."""
+    shape = cx.torus_shape
+    d = len(shape)
+    assert cx.n_edges == d * cx.n_vertices
+    for eid, (u, v) in enumerate(cx.edges):
+        k = eid % d
+        assert u == cx.vertices[eid // d]
+        assert v == tuple((c + (i == k)) % n for i, (c, n) in enumerate(zip(u, shape)))
+    if d == 1:
+        return
+    n1 = shape[0]
+    directions = [0 if v == ((u[0] + 1) % n1, u[1]) else 1 for u, v in cx.edges]
+    assert [cx.edge_direction(eid) for eid in range(cx.n_edges)] == directions
+    assert [b.values for b in harmonic_basis(cx)] == [
+        [ONE if direction == k else ZERO for direction in directions] for k in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("cx", [TwoComplex.torus1(4), TwoComplex.klein_grid(3, 3), cube_complex()],
+                         ids=lambda cx: cx.name)
+def test_directions_are_refused_off_the_2_torus(cx):
+    for read in (lambda: cx.edge_direction(0), lambda: harmonic_basis(cx)):
+        with pytest.raises(ValueError, match="^direction only defined on the 2-d torus$"):
+            read()
+
+
+@pytest.mark.parametrize("vertices, edges, faces, message", [
+    (["a", "b", "a"], [], [], "duplicate vertices"),
+    (["a", "b"], [("a", "a")], [], "self-loop at a"),
+    (["a", "b"], [("a", "c")], [], r"edge \(a, c\) uses unknown vertex"),
+    (["a", "b"], [("a", "b"), ("b", "a")], [], "duplicate edge between b and a"),
+    (["a", "b"], [("a", "b")], [[(0, 2)]], r"incidence signs must be \+1 or -1"),
+])
+def test_complex_construction_checks(vertices, edges, faces, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TwoComplex(vertices, edges, faces, orientable=True)
+
+
+def test_chain_diagnostics():
+    with pytest.raises(ValueError, match="^grid sides must be at least 3$"):
+        TwoComplex.klein_grid(2, 5)
+    klein = TwoComplex.klein_grid(3, 3)
+    with pytest.raises(ValueError, match="^not a torus complex$"):
+        klein.torus_dimension()
+    with pytest.raises(ValueError, match="^hodge decomposition implemented on the 2-d torus$"):
+        hodge_decompose(VectorField.zero(klein))
+    with pytest.raises(ValueError, match="^hodge decomposition implemented on the 2-d torus$"):
+        hodge_decompose(VectorField.zero(TwoComplex.torus1(3)))
+    cx = TwoComplex.torus2(3)
+    with pytest.raises(ValueError, match=r"^conflicting values on edge \(\(0, 0\), \(1, 0\)\)$"):
+        VectorField.from_dict(cx, {((0, 0), (1, 0)): 1, ((1, 0), (0, 0)): 1})
+    assert VectorField.from_dict(cx, {((0, 0), (1, 0)): 1, ((1, 0), (0, 0)): -1}).values[0] == 1
+    for other in (VectorField.zero(TwoComplex.torus2(3)), TwoChain.zero(cx)):
+        with pytest.raises(ValueError, match="^operands live on different complexes$"):
+            VectorField.zero(cx) + other

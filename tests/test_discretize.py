@@ -227,3 +227,9 @@ class TestRandomEnvironment:
         assert random_environment(spec).serialize() == random_environment(
             EnvironmentSpec(sine_potential(1.0), ONE, ONE, 3, (4, 4))
         ).serialize()
+
+
+def test_environment_periods_must_match_the_dims():
+    sampler = PotentialSampler(lambda u1, u2: 0.0, periods=(4, 5))
+    with pytest.raises(ValueError, match="^potential periods must match the torus dims$"):
+        EnvironmentSpec(sampler, ONE, ONE, 1, (4, 4))

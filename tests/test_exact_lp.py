@@ -464,3 +464,13 @@ def test_exact_rank():
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[1, 2], [2, 4], [0, 1]]) == 2
     assert exact_rank([[Rat(1, 2), Rat(1, 3)], [Rat(1, 4), Rat(1, 5)]]) == 2
+
+
+@pytest.mark.parametrize("points, target, message", [
+    ([], (0,), "points must be nonempty"),
+    ([(1, 0), (1,)], (0, 0), "points of mixed dimension"),
+    ([(1, 0), (-1, 0)], (0,), "target dimension mismatch"),
+])
+def test_barycentric_vertex_argument_checks(points, target, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        barycentric_vertex(points, target)

@@ -677,3 +677,14 @@ class TestPermutationCycles:
         rebuilt = dec.reconstruct()
         for x in g.vertices:
             assert sum((w for (u, _), w in rebuilt.items() if u == x), ZERO) == ONE
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WeightedDigraph(("a", "b"), {("a", "c"): ONE}), r"edge \(a, c\) uses unknown vertex"),
+    (lambda: WeightedDigraph(("a", "b"), {("a", "b"): Rat(-1, 2)}), r"negative weight on \(a, b\)"),
+    (lambda: WeightedDigraph.from_edges([("a", "b", ONE), ("a", "b", ONE)]),
+     r"duplicate edge \(a, b\)"),
+], ids=["unknown vertex", "negative weight", "duplicate edge"])
+def test_weighted_digraph_checks(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

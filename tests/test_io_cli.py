@@ -16,7 +16,9 @@ from cycledec.lattice import LatticeCycleClass, LatticeMeasure, decompose_lattic
 from cycledec.ratio import ONE, ZERO, Rat, parse_rat, rat_decimal, rat_str
 
 from conftest import CUBE_FACES, cube_complex
-from oracles import oriented_edges, reference_parse_graph, reference_reconstruct_on_complex
+from oracles import (
+    oriented_edges, reference_parse_field, reference_parse_graph, reference_reconstruct_on_complex,
+)
 
 
 class TestMeasureFormat:
@@ -147,6 +149,67 @@ class TestFieldFormat:
         assert info.value.line_no == 2
 
 
+FIELD_VALUES = ["1/2", "2/4~0.5", "-3", "0/1", "5/6~0.83"]
+
+
+def _field_line(data, kind, shape, earlier):
+    """One body line of a ``.field`` file on a torus of ``shape``."""
+    d = len(shape)
+    value = data.draw(st.sampled_from(FIELD_VALUES))
+    point = [data.draw(st.integers(0, n - 1)) for n in shape]
+    if kind == "duplicate" and earlier:
+        return " ".join(data.draw(st.sampled_from(earlier)).split()[:d + 1]) + " " + value
+    if kind == "outside":
+        k = data.draw(st.integers(0, d - 1))
+        point[k] = data.draw(st.sampled_from([-1, shape[k], shape[k] + 2]))
+    coords = " ".join(map(str, point))
+    if kind == "direction":
+        return f"{coords} {data.draw(st.sampled_from([d + 1, 0, d + 2, -1]))} {value}"
+    if kind == "token":
+        return data.draw(st.sampled_from(
+            [f"{coords} 1 x", f"{coords} 1 1/0", f"a {coords} 1", f"{coords} one 1/2"]))
+    if kind == "short":
+        return data.draw(st.sampled_from([coords, f"{coords} 1", f"{coords} 1 1/2 3"]))
+    if kind == "comment":
+        return data.draw(st.sampled_from(["# note", f"{coords} 1 1/3~0.33  # tail"]))
+    return f"{coords} {data.draw(st.integers(1, d))} {value}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([(3,), (5,), (3, 3), (3, 4), (5, 3), (4, 4)]),
+    header=st.sampled_from(["ok"] * 12 + ["field torus 2 3", "field torus x", "field grid 3", None]),
+    kinds=st.lists(st.sampled_from(
+        ["edge"] * 12 + ["duplicate", "outside", "direction", "token", "short", "comment"]),
+        max_size=12),
+    data=st.data(),
+)
+def test_parse_field_reads_like_the_coordinate_reference(shape, header, kinds, data):
+    """A field file reads as the reader that worked out each edge from its
+    tail's coordinates reads it, or fails with the same error: duplicates,
+    vertices outside the torus, bad directions, bad tokens, short lines, a
+    bad or missing header, comments and ``~`` decimals included."""
+    lines = []
+    if header is not None:
+        lines.append("field torus " + " ".join(map(str, shape)) if header == "ok" else header)
+    edges = []
+    for kind in kinds:
+        line = _field_line(data, kind, shape, edges)
+        if kind in ("edge", "duplicate"):
+            edges.append(line)
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    try:
+        complex, field = reference_parse_field(text, "f.field")
+    except InputFormatError as exc:
+        with pytest.raises(InputFormatError) as info:
+            fio.parse_field(text, "f.field")
+        assert str(info.value) == str(exc)
+    else:
+        read = fio.parse_field(text, "f.field")
+        assert (read[0].torus_shape, read[1].values) == (complex.torus_shape, field.values)
+
+
 class TestSurfaceFormat:
     def test_cube_round_trip(self):
         cx = cube_complex()
@@ -172,8 +235,12 @@ class TestSurfaceFormat:
             ("edge b a", "duplicate edge between b and a"),
             ("edge a c", "edge (a, c) uses unknown vertex"),
             ("edge b b", "self-loop at b"),
+            ("orientable maybe", "expected: orientable yes|no"),
+            ("face +1 0", "face needs nonzero signed edge indices"),
+            ("face", "face needs nonzero signed edge indices"),
         ],
-        ids=["duplicate vertex", "duplicate edge", "unknown endpoint", "self-loop"],
+        ids=["duplicate vertex", "duplicate edge", "unknown endpoint", "self-loop",
+             "orientability", "zero edge index", "empty face"],
     )
     def test_record_errors_report_their_line(self, record, message):
         text = f"surface s\norientable yes\nvertex a\nvertex b\nedge a b\n{record}\n"
@@ -184,6 +251,32 @@ class TestSurfaceFormat:
     def test_edge_may_precede_its_vertices(self):
         cx = fio.parse_surface("orientable yes\nedge a b\nvertex a\nvertex b\n")
         assert cx.edges == [("a", "b")] and cx.vertices == ["a", "b"]
+
+
+def _rebuild(text, on_complex=False):
+    mode, _, records = fio.parse_decomposition(text, "d.dec")
+    if on_complex:
+        return fio.reconstruct_on_complex(mode, records, TwoComplex.torus2(3), "d.dec")
+    return fio.reconstruct_decomposition(mode, records, "d.dec")
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda: fio.parse_field("# no header\n", "f.field"), "f.field:0: missing field header"),
+    (lambda: fio.parse_decomposition("# no header\n", "d.dec"),
+     "d.dec:0: missing decomposition header"),
+    (lambda: fio.parse_decomposition("decomposition graph g\nterm 1/2\n", "d.dec"),
+     "d.dec:2: term needs a weight and a kind"),
+    (lambda: _rebuild("decomposition graph g\nterm 1/2 class 1,0*1 -1,0*1\n"),
+     "d.dec:0: unexpected term kind 'class'"),
+    (lambda: _rebuild("decomposition elementary r\nterm 1/2 perm 0,0>1,0\n", on_complex=True),
+     "d.dec:0: unexpected term kind 'perm'"),
+], ids=["field header", "decomposition header", "short term", "graph term kind",
+        "on-complex term kind"])
+def test_reader_diagnostics_name_their_line(read, error):
+    with pytest.raises(InputFormatError) as info:
+        read()
+    assert str(info.value) == error
+    assert info.value.line_no == int(error.split(":")[1])
 
 
 class TestReconstructOnComplex:

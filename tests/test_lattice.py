@@ -228,8 +228,9 @@ class TestIsIrreducible:
 
     def test_too_large(self):
         cls = LatticeCycleClass({(1,): 20, (-1,): 20})
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="^total multiplicity 40 exceeds 24$"):
             is_irreducible(cls)
+        assert is_irreducible(LatticeCycleClass({(1,): 12, (-1,): 12})) is False
 
 
 @st.composite
@@ -611,3 +612,17 @@ class TestFormatLift:
     def test_trivial_mass_emitted(self):
         text = fio.format_lift(LatticeDecomposition([], Rat(1, 8), 2).classes())
         assert text == "periodic-lift\nterm 1/8 class 0,0*1 @ all integer translates\n"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LatticeMeasure(2, {(1, 0, 0): ONE}), r"point \(1, 0, 0\) is not 2-dimensional"),
+    (lambda: LatticeMeasure(2, {("1", 0): ONE, (1, 0): ONE}), r"duplicate atom at \(1, 0\)"),
+    (lambda: LatticeCycleClass({("1", 0): 1, (1, 0): 1, (-1, 0): 2}),
+     r"duplicate displacement \(1, 0\)"),
+    (lambda: irreducible_class([]), "points must be nonempty"),
+    (lambda: HeavyTailOracle1D(lambda x: -1).mass(3), "oracle returned negative mass at 3"),
+], ids=["measure dimension", "duplicate atom", "duplicate displacement", "no points",
+        "negative oracle mass"])
+def test_lattice_argument_checks(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
