@@ -370,7 +370,10 @@ def _make_potential(args) -> dz.PotentialSampler:
     if kind == "sine":
         sampler = dz.sine_potential(args.amplitude)
     elif kind == "band":
-        sampler = dz.band_potential(args.lo, args.hi)
+        try:
+            sampler = dz.band_potential(args.lo, args.hi)
+        except ValueError as exc:
+            raise InputFormatError("<args>", 0, str(exc))
     else:
         sampler = dz.constant_potential(args.value)
     sampler.denominator = args.denominator

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from .errors import NoSolution, NotHomologous, TooLarge
 from .exact_lp import _dixon_solve, solve_exact_linear
 from .finite_graph import cycle_edges
-from .ratio import ONE, ZERO, Rat, to_rat
+from .ratio import ONE, ZERO, Rat, rats_over, scaled_list, to_rat
 
 # largest torus, in vertices, that hodge_decompose takes on: the 64 x 64
 # torus took about 5 s, and 72 x 72 about 9 s, on a 2-core x86_64 machine
@@ -375,14 +375,16 @@ class HodgeParts:
 
 
 def coboundary0(f: ZeroForm) -> VectorField:
-    """Gradient: value ``f(head) - f(tail)`` on every chosen edge."""
+    """Gradient: value ``f(head) - f(tail)`` on every chosen edge.
+
+    The differences are taken on integer numerators over the lcm of the
+    values' denominators; each distinct difference becomes one ``Rat``.
+    """
     cx = f.complex
-    return VectorField(
-        cx,
-        [
-            f.values[cx.vertex_index[v]] - f.values[cx.vertex_index[u]]
-            for u, v in cx.edges
-        ],
+    scale, values = scaled_list(f.values)
+    index = cx.vertex_index
+    return VectorField._exact(
+        cx, rats_over([values[index[v]] - values[index[u]] for u, v in cx.edges], scale)
     )
 
 
@@ -397,14 +399,25 @@ def boundary1(phi: VectorField) -> ZeroForm:
 
 
 def boundary2(psi: TwoChain) -> VectorField:
-    """Field collecting, per edge, the signed values of its two faces."""
-    cx = psi.complex
-    values = []
+    """Field collecting, per edge, the signed values of its faces.
+
+    The sums are taken on integer numerators over the lcm of the chain's
+    denominators; each distinct sum becomes one ``Rat``, so a chain of
+    ints, as :func:`recover_psi` may return, gives ``Rat`` values too.
+    """
+    scale, values = scaled_list(psi.values)
+    return VectorField._exact(psi.complex, rats_over(_boundary_sums(psi.complex, values), scale))
+
+
+def _boundary_sums(cx: TwoComplex, values: list) -> list:
+    """Per edge, the signed sum of the integer ``values`` of its faces."""
+    sums = []
     for incidences in cx.edge_faces:
-        values.append(
-            sum((sign * psi.values[fid] for fid, sign in incidences), ZERO)
-        )
-    return VectorField(cx, values)
+        total = 0
+        for fid, sign in incidences:
+            total += sign * values[fid]
+        sums.append(total)
+    return sums
 
 
 def coboundary1(phi: VectorField) -> TwoChain:
@@ -515,8 +528,7 @@ def hodge_decompose(phi: VectorField) -> HodgeParts:
 
     # the field as integer numerators over ``scale``; row and column
     # i - 1 of the Laplacian stand for vertex i
-    scale = lcm(*(q.denominator for q in phi.values))
-    field = [q.numerator * (scale // q.denominator) for q in phi.values]
+    scale, field = scaled_list(phi.values)
     index = cx.vertex_index
     ends = [(index[u], index[v]) for u, v in cx.edges]
     div = [0] * n

@@ -3,7 +3,11 @@
 Smooth potentials enter as ordinary Python callables, get sampled at face
 centers and snapped to exact rationals with a fixed denominator; everything
 downstream is exact on the snapped values, so the discretized field is a
-face boundary by telescoping, not approximately.
+face boundary by telescoping, not approximately.  Each axis's face-center
+coordinates are reduced modulo the period on int numerators and turned
+into floats once; the snapped values, the field and the environment's
+weights and row totals stay int numerators over one denominator, and
+``Rat`` appears only in what is returned.
 
 The random environment construction draws a grid shift for the potential
 and one symmetric noise value per unoriented edge, forms the minimal rates
@@ -19,20 +23,26 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .complexes import TwoChain, TwoComplex, boundary2, field_to_rates
+from .complexes import TwoChain, TwoComplex, _boundary_sums, boundary2
 from .elementary import ReVerdict, in_Re
-from .ratio import ZERO, Rat, rat_decimal, rat_str, to_rat
+from .ratio import ZERO, Rat, rat_decimal, rat_str, rats_over, scaled_list, to_rat
 
 DEFAULT_DENOMINATOR = 10**6
+
+
+def _snap_numerator(value, denominator: int) -> int:
+    """``value`` times ``denominator``, rounded to an int; ``ValueError`` when
+    ``value`` is not finite or its scaled value overflows a float."""
+    try:
+        return round(value * denominator)
+    except (ValueError, OverflowError):
+        raise ValueError(f"cannot snap {value!r} to a multiple of 1/{denominator}") from None
 
 
 def snap(value: float, denominator: int = DEFAULT_DENOMINATOR) -> Rat:
     """Nearest rational with the given denominator; ``ValueError`` when
     ``value`` is not finite or its scaled value overflows a float."""
-    try:
-        return Rat(round(value * denominator), denominator)
-    except (ValueError, OverflowError):
-        raise ValueError(f"cannot snap {value!r} to a multiple of 1/{denominator}") from None
+    return Rat(_snap_numerator(value, denominator), denominator)
 
 
 @dataclass
@@ -40,8 +50,8 @@ class PotentialSampler:
     """Snapped sampler of a periodic potential.
 
     ``fn`` takes float coordinates; arguments are reduced modulo the
-    periods (the unit square when ``periods`` is None) before evaluation,
-    so periodicity holds exactly on the snapped grid.
+    periods, exact rationals (the unit square when ``periods`` is None),
+    before evaluation, so periodicity holds exactly on the snapped grid.
     """
 
     fn: object
@@ -59,7 +69,10 @@ def constant_potential(value: float = 0.0) -> PotentialSampler:
 
 
 def band_potential(lo: float = 0.3, hi: float = 0.7) -> PotentialSampler:
-    """Indicator of a vertical strip; discretizes to a two-column field."""
+    """Indicator of the vertical strip ``lo <= u1 < hi``; discretizes to a
+    two-column field.  ``ValueError`` when the strip is empty."""
+    if not lo < hi:
+        raise ValueError(f"empty band: lo={lo!r} is not below hi={hi!r}")
     return PotentialSampler(lambda u1, u2: 1.0 if lo <= u1 < hi else 0.0)
 
 
@@ -71,27 +84,48 @@ def sine_potential(amplitude: float = 1.0) -> PotentialSampler:
     )
 
 
-def _face_center_chain(potential, complex, shift=(ZERO, ZERO)) -> TwoChain:
-    n1, n2 = complex.torus_shape
+def _face_coordinates(n: int, den: int, shift, period) -> list:
+    """Float coordinates ``(2 i + 1) / den + shift`` for ``i < n``, reduced
+    into the period.
+
+    The reduction runs on int numerators over one denominator ``D``, and
+    each float is one int true division by ``D``: that division is
+    correctly rounded, so it equals ``float`` of the reduced ``Rat``.
+    """
+    shift, period = to_rat(shift), to_rat(period)
+    common = math.lcm(den, shift.denominator, period.denominator)
+    start = shift.numerator * (common // shift.denominator)
+    step = common // den
+    p = period.numerator * (common // period.denominator)
+    return [((2 * i + 1) * step + start) % p / common for i in range(n)]
+
+
+def _face_center_numerators(potential, complex, shift) -> list:
+    """The snapped potential at each face center, as int numerators over
+    ``potential.denominator``, in face order."""
+    (n1, n2), (s1, s2) = complex.torus_shape, shift
+    p1, p2 = potential.periods or (1, 1)
     mesh = potential.periods is None
-    values = []
-    for i in range(n1):
-        for j in range(n2):
-            if mesh:
-                u1 = Rat(2 * i + 1, 2 * n1) + shift[0]
-                u2 = Rat(2 * j + 1, 2 * n2) + shift[1]
-            else:
-                u1 = Rat(2 * i + 1, 2) + shift[0]
-                u2 = Rat(2 * j + 1, 2) + shift[1]
-            values.append(potential.sample(u1, u2))
-    return TwoChain(complex, values)
+    xs = _face_coordinates(n1, 2 * n1 if mesh else 2, s1, p1)
+    ys = _face_coordinates(n2, 2 * n2 if mesh else 2, s2, p2)
+    fn, d = potential.fn, potential.denominator
+    return [_snap_numerator(float(fn(x, y)), d) for x in xs for y in ys]
+
+
+def _face_center_chain(potential, complex, shift=(ZERO, ZERO)) -> TwoChain:
+    """The snapped potential at the face centers of the 2-torus ``complex``,
+    moved by ``shift``: the unit square's mesh when the sampler has no
+    periods, the lattice points ``(i + 1/2, j + 1/2)`` otherwise."""
+    numerators = _face_center_numerators(potential, complex, shift)
+    return TwoChain._exact(complex, rats_over(numerators, potential.denominator))
 
 
 def discretize_potential(potential: PotentialSampler, n: int):
     """Field of exact face-center differences, plus its preimage chain.
 
-    The chain holds the snapped potential at each face center; the field
-    is its boundary, so membership in the boundary image is automatic and
+    The chain holds the snapped potential at each face center, one ``Rat``
+    per distinct snapped numerator; the field is its boundary, summed on
+    those numerators, so membership in the boundary image is automatic and
     exact.  Returns ``(field, chain)`` on the ``n`` by ``n`` torus.
     """
     n = int(n)
@@ -182,7 +216,9 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
 
     The potential shift and the per-edge noise live on the ``1/D`` grid of
     the sampler's denominator; noise is drawn once per unoriented edge in
-    a fixed edge order, so identical seeds give identical files.
+    a fixed edge order, so identical seeds give identical files.  The
+    weights and row totals add as ints over one scale, and each
+    probability is one ``Rat`` of a weight over its row total.
     """
     n1, n2 = spec.dims
     complex = TwoComplex.torus2(n1, n2)
@@ -190,22 +226,29 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
     d = spec.potential.denominator
     shift = (Rat(rng.randrange(n1 * d), d), Rat(rng.randrange(n2 * d), d))
 
-    chain = _face_center_chain(spec.potential, complex, shift)
-    field = boundary2(chain)
-    osc = oscillation(chain)
-    minimal = field_to_rates(field)
+    chain = _face_center_numerators(spec.potential, complex, shift)
+    osc = Rat(max(chain) - min(chain), d)
 
-    span = spec.noise_hi - spec.noise_lo
-    weights = {}
-    for u, v in complex.edges:
-        noise = spec.noise_lo + span * Rat(rng.randrange(d + 1), d)
-        weights[(u, v)] = minimal.get((u, v), ZERO) + noise
-        weights[(v, u)] = minimal.get((v, u), ZERO) + noise
-
-    totals = dict.fromkeys(complex.vertices, ZERO)
-    for (x, _), w in weights.items():
-        totals[x] += w
-    probabilities = {(x, y): w / totals[x] for (x, y), w in weights.items()}
+    # the noise lo + step * k and the field's numerators over d (each one
+    # a multiple of 1/d) as ints over one scale
+    scale, (lo, step, per) = scaled_list(
+        [spec.noise_lo, (spec.noise_hi - spec.noise_lo) / d, Rat(1, d)]
+    )
+    index = complex.vertex_index
+    pairs, numerators, tails = [], [], []
+    totals = [0] * complex.n_vertices
+    for (u, v), value in zip(complex.edges, _boundary_sums(complex, chain)):
+        noise = lo + step * rng.randrange(d + 1)
+        value *= per
+        forward, backward = (noise + value, noise) if value > 0 else (noise, noise - value)
+        iu, iv = index[u], index[v]
+        totals[iu] += forward
+        totals[iv] += backward
+        pairs += ((u, v), (v, u))
+        numerators += (forward, backward)
+        tails += (iu, iv)
+    weights = dict(zip(pairs, rats_over(numerators, scale)))
+    probabilities = dict(zip(pairs, map(Rat, numerators, [totals[t] for t in tails])))
 
     certificate = in_Re(weights, complex)
     certified = spec.noise_lo >= osc / 2

@@ -305,12 +305,12 @@ def format_field(field: VectorField, decimals=None) -> str:
     shape = complex.torus_shape
     d = len(shape)
     lines = ["field torus " + " ".join(str(n) for n in shape)]
-    for eid in sorted(range(complex.n_edges), key=lambda e: complex.edges[e]):
+    for eid in sorted(range(complex.n_edges), key=complex.edges.__getitem__):
         value = field.values[eid]
-        if value == 0:
+        if not value:
             continue
         lines.append(
-            " ".join(str(c) for c in complex.edges[eid][0])
+            " ".join(map(str, complex.edges[eid][0]))
             + f" {eid % d + 1} " + _fmt(value, decimals)
         )
     return "\n".join(lines) + "\n"

@@ -81,3 +81,23 @@ def scaled(values: dict):
     """
     scale = lcm(*(v.denominator for v in values.values()))
     return scale, {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+
+
+def scaled_list(values) -> tuple:
+    """:func:`scaled` for a sequence of ints and ``Rat``, such as the
+    values of a chain: ``(L, [value * L, ...])`` in the same order."""
+    scale = lcm(*{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def rats_over(numerators, scale: int) -> list:
+    """``[Rat(n, scale) for n in numerators]``, with one ``Rat`` built per
+    distinct numerator: the values of a chain or a field repeat heavily."""
+    rats = {}
+    out = []
+    for n in numerators:
+        q = rats.get(n)
+        if q is None:
+            q = rats[n] = Rat(n, scale)
+        out.append(q)
+    return out

@@ -61,12 +61,19 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
   normalised each row of a random environment.
+* :func:`reference_boundary2`, :func:`reference_coboundary0`,
+  :func:`reference_face_center_chain` and
+  :func:`reference_environment_weights`, the two chain operators, the
+  face-center sampling and the random-environment weight pass as the
+  library computed them before they ran on integer numerators: one
+  ``Rat`` sum, difference, coordinate or weight at a time.
 
 A few small helpers serve only the tests and live here for that reason:
 :func:`permutation_to_cycles`, the orbits of a permutation, and
 :func:`oriented_edges`, both directions of every edge of a complex.
 """
 
+import random
 from math import gcd, lcm, prod
 
 from cycledec.complexes import (
@@ -78,6 +85,7 @@ from cycledec.complexes import (
     boundary1,
     check_rates,
     coboundary0,
+    field_to_rates,
     harmonic_basis,
     recover_psi,
 )
@@ -756,6 +764,72 @@ def reference_row_probabilities(weights: dict, dims) -> dict:
             for y in ys:
                 probabilities[(x, y)] = weights[(x, y)] / total
     return probabilities
+
+
+def reference_boundary2(psi: TwoChain) -> VectorField:
+    """Per edge, the signed values of its faces summed as ``Rat``."""
+    cx = psi.complex
+    return VectorField(
+        cx, [sum((sign * psi.values[fid] for fid, sign in inc), ZERO) for inc in cx.edge_faces]
+    )
+
+
+def reference_coboundary0(f: ZeroForm) -> VectorField:
+    """``f(head) - f(tail)`` on every chosen edge, one ``Rat`` difference each."""
+    cx = f.complex
+    return VectorField(
+        cx, [f.values[cx.vertex_index[v]] - f.values[cx.vertex_index[u]] for u, v in cx.edges]
+    )
+
+
+def reference_face_center_chain(potential, complex: TwoComplex, shift=(ZERO, ZERO)) -> TwoChain:
+    """The potential at each face center, point by point: the center as a
+    ``Rat``, moved by ``shift``, reduced modulo the period as a ``Rat``,
+    turned into floats for the sampler and its value snapped."""
+    n1, n2 = complex.torus_shape
+    mesh = potential.periods is None
+    p1, p2 = potential.periods or (1, 1)
+    d = potential.denominator
+    values = []
+    for i in range(n1):
+        for j in range(n2):
+            if mesh:
+                u1 = Rat(2 * i + 1, 2 * n1) + shift[0]
+                u2 = Rat(2 * j + 1, 2 * n2) + shift[1]
+            else:
+                u1 = Rat(2 * i + 1, 2) + shift[0]
+                u2 = Rat(2 * j + 1, 2) + shift[1]
+            value = float(potential.fn(float(to_rat(u1) % p1), float(to_rat(u2) % p2)))
+            try:
+                values.append(Rat(round(value * d), d))
+            except (ValueError, OverflowError):
+                raise ValueError(f"cannot snap {value!r} to a multiple of 1/{d}") from None
+    return TwoChain(complex, values)
+
+
+def reference_environment_weights(spec):
+    """``(shift, oscillation, weights, probabilities)`` of a random
+    environment, one ``Rat`` step at a time: the minimal rates of the
+    shifted chain's boundary, each edge's noise added to both directions,
+    and each weight over its tail's row total."""
+    n1, n2 = spec.dims
+    cx = TwoComplex.torus2(n1, n2)
+    rng = random.Random(spec.seed)
+    d = spec.potential.denominator
+    shift = (Rat(rng.randrange(n1 * d), d), Rat(rng.randrange(n2 * d), d))
+    chain = reference_face_center_chain(spec.potential, cx, shift)
+    minimal = field_to_rates(reference_boundary2(chain))
+    span = spec.noise_hi - spec.noise_lo
+    weights = {}
+    for u, v in cx.edges:
+        noise = spec.noise_lo + span * Rat(rng.randrange(d + 1), d)
+        weights[(u, v)] = minimal.get((u, v), ZERO) + noise
+        weights[(v, u)] = minimal.get((v, u), ZERO) + noise
+    totals = dict.fromkeys(cx.vertices, ZERO)
+    for (x, _), w in weights.items():
+        totals[x] += w
+    probabilities = {(x, y): w / totals[x] for (x, y), w in weights.items()}
+    return shift, max(chain.values) - min(chain.values), weights, probabilities
 
 
 def reference_field_and_symmetric(rates: dict, cx: TwoComplex):

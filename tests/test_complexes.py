@@ -1,7 +1,10 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycledec import complexes, exact_lp
+from cycledec import io as fio
 from cycledec.complexes import (
     TwoChain,
     TwoComplex,
@@ -26,6 +29,8 @@ from oracles import (
     _dual_connected,
     face_boundary_matrix,
     in_d_lambda2,
+    reference_boundary2,
+    reference_coboundary0,
     reference_hodge_decompose,
     reference_nonorientable_recover_psi,
     reference_recover_psi,
@@ -398,6 +403,51 @@ class TestOneFaceWalk:
             assert [type(v) for v in got.values] == [type(v) for v in expected.values]
         else:
             assert got == expected
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+CHAIN_COMPLEXES = {
+    "ring4": TwoComplex.torus1(4),
+    "torus3x5": TwoComplex.torus2(3, 5),
+    "torus4x3": TwoComplex.torus2(4, 3),
+    "klein3x4": TwoComplex.klein_grid(3, 4),
+    "cube": cube_complex(),
+    "klein.surf": fio.read_surface(SAMPLES / "klein.surf"),
+    "cube.surf": fio.read_surface(SAMPLES / "cube.surf"),
+}
+# zeros, negatives and mixed denominators
+EXACT_VALUES = st.one_of(st.integers(-7, 7), st.builds(Rat, st.integers(-7, 7), st.integers(1, 12)))
+
+
+def assert_operators_equal_the_fraction_references(cx, data):
+    """``boundary2`` and ``coboundary0`` on drawn values give the values of
+    the ``Rat`` references, every one a ``Rat``, also from int numerators."""
+    for kind, size, operator, reference in (
+        (TwoChain, cx.n_faces, boundary2, reference_boundary2),
+        (ZeroForm, cx.n_vertices, coboundary0, reference_coboundary0),
+    ):
+        if data.draw(st.booleans()):
+            # int numerators, as recover_psi returns them
+            ints = data.draw(st.lists(st.integers(-7, 7), min_size=size, max_size=size))
+            argument = kind._exact(cx, ints)
+        else:
+            argument = kind(cx, data.draw(st.lists(EXACT_VALUES, min_size=size, max_size=size)))
+        got, expected = operator(argument).values, reference(argument).values
+        assert got == expected
+        assert {type(v) for v in got} <= {Rat} and {type(v) for v in expected} <= {Rat}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_COMPLEXES))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_chain_operators_equal_the_fraction_references(name, data):
+    assert_operators_equal_the_fraction_references(CHAIN_COMPLEXES[name], data)
+
+
+@EXAMPLES
+@given(surfaces(), st.data())
+def test_chain_operators_equal_the_fraction_references_on_drawn_surfaces(cx, data):
+    assert_operators_equal_the_fraction_references(cx, data)
 
 
 KLEIN_GRIDS = [TwoComplex.klein_grid(*shape) for shape in ((3, 3), (3, 4), (4, 3), (5, 5))]

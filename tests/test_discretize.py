@@ -1,12 +1,14 @@
+import math
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycledec.complexes import boundary2, recover_psi
+from cycledec.complexes import TwoComplex, boundary2, recover_psi
 from cycledec.discretize import (
     EnvironmentSpec,
     PotentialSampler,
+    _face_center_chain,
     band_potential,
     constant_potential,
     discretize_potential,
@@ -18,7 +20,13 @@ from cycledec.discretize import (
 from cycledec.elementary import in_Re
 from cycledec.ratio import ONE, ZERO, Rat
 
-from oracles import in_d_lambda2, reference_periodic_reduction, reference_row_probabilities
+from oracles import (
+    in_d_lambda2,
+    reference_environment_weights,
+    reference_face_center_chain,
+    reference_periodic_reduction,
+    reference_row_probabilities,
+)
 from test_complexes import fig2_field
 
 
@@ -63,6 +71,60 @@ class TestSnap:
         assert seen == [tuple(map(float, reduced))]
 
 
+def logged_chain(build, fn, denominator, periods, cx, shift):
+    """``(values or error text, sampler arguments)`` of ``build`` on a
+    sampler that logs its arguments and returns ``fn(call number, u1, u2)``."""
+    seen = []
+
+    def logged(u1, u2):
+        seen.append((u1, u2))
+        return fn(len(seen) - 1, u1, u2)
+
+    try:
+        values = build(PotentialSampler(logged, denominator, periods), cx, shift).values
+    except ValueError as exc:
+        return str(exc), seen
+    assert {type(v) for v in values} == {Rat}
+    return values, seen
+
+
+shifts = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Rat, st.integers(-10**7, 10**7), st.integers(1, 10**6)),
+)
+# integer and Rat periods
+exact_periods = st.none() | st.tuples(*[st.integers(1, 7) | st.builds(Rat, st.integers(1, 40), st.integers(1, 9))] * 2)
+
+
+class TestFaceCenterChain:
+    @EXAMPLES
+    @given(st.integers(3, 6), st.integers(3, 6), exact_periods, st.tuples(shifts, shifts),
+           st.integers(1, 10**6), st.floats(-3, 3))
+    def test_equals_the_fraction_reference(self, n1, n2, periods, shift, denominator, scale):
+        # the same sampler arguments, floats included, and the same values
+        cx = TwoComplex.torus2(n1, n2)
+
+        def fn(k, u1, u2):
+            return scale * math.sin(7 * u1 + 1) * math.cos(3 * u2) + u1 / 3
+
+        got = logged_chain(_face_center_chain, fn, denominator, periods, cx, shift)
+        assert got == logged_chain(reference_face_center_chain, fn, denominator, periods, cx, shift)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e308])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 11), exact_periods, st.integers(2, 10**6))
+    def test_a_value_that_does_not_snap_raises_the_reference_error(self, bad, at, periods, denominator):
+        cx = TwoComplex.torus2(3, 4)
+
+        def fn(k, u1, u2):
+            return bad if k == at else u1 + u2
+
+        got = logged_chain(_face_center_chain, fn, denominator, periods, cx, (ZERO, Rat(1, 3)))
+        expected = logged_chain(reference_face_center_chain, fn, denominator, periods, cx, (ZERO, Rat(1, 3)))
+        assert got[0] == expected[0] == f"cannot snap {bad!r} to a multiple of 1/{denominator}"
+        assert got == expected
+
+
 class TestDiscretizePotential:
     def test_constant_gives_zero_field(self):
         field, chain = discretize_potential(constant_potential(3.7), 4)
@@ -91,6 +153,11 @@ class TestDiscretizePotential:
     def test_small_mesh_rejected(self):
         with pytest.raises(ValueError):
             discretize_potential(constant_potential(), 2)
+
+    @pytest.mark.parametrize("lo, hi", [(0.9, 0.1), (0.5, 0.5)])
+    def test_empty_band_refused_naming_both_ends(self, lo, hi):
+        with pytest.raises(ValueError, match=re.escape(f"empty band: lo={lo!r} is not below hi={hi!r}")):
+            band_potential(lo, hi)
 
 
 def grid_oscillation(sampler, n):
@@ -180,6 +247,33 @@ class TestRandomEnvironment:
     def test_rows_equal_the_four_neighbour_normalisation(self, sampler, dims, seed, lo):
         env = random_environment(EnvironmentSpec(sampler, lo, 2 * lo, seed, dims))
         assert env.probabilities == reference_row_probabilities(env.weights, dims)
+
+    @pytest.mark.parametrize("kind", ["constant", "band", "sine", "rat periods"])
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.tuples(st.integers(3, 5), st.integers(3, 5)),
+        denominator=st.sampled_from([10**6, 1, 7, 360]),
+        seed=st.integers(0, 10**6),
+        lo=st.builds(Rat, st.integers(1, 9), st.integers(1, 12)),
+        span=st.builds(Rat, st.integers(0, 9), st.integers(1, 12)),
+    )
+    def test_weights_equal_the_fraction_reference(self, kind, dims, denominator, seed, lo, span):
+        sampler = {
+            "constant": constant_potential(0.25),
+            "band": band_potential(1, 2.5),
+            "sine": sine_potential(0.5),
+            "rat periods": PotentialSampler(lambda u1, u2: math.cos(u1 * u2) - u2 / 5,
+                                            periods=tuple(map(Rat, dims))),
+        }[kind]
+        sampler.denominator = denominator
+        spec = EnvironmentSpec(sampler, lo, lo + span, seed, dims)
+        env = random_environment(spec)
+        shift, osc, weights, probabilities = reference_environment_weights(spec)
+        assert (env.shift, env.oscillation) == (shift, osc)
+        assert list(env.weights.items()) == list(weights.items())
+        assert list(env.probabilities.items()) == list(probabilities.items())
+        values = [env.oscillation, *env.weights.values(), *env.probabilities.values()]
+        assert {type(v) for v in values} == {Rat}
 
     def test_sufficient_noise_certified(self):
         for seed in range(5):

@@ -1390,6 +1390,27 @@ def test_potentials_that_do_not_snap_exit_two(args, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["discretize", "--potential", "band", "--lo", "0.9", "--hi", "0.1", "--n", "4"],
+        ["discretize", "--potential", "band", "--lo", "0.5", "--hi", "0.5", "--n", "4"],
+        ["random-env", "--potential", "band", "--lo", "3", "--hi", "1", "--dims", "4x4",
+         "--noise-lo", "1/2", "--noise-hi", "1", "--seed", "1"],
+    ],
+    ids=" ".join,
+)
+def test_empty_band_exits_two_naming_both_ends(args, workdir, capsys):
+    lo, hi = (float(args[args.index(flag) + 1]) for flag in ("--lo", "--hi"))
+    code = run_cli(args + ["-o", "out"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"input error: <args>:0: empty band: lo={lo!r} is not below hi={hi!r}" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (workdir / "out").exists()
+
+
 def _sample_commands():
     """Every subcommand each sample applies to, with every complex option.
 
@@ -1428,6 +1449,20 @@ def _sample_commands():
                     ["decompose", "--mode", "elementary", path, "--verify", "--lift"] + extra,
                     ["decompose", "--mode", "1d", path, "--verify"] + extra,
                 ]
+    variants = [[], ["--denominator", "360"], ["--decimal", "3"]]
+    for potential in (["sine"], ["band"], ["constant", "--value", "0.25"]):
+        for extra in variants:
+            commands += [["discretize", "--potential", *potential, "--n", n, *extra] for n in ("3", "7")]
+    band = ["band", "--lo", "1", "--hi", "3"]
+    for potential in (["sine", "--amplitude", "2"], band, ["constant", "--value", "0.25"]):
+        for extra in variants:
+            commands += [["random-env", "--dims", dims, "--potential", *potential,
+                          "--noise-lo", "1/3", "--noise-hi", "3/2", "--seed", "7", *extra]
+                         for dims in ("4x4", "5x3")]
+    # the README's example, and a noise too weak to certify
+    for noise in (["1/2", "1/2"], ["1/100", "1/50"]):
+        commands.append(["random-env", "--dims", "4x4", "--potential", *band,
+                         "--noise-lo", noise[0], "--noise-hi", noise[1], "--seed", "7"])
     return commands
 
 
