@@ -205,11 +205,6 @@ class TwoComplex:
         edges = self.edges
         return tuple([edges[eid][0 if sign == 1 else 1] for eid, sign in self.face_edges[fid]])
 
-    def edge_direction(self, eid: int) -> int:
-        if not self.is_torus() or self.torus_dimension() != 2:
-            raise ValueError("direction only defined on the 2-d torus")
-        return eid % 2
-
     def validate(self):
         """Check the two-cells-per-edge invariant and the orientation claim.
 
@@ -333,20 +328,6 @@ class VectorField(_Valued):
     @classmethod
     def zero(cls, complex):
         return cls(complex, [ZERO] * complex.n_edges)
-
-    @classmethod
-    def from_dict(cls, complex, mapping):
-        """Build from oriented-edge values; opposite entries must agree
-        antisymmetrically if both are present."""
-        values = [None] * complex.n_edges
-        for (u, v), value in mapping.items():
-            eid, sign = complex.edge_id(u, v)
-            value = to_rat(value) if sign > 0 else -to_rat(value)
-            if values[eid] is None:
-                values[eid] = value
-            elif values[eid] != value:
-                raise ValueError(f"conflicting values on edge {complex.edges[eid]}")
-        return cls(complex, [v if v is not None else ZERO for v in values])
 
     def inner(self, other) -> Rat:
         self._check(other)
@@ -495,7 +476,12 @@ def recover_psi(phi: VectorField) -> TwoChain:
             t = solve_exact_linear(rows, rhs)[0]
         except NoSolution:
             raise NotHomologous("field is not a boundary on this complex")
-        psi = [f * (t + v) for f, v in zip(flip, psi)]
+        if t.denominator == 1:
+            # the sums stay ints on an integer field; each value becomes one Rat
+            t = t.numerator
+            psi = [Rat(f * (t + v)) for f, v in zip(flip, psi)]
+        else:
+            psi = [f * (t + v) for f, v in zip(flip, psi)]
     elif -1 in flip:
         # an agreeing orientation, on a complex declared non-orientable
         psi = [f * v for f, v in zip(flip, psi)]

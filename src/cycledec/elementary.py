@@ -17,12 +17,14 @@ off it.  Non-orientable surfaces have no constant freedom (the chain is
 unique) and edges traversed the same way by both faces contribute the
 complement of an open interval instead.
 
-The pass runs on Python ints over one scale ``D``, the lcm of the rate
-denominators: the field, the symmetric parts, the chain and the interval
-ends are integer numerators over ``D``, so every comparison and
-subtraction is an integer one (on non-orientable complexes the chain adds
-the one constant that an exact solve finds, a multiple of 1/2, and its
-values are rationals on the same scale).
+The pass runs on Python ints over one scale ``D``: the field, the
+symmetric parts, the chain and the interval ends are integer numerators
+over ``D``, so every comparison and subtraction is an integer one.  On an
+orientable complex ``D`` is the lcm of the rate denominators.  On a
+non-orientable one the chain adds the one constant that an exact solve
+finds, a multiple of 1/2 on that scale, so ``D`` is twice the lcm: the
+field and the symmetric parts are doubled before the recovery, and every
+chain value comes back with denominator 1.
 ``Rat`` comes back only in returned values: the witness constant is
 ``Rat(lo + hi, 2 D)`` and every weight is ``Rat(n, D)``, or ``Rat(n, D q)``
 for a chosen constant with denominator ``q``.
@@ -43,6 +45,7 @@ from .finite_graph import cycle_sum
 from .complexes import (
     TwoComplex,
     TwoChain,
+    VectorField,
     _field_and_symmetric,
     boundary1,
     check_rates,
@@ -92,12 +95,24 @@ class ReVerdict:
 
 def _recover_chain(rates, complex):
     """``(D, s, psi, spans)``: the scale, the symmetric parts, a chain
-    bounding the field and the edge spans, all numerators over ``D``.
+    bounding the field and the edge spans, all integer numerators over ``D``.
 
-    Raises :class:`NotHomologous` when the field is not a face boundary.
+    On a non-orientable complex ``D`` is twice the lcm of the rate
+    denominators, so the chain :func:`recover_psi` returns as ``Rat``
+    values is read back as ints; a value that is not one is an engine
+    fault, raised as ``AssertionError``.  Raises :class:`NotHomologous`
+    when the field is not a face boundary.
     """
     scale, phi, s = _field_and_symmetric(rates, complex)
-    psi = recover_psi(phi)
+    if complex.orientable:
+        psi = recover_psi(phi)
+    else:
+        scale *= 2
+        s = [2 * n for n in s]
+        values = recover_psi(VectorField._exact(complex, [2 * n for n in phi.values])).values
+        if any(value.denominator != 1 for value in values):
+            raise AssertionError("chain over twice the rate scale is not integral")
+        psi = TwoChain._exact(complex, [value.numerator for value in values])
     return scale, s, psi, _spans(psi, complex)
 
 
@@ -186,13 +201,11 @@ class ElementaryDecomposition:
     face_weights: dict
     chosen_constant: Rat
 
-    def cycles(self, complex: TwoComplex) -> list:
-        """The nonzero terms as ``(vertex cycle, weight)`` pairs.
-
-        Edge 2-cycles come first, sorted by the string ``str((u, v))`` of
-        their edge, then each face in id order contributes its cycle and
-        the reversed cycle.
-        """
+    def term_ids(self, complex: TwoComplex):
+        """The nonzero terms on ids, in ``.dec`` order: the ids of the edges
+        of nonzero weight, sorted by the string ``str((u, v))`` of their
+        edge, and ``(face id, forward, backward)`` for each face of a
+        nonzero weight, in id order."""
         edges = complex.edges
         weights = self.edge_weights
         # str((u, v)) is "(" + repr(u) + ", " + repr(v) + ")": one repr per vertex
@@ -200,12 +213,25 @@ class ElementaryDecomposition:
 
         def key(eid):
             u, v = edges[eid]
-            return "(" + rep[u] + ", " + rep[v] + ")"
+            return f"({rep[u]}, {rep[v]})"
 
-        live = [eid for eid, weight in weights.items() if weight]
-        terms = [(edges[eid], weights[eid]) for eid in sorted(live, key=key)]
+        live = sorted([eid for eid, weight in weights.items() if weight], key=key)
+        faces = []
         for fid in sorted(self.face_weights):
             forward, backward = self.face_weights[fid]
+            if forward or backward:
+                faces.append((fid, forward, backward))
+        return live, faces
+
+    def cycles(self, complex: TwoComplex) -> list:
+        """The nonzero terms of :meth:`term_ids` as ``(vertex cycle,
+        weight)`` pairs: an edge's 2-cycle, a face's cycle and the reversed
+        cycle."""
+        live, faces = self.term_ids(complex)
+        edges = complex.edges
+        weights = self.edge_weights
+        terms = [(edges[eid], weights[eid]) for eid in live]
+        for fid, forward, backward in faces:
             cycle = complex.face_cycle(fid)
             if forward:
                 terms.append((cycle, forward))

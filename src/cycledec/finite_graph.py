@@ -49,6 +49,14 @@ class GraphCycle:
     def __post_init__(self):
         object.__setattr__(self, "vertices", canonical_cycle(self.vertices))
 
+    @classmethod
+    def _exact(cls, vertices: tuple):
+        """Wrap a tuple of distinct vertices that already starts at its
+        least one, uncopied and unchecked."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "vertices", vertices)
+        return self
+
     def __len__(self):
         return len(self.vertices)
 
@@ -190,6 +198,8 @@ def _peel(weights):
     Edge ids follow sorted ``(u, v)`` order and vertex ids sorted labels,
     so comparing ids compares labels.  A heap key ``n * |E| + eid`` orders
     by weight and then by edge, and a residual of 0 marks a dead edge.
+    Each cycle is rotated to its least id on the ids and wrapped without
+    :func:`canonical_cycle`'s copy and checks.
     """
     scale, numerators = scaled(weights)
     keys = sorted(numerators)
@@ -239,9 +249,11 @@ def _peel(weights):
             pos[x] = -1
         edges = steps[start:]
         m = min(map(residual.__getitem__, edges))
+        cycle = walk[start:]
+        least = cycle.index(min(cycle))
         # a tuple of a list is allocated at its final size; a tuple of an
         # iterator is resized as it grows, which raised the peak resident set
-        yield GraphCycle(tuple([labels[x] for x in walk[start:]])), Rat(m, scale)
+        yield GraphCycle._exact(tuple([labels[x] for x in cycle[least:] + cycle[:least]])), Rat(m, scale)
         for e in edges:
             n = residual[e] - m
             residual[e] = n

@@ -408,17 +408,29 @@ def read_surface(path) -> TwoComplex:
 # -- decomposition records ------------------------------------------------
 
 
+def _cycle_heads(decimals):
+    """A function from a weight to its record head ``term <weight> cycle ``,
+    which writes each distinct weight once."""
+    texts = {}  # (numerator, denominator) -> text: hashing a Rat costs more than writing it
+
+    def head(weight):
+        key = weight.as_integer_ratio()
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = f"term {_fmt(weight, decimals)} cycle "
+        return text
+
+    return head
+
+
 def _cycle_terms(terms, decimals) -> list:
     """One ``term <weight> cycle <vertices>`` line per ``(cycle, weight)``;
     each distinct weight and vertex is written once."""
-    weights = {}  # (numerator, denominator) -> text: hashing a Rat costs more than writing it
+    head_of = _cycle_heads(decimals)
     labels = {}
     lines = []
     for cycle, weight in terms:
-        key = weight.as_integer_ratio()
-        head = weights.get(key)
-        if head is None:
-            head = weights[key] = f"term {_fmt(weight, decimals)} cycle "
+        head = head_of(weight)
         body = []
         for v in cycle:
             label = labels.get(v)
@@ -465,12 +477,33 @@ def format_birkhoff_decomposition(terms, source: str, decimals=None) -> str:
 
 
 def format_elementary_decomposition(dec, complex, source: str, decimals=None) -> str:
-    """Each cycle class as a ``term <weight> cycle <vertices>`` record."""
+    """Each term of :meth:`ElementaryDecomposition.cycles` as a ``term
+    <weight> cycle <vertices>`` record, written straight from its
+    :meth:`~ElementaryDecomposition.term_ids`: each vertex is labelled
+    once, each edge reads its tail and head labels by id, and each
+    distinct weight writes its record head once."""
     lines = [
         f"decomposition elementary {source}",
         f"constant {_fmt(dec.chosen_constant, decimals)}",
     ]
-    return "\n".join(lines + _cycle_terms(dec.cycles(complex), decimals)) + "\n"
+    live, faces = dec.term_ids(complex)
+    labels = {v: vertex_label(v) for v in complex.vertices}
+    edges = complex.edges
+    tails = [labels[u] for u, _ in edges]
+    heads = [labels[v] for _, v in edges]
+    head_of = _cycle_heads(decimals)
+    weights = dec.edge_weights
+    for eid in live:
+        lines.append(head_of(weights[eid]) + tails[eid] + " " + heads[eid])
+    face_edges = complex.face_edges
+    for fid, forward, backward in faces:
+        body = [tails[eid] if sign == 1 else heads[eid] for eid, sign in face_edges[fid]]
+        if forward:
+            lines.append(head_of(forward) + " ".join(body))
+        if backward:
+            body.reverse()
+            lines.append(head_of(backward) + " ".join(body))
+    return "\n".join(lines) + "\n"
 
 
 def format_1d_family(family, source: str, a, decimals=None) -> str:

@@ -41,6 +41,10 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   sort and built the sort key from one ``repr`` per vertex: edge
   2-cycles sorted by ``str`` of the edge, then both orientations of every
   face, and the zero weights filtered out last;
+* :func:`reference_format_elementary_decomposition`, the ``.dec`` text of
+  an elementary decomposition as the library wrote it before it wrote
+  from the decomposition's term ids: the ``(vertex cycle, weight)`` terms
+  of ``cycles()`` through the shared ``term ... cycle`` line writer;
 * :func:`reference_birkhoff_decompose` and :func:`reference_augment`,
   the Birkhoff split as the library computed it before it numbered the
   rows and columns: the residual in a dict keyed by label pairs, the
@@ -56,7 +60,7 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
 * :func:`reference_parse_field`, the field reader as it was before it
   filed each value under its edge id: each record's head worked out from
   its coordinates, the values keyed by ``(tail, head)`` and passed
-  through :meth:`VectorField.from_dict`;
+  through :func:`field_from_dict`;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
   sample point into the periods and the fixed four-neighbour walk that
@@ -69,8 +73,10 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   ``Rat`` sum, difference, coordinate or weight at a time.
 
 A few small helpers serve only the tests and live here for that reason:
-:func:`permutation_to_cycles`, the orbits of a permutation, and
-:func:`oriented_edges`, both directions of every edge of a complex.
+:func:`permutation_to_cycles`, the orbits of a permutation,
+:func:`oriented_edges`, both directions of every edge of a complex,
+:func:`field_from_dict`, a field from oriented-edge values, and
+:func:`edge_direction`, the direction of a 2-torus edge read from its id.
 """
 
 import random
@@ -101,7 +107,7 @@ from cycledec.errors import (
 )
 from cycledec.exact_lp import _width
 from cycledec.finite_graph import GraphCycle, cycle_edges, edge_sum, is_bistochastic
-from cycledec.io import FIELD_VERTEX_LIMIT, _content_lines, _parse_value
+from cycledec.io import FIELD_VERTEX_LIMIT, _content_lines, _cycle_terms, _fmt, _parse_value
 from cycledec.lattice import LatticeCycleClass
 from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
 
@@ -741,7 +747,7 @@ def reference_parse_field(text: str, path):
         entries[key] = _parse_value(tokens[-1], path, line_no, values)
     if complex is None:
         raise InputFormatError(path, 0, "missing field header")
-    return complex, VectorField.from_dict(complex, entries)
+    return complex, field_from_dict(complex, entries)
 
 
 def reference_periodic_reduction(u, period) -> Rat:
@@ -857,6 +863,37 @@ def reference_cycles(dec, cx: TwoComplex) -> list:
         )
         terms += [(cycle, forward), (cycle[::-1], backward)]
     return [(cycle, weight) for cycle, weight in terms if weight != 0]
+
+
+def reference_format_elementary_decomposition(dec, cx: TwoComplex, source: str, decimals=None) -> str:
+    """The ``.dec`` text of an elementary decomposition, one ``term`` line
+    per term of ``dec.cycles(cx)``."""
+    lines = [
+        f"decomposition elementary {source}",
+        f"constant {_fmt(dec.chosen_constant, decimals)}",
+    ]
+    return "\n".join(lines + _cycle_terms(dec.cycles(cx), decimals)) + "\n"
+
+
+def field_from_dict(complex: TwoComplex, mapping) -> VectorField:
+    """The field of oriented-edge values; opposite entries must agree
+    antisymmetrically if both are present, and missing edges are zero."""
+    values = [None] * complex.n_edges
+    for (u, v), value in mapping.items():
+        eid, sign = complex.edge_id(u, v)
+        value = to_rat(value) if sign > 0 else -to_rat(value)
+        if values[eid] is None:
+            values[eid] = value
+        elif values[eid] != value:
+            raise ValueError(f"conflicting values on edge {complex.edges[eid]}")
+    return VectorField(complex, [v if v is not None else ZERO for v in values])
+
+
+def edge_direction(complex: TwoComplex, eid: int) -> int:
+    """The direction, 0 or 1, of edge ``eid`` of the 2-torus: ``eid % 2``."""
+    if not complex.is_torus() or complex.torus_dimension() != 2:
+        raise ValueError("direction only defined on the 2-d torus")
+    return eid % 2
 
 
 def oriented_edges(cx: TwoComplex):

@@ -54,7 +54,9 @@ from cycledec.lattice import (
 from cycledec.ratio import ONE, ZERO, Rat, scaled
 
 from conftest import gradient_matrix, rand_pos_rat
-from oracles import brute_force_Re_oracle, face_boundary_matrix, in_d_lambda2, oriented_edges
+from oracles import (
+    brute_force_Re_oracle, face_boundary_matrix, field_from_dict, in_d_lambda2, oriented_edges,
+)
 
 
 def report(number, text):
@@ -305,7 +307,7 @@ def test_criterion_07_two_column_field_reproduction():
     for j in range(10):
         values[((7, j), (7, (j + 1) % 10))] = 1
         values[((3, j), (3, (j + 1) % 10))] = -1
-    phi = VectorField.from_dict(cx, values)
+    phi = field_from_dict(cx, values)
     assert in_d_lambda2(phi)
     minimal = field_to_rates(phi)
     assert not in_Re(minimal, cx).ok

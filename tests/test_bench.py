@@ -4,7 +4,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "benchmarks" / "bench.py"
-RECORD = ROOT / "BENCH_25.json"
+RECORD = ROOT / "BENCH_29.json"
 
 
 def load_bench():
@@ -27,7 +27,7 @@ def test_smallest_rungs_reproduce_the_recorded_outputs():
     assert {"parent", "change"} <= digests.keys()
     assert all(run == change for run in digests.values())
     # and every rung of the previous record, the same output again
-    earlier = json.loads((ROOT / "BENCH_23.json").read_text())["change"]["rungs"]
+    earlier = json.loads((ROOT / "BENCH_25.json").read_text())["change"]["rungs"]
     assert {(r["kernel"], r["size"]): r["digest"] for r in earlier}.items() <= change.items()
     for kernel, sizes in bench.LADDERS.items():
         rung = bench.run_rung(kernel, sizes[0], repeats=1)

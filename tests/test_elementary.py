@@ -1,3 +1,4 @@
+import pathlib
 from collections import Counter
 from math import lcm
 
@@ -42,13 +43,16 @@ from cycledec.ratio import ONE, ZERO, Rat, rat_decimal, rat_str
 from conftest import cube_complex, face_indicator
 from oracles import (
     brute_force_Re_oracle,
+    field_from_dict,
     in_d_lambda2,
     oriented_edges,
     reference_cycles,
     reference_field_and_symmetric,
+    reference_format_elementary_decomposition,
+    reference_nonorientable_recover_psi,
 )
 
-from test_complexes import fig2_field, rand_chain
+from test_complexes import fig2_field, rand_chain, surfaces
 
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -316,7 +320,7 @@ class TestBruteForceOracle:
         for j in range(4):
             values[((1, j), (1, (j + 1) % 4))] = 1
             values[((3, j), (3, (j + 1) % 4))] = -1
-        phi = VectorField.from_dict(cx, values)
+        phi = field_from_dict(cx, values)
         rates = field_to_rates(phi)
         assert not brute_force_Re_oracle(rates, cx)
         assert not in_Re(rates, cx).ok
@@ -821,7 +825,7 @@ def test_public_values_stay_rational():
     for complex in (TwoComplex.torus2(3), cx):
         phi = VectorField(complex, range(complex.n_edges))
         assert_all_rat(*phi.values)
-        assert_all_rat(*VectorField.from_dict(complex, {complex.edges[0]: 2}).values)
+        assert_all_rat(*field_from_dict(complex, {complex.edges[0]: 2}).values)
         assert_all_rat(*TwoChain(complex, [1] * complex.n_faces).values)
         assert_all_rat(*ZeroForm(complex, [0] * complex.n_vertices).values)
         psi = TwoChain(complex, [Rat(k, 3) for k in range(complex.n_faces)])
@@ -1005,3 +1009,174 @@ def test_cycles_and_text_match_the_str_sorted_reference():
     assert {("built", True), ("built", False), "str order is not tuple order"} <= seen
     for cx in TERM_COMPLEXES:
         assert (cx.name, "drawn", True) in seen, cx.name
+
+
+# -- the non-orientable chain on ints over twice the rate scale --
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+KLEIN_COMPLEXES = tuple(
+    TwoComplex.klein_grid(*shape) for shape in ((3, 3), (3, 4), (4, 3), (5, 5))
+) + (fio.read_surface(SAMPLES / "klein.surf"),)
+
+
+def as_surf(cx):
+    """``cx`` with its vertices relabelled as strings, written as a
+    ``.surf`` file and read back."""
+    label = {v: "/".join(map(str, v)) for v in cx.vertices}
+    cycles = [[label[v] for v in cx.face_cycle(fid)] for fid in range(cx.n_faces)]
+    relabelled = TwoComplex.from_face_cycles(cycles, cx.orientable, name="drawn")
+    return fio.parse_surface(fio.format_surface(relabelled))
+
+
+@st.composite
+def nonorientable_rates(draw):
+    """Rates on a Klein grid, the sample Klein bottle or a drawn Klein
+    bottle (faces shuffled and some reversed) read from its ``.surf``
+    text: the boundary of a chain with denominators up to 12 plus
+    symmetric noise, and about one case in four with extra mass on one
+    oriented edge."""
+    if draw(st.booleans()):
+        cx = draw(st.sampled_from(KLEIN_COMPLEXES))
+    else:
+        cx = as_surf(draw(surfaces(["klein3", "klein3x4"], st.just(False), most=1)))
+    chain = [mixed_rat(draw, -6, 6) for _ in range(cx.n_faces)]
+    rates = field_to_rates(boundary2(TwoChain(cx, chain)))
+    level = mixed_rat(draw, 0, 8)
+    for u, v in cx.edges:
+        noise = level + (mixed_rat(draw, 0, 2) if draw(st.booleans()) else ZERO)
+        for e in ((u, v), (v, u)):
+            rates[e] = rates.get(e, ZERO) + noise
+    if draw(st.sampled_from([False, False, False, True])):
+        e = draw(st.sampled_from(oriented_edges(cx)))
+        rates[e] = rates.get(e, ZERO) + mixed_rat(draw, 1, 4)
+    return cx, {e: w for e, w in rates.items() if w != 0}
+
+
+def nonorientable_examples():
+    """On the 3 x 3 Klein grid: unit rates plus the boundary of the chain
+    of halves (a chain of odd numerators over twice the scale), the
+    minimal rates of the chain 0, 1, 2, ... (the polyhedron is violated)
+    and unit rates with 1/2 more on one oriented edge (not a boundary)."""
+    cx = KLEIN_COMPLEXES[0]
+    unit = symmetric_rates(cx)
+    halves = field_to_rates(boundary2(TwoChain(cx, [Rat(1, 2)] * cx.n_faces)))
+    e = oriented_edges(cx)[0]
+    return [
+        (cx, {e: unit[e] + halves.get(e, ZERO) for e in unit}),
+        (cx, field_to_rates(boundary2(TwoChain(cx, range(cx.n_faces))))),
+        (cx, {**unit, e: unit[e] + Rat(1, 2)}),
+    ]
+
+
+def test_nonorientable_chain_is_ints_over_twice_the_scale():
+    """On non-orientable complexes the shared step's chain and symmetric
+    parts are ints over ``2 D``, ``D`` the lcm of the rate denominators:
+    ``2 D`` times the Gauss-Jordan reference chain and the ``Rat``
+    symmetric parts.  Verdicts agree with the LP oracle, and every
+    decomposition reconstructs the rates exactly."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(nonorientable_rates())
+    @with_examples(nonorientable_examples())
+    def agree(case):
+        cx, rates = case
+        seen.add(("drawn", cx.name == "drawn"))
+        phi, s = reference_field_and_symmetric(rates, cx)
+        verdict = in_Re(rates, cx)
+        if cx.n_edges + 2 * cx.n_faces <= 72:
+            assert verdict.ok == brute_force_Re_oracle(rates, cx)
+        seen.add(verdict.reason)
+        try:
+            expected = reference_nonorientable_recover_psi(phi)
+        except NotHomologous:
+            with pytest.raises(NotHomologous):
+                elementary._recover_chain(rates, cx)
+            assert verdict.reason == "NotHomologous"
+            return
+        scale, symmetric, psi, _ = elementary._recover_chain(rates, cx)
+        assert scale == 2 * lcm(*(w.denominator for w in check_rates(rates, cx).values()))
+        assert all(type(n) is int for n in psi.values + symmetric)
+        assert psi.values == [scale * v for v in expected.values]
+        assert symmetric == [scale * v for v in s]
+        seen.add(("odd chain numerator", any(n % 2 for n in psi.values)))
+        if verdict.ok:
+            dec = elementary_decompose(rates, cx)
+            weights = list(dec.edge_weights.values())
+            weights += [w for pair in dec.face_weights.values() for w in pair]
+            assert_all_rat(dec.chosen_constant, *weights)
+            assert dec.reconstruct(cx) == check_rates(rates, cx)
+
+    agree()
+    assert {None, "PolyhedronViolated", "NotHomologous"} <= seen
+    assert {("odd chain numerator", True), ("odd chain numerator", False)} <= seen
+    assert {("drawn", True), ("drawn", False)} <= seen
+
+
+def test_a_chain_off_the_doubled_scale_is_an_engine_fault(monkeypatch):
+    cx = KLEIN_COMPLEXES[0]
+    monkeypatch.setattr(
+        elementary, "recover_psi", lambda phi: TwoChain._exact(cx, [Rat(1, 2)] * cx.n_faces)
+    )
+    with pytest.raises(AssertionError, match="not integral"):
+        in_Re(symmetric_rates(cx), cx)
+
+
+# -- the .dec writer on term ids against the cycle-terms writer --
+
+WRITER_COMPLEXES = (
+    TwoComplex.torus2(3),
+    TwoComplex.torus2(11, 3),
+    TwoComplex.torus2(4, 3),
+    cube_complex(),
+) + KLEIN_COMPLEXES
+
+
+@st.composite
+def written_decompositions(draw):
+    """``(complex, decomposition, decimals)``: drawn weights, zeros
+    allowed, and a drawn constant on a torus, a Klein bottle, the cube or
+    a drawn surface."""
+    if draw(st.booleans()):
+        cx = draw(st.sampled_from(WRITER_COMPLEXES))
+    else:
+        cx = draw(surfaces())
+    weight = st.one_of(st.just(ZERO), st.builds(Rat, st.integers(0, 9), st.integers(1, 7)))
+    dec = ElementaryDecomposition(
+        {eid: draw(weight) for eid in range(cx.n_edges) if draw(st.booleans())},
+        {fid: (draw(weight), draw(weight)) for fid in range(cx.n_faces)},
+        Rat(draw(st.integers(-9, 9)), draw(st.integers(1, 7))),
+    )
+    return cx, dec, draw(st.sampled_from([None, 0, 3]))
+
+
+def writer_examples():
+    """On every complex of ``WRITER_COMPLEXES``, unit edge weights but a
+    zero one and faces with one zero half, at the constant -1/2."""
+    cases = []
+    for cx in WRITER_COMPLEXES:
+        edges = {eid: ONE if eid else ZERO for eid in range(cx.n_edges)}
+        faces = {fid: (ONE, ZERO) if fid % 2 else (ZERO, Rat(2, 3)) for fid in range(cx.n_faces)}
+        cases.append((cx, ElementaryDecomposition(edges, faces, Rat(-1, 2)), 3))
+    return cases
+
+
+def test_writer_equals_the_cycle_terms_writer():
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(written_decompositions())
+    @with_examples(writer_examples())
+    def agree(case):
+        cx, dec, decimals = case
+        text = fio.format_elementary_decomposition(dec, cx, "r", decimals)
+        assert text == reference_format_elementary_decomposition(dec, cx, "r", decimals)
+        weights = list(dec.edge_weights.values())
+        weights += [w for pair in dec.face_weights.values() for w in pair]
+        seen.add(("zero weight", ZERO in weights))
+        seen.add(("constant", dec.chosen_constant != 0))
+        seen.add(cx.name if cx in WRITER_COMPLEXES else "drawn")
+
+    agree()
+    assert {("zero weight", True), ("constant", True)} <= seen
+    assert {cx.name for cx in WRITER_COMPLEXES} | {"drawn"} <= seen

@@ -356,6 +356,17 @@ class TestEquivalence:
 
 
 @EXAMPLES
+@given(balanced_graphs())
+def test_peeled_cycles_are_the_canonical_cycles_of_their_vertices(g):
+    """The peel wraps each cycle unchecked; every one is already distinct
+    and rotated to its least label, as ``GraphCycle`` would make it."""
+    for cycle, _ in _peel(g.weights):
+        canonical = GraphCycle(cycle.vertices)
+        assert type(cycle) is GraphCycle and type(cycle.vertices) is tuple
+        assert cycle == canonical and cycle.vertices == canonical.vertices
+
+
+@EXAMPLES
 @given(balanced_graphs(), st.data())
 def test_peel_matches_rebuild_every_round_reference(g, data):
     assert is_balanced_graph(g) == (True, [])
