@@ -325,21 +325,9 @@ class ZeroForm(_Valued):
 class VectorField(_Valued):
     """Antisymmetric edge function, stored on the chosen orientations."""
 
-    @classmethod
-    def zero(cls, complex):
-        return cls(complex, [ZERO] * complex.n_edges)
-
-    def inner(self, other) -> Rat:
-        self._check(other)
-        return sum((a * b for a, b in zip(self.values, other.values)), ZERO)
-
 
 class TwoChain(_Valued):
     """Orientation-antisymmetric face function, stored on F'."""
-
-    @classmethod
-    def zero(cls, complex):
-        return cls(complex, [ZERO] * complex.n_faces)
 
 
 @dataclass

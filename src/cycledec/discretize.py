@@ -39,12 +39,6 @@ def _snap_numerator(value, denominator: int) -> int:
         raise ValueError(f"cannot snap {value!r} to a multiple of 1/{denominator}") from None
 
 
-def snap(value: float, denominator: int = DEFAULT_DENOMINATOR) -> Rat:
-    """Nearest rational with the given denominator; ``ValueError`` when
-    ``value`` is not finite or its scaled value overflows a float."""
-    return Rat(_snap_numerator(value, denominator), denominator)
-
-
 @dataclass
 class PotentialSampler:
     """Snapped sampler of a periodic potential.
@@ -57,11 +51,6 @@ class PotentialSampler:
     fn: object
     denominator: int = DEFAULT_DENOMINATOR
     periods: tuple | None = None
-
-    def sample(self, u1, u2) -> Rat:
-        p1, p2 = self.periods if self.periods else (1, 1)
-        u1, u2 = to_rat(u1) % p1, to_rat(u2) % p2
-        return snap(float(self.fn(float(u1), float(u2))), self.denominator)
 
 
 def constant_potential(value: float = 0.0) -> PotentialSampler:
@@ -137,8 +126,10 @@ def discretize_potential(potential: PotentialSampler, n: int):
 
 
 def oscillation(chain: TwoChain) -> Rat:
-    """Max minus min of the chain values."""
-    return max(chain.values) - min(chain.values)
+    """Max minus min of the chain values, taken on their int numerators
+    over one scale."""
+    scale, numerators = scaled_list(chain.values)
+    return Rat(max(numerators) - min(numerators), scale)
 
 
 @dataclass

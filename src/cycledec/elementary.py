@@ -41,14 +41,12 @@ from .errors import (
     NotHomologous,
     NotInRe,
 )
-from .finite_graph import cycle_sum
 from .complexes import (
     TwoComplex,
     TwoChain,
     VectorField,
     _field_and_symmetric,
     boundary1,
-    check_rates,
     recover_psi,
 )
 from .ratio import ZERO, Rat, to_rat
@@ -238,12 +236,6 @@ class ElementaryDecomposition:
             if backward:
                 terms.append((cycle[::-1], backward))
         return terms
-
-    def reconstruct(self, complex: TwoComplex) -> dict:
-        return cycle_sum(self.cycles(complex))
-
-    def matches(self, rates: dict, complex: TwoComplex) -> bool:
-        return self.reconstruct(complex) == check_rates(rates, complex)
 
 
 def elementary_decompose(

@@ -139,9 +139,9 @@ class WeightedDigraph:
         self.weights = cleaned
 
     @classmethod
-    def from_edges(cls, edge_weights, vertices=(), allow_self_loops=False):
+    def from_edges(cls, edge_weights, allow_self_loops=False):
         weights = {}
-        vs = set(vertices)
+        vs = set()
         for u, v, w in edge_weights:
             if (u, v) in weights:
                 raise ValueError(f"duplicate edge ({u}, {v})")

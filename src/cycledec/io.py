@@ -84,11 +84,11 @@ def parse_measure(text: str, path="<measure>") -> LatticeMeasure:
     return LatticeMeasure(dimension, atoms)
 
 
-def format_measure(measure: LatticeMeasure, decimals=None) -> str:
+def format_measure(measure: LatticeMeasure) -> str:
     """One ``coordinates mass`` line per atom; a measure without atoms
     writes its origin with mass zero, so its dimension reads back."""
     items = measure.items() or [(measure.origin(), ZERO)]
-    lines = [" ".join(str(c) for c in point) + " " + _fmt(mass, decimals) for point, mass in items]
+    lines = [" ".join(str(c) for c in point) + " " + rat_str(mass) for point, mass in items]
     return "\n".join(lines) + "\n"
 
 
@@ -166,10 +166,10 @@ def _raise_duplicate_edge(text: str, path):
         seen.add(key)
 
 
-def format_graph(name: str, weights: dict, decimals=None) -> str:
+def format_graph(name: str, weights: dict) -> str:
     lines = [f"digraph {name}"]
     for (u, v), w in sorted(weights.items()):
-        lines.append(f"{u} {v} " + _fmt(w, decimals))
+        lines.append(f"{u} {v} " + rat_str(w))
     return "\n".join(lines) + "\n"
 
 

@@ -75,8 +75,14 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
 A few small helpers serve only the tests and live here for that reason:
 :func:`permutation_to_cycles`, the orbits of a permutation,
 :func:`oriented_edges`, both directions of every edge of a complex,
-:func:`field_from_dict`, a field from oriented-edge values, and
-:func:`edge_direction`, the direction of a 2-torus edge read from its id.
+:func:`field_from_dict`, a field from oriented-edge values,
+:func:`edge_direction`, the direction of a 2-torus edge read from its id,
+:func:`zero_field`, :func:`zero_chain` and :func:`inner`, the zero field,
+the zero chain and the edge inner product of two fields,
+:func:`snap` and :func:`sample`, one snapped value and the snapped
+potential at one point, the tests' reference for the face-center path, and
+:func:`elementary_reconstruct` and :func:`elementary_matches`, the rates
+an elementary decomposition sums to and their comparison with the input.
 """
 
 import random
@@ -105,8 +111,9 @@ from cycledec.errors import (
     TooLarge,
     ZeroNotInterior,
 )
+from cycledec.discretize import DEFAULT_DENOMINATOR, _snap_numerator
 from cycledec.exact_lp import _width
-from cycledec.finite_graph import GraphCycle, cycle_edges, edge_sum, is_bistochastic
+from cycledec.finite_graph import GraphCycle, cycle_edges, cycle_sum, edge_sum, is_bistochastic
 from cycledec.io import FIELD_VERTEX_LIMIT, _content_lines, _cycle_terms, _fmt, _parse_value
 from cycledec.lattice import LatticeCycleClass
 from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
@@ -550,7 +557,7 @@ def reference_hodge_decompose(phi: VectorField) -> HodgeParts:
     rhs.append(ZERO)
     gradient = coboundary0(ZeroForm(cx, reference_solve_exact_linear(rows, rhs)))
     basis = harmonic_basis(cx)
-    coefficients = tuple(phi.inner(b) / b.inner(b) for b in basis)
+    coefficients = tuple(inner(phi, b) / inner(b, b) for b in basis)
     harmonic = basis[0].scale(coefficients[0]) + basis[1].scale(coefficients[1])
     return HodgeParts(gradient, phi - gradient - harmonic, harmonic, coefficients)
 
@@ -894,6 +901,44 @@ def edge_direction(complex: TwoComplex, eid: int) -> int:
     if not complex.is_torus() or complex.torus_dimension() != 2:
         raise ValueError("direction only defined on the 2-d torus")
     return eid % 2
+
+
+def zero_field(complex: TwoComplex) -> VectorField:
+    return VectorField(complex, [ZERO] * complex.n_edges)
+
+
+def zero_chain(complex: TwoComplex) -> TwoChain:
+    return TwoChain(complex, [ZERO] * complex.n_faces)
+
+
+def inner(phi: VectorField, psi: VectorField) -> Rat:
+    """The sum of ``phi * psi`` over the chosen edges of one complex."""
+    phi._check(psi)
+    return sum((a * b for a, b in zip(phi.values, psi.values)), ZERO)
+
+
+def snap(value: float, denominator: int = DEFAULT_DENOMINATOR) -> Rat:
+    """Nearest rational with the given denominator; ``ValueError`` when
+    ``value`` is not finite or its scaled value overflows a float."""
+    return Rat(_snap_numerator(value, denominator), denominator)
+
+
+def sample(sampler, u1, u2) -> Rat:
+    """The snapped value of ``sampler`` at ``(u1, u2)``, reduced modulo its
+    periods (the unit square when it has none)."""
+    p1, p2 = sampler.periods if sampler.periods else (1, 1)
+    u1, u2 = to_rat(u1) % p1, to_rat(u2) % p2
+    return snap(float(sampler.fn(float(u1), float(u2))), sampler.denominator)
+
+
+def elementary_reconstruct(dec, complex: TwoComplex) -> dict:
+    """The oriented-edge rates that the terms of an elementary
+    decomposition sum to."""
+    return cycle_sum(dec.cycles(complex))
+
+
+def elementary_matches(dec, rates: dict, complex: TwoComplex) -> bool:
+    return elementary_reconstruct(dec, complex) == check_rates(rates, complex)
 
 
 def oriented_edges(cx: TwoComplex):

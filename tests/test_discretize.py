@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycledec.complexes import TwoComplex, boundary2, recover_psi
+from cycledec.complexes import TwoChain, TwoComplex, boundary2, recover_psi
 from cycledec.discretize import (
     EnvironmentSpec,
     PotentialSampler,
@@ -15,10 +15,9 @@ from cycledec.discretize import (
     oscillation,
     random_environment,
     sine_potential,
-    snap,
 )
 from cycledec.elementary import in_Re
-from cycledec.ratio import ONE, ZERO, Rat
+from cycledec.ratio import ONE, ZERO, Rat, rat_str
 
 from oracles import (
     in_d_lambda2,
@@ -26,6 +25,8 @@ from oracles import (
     reference_face_center_chain,
     reference_periodic_reduction,
     reference_row_probabilities,
+    sample,
+    snap,
 )
 from test_complexes import fig2_field
 
@@ -52,11 +53,11 @@ class TestSnap:
 
     def test_periodic_reduction(self):
         sampler = PotentialSampler(lambda u1, u2: u1, denominator=100)
-        assert sampler.sample(Rat(1, 4), ZERO) == sampler.sample(Rat(5, 4), ZERO)
+        assert sample(sampler, Rat(1, 4), ZERO) == sample(sampler, Rat(5, 4), ZERO)
 
     def test_integer_periods(self):
         sampler = PotentialSampler(lambda u1, u2: u1 + u2, denominator=10, periods=(3, 2))
-        assert sampler.sample(Rat(7, 2), ONE) == sampler.sample(Rat(1, 2), ONE)
+        assert sample(sampler, Rat(7, 2), ONE) == sample(sampler, Rat(1, 2), ONE)
 
     @EXAMPLES
     @given(coordinates, coordinates, periods)
@@ -64,7 +65,7 @@ class TestSnap:
         # the unit square when periods is None, the integer periods otherwise
         seen = []
         sampler = PotentialSampler(lambda a, b: seen.append((a, b)) or 0.0, periods=periods)
-        sampler.sample(u1, u2)
+        sample(sampler, u1, u2)
         p1, p2 = periods or (1, 1)
         reduced = reference_periodic_reduction(u1, p1), reference_periodic_reduction(u2, p2)
         assert 0 <= reduced[0] < p1 and 0 <= reduced[1] < p2
@@ -176,6 +177,18 @@ class TestOscillation:
     def test_sine_scan(self):
         _, chain = discretize_potential(sine_potential(), 8)
         assert oscillation(chain) == max(chain.values) - min(chain.values)
+
+    @EXAMPLES
+    @given(st.data(), st.integers(3, 5), st.integers(3, 5))
+    def test_equals_rat_max_minus_min_on_drawn_chains(self, data, n1, n2):
+        # int and Rat values, as an uncoerced chain may hold them
+        cx = TwoComplex.torus2(n1, n2)
+        value = st.integers(-10**20, 10**20) | st.builds(Rat, st.integers(-10**20, 10**20), st.integers(1, 10**9))
+        chain = TwoChain._exact(cx, data.draw(st.lists(value, min_size=cx.n_faces, max_size=cx.n_faces)))
+        expected = max(chain.values) - min(chain.values)
+        got = oscillation(chain)
+        assert type(got) is Rat
+        assert (got, rat_str(got)) == (expected, rat_str(expected))
 
 
 class TestSufficientCheck:
