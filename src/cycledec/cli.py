@@ -15,8 +15,8 @@ from math import isfinite, prod
 from . import discretize as dz
 from . import elementary as el
 from . import io as fio
-from .complexes import TwoComplex, check_rates, field_to_rates, hodge_decompose
-from .errors import CycleDecError, InputFormatError, NotBalanced, TooLarge
+from .complexes import TwoComplex, _field_and_symmetric, field_to_rates, hodge_decompose
+from .errors import CycleDecError, InputFormatError, NegativeEdgeWeight, NotBalanced, TooLarge
 from .finite_graph import (
     WeightedDigraph,
     birkhoff_decompose,
@@ -100,18 +100,21 @@ def _load_complex(args, dim: int = 2):
 
 
 def _edge_line(weights: dict, lines, check) -> int:
-    """Line of the first edge that ``check(u, v, w)`` rejects on its own.
-
-    Called after a check of the whole edge map failed; every such check
-    goes edge by edge in the order of ``weights``, so this is the edge it
-    stopped at.  0 when no single edge fails.
-    """
-    for ((u, v), w), line in zip(weights.items(), lines):
+    """Line of the first edge of ``weights`` that ``check`` rejects, called
+    after ``check(weights)`` failed.  Each check stops at the first faulty
+    edge in order, so the shortest prefix it rejects ends there; bisection
+    finds it in about log2(len(weights)) checks, each of which may cost
+    the size of the complex (the rates pass does)."""
+    items = list(weights.items())
+    good, bad = 0, len(items)  # the first `good` edges pass, the first `bad` fail
+    while bad - good > 1:
+        middle = (good + bad) // 2
         try:
-            check(u, v, w)
+            check(dict(items[:middle]))
+            good = middle
         except (KeyError, ValueError):
-            return line
-    return 0
+            bad = middle
+    return lines[bad - 1]
 
 
 def _load_rates(path, args, dim: int = 2):
@@ -129,33 +132,34 @@ def _load_rates(path, args, dim: int = 2):
     if complex.is_torus():
         weights = fio.labels_to_coords(weights, path, lines)
     try:
-        return check_rates(weights, complex), complex
+        _field_and_symmetric(weights, complex)
     except (KeyError, ValueError) as exc:
-        line = _edge_line(weights, lines, lambda u, v, w: check_rates({(u, v): w}, complex))
+        line = _edge_line(weights, lines, lambda prefix: _field_and_symmetric(prefix, complex))
         raise InputFormatError(path, line, f"rates do not fit {complex.name}: {exc.args[0]}")
+    return {e: w for e, w in weights.items() if w}, complex
 
 
 def _load_digraph(path, allow_self_loops=False):
     """Name plus weighted digraph from a graph file."""
     name, weights, lines = fio.read_graph(path)
 
-    def build(edges):
+    def build(edge_map):
+        edges = [(u, v, w) for (u, v), w in edge_map.items()]
         return WeightedDigraph.from_edges(edges, allow_self_loops=allow_self_loops)
 
     try:
-        graph = build([(u, v, w) for (u, v), w in weights.items()])
+        graph = build(weights)
     except ValueError as exc:
-        line = _edge_line(weights, lines, lambda u, v, w: build([(u, v, w)]))
-        raise InputFormatError(path, line, str(exc))
+        raise InputFormatError(path, _edge_line(weights, lines, build), str(exc))
     return name, graph
 
 
 def _elementary_decompose(rates, complex, constant):
     """``elementary_decompose``, reporting a constant that the complex
-    admits no freedom for as an argument error."""
+    admits no freedom for, or that is infeasible, as an argument error."""
     try:
         return el.elementary_decompose(rates, complex, constant)
-    except ValueError as exc:
+    except (ValueError, NegativeEdgeWeight) as exc:
         raise InputFormatError("<args>", 0, f"--constant: {exc}")
 
 
@@ -258,7 +262,10 @@ def _cmd_decompose(args) -> int:
             family = el.decompose_1d(rates, complex)
         except ValueError as exc:
             raise InputFormatError(args.input, 0, str(exc))
-        text = fio.format_1d_family(family, args.input, args.param, decimals)
+        try:
+            text = fio.format_1d_family(family, args.input, args.param, decimals)
+        except NegativeEdgeWeight as exc:
+            raise InputFormatError("<args>", 0, f"--param: {exc}")
         expected = ("on-complex", rates, complex)
     else:  # 1d-heavy
         measure = fio.read_measure(args.input)

@@ -541,66 +541,52 @@ def hodge_decompose(phi: VectorField) -> HodgeParts:
 # -- weights vs fields -------------------------------------------------
 
 
-def check_rates(rates: dict, complex: TwoComplex) -> dict:
-    """Validate an oriented-edge weight map against the complex."""
-    index = complex.edge_index
-    cleaned = {}
-    for (u, v), w in rates.items():
-        if (u, v) not in index and (v, u) not in index:
-            complex.edge_id(u, v)  # raises the KeyError naming the pair
-        w = to_rat(w)
-        n = w.numerator
-        if n < 0:
-            raise ValueError(f"negative rate on ({u}, {v})")
-        if n:
-            cleaned[(u, v)] = w
-    return cleaned
-
-
 def _field_and_symmetric(rates: dict, complex: TwoComplex):
     """The one validated pass from rates to ``(D, field, symmetric)``.
 
-    One pass over the rates coerces each one, checks its pair and its
-    sign, files its numerator and denominator under its edge and direction
-    and takes ``D``, the lcm of the denominators; a failure reruns
-    :func:`check_rates`, which raises the error it names, so every error
-    and message is that of the validation.  Then, per chosen edge
-    ``(u, v)``, with
-    ``a = D r(u, v)`` and ``b = D r(v, u)``, the field carries the integer
-    ``a - b`` and the symmetric part is the integer ``min(a, b)``; the
-    symmetric parts come back as a list indexed by edge id.  Scaling by a
-    positive integer keeps every comparison, so callers decide on these
-    numerators and divide by ``D`` only in the values they return
-    (``Rat(n, D)``).
+    It raises its own errors.  Each rate, in dict order, keyed by a
+    ``(u, v)`` tuple, has its pair checked (``KeyError`` from
+    :meth:`TwoComplex.edge_id`), then its value (:func:`to_rat`), then its
+    sign (``ValueError``), so the first faulty rate is the one named.  Its
+    numerator and denominator are filed under its edge and direction, and
+    ``D`` is the lcm of the denominators.  Then, per chosen edge
+    ``(u, v)``, with ``a = D r(u, v)`` and ``b = D r(v, u)``, the field
+    carries the integer ``a - b`` and the symmetric part is the integer
+    ``min(a, b)``; the symmetric parts come back as a list indexed by edge
+    id.  Scaling by a positive integer keeps every comparison, so callers
+    decide on these numerators and divide by ``D`` only in the values
+    they return (``Rat(n, D)``).
     """
     index = complex.edge_index
-    forward = [0] * len(complex.edges)
-    backward = list(forward)
+    n_edges = len(complex.edges)
+    forward_n, forward_d = [0] * n_edges, [1] * n_edges
+    backward_n, backward_d = [0] * n_edges, [1] * n_edges
     scale = 1
-    try:
-        for pair, w in rates.items():
-            if type(w) is not Rat:
-                w = to_rat(w)
-            # the pair as given is its own key; the reversed one is built on a miss
-            eid = index.get(pair)
+    for pair, w in rates.items():
+        # the pair as given is its own key; the reversed one is built on a miss
+        eid = index.get(pair)
+        if eid is None:
+            u, v = pair
+            eid = index.get((v, u))
             if eid is None:
-                u, v = pair
-                eid, side = index[(v, u)], backward
-            else:
-                side = forward
-            n, d = w.as_integer_ratio()
-            if n < 0:
-                raise ValueError
-            if scale % d:
-                scale = scale // gcd(scale, d) * d
-            side[eid] = (n, d)
-    except (KeyError, TypeError, ValueError):
-        check_rates(rates, complex)
-        raise
+                complex.edge_id(u, v)  # raises the KeyError naming the pair
+            nums, dens = backward_n, backward_d
+        else:
+            nums, dens = forward_n, forward_d
+        if type(w) is not Rat:
+            w = to_rat(w)
+        n, d = w.as_integer_ratio()
+        if n < 0:
+            u, v = pair
+            raise ValueError(f"negative rate on ({u}, {v})")
+        if scale % d:
+            scale = scale // gcd(scale, d) * d
+        nums[eid] = n
+        dens[eid] = d
     values, s = [], []
-    for a, b in zip(forward, backward):
-        a = a[0] * (scale // a[1]) if a else 0
-        b = b[0] * (scale // b[1]) if b else 0
+    for an, ad, bn, bd in zip(forward_n, forward_d, backward_n, backward_d):
+        a = an * (scale // ad)
+        b = bn * (scale // bd)
         values.append(a - b)
         s.append(a if a < b else b)
     return scale, VectorField._exact(complex, values), s

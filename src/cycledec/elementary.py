@@ -10,7 +10,7 @@ point.  That common point is the additive constant used to build the
 explicit decomposition.  Edges incident to no face (the one-dimensional
 torus has only such edges) constrain nothing beyond nonnegativity.
 
-Every verdict and construction runs the same pass: the rates are
+Every verdict, construction and bound runs the same pass: the rates are
 validated once and split into field and symmetric parts in one loop, the
 chain is recovered by :func:`recover_psi`, and the edge intervals are read
 off it.  Non-orientable surfaces have no constant freedom (the chain is
@@ -363,9 +363,8 @@ def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
     characterization of homotopically trivial decomposability is open and
     not decided here.
     """
-    _, phi, _ = _field_and_symmetric(rates, complex)
     try:
-        recover_psi(phi)
+        _recover_chain(rates, complex)
     except NotHomologous:
         return False
     return True
@@ -378,18 +377,21 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
     spanning tree of the face adjacency graph with edge weights ``|phi|``;
     a minimum spanning tree gives the bound ``M``.  If every symmetric
     part reaches ``M / 2`` the rates are elementary-decomposable.  Returns
-    ``(sufficient, M)``; a negative answer decides nothing.
+    ``(sufficient, M)``; a negative answer decides nothing.  The weights
+    are read off the spans of :func:`_recover_chain`, whose chain bounds
+    the field: ``|phi|`` is ``hi - lo`` on an edge its faces see with
+    opposite signs and ``|lo + hi|`` on one they see alike.
     """
     if complex.n_faces == 0:
         raise CycleDecError("complex has no faces")
-    scale, phi, s = _field_and_symmetric(rates, complex)
     try:
-        recover_psi(phi)
+        scale, s, _, spans = _recover_chain(rates, complex)
     except NotHomologous:
         raise NotHomologous("field is not a face boundary") from None
 
     dual_edges = sorted(
-        (abs(phi.values[eid]), eid) for eid in range(complex.n_edges)
+        (hi - lo if opposite else abs(lo + hi), eid)
+        for eid, (lo, hi, opposite) in enumerate(spans)
     )
     parent = list(range(complex.n_faces))
 

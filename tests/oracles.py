@@ -32,6 +32,9 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   Laplace system, vertex 0 pinned, solved by Gauss-Jordan on dense
   ``Rat`` rows, and the harmonic part from inner products, as the library
   computed it before the p-adic solver;
+* :func:`check_rates`, the rate validation as the library ran it before
+  its one pass from rates to field raised its own errors: the pair, the
+  value and the sign of each rate in turn, and the nonzero rates back;
 * :func:`reference_field_and_symmetric`, the field and the symmetric
   parts of oriented-edge rates on ``Fraction`` values after
   :func:`check_rates`, one rational per step, as the library computed
@@ -95,7 +98,6 @@ from cycledec.complexes import (
     VectorField,
     ZeroForm,
     boundary1,
-    check_rates,
     coboundary0,
     field_to_rates,
     harmonic_basis,
@@ -843,6 +845,28 @@ def reference_environment_weights(spec):
         totals[x] += w
     probabilities = {(x, y): w / totals[x] for (x, y), w in weights.items()}
     return shift, max(chain.values) - min(chain.values), weights, probabilities
+
+
+def check_rates(rates: dict, complex: TwoComplex) -> dict:
+    """Validate an oriented-edge weight map against the complex: the
+    nonzero rates as ``Rat``, in the map's order.
+
+    The reference for the library's one validating pass,
+    ``complexes._field_and_symmetric``: per rate, the pair, then the
+    value, then the sign, with the same errors and messages.
+    """
+    index = complex.edge_index
+    cleaned = {}
+    for (u, v), w in rates.items():
+        if (u, v) not in index and (v, u) not in index:
+            complex.edge_id(u, v)  # raises the KeyError naming the pair
+        w = to_rat(w)
+        n = w.numerator
+        if n < 0:
+            raise ValueError(f"negative rate on ({u}, {v})")
+        if n:
+            cleaned[(u, v)] = w
+    return cleaned
 
 
 def reference_field_and_symmetric(rates: dict, cx: TwoComplex):

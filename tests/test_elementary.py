@@ -13,7 +13,6 @@ from cycledec.complexes import (
     VectorField,
     ZeroForm,
     boundary2,
-    check_rates,
     field_to_rates,
     recover_psi,
 )
@@ -43,6 +42,7 @@ from cycledec.ratio import ONE, ZERO, Rat, rat_decimal, rat_str
 from conftest import cube_complex, face_indicator
 from oracles import (
     brute_force_Re_oracle,
+    check_rates,
     elementary_matches,
     elementary_reconstruct,
     field_from_dict,
@@ -550,32 +550,22 @@ def test_verdict_matches_pairwise_test_and_lp_oracle():
 
 @pytest.mark.parametrize("cx", SMALL_COMPLEXES, ids=lambda cx: cx.name)
 def test_rates_are_validated_once_per_query(monkeypatch, cx):
-    # the one validating pass is _field_and_symmetric; on valid rates it
-    # never falls back to check_rates
-    calls, fallbacks = [], []
+    # the one validating pass is _field_and_symmetric
+    calls = []
     real = elementary._field_and_symmetric
-    real_check = complexes.check_rates
 
     def counting(rates, complex):
         calls.append(complex)
         return real(rates, complex)
 
-    def check(rates, complex):
-        fallbacks.append(complex)
-        return real_check(rates, complex)
-
     monkeypatch.setattr(elementary, "_field_and_symmetric", counting)
-    monkeypatch.setattr(complexes, "check_rates", check)
     rates = symmetric_rates(cx, Rat(1, 2))
-    for query in (in_Re, pairwise_in_Re, r_star_necessary):
+    queries = [in_Re, pairwise_in_Re, r_star_necessary]
+    queries.append(sufficient_diameter_bound if cx.n_faces else decompose_1d)
+    for query in queries:
         calls.clear()
         query(rates, cx)
         assert len(calls) == 1, query.__name__
-    if cx.n_faces == 0:
-        calls.clear()
-        decompose_1d(rates, cx)
-        assert len(calls) == 1
-    assert fallbacks == []
 
 
 def _raised(fn, *args):
@@ -599,6 +589,9 @@ def _raised(fn, *args):
         # a self-loop key
         ({((0, 0), (0, 0)): 1}, KeyError, "no edge between (0, 0) and (0, 0)"),
         ({((0, 0), (1, 0)): "1/0"}, ValueError, "denominator must be positive"),
+        # within one rate, the pair before its value and its sign
+        ({((0, 0), (2, 2)): 0.5}, KeyError, "no edge between (0, 0) and (2, 2)"),
+        ({((0, 0), (2, 2)): -1}, KeyError, "no edge between (0, 0) and (2, 2)"),
     ],
 )
 def test_one_pass_raises_what_check_rates_raises(bad, error, message):
@@ -804,6 +797,7 @@ def test_integer_pass_matches_fraction_reference():
             assert bound == outcome(reference_diameter_bound, rates, cx)
             if isinstance(bound, tuple):
                 assert_all_rat(bound[1])
+                seen.add((cx.name, "bound"))
         else:
             family = outcome(decompose_1d, rates, cx)
             assert family == outcome(reference_decompose_1d, rates, cx)
@@ -818,7 +812,8 @@ def test_integer_pass_matches_fraction_reference():
     for cx in DIFFERENTIAL_COMPLEXES:
         assert {(cx.name, None), (cx.name, True, "decomposed")} <= seen, cx.name
         if cx.n_faces:
-            assert (cx.name, "PolyhedronViolated") in seen, cx.name
+            # a bound on a Klein bottle weighs its edges by |lo + hi|
+            assert {(cx.name, "PolyhedronViolated"), (cx.name, "bound")} <= seen, cx.name
         if cx.orientable and cx.n_faces:
             assert {(cx.name, False, NegativeEdgeWeight), (cx.name, False, "decomposed")} <= seen, cx.name
 

@@ -1213,6 +1213,28 @@ class TestCliInputErrors:
         assert run_cli(["check", "elementary", path, "--torus", "3"]) == 2
         assert "label.wg:3: label '1,0' or 'east' is not coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", [0, 1, 40, 64])
+    def test_rate_errors_are_located_in_a_few_passes(self, at, workdir, monkeypatch, capsys):
+        # the first faulty rate is found by bisection over prefixes, so a
+        # pass that costs the size of the complex does not run once per rate
+        rates = [f"{i},{j} {(i + 1) % 8},{j} 1/2" for i in range(8) for j in range(8)]
+        rates.insert(at, "0,0 5,5 1")
+        rates.append("2,2 6,6 1")
+        path = write(workdir / "far.wg", "\n".join(["digraph far", *rates]) + "\n")
+        passes = []
+        real = cli._field_and_symmetric
+
+        def counting(rates, complex):
+            passes.append(len(rates))
+            return real(rates, complex)
+
+        monkeypatch.setattr(cli, "_field_and_symmetric", counting)
+        assert run_cli(["check", "elementary", path, "--torus", "8"]) == 2
+        assert f"far.wg:{at + 2}: rates do not fit torus2[8x8]: no edge between (0, 0) and (5, 5)" in (
+            capsys.readouterr().err
+        )
+        assert len(passes) <= 8  # the whole map, then at most 7 halvings of 66 rates
+
     def test_negative_rate_exit_two(self, workdir, capsys):
         path = write(workdir / "neg.wg", "digraph neg\n0,0 1,0 -1/2\n")
         assert run_cli(["check", "elementary", path, "--torus", "3"]) == 2
@@ -1328,6 +1350,12 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
          _sample("klein.surf"), "--constant", "1"],
         ["hodge", _sample("two_columns.field"), "--torus", "3"],
         ["check", "balance", _sample("rest2d.msr"), "--decimal", "3"],
+        # decomposable inputs at an infeasible constant or parameter
+        ["decompose", "--mode", "elementary", _sample("torus_rates.wg"), "--torus", "3x4",
+         "--constant", "5"],
+        ["elementary", _sample("torus_rates.wg"), "--torus", "3x4", "--constant", "5",
+         "-o", "out"],
+        ["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--param", "1"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
@@ -1345,22 +1373,36 @@ def test_bad_arguments_exit_two(args, workdir, capsys):
     assert "error" in err and "Traceback" not in err
 
 
+NO_FREEDOM = "--constant: non-orientable recovery admits no constant freedom"
+INFEASIBLE = "--constant: constant 5 is infeasible at edge ((0, 0), (1, 0))"
+
+
+def _refusal(args, message):
+    return pytest.param(args, message, id=" ".join(args).replace(f"{SAMPLES}/", ""))
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["elementary", _sample("klein_rates.wg"), "--surface", _sample("klein.surf"),
-         "--constant", "1", "-o", "out"],
-        ["decompose", "--mode", "elementary", _sample("klein_rates.wg"), "--surface",
-         _sample("klein.surf"), "--constant", "1"],
+        _refusal(["elementary", _sample("klein_rates.wg"), "--surface", _sample("klein.surf"),
+                  "--constant", "1", "-o", "out"], NO_FREEDOM),
+        _refusal(["decompose", "--mode", "elementary", _sample("klein_rates.wg"), "--surface",
+                  _sample("klein.surf"), "--constant", "1"], NO_FREEDOM),
+        _refusal(["elementary", _sample("torus_rates.wg"), "--torus", "3x4", "--constant", "5",
+                  "-o", "out"], INFEASIBLE),
+        _refusal(["decompose", "--mode", "elementary", _sample("torus_rates.wg"), "--torus",
+                  "3x4", "--constant", "5", "-o", "out"], INFEASIBLE),
+        _refusal(["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--param",
+                  "1", "-o", "out"],
+                 "--param: parameter 1 outside [0, 1/2] gives a negative cycle weight"),
     ],
-    ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
-def test_refused_constant_leaves_stdout_empty(args, workdir, capsys):
+def test_refused_constant_leaves_stdout_empty(args, message, workdir, capsys):
     code = run_cli(args)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "--constant: non-orientable recovery admits no constant freedom" in captured.err
+    assert f"input error: <args>:0: {message}" in captured.err
     assert not (workdir / "out").exists()
 
 
