@@ -154,11 +154,12 @@ def _load_digraph(path, allow_self_loops=False):
     return name, graph
 
 
-def _elementary_decompose(rates, complex, constant):
-    """``elementary_decompose``, reporting a constant that the complex
-    admits no freedom for, or that is infeasible, as an argument error."""
+def _elementary_weights(chain, complex, verdict, constant):
+    """The decomposition on the one recovered chain, reporting a constant
+    that the complex admits no freedom for, or that is infeasible, as an
+    argument error."""
     try:
-        return el.elementary_decompose(rates, complex, constant)
+        return el._weights(chain, complex, verdict, constant)
     except (ValueError, NegativeEdgeWeight) as exc:
         raise InputFormatError("<args>", 0, f"--constant: {exc}")
 
@@ -198,17 +199,18 @@ def _cmd_check(args) -> int:
         print(f"bistochastic: {'yes' if ok else 'no'}")
         return 0 if ok else 1
     rates, complex = _load_rates(path, args)
-    if prop in ("dlambda2", "rstar"):
-        ok = el.r_star_necessary(rates, complex)
-        if prop == "dlambda2":
-            print(f"dlambda2: {'yes' if ok else 'no'}")
-        else:
-            print(f"rstar-necessary-condition: {'holds' if ok else 'fails'}")
-            print("# full homotopically-trivial membership is not decided")
-        return 0 if ok else 1
-    verdict = el.in_Re(rates, complex)
-    print(_verdict_line(verdict))
-    return 0 if verdict.ok else 1
+    chain = el._recover_chain(rates, complex)
+    if prop == "elementary":
+        verdict = el._verdict(chain, complex)
+        print(_verdict_line(verdict))
+        return 0 if verdict.ok else 1
+    ok = chain is not None
+    if prop == "dlambda2":
+        print(f"dlambda2: {'yes' if ok else 'no'}")
+    else:
+        print(f"rstar-necessary-condition: {'holds' if ok else 'fails'}")
+        print("# full homotopically-trivial membership is not decided")
+    return 0 if ok else 1
 
 
 def _verdict_line(verdict) -> str:
@@ -232,6 +234,11 @@ def _verdict_line(verdict) -> str:
 def _cmd_decompose(args) -> int:
     mode = args.mode
     decimals = args.decimal
+    flags = (("--constant", args.constant, "elementary"), ("--param", args.param, "1d"),
+             ("--steps", args.steps, "1d-heavy"))
+    for flag, value, owner in flags:
+        if value is not None and mode != owner:
+            raise InputFormatError("<args>", 0, f"{flag} applies to --mode {owner} only")
     if mode == "graph":
         name, graph = _load_digraph(args.input)
         dec = decompose_graph(graph)
@@ -251,7 +258,8 @@ def _cmd_decompose(args) -> int:
             sys.stdout.write(fio.format_lift(dec.classes(), decimals=decimals))
     elif mode == "elementary":
         rates, complex = _load_rates(args.input, args)
-        dec = _elementary_decompose(rates, complex, args.constant)
+        chain = el._recover_chain(rates, complex)
+        dec = _elementary_weights(chain, complex, el._verdict(chain, complex), args.constant)
         text = fio.format_elementary_decomposition(dec, complex, args.input, decimals)
         expected = ("on-complex", rates, complex)
         if args.lift and complex.is_torus():
@@ -263,7 +271,7 @@ def _cmd_decompose(args) -> int:
         except ValueError as exc:
             raise InputFormatError(args.input, 0, str(exc))
         try:
-            text = fio.format_1d_family(family, args.input, args.param, decimals)
+            text = fio.format_1d_family(family, args.input, args.param or ZERO, decimals)
         except NegativeEdgeWeight as exc:
             raise InputFormatError("<args>", 0, f"--param: {exc}")
         expected = ("on-complex", rates, complex)
@@ -275,7 +283,8 @@ def _cmd_decompose(args) -> int:
             lambda x: measure.mass((x,)),
             search_limit=max((abs(x[0]) for x in measure.support()), default=0),
         )
-        terms, residual = decompose_1d_heavy_tail(oracle, args.steps)
+        steps = 10 if args.steps is None else args.steps
+        terms, residual = decompose_1d_heavy_tail(oracle, steps)
         text = fio.format_heavy_tail(terms, residual, args.input, decimals)
         expected = ("heavy", measure)
 
@@ -345,30 +354,23 @@ def _cmd_hodge(args) -> int:
 
 def _cmd_elementary(args) -> int:
     rates, complex = _load_rates(args.input, args)
-    verdict = el.in_Re(rates, complex)
-    dec = None
-    if verdict.ok and args.output:
+    chain = el._recover_chain(rates, complex)
+    verdict = el._verdict(chain, complex)
+    if verdict.ok:
         # decomposed first, so a refused --constant leaves stdout empty
-        dec = _elementary_decompose(rates, complex, args.constant)
+        dec = _elementary_weights(chain, complex, verdict, args.constant)
     print(_verdict_line(verdict))
     if args.diameter:
         try:
-            sufficient, bound = el.sufficient_diameter_bound(rates, complex)
-            print(
-                f"diameter-bound M={rat_str(bound)} "
-                f"sufficient={'yes' if sufficient else 'no'}"
-            )
+            sufficient, bound = el._diameter_bound(chain, complex)
         except CycleDecError as exc:  # no faces, or NotHomologous
             print(f"diameter-bound unavailable: {exc}")
+        else:
+            print(f"diameter-bound M={rat_str(bound)} sufficient={'yes' if sufficient else 'no'}")
     if not verdict.ok:
         return 1
-    if dec is not None:
-        _emit(
-            fio.format_elementary_decomposition(
-                dec, complex, args.input, args.decimal
-            ),
-            args.output,
-        )
+    if args.output:
+        _emit(fio.format_elementary_decomposition(dec, complex, args.input, args.decimal), args.output)
     return 0
 
 
@@ -442,9 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--constant", type=_rational,
                    help="additive constant for elementary mode")
-    p.add_argument("--param", type=_rational, default=ZERO,
-                   help="family parameter a for 1d mode")
-    p.add_argument("--steps", type=int, default=10, help="rounds for 1d-heavy mode")
+    p.add_argument("--param", type=_rational, help="family parameter a for 1d mode (default 0)")
+    p.add_argument("--steps", type=_at_least(0), help="rounds for 1d-heavy mode (default 10)")
     p.add_argument("--verify", action="store_true",
                    help="re-read the emitted file and re-check the reconstruction")
     p.add_argument("--lift", action="store_true",

@@ -10,12 +10,12 @@ point.  That common point is the additive constant used to build the
 explicit decomposition.  Edges incident to no face (the one-dimensional
 torus has only such edges) constrain nothing beyond nonnegativity.
 
-Every verdict, construction and bound runs the same pass: the rates are
-validated once and split into field and symmetric parts in one loop, the
-chain is recovered by :func:`recover_psi`, and the edge intervals are read
-off it.  Non-orientable surfaces have no constant freedom (the chain is
-unique) and edges traversed the same way by both faces contribute the
-complement of an open interval instead.
+Every verdict, construction and bound reads one chain: :func:`_recover_chain`
+validates the rates once and recovers the chain and its edge intervals, and
+one reader per rule (:func:`_verdict`, :func:`_weights`,
+:func:`_diameter_bound`) takes it.  Non-orientable surfaces have no
+constant freedom (the chain is unique) and edges traversed the same way by
+both faces contribute the complement of an open interval instead.
 
 The pass runs on Python ints over one scale ``D``: the field, the
 symmetric parts, the chain and the interval ends are integer numerators
@@ -49,7 +49,7 @@ from .complexes import (
     boundary1,
     recover_psi,
 )
-from .ratio import ZERO, Rat, to_rat
+from .ratio import ZERO, Rat, rats_over, to_rat
 
 
 def _distance_to_zero(lo, hi, opposite=True):
@@ -93,45 +93,35 @@ class ReVerdict:
 
 def _recover_chain(rates, complex):
     """``(D, s, psi, spans)``: the scale, the symmetric parts, a chain
-    bounding the field and the edge spans, all integer numerators over ``D``.
+    bounding the field and the edge spans, all integer numerators over ``D``;
+    ``None`` when the field is not a face boundary.
 
     On a non-orientable complex ``D`` is twice the lcm of the rate
     denominators, so the chain :func:`recover_psi` returns as ``Rat``
     values is read back as ints; a value that is not one is an engine
-    fault, raised as ``AssertionError``.  Raises :class:`NotHomologous`
-    when the field is not a face boundary.
+    fault, raised as ``AssertionError``.
     """
     scale, phi, s = _field_and_symmetric(rates, complex)
-    if complex.orientable:
-        psi = recover_psi(phi)
-    else:
-        scale *= 2
-        s = [2 * n for n in s]
-        values = recover_psi(VectorField._exact(complex, [2 * n for n in phi.values])).values
-        if any(value.denominator != 1 for value in values):
-            raise AssertionError("chain over twice the rate scale is not integral")
-        psi = TwoChain._exact(complex, [value.numerator for value in values])
+    try:
+        if complex.orientable:
+            psi = recover_psi(phi)
+        else:
+            scale *= 2
+            s = [2 * n for n in s]
+            values = recover_psi(VectorField._exact(complex, [2 * n for n in phi.values])).values
+            if any(value.denominator != 1 for value in values):
+                raise AssertionError("chain over twice the rate scale is not integral")
+            psi = TwoChain._exact(complex, [value.numerator for value in values])
+    except NotHomologous:
+        return None
     return scale, s, psi, _spans(psi, complex)
 
 
-def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
-    """Decide whether the rates decompose over elementary cycles.
-
-    Pipeline: project the rates to their vector field and recover a chain
-    with that boundary; a field that is not a face boundary already rules
-    the decomposition out (necessary condition for homotopically trivial
-    cycles, hence for elementary ones).  On an orientable complex, shift
-    each edge interval by the edge's symmetric part and intersect in one
-    pass; a nonempty intersection yields the witness constant (its
-    midpoint), an empty one two edges violating the pairwise polyhedron
-    inequality.  On a non-orientable one the constant is zero and every
-    edge with symmetric part below its span's distance to zero is
-    reported.  Edges without faces constrain nothing.
-    """
-    try:
-        scale, s, _, spans = _recover_chain(rates, complex)
-    except NotHomologous:
+def _verdict(chain, complex: TwoComplex) -> ReVerdict:
+    """The verdict of :func:`in_Re` on a chain of :func:`_recover_chain`."""
+    if chain is None:
         return ReVerdict(False, reason="NotHomologous")
+    scale, s, _, spans = chain
     if not complex.orientable:
         violations = tuple(
             complex.edges[eid]
@@ -164,6 +154,23 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     )
 
 
+def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
+    """Decide whether the rates decompose over elementary cycles.
+
+    Pipeline: project the rates to their vector field and recover a chain
+    with that boundary; a field that is not a face boundary already rules
+    the decomposition out (necessary condition for homotopically trivial
+    cycles, hence for elementary ones).  On an orientable complex, shift
+    each edge interval by the edge's symmetric part and intersect in one
+    pass; a nonempty intersection yields the witness constant (its
+    midpoint), an empty one two edges violating the pairwise polyhedron
+    inequality.  On a non-orientable one the constant is zero and every
+    edge with symmetric part below its span's distance to zero is
+    reported.  Edges without faces constrain nothing.
+    """
+    return _verdict(_recover_chain(rates, complex), complex)
+
+
 def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     """All-pairs polyhedron test; cross-check for the one-pass intersection.
 
@@ -173,12 +180,10 @@ def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     non-orientable one the constant is pinned at zero and the verdict is
     that of :func:`in_Re`.  Edges without faces constrain nothing.
     """
-    if not complex.orientable:
-        return in_Re(rates, complex).ok
-    try:
-        _, s, _, spans = _recover_chain(rates, complex)
-    except NotHomologous:
-        return False
+    chain = _recover_chain(rates, complex)
+    if chain is None or not complex.orientable:
+        return _verdict(chain, complex).ok
+    _, s, _, spans = chain
     constrained = [(s[eid], *span[:2]) for eid, span in enumerate(spans) if span is not None]
     for i, (s_i, lo_i, hi_i) in enumerate(constrained):
         for s_j, lo_j, hi_j in constrained[i:]:
@@ -251,42 +256,36 @@ def elementary_decompose(
     constant to choose and ``c_star`` must be omitted or zero.
     """
     verdict = in_Re(rates, complex)
+    chain = _recover_chain(rates, complex) if verdict.ok else None
+    return _weights(chain, complex, verdict, c_star)
+
+
+def _weights(chain, complex: TwoComplex, verdict: ReVerdict, c_star):
+    """:func:`elementary_decompose` on a chain of :func:`_recover_chain`
+    and its :func:`_verdict`."""
     if not verdict.ok:
         raise NotInRe(f"rates are not elementary-decomposable: {verdict.reason}")
-    if complex.orientable:
-        c = verdict.witness_c if c_star is None else to_rat(c_star)
-    else:
-        if c_star not in (None, 0):
-            raise ValueError("non-orientable recovery admits no constant freedom")
-        c = ZERO
+    if not complex.orientable and c_star not in (None, 0):
+        raise ValueError("non-orientable recovery admits no constant freedom")
+    c = verdict.witness_c if c_star is None else to_rat(c_star)
 
-    scale, s, psi, spans = _recover_chain(rates, complex)
+    scale, s, psi, spans = chain
     # with c = p/q, every weight is an integer numerator over D q
     q = c.denominator
     shift = c.numerator * scale
-    unit = scale * q
-    rats = {}  # many weights share a numerator; each Rat is built once
-    face_weights = {}
-    for fid, value in enumerate(psi.values):
-        value = value * q + shift
-        n = value if value > 0 else -value
-        weight = rats.get(n)
-        if weight is None:
-            weight = rats[n] = Rat(n, unit)
-        face_weights[fid] = (weight, ZERO) if value > 0 else (ZERO, weight)
-    edge_weights = {}
+    faces = [value * q + shift for value in psi.values]
+    edges = []
     for eid, span in enumerate(spans):
         n = s[eid] * q
         if span is not None:
             n -= _distance_to_zero(span[0] * q + shift, span[1] * q + shift, span[2])
         if n < 0:
-            raise NegativeEdgeWeight(
-                f"constant {c} is infeasible at edge {complex.edges[eid]}"
-            )
-        weight = rats.get(n)
-        if weight is None:
-            weight = rats[n] = Rat(n, unit)
-        edge_weights[eid] = weight
+            raise NegativeEdgeWeight(f"constant {c} is infeasible at edge {complex.edges[eid]}")
+        edges.append(n)
+    weights = rats_over([abs(n) for n in faces] + edges, scale * q)
+    pairs = zip(faces, weights)
+    face_weights = {fid: (w, ZERO) if n > 0 else (ZERO, w) for fid, (n, w) in enumerate(pairs)}
+    edge_weights = dict(enumerate(weights[len(faces):]))
     return ElementaryDecomposition(edge_weights, face_weights, c)
 
 
@@ -363,11 +362,7 @@ def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
     characterization of homotopically trivial decomposability is open and
     not decided here.
     """
-    try:
-        _recover_chain(rates, complex)
-    except NotHomologous:
-        return False
-    return True
+    return _recover_chain(rates, complex) is not None
 
 
 def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
@@ -382,12 +377,16 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
     the field: ``|phi|`` is ``hi - lo`` on an edge its faces see with
     opposite signs and ``|lo + hi|`` on one they see alike.
     """
+    return _diameter_bound(_recover_chain(rates, complex), complex)
+
+
+def _diameter_bound(chain, complex: TwoComplex):
+    """:func:`sufficient_diameter_bound` on a chain of :func:`_recover_chain`."""
     if complex.n_faces == 0:
         raise CycleDecError("complex has no faces")
-    try:
-        scale, s, _, spans = _recover_chain(rates, complex)
-    except NotHomologous:
-        raise NotHomologous("field is not a face boundary") from None
+    if chain is None:
+        raise NotHomologous("field is not a face boundary")
+    scale, s, _, spans = chain
 
     dual_edges = sorted(
         (hi - lo if opposite else abs(lo + hi), eid)

@@ -1088,8 +1088,7 @@ def test_nonorientable_chain_is_ints_over_twice_the_scale():
         try:
             expected = reference_nonorientable_recover_psi(phi)
         except NotHomologous:
-            with pytest.raises(NotHomologous):
-                elementary._recover_chain(rates, cx)
+            assert elementary._recover_chain(rates, cx) is None
             assert verdict.reason == "NotHomologous"
             return
         scale, symmetric, psi, _ = elementary._recover_chain(rates, cx)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import pathlib
@@ -6,7 +7,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cycledec import cli
+from cycledec import cli, elementary
 from cycledec import io as fio
 from cycledec.complexes import TwoComplex, VectorField, field_to_rates, harmonic_basis
 from cycledec.discretize import band_potential, discretize_potential
@@ -1089,10 +1090,10 @@ class TestCliOther:
 
     def test_elementary_diameter_fault_is_not_unavailable(self, workdir, monkeypatch, capsys):
         # a ValueError raised inside the bound is a fault, not a refusal
-        def faulty(rates, complex):
+        def faulty(chain, complex):
             raise ValueError("fault inside the bound")
 
-        monkeypatch.setattr(cli.el, "sufficient_diameter_bound", faulty)
+        monkeypatch.setattr(cli.el, "_diameter_bound", faulty)
         field, _ = discretize_potential(band_potential(), 10)
         path = write(workdir / "f.field", fio.format_field(field))
         with pytest.raises(ValueError, match="fault inside the bound"):
@@ -1356,6 +1357,12 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
         ["elementary", _sample("torus_rates.wg"), "--torus", "3x4", "--constant", "5",
          "-o", "out"],
         ["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--param", "1"],
+        # a flag of another mode
+        ["decompose", "--mode", "graph", _sample("triangle.wg"), "--constant", "5"],
+        ["decompose", "--mode", "elementary", _sample("torus_rates.wg"), "--torus", "3x4",
+         "--param", "0"],
+        ["decompose", "--mode", "lattice", _sample("walk2d.msr"), "--steps", "10"],
+        ["decompose", "--mode", "1d-heavy", _sample("heavy_tail.msr"), "--steps", "-1"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
@@ -1388,13 +1395,23 @@ def _refusal(args, message):
                   "--constant", "1", "-o", "out"], NO_FREEDOM),
         _refusal(["decompose", "--mode", "elementary", _sample("klein_rates.wg"), "--surface",
                   _sample("klein.surf"), "--constant", "1"], NO_FREEDOM),
+        _refusal(["elementary", _sample("klein_rates.wg"), "--surface", _sample("klein.surf"),
+                  "--constant", "1"], NO_FREEDOM),
         _refusal(["elementary", _sample("torus_rates.wg"), "--torus", "3x4", "--constant", "5",
                   "-o", "out"], INFEASIBLE),
+        _refusal(["elementary", _sample("torus_rates.wg"), "--torus", "3x4", "--constant", "5"],
+                 INFEASIBLE),
         _refusal(["decompose", "--mode", "elementary", _sample("torus_rates.wg"), "--torus",
                   "3x4", "--constant", "5", "-o", "out"], INFEASIBLE),
         _refusal(["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--param",
                   "1", "-o", "out"],
                  "--param: parameter 1 outside [0, 1/2] gives a negative cycle weight"),
+        _refusal(["decompose", "--mode", "graph", _sample("triangle.wg"), "--constant", "5",
+                  "-o", "out"], "--constant applies to --mode elementary only"),
+        _refusal(["decompose", "--mode", "elementary", _sample("torus_rates.wg"), "--torus",
+                  "3x4", "--param", "0", "-o", "out"], "--param applies to --mode 1d only"),
+        _refusal(["decompose", "--mode", "lattice", _sample("walk2d.msr"), "--steps", "10",
+                  "-o", "out"], "--steps applies to --mode 1d-heavy only"),
     ],
 )
 def test_refused_constant_leaves_stdout_empty(args, message, workdir, capsys):
@@ -1404,6 +1421,47 @@ def test_refused_constant_leaves_stdout_empty(args, message, workdir, capsys):
     assert captured.out == ""
     assert f"input error: <args>:0: {message}" in captured.err
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        [_sample("torus_rates.wg"), "--torus", "3x4"],
+        [_sample("klein_rates.wg"), "--surface", _sample("klein.surf")],
+    ],
+    ids=["torus", "klein"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["elementary", "-o", "out", "--diameter"],
+        ["decompose", "--mode", "elementary", "--verify"],
+        ["check", "elementary"],
+        ["check", "dlambda2"],
+        ["check", "rstar"],
+    ],
+    ids=" ".join,
+)
+def test_elementary_commands_recover_one_chain(command, rates, workdir, monkeypatch, capsys):
+    # the rates pass runs at most twice: once in _load_rates, which locates a
+    # bad line, and once for the chain; every verdict, weight and bound reads it
+    calls = collections.Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(elementary, "recover_psi")
+    count(cli, "_field_and_symmetric")
+    count(elementary, "_field_and_symmetric")
+    assert run_cli(command + rates) == 0
+    assert calls["recover_psi"] == 1
+    assert calls["_field_and_symmetric"] <= 2
 
 
 @pytest.mark.parametrize(
