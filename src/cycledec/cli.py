@@ -118,13 +118,14 @@ def _edge_line(weights: dict, lines, check) -> int:
 
 
 def _load_rates(path, args, dim: int = 2):
-    """Rates plus complex from a field or graph file."""
+    """Rates, complex and the rates pass that validated them, from a file."""
     if path.endswith(".field"):
         complex, field = fio.read_field(path)
         if args.surface or _torus_shape(args, dim) not in (None, complex.torus_shape):
             flag = "--surface" if args.surface else "--torus"
             raise InputFormatError("<args>", 0, f"{flag} disagrees with the field header of {path}")
-        return field_to_rates(field), complex
+        rates = field_to_rates(field)
+        return rates, complex, _field_and_symmetric(rates, complex)
     name, weights, lines = fio.read_graph(path)
     complex = _load_complex(args, dim)
     if complex is None:
@@ -132,11 +133,11 @@ def _load_rates(path, args, dim: int = 2):
     if complex.is_torus():
         weights = fio.labels_to_coords(weights, path, lines)
     try:
-        _field_and_symmetric(weights, complex)
+        rates_pass = _field_and_symmetric(weights, complex)
     except (KeyError, ValueError) as exc:
         line = _edge_line(weights, lines, lambda prefix: _field_and_symmetric(prefix, complex))
         raise InputFormatError(path, line, f"rates do not fit {complex.name}: {exc.args[0]}")
-    return {e: w for e, w in weights.items() if w}, complex
+    return {e: w for e, w in weights.items() if w}, complex, rates_pass
 
 
 def _load_digraph(path, allow_self_loops=False):
@@ -178,6 +179,10 @@ def _emit(text: str, out_path):
 def _cmd_check(args) -> int:
     prop = args.property
     path = args.input
+    for flag, value in (("--torus", args.torus), ("--surface", args.surface)):
+        if value is not None and prop in ("balance", "bistochastic"):
+            raise InputFormatError("<args>", 0,
+                                   f"{flag} applies to check dlambda2, elementary or rstar only")
     if prop == "balance":
         if path.endswith(".msr"):
             measure = fio.read_measure(path)
@@ -198,8 +203,8 @@ def _cmd_check(args) -> int:
         ok = is_bistochastic(graph)
         print(f"bistochastic: {'yes' if ok else 'no'}")
         return 0 if ok else 1
-    rates, complex = _load_rates(path, args)
-    chain = el._recover_chain(rates, complex)
+    _, complex, rates_pass = _load_rates(path, args)
+    chain = el._recover_chain(rates_pass, complex)
     if prop == "elementary":
         verdict = el._verdict(chain, complex)
         print(_verdict_line(verdict))
@@ -234,11 +239,12 @@ def _verdict_line(verdict) -> str:
 def _cmd_decompose(args) -> int:
     mode = args.mode
     decimals = args.decimal
-    flags = (("--constant", args.constant, "elementary"), ("--param", args.param, "1d"),
-             ("--steps", args.steps, "1d-heavy"))
-    for flag, value, owner in flags:
-        if value is not None and mode != owner:
-            raise InputFormatError("<args>", 0, f"{flag} applies to --mode {owner} only")
+    flags = (("--constant", args.constant, ["elementary"]), ("--param", args.param, ["1d"]),
+             ("--steps", args.steps, ["1d-heavy"]), ("--torus", args.torus, ["elementary", "1d"]),
+             ("--surface", args.surface, ["elementary", "1d"]))
+    for flag, value, owners in flags:
+        if value is not None and mode not in owners:
+            raise InputFormatError("<args>", 0, f"{flag} applies to --mode {' or '.join(owners)} only")
     if mode == "graph":
         name, graph = _load_digraph(args.input)
         dec = decompose_graph(graph)
@@ -257,17 +263,17 @@ def _cmd_decompose(args) -> int:
         if args.lift:
             sys.stdout.write(fio.format_lift(dec.classes(), decimals=decimals))
     elif mode == "elementary":
-        rates, complex = _load_rates(args.input, args)
-        chain = el._recover_chain(rates, complex)
+        rates, complex, rates_pass = _load_rates(args.input, args)
+        chain = el._recover_chain(rates_pass, complex)
         dec = _elementary_weights(chain, complex, el._verdict(chain, complex), args.constant)
         text = fio.format_elementary_decomposition(dec, complex, args.input, decimals)
         expected = ("on-complex", rates, complex)
         if args.lift and complex.is_torus():
             sys.stdout.write(fio.format_lift(dec.cycles(complex), complex.torus_shape, decimals))
     elif mode == "1d":
-        rates, complex = _load_rates(args.input, args, dim=1)
+        rates, complex, rates_pass = _load_rates(args.input, args, dim=1)
         try:
-            family = el.decompose_1d(rates, complex)
+            family = el._family(rates_pass, complex)
         except ValueError as exc:
             raise InputFormatError(args.input, 0, str(exc))
         try:
@@ -353,8 +359,8 @@ def _cmd_hodge(args) -> int:
 
 
 def _cmd_elementary(args) -> int:
-    rates, complex = _load_rates(args.input, args)
-    chain = el._recover_chain(rates, complex)
+    _, complex, rates_pass = _load_rates(args.input, args)
+    chain = el._recover_chain(rates_pass, complex)
     verdict = el._verdict(chain, complex)
     if verdict.ok:
         # decomposed first, so a refused --constant leaves stdout empty
@@ -425,8 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def complex_args(p):
-        p.add_argument("--torus", type=_sizes(1, 2), help="torus size N or N1xN2")
-        p.add_argument("--surface", help="surface complex file")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--torus", type=_sizes(1, 2), help="torus size N or N1xN2")
+        group.add_argument("--surface", help="surface complex file")
 
     def output_args(p):
         p.add_argument("--decimal", type=_at_least(0), help="append decimals rounded to N digits")

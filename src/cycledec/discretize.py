@@ -23,8 +23,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .complexes import TwoChain, TwoComplex, _boundary_sums, boundary2
-from .elementary import ReVerdict, in_Re
+from .complexes import TwoChain, TwoComplex, VectorField, _boundary_sums, boundary2
+from .elementary import ReVerdict, _recover_chain, _verdict
 from .ratio import ZERO, Rat, rat_decimal, rat_str, rats_over, scaled_list, to_rat
 
 DEFAULT_DENOMINATOR = 10**6
@@ -209,7 +209,8 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
     the sampler's denominator; noise is drawn once per unoriented edge in
     a fixed edge order, so identical seeds give identical files.  The
     weights and row totals add as ints over one scale, and each
-    probability is one ``Rat`` of a weight over its row total.
+    probability is one ``Rat`` of a weight over its row total.  The
+    certificate reads the field numerators and noises as the rates pass.
     """
     n1, n2 = spec.dims
     complex = TwoComplex.torus2(n1, n2)
@@ -226,11 +227,11 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
         [spec.noise_lo, (spec.noise_hi - spec.noise_lo) / d, Rat(1, d)]
     )
     index = complex.vertex_index
-    pairs, numerators, tails = [], [], []
+    field = [value * per for value in _boundary_sums(complex, chain)]
+    pairs, numerators, tails, noises = [], [], [], []
     totals = [0] * complex.n_vertices
-    for (u, v), value in zip(complex.edges, _boundary_sums(complex, chain)):
+    for (u, v), value in zip(complex.edges, field):
         noise = lo + step * rng.randrange(d + 1)
-        value *= per
         forward, backward = (noise + value, noise) if value > 0 else (noise, noise - value)
         iu, iv = index[u], index[v]
         totals[iu] += forward
@@ -238,10 +239,12 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
         pairs += ((u, v), (v, u))
         numerators += (forward, backward)
         tails += (iu, iv)
+        noises.append(noise)
     weights = dict(zip(pairs, rats_over(numerators, scale)))
     probabilities = dict(zip(pairs, map(Rat, numerators, [totals[t] for t in tails])))
 
-    certificate = in_Re(weights, complex)
+    rates_pass = (scale, VectorField._exact(complex, field), noises)
+    certificate = _verdict(_recover_chain(rates_pass, complex), complex)
     certified = spec.noise_lo >= osc / 2
     return Environment(
         complex,

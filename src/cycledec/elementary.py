@@ -11,11 +11,12 @@ explicit decomposition.  Edges incident to no face (the one-dimensional
 torus has only such edges) constrain nothing beyond nonnegativity.
 
 Every verdict, construction and bound reads one chain: :func:`_recover_chain`
-validates the rates once and recovers the chain and its edge intervals, and
-one reader per rule (:func:`_verdict`, :func:`_weights`,
-:func:`_diameter_bound`) takes it.  Non-orientable surfaces have no
-constant freedom (the chain is unique) and edges traversed the same way by
-both faces contribute the complement of an open interval instead.
+recovers the chain and its edge intervals from the one validated rates pass
+``(D, field, symmetric)``, which callers that hold it hand on, and one reader
+per rule (:func:`_verdict`, :func:`_weights`, :func:`_diameter_bound`) takes
+it.  Non-orientable surfaces have no constant freedom (the chain is unique)
+and edges traversed the same way by both faces contribute the complement of
+an open interval instead.
 
 The pass runs on Python ints over one scale ``D``: the field, the
 symmetric parts, the chain and the interval ends are integer numerators
@@ -91,17 +92,17 @@ class ReVerdict:
     violating_edges: tuple | None = None
 
 
-def _recover_chain(rates, complex):
-    """``(D, s, psi, spans)``: the scale, the symmetric parts, a chain
-    bounding the field and the edge spans, all integer numerators over ``D``;
-    ``None`` when the field is not a face boundary.
+def _recover_chain(rates_pass, complex):
+    """``(D, s, psi, spans)`` from a :func:`_field_and_symmetric` pass: the
+    scale, the symmetric parts, a chain bounding the field and the edge
+    spans, all ints over ``D``; ``None`` when the field is not a boundary.
 
     On a non-orientable complex ``D`` is twice the lcm of the rate
     denominators, so the chain :func:`recover_psi` returns as ``Rat``
     values is read back as ints; a value that is not one is an engine
     fault, raised as ``AssertionError``.
     """
-    scale, phi, s = _field_and_symmetric(rates, complex)
+    scale, phi, s = rates_pass
     try:
         if complex.orientable:
             psi = recover_psi(phi)
@@ -168,7 +169,7 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     edge with symmetric part below its span's distance to zero is
     reported.  Edges without faces constrain nothing.
     """
-    return _verdict(_recover_chain(rates, complex), complex)
+    return _verdict(_recover_chain(_field_and_symmetric(rates, complex), complex), complex)
 
 
 def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
@@ -180,7 +181,7 @@ def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     non-orientable one the constant is pinned at zero and the verdict is
     that of :func:`in_Re`.  Edges without faces constrain nothing.
     """
-    chain = _recover_chain(rates, complex)
+    chain = _recover_chain(_field_and_symmetric(rates, complex), complex)
     if chain is None or not complex.orientable:
         return _verdict(chain, complex).ok
     _, s, _, spans = chain
@@ -256,7 +257,7 @@ def elementary_decompose(
     constant to choose and ``c_star`` must be omitted or zero.
     """
     verdict = in_Re(rates, complex)
-    chain = _recover_chain(rates, complex) if verdict.ok else None
+    chain = _recover_chain(_field_and_symmetric(rates, complex), complex) if verdict.ok else None
     return _weights(chain, complex, verdict, c_star)
 
 
@@ -342,9 +343,14 @@ def decompose_1d(rates: dict, complex: TwoComplex) -> OneDimFamily:
     free); otherwise raises :class:`NotBalanced` with the vertices where
     the divergence fails to vanish.
     """
+    return _family(_field_and_symmetric(rates, complex), complex)
+
+
+def _family(rates_pass, complex: TwoComplex) -> OneDimFamily:
+    """:func:`decompose_1d` on a pass of :func:`_field_and_symmetric`."""
     if not (complex.is_torus() and complex.torus_dimension() == 1):
         raise ValueError("decompose_1d expects the 1-d torus")
-    scale, phi, s = _field_and_symmetric(rates, complex)
+    scale, phi, s = rates_pass
     constants = set(phi.values)
     if len(constants) > 1:
         divergence = boundary1(phi).values
@@ -362,7 +368,7 @@ def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
     characterization of homotopically trivial decomposability is open and
     not decided here.
     """
-    return _recover_chain(rates, complex) is not None
+    return _recover_chain(_field_and_symmetric(rates, complex), complex) is not None
 
 
 def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
@@ -377,7 +383,7 @@ def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
     the field: ``|phi|`` is ``hi - lo`` on an edge its faces see with
     opposite signs and ``|lo + hi|`` on one they see alike.
     """
-    return _diameter_bound(_recover_chain(rates, complex), complex)
+    return _diameter_bound(_recover_chain(_field_and_symmetric(rates, complex), complex), complex)
 
 
 def _diameter_bound(chain, complex: TwoComplex):

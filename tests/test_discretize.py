@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycledec import complexes, elementary
 from cycledec.complexes import TwoChain, TwoComplex, boundary2, recover_psi
 from cycledec.discretize import (
     EnvironmentSpec,
@@ -262,31 +263,52 @@ class TestRandomEnvironment:
         assert env.probabilities == reference_row_probabilities(env.weights, dims)
 
     @pytest.mark.parametrize("kind", ["constant", "band", "sine", "rat periods"])
-    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-    @given(
-        dims=st.tuples(st.integers(3, 5), st.integers(3, 5)),
-        denominator=st.sampled_from([10**6, 1, 7, 360]),
-        seed=st.integers(0, 10**6),
-        lo=st.builds(Rat, st.integers(1, 9), st.integers(1, 12)),
-        span=st.builds(Rat, st.integers(0, 9), st.integers(1, 12)),
-    )
-    def test_weights_equal_the_fraction_reference(self, kind, dims, denominator, seed, lo, span):
-        sampler = {
-            "constant": constant_potential(0.25),
-            "band": band_potential(1, 2.5),
-            "sine": sine_potential(0.5),
-            "rat periods": PotentialSampler(lambda u1, u2: math.cos(u1 * u2) - u2 / 5,
-                                            periods=tuple(map(Rat, dims))),
-        }[kind]
-        sampler.denominator = denominator
-        spec = EnvironmentSpec(sampler, lo, lo + span, seed, dims)
-        env = random_environment(spec)
-        shift, osc, weights, probabilities = reference_environment_weights(spec)
-        assert (env.shift, env.oscillation) == (shift, osc)
-        assert list(env.weights.items()) == list(weights.items())
-        assert list(env.probabilities.items()) == list(probabilities.items())
-        values = [env.oscillation, *env.weights.values(), *env.probabilities.values()]
-        assert {type(v) for v in values} == {Rat}
+    def test_weights_equal_the_fraction_reference(self, kind, monkeypatch):
+        # the certificate is decided on the environment's own numerators:
+        # no rates pass runs while it is drawn, and the whole verdict equals
+        # that of in_Re on the returned weights
+        passes = []
+        for module in (complexes, elementary):
+            real = module._field_and_symmetric
+            monkeypatch.setattr(module, "_field_and_symmetric",
+                                lambda *args, real=real: passes.append(1) or real(*args))
+        seen = set()
+
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        @given(
+            dims=st.tuples(st.integers(3, 5), st.integers(3, 5)),
+            denominator=st.sampled_from([10**6, 1, 7, 360]),
+            seed=st.integers(0, 10**6),
+            lo=st.builds(Rat, st.integers(1, 9), st.integers(1, 12)),
+            span=st.builds(Rat, st.integers(0, 9), st.integers(1, 12)),
+        )
+        def agree(dims, denominator, seed, lo, span):
+            sampler = {
+                "constant": constant_potential(0.25),
+                "band": band_potential(1, 2.5),
+                "sine": sine_potential(0.5),
+                "rat periods": PotentialSampler(lambda u1, u2: math.cos(u1 * u2) - u2 / 5,
+                                                periods=tuple(map(Rat, dims))),
+            }[kind]
+            sampler.denominator = denominator
+            spec = EnvironmentSpec(sampler, lo, lo + span, seed, dims)
+            passes.clear()
+            env = random_environment(spec)
+            assert passes == []
+            shift, osc, weights, probabilities = reference_environment_weights(spec)
+            assert (env.shift, env.oscillation) == (shift, osc)
+            assert list(env.weights.items()) == list(weights.items())
+            assert list(env.probabilities.items()) == list(probabilities.items())
+            values = [env.oscillation, *env.weights.values(), *env.probabilities.values()]
+            assert {type(v) for v in values} == {Rat}
+            assert env.certificate == in_Re(env.weights, env.complex)
+            assert passes == [1]
+            seen.add(env.certificate.ok)
+
+        agree()
+        # the constant potential, and the sine one (its waves repeat at every
+        # lattice step), have the zero field, which any noise certifies
+        assert seen == ({True} if kind in ("constant", "sine") else {True, False})
 
     def test_sufficient_noise_certified(self):
         for seed in range(5):

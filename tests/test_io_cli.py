@@ -1363,6 +1363,13 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
          "--param", "0"],
         ["decompose", "--mode", "lattice", _sample("walk2d.msr"), "--steps", "10"],
         ["decompose", "--mode", "1d-heavy", _sample("heavy_tail.msr"), "--steps", "-1"],
+        # two complexes, or a complex where none is read
+        ["elementary", _sample("torus_rates.wg"), "--torus", "3x4", "--surface",
+         _sample("cube.surf")],
+        ["decompose", "--mode", "graph", _sample("triangle.wg"), "--torus", "3x3"],
+        ["decompose", "--mode", "lattice", _sample("walk2d.msr"), "--surface",
+         _sample("klein.surf")],
+        ["check", "balance", _sample("triangle.wg"), "--torus", "3"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
@@ -1412,6 +1419,16 @@ def _refusal(args, message):
                   "3x4", "--param", "0", "-o", "out"], "--param applies to --mode 1d only"),
         _refusal(["decompose", "--mode", "lattice", _sample("walk2d.msr"), "--steps", "10",
                   "-o", "out"], "--steps applies to --mode 1d-heavy only"),
+        _refusal(["decompose", "--mode", "graph", _sample("triangle.wg"), "--torus", "3x3",
+                  "-o", "out"], "--torus applies to --mode elementary or 1d only"),
+        _refusal(["decompose", "--mode", "lattice", _sample("walk2d.msr"), "--surface",
+                  _sample("klein.surf"), "-o", "out"],
+                 "--surface applies to --mode elementary or 1d only"),
+        _refusal(["check", "balance", _sample("triangle.wg"), "--torus", "3"],
+                 "--torus applies to check dlambda2, elementary or rstar only"),
+        _refusal(["check", "bistochastic", _sample("bistochastic.wg"), "--surface",
+                  _sample("klein.surf")],
+                 "--surface applies to check dlambda2, elementary or rstar only"),
     ],
 )
 def test_refused_constant_leaves_stdout_empty(args, message, workdir, capsys):
@@ -1423,28 +1440,36 @@ def test_refused_constant_leaves_stdout_empty(args, message, workdir, capsys):
     assert not (workdir / "out").exists()
 
 
+ELEMENTARY_RATES = {
+    "torus": [_sample("torus_rates.wg"), "--torus", "3x4"],
+    "klein": [_sample("klein_rates.wg"), "--surface", _sample("klein.surf")],
+}
+ELEMENTARY_COMMANDS = [
+    ["elementary", "-o", "out", "--diameter"],
+    ["decompose", "--mode", "elementary", "--verify"],
+    ["check", "elementary"],
+    ["check", "dlambda2"],
+    ["check", "rstar"],
+]
+
+
 @pytest.mark.parametrize(
-    "rates",
+    "args, recoveries",
     [
-        [_sample("torus_rates.wg"), "--torus", "3x4"],
-        [_sample("klein_rates.wg"), "--surface", _sample("klein.surf")],
+        pytest.param(command + rates, 1, id=f"{' '.join(command)}-{name}")
+        for command in ELEMENTARY_COMMANDS
+        for name, rates in ELEMENTARY_RATES.items()
+    ]
+    + [
+        pytest.param(["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--verify"],
+                     0, id="decompose --mode 1d --verify-ring"),
+        pytest.param(["check", "dlambda2", _sample("two_columns.field")], 1,
+                     id="check dlambda2-field"),
     ],
-    ids=["torus", "klein"],
 )
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["elementary", "-o", "out", "--diameter"],
-        ["decompose", "--mode", "elementary", "--verify"],
-        ["check", "elementary"],
-        ["check", "dlambda2"],
-        ["check", "rstar"],
-    ],
-    ids=" ".join,
-)
-def test_elementary_commands_recover_one_chain(command, rates, workdir, monkeypatch, capsys):
-    # the rates pass runs at most twice: once in _load_rates, which locates a
-    # bad line, and once for the chain; every verdict, weight and bound reads it
+def test_elementary_commands_recover_one_chain(args, recoveries, workdir, monkeypatch, capsys):
+    # the rates pass runs once, in _load_rates, which locates a bad line and
+    # hands the pass to the chain step; every verdict, weight and bound reads it
     calls = collections.Counter()
 
     def count(module, name):
@@ -1459,9 +1484,9 @@ def test_elementary_commands_recover_one_chain(command, rates, workdir, monkeypa
     count(elementary, "recover_psi")
     count(cli, "_field_and_symmetric")
     count(elementary, "_field_and_symmetric")
-    assert run_cli(command + rates) == 0
-    assert calls["recover_psi"] == 1
-    assert calls["_field_and_symmetric"] <= 2
+    assert run_cli(args) == 0
+    assert calls["recover_psi"] == recoveries
+    assert calls["_field_and_symmetric"] == 1
 
 
 @pytest.mark.parametrize(
