@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from math import isfinite, prod
 
 from . import discretize as dz
@@ -99,24 +100,6 @@ def _load_complex(args, dim: int = 2):
     return TwoComplex.torus1(*shape) if len(shape) == 1 else TwoComplex.torus2(*shape)
 
 
-def _edge_line(weights: dict, lines, check) -> int:
-    """Line of the first edge of ``weights`` that ``check`` rejects, called
-    after ``check(weights)`` failed.  Each check stops at the first faulty
-    edge in order, so the shortest prefix it rejects ends there; bisection
-    finds it in about log2(len(weights)) checks, each of which may cost
-    the size of the complex (the rates pass does)."""
-    items = list(weights.items())
-    good, bad = 0, len(items)  # the first `good` edges pass, the first `bad` fail
-    while bad - good > 1:
-        middle = (good + bad) // 2
-        try:
-            check(dict(items[:middle]))
-            good = middle
-        except (KeyError, ValueError):
-            bad = middle
-    return lines[bad - 1]
-
-
 def _load_rates(path, args, dim: int = 2):
     """Rates, complex and the rates pass that validated them, from a file."""
     if path.endswith(".field"):
@@ -135,24 +118,23 @@ def _load_rates(path, args, dim: int = 2):
     try:
         rates_pass = _field_and_symmetric(weights, complex)
     except (KeyError, ValueError) as exc:
-        line = _edge_line(weights, lines, lambda prefix: _field_and_symmetric(prefix, complex))
-        raise InputFormatError(path, line, f"rates do not fit {complex.name}: {exc.args[0]}")
+        k, exc = fio._first_fault(
+            list(weights.items()), lambda prefix: _field_and_symmetric(dict(prefix), complex), exc
+        )
+        raise InputFormatError(path, lines[k - 1], f"rates do not fit {complex.name}: {exc.args[0]}")
     return {e: w for e, w in weights.items() if w}, complex, rates_pass
 
 
 def _load_digraph(path, allow_self_loops=False):
     """Name plus weighted digraph from a graph file."""
     name, weights, lines = fio.read_graph(path)
-
-    def build(edge_map):
-        edges = [(u, v, w) for (u, v), w in edge_map.items()]
-        return WeightedDigraph.from_edges(edges, allow_self_loops=allow_self_loops)
-
+    edges = [(u, v, w) for (u, v), w in weights.items()]
+    build = partial(WeightedDigraph.from_edges, allow_self_loops=allow_self_loops)
     try:
-        graph = build(weights)
+        return name, build(edges)
     except ValueError as exc:
-        raise InputFormatError(path, _edge_line(weights, lines, build), str(exc))
-    return name, graph
+        k, exc = fio._first_fault(edges, build, exc)
+        raise InputFormatError(path, lines[k - 1], str(exc))
 
 
 def _elementary_weights(chain, complex, verdict, constant):
@@ -241,7 +223,8 @@ def _cmd_decompose(args) -> int:
     decimals = args.decimal
     flags = (("--constant", args.constant, ["elementary"]), ("--param", args.param, ["1d"]),
              ("--steps", args.steps, ["1d-heavy"]), ("--torus", args.torus, ["elementary", "1d"]),
-             ("--surface", args.surface, ["elementary", "1d"]))
+             ("--surface", args.surface, ["elementary", "1d"]),
+             ("--lift", args.lift, ["lattice", "elementary"]))
     for flag, value, owners in flags:
         if value is not None and mode not in owners:
             raise InputFormatError("<args>", 0, f"{flag} applies to --mode {' or '.join(owners)} only")
@@ -296,8 +279,10 @@ def _cmd_decompose(args) -> int:
 
     _emit(text, args.output)
     if args.verify:
-        written = open(args.output, encoding="utf-8").read() if args.output else text
-        _verify_decomposition(written, expected, args.output or "<stdout>")
+        if args.output:
+            with open(args.output, encoding="utf-8") as fh:
+                text = fh.read()
+        _verify_decomposition(text, expected, args.output or "<stdout>")
         print("verification: exact reconstruction confirmed")
     return 0
 
@@ -455,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_at_least(0), help="rounds for 1d-heavy mode (default 10)")
     p.add_argument("--verify", action="store_true",
                    help="re-read the emitted file and re-check the reconstruction")
-    p.add_argument("--lift", action="store_true",
+    p.add_argument("--lift", action="store_true", default=None,
                    help="also print the periodic lift records")
     complex_args(p)
     output_args(p)

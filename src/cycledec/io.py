@@ -8,8 +8,10 @@ Files repeat their tokens heavily, so each distinct token is parsed or
 written once per file: every reader, writer and reconstruction keeps a
 local ``{token: value}`` dict that lives as long as its call.  Checks run
 once per distinct item too: the graph readers find a duplicate edge by
-size and locate it only when there is one, and reconstruction on a
-complex runs on vertex ids, testing each distinct oriented step once.
+size, and reconstruction on a complex runs on vertex ids, testing each
+distinct oriented step once.  A reader that fails names the first faulty
+edge line, which :func:`_first_fault` finds by bisecting over prefixes,
+only when there is a fault.
 """
 
 from __future__ import annotations
@@ -108,62 +110,69 @@ def parse_graph(text: str, path="<graph>"):
 
 def _parse_graph(text: str, path):
     """``parse_graph`` plus the line number of each edge, in the order of
-    the weights.
+    the weights."""
+    content = _content_lines(text)
+    line_no, line = next(content, (0, None))
+    if line is None:
+        raise InputFormatError(path, 0, "missing digraph header")
+    tokens = line.split()
+    if tokens[0] != "digraph" or len(tokens) != 2:
+        raise InputFormatError(path, line_no, "expected header: digraph <name>")
+    content = list(content)
+    try:
+        weights = _graph_edges(content, path)
+    except InputFormatError as exc:
+        raise _first_fault(content, lambda prefix: _graph_edges(prefix, path), exc)[1]
+    return tokens[1], weights, [line_no for line_no, _ in content]
 
-    A repeated edge is found by size: the weights then hold fewer edges
-    than there are edge lines.  Its line is located by a second scan, run
-    only when the sizes differ or another error is about to be raised, so
-    the first faulty line is still the one named.
+
+def _graph_edges(content, path) -> dict:
+    """The weights of the ``(line_no, line)`` edge lines ``content``.  A
+    repeated edge is found by size, and the error then names the last line:
+    right only on the shortest prefix that fails (see :func:`_first_fault`).
     """
-    name = None
     weights = {}
     values = {}
-    lines = []
-    for line_no, line in _content_lines(text):
+    for line_no, line in content:
         tokens = line.split()
-        if name is None:
-            if tokens[0] != "digraph" or len(tokens) != 2:
-                raise InputFormatError(path, line_no, "expected header: digraph <name>")
-            name = tokens[1]
-            continue
         if len(tokens) != 3:
-            if len(weights) != len(lines):
-                _raise_duplicate_edge(text, path)
             raise InputFormatError(path, line_no, "expected: <u> <v> <num/den>")
         key = tokens[0], tokens[1]
         # a token seen before in this file was parsed and passed the sign check
         weight = values.get(tokens[2])
         if weight is None:
-            try:
-                weight = _parse_value(tokens[2], path, line_no, values)
-                if weight.numerator < 0:
-                    raise InputFormatError(
-                        path, line_no, f"negative weight {tokens[2]} on {key[0]} {key[1]}"
-                    )
-            except InputFormatError:
-                if len(weights) != len(lines) or key in weights:
-                    _raise_duplicate_edge(text, path)
-                raise
+            if key in weights:  # a repeat, named by the size check before its token is read
+                break
+            weight = _parse_value(tokens[2], path, line_no, values)
+            if weight.numerator < 0:
+                raise InputFormatError(
+                    path, line_no, f"negative weight {tokens[2]} on {key[0]} {key[1]}"
+                )
         weights[key] = weight
-        lines.append(line_no)
-    if name is None:
-        raise InputFormatError(path, 0, "missing digraph header")
-    if len(weights) != len(lines):
-        _raise_duplicate_edge(text, path)
-    return name, weights, lines
+    if len(weights) != len(content):
+        raise InputFormatError(path, line_no, f"duplicate edge {key[0]} {key[1]}")
+    return weights
 
 
-def _raise_duplicate_edge(text: str, path):
-    """Raise the error of the first edge line that repeats an earlier edge;
-    the lines before it are known to be well formed."""
-    seen = set()
-    content = _content_lines(text)
-    next(content)  # the header
-    for line_no, line in content:
-        key = tuple(line.split()[:2])
-        if key in seen:
-            raise InputFormatError(path, line_no, f"duplicate edge {key[0]} {key[1]}")
-        seen.add(key)
+def _first_fault(items, check, error):
+    """``(k, error)`` for the shortest prefix ``items[:k]`` that ``check``
+    rejects, called after ``check(items)`` raised ``error``.
+
+    Each check stops at its first faulty item in order, so the prefixes
+    from the first fault on are rejected and the shorter ones pass; a
+    bisection finds ``k`` in at most ``ceil(log2(len(items)))`` checks.
+    The error is the one the last rejected prefix raised, so no check
+    runs twice.
+    """
+    good, bad = 0, len(items)  # items[:good] pass, items[:bad] fail
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        try:
+            check(items[:middle])
+            good = middle
+        except (KeyError, ValueError, InputFormatError) as exc:
+            bad, error = middle, exc
+    return bad, error
 
 
 def format_graph(name: str, weights: dict) -> str:
@@ -183,15 +192,25 @@ def read_graph(path):
 def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
     """Convert ``i,j`` (or ``i``) string labels to integer tuples.
 
-    ``lines`` (as from :func:`read_graph`) names the line of a bad edge in
-    the error; without it the error says line 0.  The order of ``weights``
-    is kept, and two labels of one point make a duplicate edge, found by
-    size and located only when the sizes differ or another error is about
-    to be raised.
+    ``lines`` (as from :func:`read_graph`) names the line of the first bad
+    edge in the error; without it the error says line 0.  The order of
+    ``weights`` is kept.
     """
+    try:
+        return _coords(weights.items())
+    except ValueError as exc:
+        k, exc = _first_fault(list(weights.items()), _coords, exc)
+        raise InputFormatError(path, lines[k - 1] if lines else 0, str(exc))
+
+
+def _coords(items) -> dict:
+    """``{(point, point): weight}`` for the ``((u, v), weight)`` pairs
+    ``items``.  Two labels of one point make a duplicate edge, found by
+    size, and the error then names the last pair: right only on the
+    shortest prefix that fails (see :func:`_first_fault`)."""
     points = {}  # each distinct label is converted once
     out = {}
-    for (u, v), w in weights.items():
+    for (u, v), w in items:
         a = points.get(u)
         b = points.get(v)
         if a is None or b is None:
@@ -201,27 +220,11 @@ def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
                 if b is None:
                     b = points[v] = tuple(map(int, v.split(",")))
             except ValueError:
-                k = list(weights).index((u, v))
-                if len(out) != k:
-                    _raise_duplicate_point_edge(weights, points, path, lines)
-                raise InputFormatError(
-                    path, lines[k] if lines else 0, f"label {u!r} or {v!r} is not coordinates"
-                )
+                raise ValueError(f"label {u!r} or {v!r} is not coordinates")
         out[a, b] = w
-    if len(out) != len(weights):
-        _raise_duplicate_point_edge(weights, points, path, lines)
+    if len(out) != len(items):
+        raise ValueError(f"duplicate edge {u} {v}")
     return out
-
-
-def _raise_duplicate_point_edge(weights, points, path, lines):
-    """Raise the error of the first edge whose two points an earlier edge
-    joins; the labels before it are in ``points``."""
-    seen = set()
-    for k, (u, v) in enumerate(weights):
-        edge = points[u], points[v]
-        if edge in seen:
-            raise InputFormatError(path, lines[k] if lines else 0, f"duplicate edge {u} {v}")
-        seen.add(edge)
 
 
 def coords_label(point) -> str:

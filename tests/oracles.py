@@ -60,6 +60,10 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
 * :func:`reference_parse_graph`, the graph reader as it was before it
   found duplicate edges by size: each edge line looked up for a
   duplicate before its weight is read;
+* :func:`reference_load_digraph` and :func:`reference_load_rates`, a
+  graph file read as ``check balance`` and the elementary commands read
+  it, with no bisection: each stage checks its edges line by line, so the
+  first faulty line of the first stage that fails is named;
 * :func:`reference_parse_field`, the field reader as it was before it
   filed each value under its edge id: each record's head worked out from
   its coordinates, the values keyed by ``(tail, head)`` and passed
@@ -702,6 +706,38 @@ def reference_parse_graph(text: str, path):
     if name is None:
         raise InputFormatError(path, 0, "missing digraph header")
     return name, weights, lines
+
+
+def reference_load_digraph(text: str, path):
+    """The edge weights of a graph file as ``check balance`` accepts them:
+    after the file reads, each edge line is checked for a self-loop in turn."""
+    _, weights, lines = reference_parse_graph(text, path)
+    for (u, v), line_no in zip(weights, lines):
+        if u == v:
+            raise InputFormatError(path, line_no, f"self-loop at {u} not allowed")
+    return weights
+
+
+def reference_load_rates(text: str, path, complex: TwoComplex) -> dict:
+    """The rates of a graph file on a torus as the elementary commands read
+    them, stage by stage and line by line within each stage: the file, then
+    each edge's labels and point pair, then each rate on the complex."""
+    _, weights, lines = reference_parse_graph(text, path)
+    rates = {}
+    for ((u, v), w), line_no in zip(weights.items(), lines):
+        try:
+            edge = tuple(int(c) for c in u.split(",")), tuple(int(c) for c in v.split(","))
+        except ValueError:
+            raise InputFormatError(path, line_no, f"label {u!r} or {v!r} is not coordinates")
+        if edge in rates:
+            raise InputFormatError(path, line_no, f"duplicate edge {u} {v}")
+        rates[edge] = w
+    for (edge, w), line_no in zip(rates.items(), lines):
+        try:
+            check_rates({edge: w}, complex)
+        except (KeyError, ValueError) as exc:
+            raise InputFormatError(path, line_no, f"rates do not fit {complex.name}: {exc.args[0]}")
+    return rates
 
 
 def reference_parse_field(text: str, path):

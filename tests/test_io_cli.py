@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import functools
+import io
 import json
 import pathlib
 import time
@@ -18,7 +20,8 @@ from cycledec.ratio import ONE, ZERO, Rat, parse_rat, rat_decimal, rat_str
 
 from conftest import CUBE_FACES, cube_complex
 from oracles import (
-    oriented_edges, reference_parse_field, reference_parse_graph, reference_reconstruct_on_complex,
+    oriented_edges, reference_load_digraph, reference_load_rates, reference_parse_field,
+    reference_parse_graph, reference_reconstruct_on_complex,
 )
 
 
@@ -575,6 +578,67 @@ def test_parse_graph_names_faults_like_the_line_by_line_reference(header, kinds,
         name, weights, numbers = fio._parse_graph(text, "g.wg")
         assert (name, list(weights.items()), numbers) == (
             expected[0], list(expected[1].items()), expected[2])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300), data=st.data())
+def test_first_fault_returns_the_least_rejected_prefix_and_its_error(n, data):
+    """For faults drawn anywhere among ``n`` items, the locator returns the
+    shortest prefix that the check rejects and the error of that prefix, in
+    at most ceil(log2 n) checks after the full call."""
+    faults = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    checks = []
+
+    def check(prefix):
+        checks.append(len(prefix))
+        bad = next((i for i in prefix if i in faults), None)
+        if bad is not None:
+            kind = (KeyError, ValueError, lambda m: InputFormatError("p", bad, m))[bad % 3]
+            raise kind(f"fault {bad} in a prefix of {len(prefix)}")
+
+    items = list(range(n))
+    with pytest.raises((KeyError, ValueError, InputFormatError)) as info:
+        check(items)
+    checks.clear()
+    k, error = fio._first_fault(items, check, info.value)
+    first = min(faults)
+    assert k == first + 1
+    assert f"fault {first} in a prefix of {k}" in str(error)
+    assert len(checks) <= (n - 1).bit_length()
+
+
+RING_RATES = [f"{i},{j} {(i + 1) % 8},{j} 1/2" for i in range(8) for j in range(8)]
+
+
+@pytest.mark.parametrize("at", [1, 40, 65])
+@pytest.mark.parametrize(
+    "reader, fault, message",
+    [
+        ("_graph_edges", "0,0 1,0 1/3", "duplicate edge 0,0 1,0"),
+        ("_graph_edges", "0,0 5,5 -1", "negative weight -1 on 0,0 5,5"),
+        ("_coords", "00,0 1,0 1/3", "duplicate edge 00,0 1,0"),
+        ("_coords", "0,0 east 1", "label '0,0' or 'east' is not coordinates"),
+    ],
+)
+def test_reader_faults_are_located_in_a_few_passes(reader, fault, message, at, monkeypatch):
+    """A reader that fails on one of 66 edges runs on all of them once, then
+    at most ceil(log2 66) = 7 times on prefixes, wherever the fault lies."""
+    rates = RING_RATES + ["2,2 6,6 1"]
+    rates.insert(at, fault)
+    text = "\n".join(["digraph far", *rates]) + "\n"
+    passes = []
+    real = getattr(fio, reader)
+
+    def counting(items, *rest):
+        passes.append(len(items))
+        return real(items, *rest)
+
+    monkeypatch.setattr(fio, reader, counting)
+    with pytest.raises(InputFormatError) as info:
+        _, weights, lines = fio._parse_graph(text, "far.wg")
+        fio.labels_to_coords(weights, "far.wg", lines)
+    assert str(info.value) == f"far.wg:{at + 2}: {message}"
+    assert passes[0] == 66 and len(passes) <= 8
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1319,6 +1383,62 @@ class TestCliInputErrors:
         assert "no positive mass" in capsys.readouterr().err
 
 
+# label pairs that are steps of the 3 x 3 torus; labels, two of them bad
+# and one off the torus
+WG_STEPS = [("0,0", "1,0"), ("0,1", "0,0"), ("1,1", "0,1"), ("2,0", "0,0"), ("1,2", "1,1"),
+            ("2,2", "2,0"), ("1,0", "1,1"), ("0,2", "0,1")]
+WG_LABELS = ["a", "0,0", "2,2", "0,5", "1,0", "1,x"]
+WG_KINDS = ["step", "repeat", "edge", "respelled", "loop", "weight", "step", "comment"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_names_faults_like_the_line_by_line_loaders(tmp_path_factory, data):
+    """``check balance`` and ``check elementary --torus 3`` name the first
+    faulty line of a graph file as a line-by-line reference does: repeated
+    edges, two spellings of a point, bad labels, self-loops, edges off the
+    torus and bad or negative weights, in any order.  A file the reference
+    accepts ends in a verdict."""
+    lines = ["digraph g"]
+    edges = []
+    steps = data.draw(st.permutations(WG_STEPS))
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from(WG_KINDS))
+        weight = data.draw(st.sampled_from(["1/2", "1", "2/4", "0/1"]))
+        if kind == "comment":
+            lines.append("# note")
+            continue
+        if kind in ("repeat", "respelled") and edges:
+            u, v = data.draw(st.sampled_from(edges))
+            if kind == "respelled":
+                u = "0" + u  # the same point, spelled another way
+        elif kind in ("edge", "loop"):
+            u = data.draw(st.sampled_from(WG_LABELS))
+            v = u if kind == "loop" else data.draw(st.sampled_from(WG_LABELS))
+        else:
+            u, v = steps.pop()
+            if kind == "weight":
+                weight = data.draw(st.sampled_from(["-1/3", "x", "1/0"]))
+        edges.append((u, v))
+        lines.append(f"{u} {v} {weight}")
+    text = "\n".join(lines) + "\n"
+    path = write(tmp_path_factory.mktemp("wg") / "g.wg", text)
+    for args, reference in (
+        (["check", "balance", path], lambda: reference_load_digraph(text, path)),
+        (["check", "elementary", path, "--torus", "3"],
+         lambda: reference_load_rates(text, path, TwoComplex.torus2(3))),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(args)
+        try:
+            reference()
+        except InputFormatError as exc:
+            assert (code, err.getvalue()) == (2, f"input error: {exc}\n")
+        else:
+            assert code in (0, 1)
+
+
 def _sample(name):
     return str(SAMPLES / name)
 
@@ -1370,6 +1490,11 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
         ["decompose", "--mode", "lattice", _sample("walk2d.msr"), "--surface",
          _sample("klein.surf")],
         ["check", "balance", _sample("triangle.wg"), "--torus", "3"],
+        # --lift where no lift is written
+        ["decompose", "--mode", "graph", _sample("triangle.wg"), "--verify", "--lift"],
+        ["decompose", "--mode", "birkhoff", _sample("bistochastic.wg"), "--lift"],
+        ["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--lift"],
+        ["decompose", "--mode", "1d-heavy", _sample("heavy_tail.msr"), "--lift"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
@@ -1617,8 +1742,6 @@ def test_sample_commands_end_in_an_exit_code(args, monkeypatch, capsys):
 if __name__ == "__main__":
     # Re-record the sample outputs after an intended output change:
     #   PYTHONPATH=src python tests/test_io_cli.py
-    import contextlib
-    import io
     import os
 
     os.chdir(SAMPLES.parent)
