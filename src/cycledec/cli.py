@@ -321,9 +321,12 @@ def _verify_decomposition(text, expected, path):
 
 
 def _cmd_hodge(args) -> int:
-    complex, field = fio.read_field(args.input)
-    if not (complex.is_torus() and complex.torus_dimension() == 2):
-        raise InputFormatError(args.input, 1, "hodge expects a 2-d torus field")
+    with open(args.input, encoding="utf-8") as fh:
+        text = fh.read()
+    complex, field = fio.parse_field(text, args.input)
+    if complex.torus_dimension() != 2:  # named on the header's line
+        raise InputFormatError(args.input, next(fio._content_lines(text))[0],
+                               "hodge expects a 2-d torus field")
     parts = hodge_decompose(field)
     shape = complex.torus_shape
     lines = [
@@ -366,25 +369,23 @@ def _cmd_elementary(args) -> int:
 
 
 def _make_potential(args) -> dz.PotentialSampler:
-    kind = args.potential
-    if kind == "sine":
-        sampler = dz.sine_potential(args.amplitude)
-    elif kind == "band":
-        try:
-            sampler = dz.band_potential(args.lo, args.hi)
-        except ValueError as exc:
-            raise InputFormatError("<args>", 0, str(exc))
-    else:
-        sampler = dz.constant_potential(args.value)
+    """The sampler of ``--potential`` from the flags given, which an absent
+    one leaves at its default; ``ValueError`` on an empty band."""
+    owners = {"amplitude": "sine", "lo": "band", "hi": "band", "value": "constant"}
+    given = {name: getattr(args, name) for name in owners if getattr(args, name) is not None}
+    for name in given:
+        if owners[name] != args.potential:
+            raise InputFormatError("<args>", 0, f"--{name} applies to --potential {owners[name]} only")
+    make = {"sine": dz.sine_potential, "band": dz.band_potential, "constant": dz.constant_potential}
+    sampler = make[args.potential](**given)
     sampler.denominator = args.denominator
     return sampler
 
 
 def _cmd_discretize(args) -> int:
-    sampler = _make_potential(args)
     _bounded((args.n, args.n), "--n")
     try:
-        field, chain = dz.discretize_potential(sampler, args.n)
+        field, chain = dz.discretize_potential(_make_potential(args), args.n)
     except ValueError as exc:
         raise InputFormatError("<args>", 0, str(exc))
     text = fio.format_field(field, args.decimal)
@@ -394,10 +395,9 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_random_env(args) -> int:
-    sampler = _make_potential(args)
     _bounded(args.dims, "--dims")
     try:
-        spec = dz.EnvironmentSpec(sampler, args.noise_lo, args.noise_hi, args.seed, args.dims)
+        spec = dz.EnvironmentSpec(_make_potential(args), args.noise_lo, args.noise_hi, args.seed, args.dims)
         env = dz.random_environment(spec)
     except ValueError as exc:
         raise InputFormatError("<args>", 0, str(exc))
@@ -462,10 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def potential_args(p):
         p.add_argument("--potential", required=True, choices=["sine", "band", "constant"])
-        p.add_argument("--amplitude", type=_finite, default=1.0)
-        p.add_argument("--lo", type=_finite, default=0.3)
-        p.add_argument("--hi", type=_finite, default=0.7)
-        p.add_argument("--value", type=_finite, default=0.0)
+        for flag in ("--amplitude", "--lo", "--hi", "--value"):
+            p.add_argument(flag, type=_finite)
         p.add_argument("--denominator", type=_at_least(1), default=dz.DEFAULT_DENOMINATOR)
 
     p = sub.add_parser("discretize", help="snap a smooth potential to a field")

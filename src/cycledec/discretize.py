@@ -3,25 +3,25 @@
 Smooth potentials enter as ordinary Python callables, get sampled at face
 centers and snapped to exact rationals with a fixed denominator; everything
 downstream is exact on the snapped values, so the discretized field is a
-face boundary by telescoping, not approximately.  Each axis's face-center
-coordinates are reduced modulo the period on int numerators and turned
-into floats once; the snapped values, the field and the environment's
-weights and row totals stay int numerators over one denominator, and
-``Rat`` appears only in what is returned.
+face boundary by telescoping, not approximately.  Every potential is read
+on the unit square: each axis's face-center coordinates are reduced modulo
+1 on int numerators and turned into floats once; the snapped values, the
+field and the environment's weights and row totals stay int numerators
+over one denominator, and ``Rat`` appears only in what is returned.
 
-The random environment construction draws a grid shift for the potential
-and one symmetric noise value per unoriented edge, forms the minimal rates
-of the shifted discretized field plus noise, and normalizes rows exactly.
-Noise at least half the potential's oscillation certifies an elementary
-cyclic decomposition; the certificate carries both that sufficient flag and
-the exact membership verdict.
+The random environment construction draws a shift of the face centers, in
+face widths, and one symmetric noise value per unoriented edge, forms the
+minimal rates of the shifted discretized field plus noise, and normalizes
+rows exactly.  Noise at least half the potential's oscillation certifies
+an elementary cyclic decomposition; the certificate carries both that
+sufficient flag and the exact membership verdict.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .complexes import TwoChain, TwoComplex, VectorField, _boundary_sums, boundary2
 from .elementary import ReVerdict, _recover_chain, _verdict
@@ -41,16 +41,15 @@ def _snap_numerator(value, denominator: int) -> int:
 
 @dataclass
 class PotentialSampler:
-    """Snapped sampler of a periodic potential.
+    """Snapped sampler of a 1-periodic potential.
 
-    ``fn`` takes float coordinates; arguments are reduced modulo the
-    periods, exact rationals (the unit square when ``periods`` is None),
-    before evaluation, so periodicity holds exactly on the snapped grid.
+    ``fn`` takes float coordinates on the unit square; arguments are
+    reduced modulo 1, exactly, before evaluation, so periodicity holds
+    exactly on the snapped grid.
     """
 
     fn: object
     denominator: int = DEFAULT_DENOMINATOR
-    periods: tuple | None = None
 
 
 def constant_potential(value: float = 0.0) -> PotentialSampler:
@@ -73,38 +72,35 @@ def sine_potential(amplitude: float = 1.0) -> PotentialSampler:
     )
 
 
-def _face_coordinates(n: int, den: int, shift, period) -> list:
-    """Float coordinates ``(2 i + 1) / den + shift`` for ``i < n``, reduced
-    into the period.
+def _face_coordinates(n: int, shift) -> list:
+    """Float coordinates ``(i + 1/2 + shift) / n`` for ``i < n``, reduced
+    modulo 1.
 
     The reduction runs on int numerators over one denominator ``D``, and
     each float is one int true division by ``D``: that division is
     correctly rounded, so it equals ``float`` of the reduced ``Rat``.
     """
-    shift, period = to_rat(shift), to_rat(period)
-    common = math.lcm(den, shift.denominator, period.denominator)
-    start = shift.numerator * (common // shift.denominator)
-    step = common // den
-    p = period.numerator * (common // period.denominator)
-    return [((2 * i + 1) * step + start) % p / common for i in range(n)]
+    shift = to_rat(shift)
+    common = math.lcm(2, shift.denominator)  # of i + 1/2 + shift
+    start = common // 2 + shift.numerator * (common // shift.denominator)
+    return [(i * common + start) % (n * common) / (n * common) for i in range(n)]
 
 
 def _face_center_numerators(potential, complex, shift) -> list:
-    """The snapped potential at each face center, as int numerators over
-    ``potential.denominator``, in face order."""
+    """The snapped potential at each face center, moved by ``shift`` face
+    widths, as int numerators over ``potential.denominator``, in face
+    order."""
     (n1, n2), (s1, s2) = complex.torus_shape, shift
-    p1, p2 = potential.periods or (1, 1)
-    mesh = potential.periods is None
-    xs = _face_coordinates(n1, 2 * n1 if mesh else 2, s1, p1)
-    ys = _face_coordinates(n2, 2 * n2 if mesh else 2, s2, p2)
+    xs, ys = _face_coordinates(n1, s1), _face_coordinates(n2, s2)
     fn, d = potential.fn, potential.denominator
     return [_snap_numerator(float(fn(x, y)), d) for x in xs for y in ys]
 
 
 def _face_center_chain(potential, complex, shift=(ZERO, ZERO)) -> TwoChain:
-    """The snapped potential at the face centers of the 2-torus ``complex``,
-    moved by ``shift``: the unit square's mesh when the sampler has no
-    periods, the lattice points ``(i + 1/2, j + 1/2)`` otherwise."""
+    """The snapped potential at the face centers of the 2-torus ``complex``
+    of ``N1`` by ``N2`` faces, moved by ``shift`` face widths: face
+    ``(i, j)`` is read at ``((i + 1/2 + s1) / N1, (j + 1/2 + s2) / N2)``
+    on the unit square."""
     numerators = _face_center_numerators(potential, complex, shift)
     return TwoChain._exact(complex, rats_over(numerators, potential.denominator))
 
@@ -134,7 +130,7 @@ def oscillation(chain: TwoChain) -> Rat:
 
 @dataclass
 class EnvironmentSpec:
-    """Inputs for one random environment draw; it holds its own copy of the sampler."""
+    """Inputs for one random environment draw."""
 
     potential: PotentialSampler
     noise_lo: Rat
@@ -148,10 +144,6 @@ class EnvironmentSpec:
         self.dims = (int(self.dims[0]), int(self.dims[1]))
         if not 0 < self.noise_lo <= self.noise_hi:
             raise ValueError("noise bounds must satisfy 0 < lo <= hi")
-        if self.potential.periods is None:
-            self.potential = replace(self.potential, periods=self.dims)
-        elif tuple(self.potential.periods) != self.dims:
-            raise ValueError("potential periods must match the torus dims")
 
 
 @dataclass
@@ -205,8 +197,10 @@ class Environment:
 def random_environment(spec: EnvironmentSpec) -> Environment:
     """Draw one periodic environment, deterministically from the seed.
 
-    The potential shift and the per-edge noise live on the ``1/D`` grid of
-    the sampler's denominator; noise is drawn once per unoriented edge in
+    The potential is read on the unit square, as :func:`discretize_potential`
+    reads it, with the face centers moved by a shift drawn in face widths.
+    The shift and the per-edge noise live on the ``1/D`` grid of the
+    sampler's denominator; noise is drawn once per unoriented edge in
     a fixed edge order, so identical seeds give identical files.  The
     weights and row totals add as ints over one scale, and each
     probability is one ``Rat`` of a weight over its row total.  The

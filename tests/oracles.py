@@ -70,7 +70,7 @@ problems the slow, direct way, on ``Fraction`` cells or on integers:
   through :func:`field_from_dict`;
 * :func:`reference_periodic_reduction` and
   :func:`reference_row_probabilities`, the floor formula that reduced a
-  sample point into the periods and the fixed four-neighbour walk that
+  sample point into the unit square and the fixed four-neighbour walk that
   normalised each row of a random environment.
 * :func:`reference_boundary2`, :func:`reference_coboundary0`,
   :func:`reference_face_center_chain` and
@@ -795,11 +795,10 @@ def reference_parse_field(text: str, path):
     return complex, field_from_dict(complex, entries)
 
 
-def reference_periodic_reduction(u, period) -> Rat:
-    """``u`` reduced into ``[0, period)`` as ``u - floor(u / period) * period``."""
+def reference_periodic_reduction(u) -> Rat:
+    """``u`` reduced into ``[0, 1)`` as ``u - floor(u)``."""
     u = to_rat(u)
-    q = u / period
-    return u - (q.numerator // q.denominator) * period
+    return u - u.numerator // u.denominator
 
 
 def reference_row_probabilities(weights: dict, dims) -> dict:
@@ -834,23 +833,19 @@ def reference_coboundary0(f: ZeroForm) -> VectorField:
 
 
 def reference_face_center_chain(potential, complex: TwoComplex, shift=(ZERO, ZERO)) -> TwoChain:
-    """The potential at each face center, point by point: the center as a
-    ``Rat``, moved by ``shift``, reduced modulo the period as a ``Rat``,
-    turned into floats for the sampler and its value snapped."""
+    """The potential at each face center, point by point: the center of
+    face ``(i, j)`` moved by ``shift`` face widths,
+    ``((i + 1/2 + s1) / N1, (j + 1/2 + s2) / N2)`` as a ``Rat``, reduced
+    modulo 1 as a ``Rat``, turned into floats for the sampler and its value
+    snapped."""
     n1, n2 = complex.torus_shape
-    mesh = potential.periods is None
-    p1, p2 = potential.periods or (1, 1)
     d = potential.denominator
     values = []
     for i in range(n1):
         for j in range(n2):
-            if mesh:
-                u1 = Rat(2 * i + 1, 2 * n1) + shift[0]
-                u2 = Rat(2 * j + 1, 2 * n2) + shift[1]
-            else:
-                u1 = Rat(2 * i + 1, 2) + shift[0]
-                u2 = Rat(2 * j + 1, 2) + shift[1]
-            value = float(potential.fn(float(to_rat(u1) % p1), float(to_rat(u2) % p2)))
+            u1 = (i + Rat(1, 2) + to_rat(shift[0])) / n1
+            u2 = (j + Rat(1, 2) + to_rat(shift[1])) / n2
+            value = float(potential.fn(float(u1 % 1), float(u2 % 1)))
             try:
                 values.append(Rat(round(value * d), d))
             except (ValueError, OverflowError):
@@ -984,10 +979,9 @@ def snap(value: float, denominator: int = DEFAULT_DENOMINATOR) -> Rat:
 
 
 def sample(sampler, u1, u2) -> Rat:
-    """The snapped value of ``sampler`` at ``(u1, u2)``, reduced modulo its
-    periods (the unit square when it has none)."""
-    p1, p2 = sampler.periods if sampler.periods else (1, 1)
-    u1, u2 = to_rat(u1) % p1, to_rat(u2) % p2
+    """The snapped value of ``sampler`` at ``(u1, u2)``, reduced modulo 1
+    into the unit square."""
+    u1, u2 = to_rat(u1) % 1, to_rat(u2) % 1
     return snap(float(sampler.fn(float(u1), float(u2))), sampler.denominator)
 
 

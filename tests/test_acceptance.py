@@ -440,9 +440,7 @@ def test_criterion_12_discretization():
 
 def test_criterion_13_random_environment():
     def spec(seed):
-        sampler = PotentialSampler(
-            lambda u1, u2: 1.0 if 1 <= u1 < 3 else 0.0, periods=(4, 4)
-        )
+        sampler = PotentialSampler(lambda u1, u2: 1.0 if 0.25 <= u1 < 0.75 else 0.0)
         return EnvironmentSpec(sampler, Rat(1, 2), Rat(1, 2), seed, (4, 4))
 
     for seed in range(20):

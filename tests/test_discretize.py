@@ -10,6 +10,7 @@ from cycledec.discretize import (
     EnvironmentSpec,
     PotentialSampler,
     _face_center_chain,
+    _face_center_numerators,
     band_potential,
     constant_potential,
     discretize_potential,
@@ -35,7 +36,6 @@ from test_complexes import fig2_field
 # fixed example sequence and no example database, so every run is the same
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-periods = st.none() | st.tuples(st.integers(1, 10**6), st.integers(1, 10**6))
 coordinates = st.one_of(
     st.integers(-10**30, 10**30),
     st.builds(Rat, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
@@ -56,24 +56,18 @@ class TestSnap:
         sampler = PotentialSampler(lambda u1, u2: u1, denominator=100)
         assert sample(sampler, Rat(1, 4), ZERO) == sample(sampler, Rat(5, 4), ZERO)
 
-    def test_integer_periods(self):
-        sampler = PotentialSampler(lambda u1, u2: u1 + u2, denominator=10, periods=(3, 2))
-        assert sample(sampler, Rat(7, 2), ONE) == sample(sampler, Rat(1, 2), ONE)
-
     @EXAMPLES
-    @given(coordinates, coordinates, periods)
-    def test_reduction_equals_floor_formula(self, u1, u2, periods):
-        # the unit square when periods is None, the integer periods otherwise
+    @given(coordinates, coordinates)
+    def test_reduction_equals_floor_formula(self, u1, u2):
         seen = []
-        sampler = PotentialSampler(lambda a, b: seen.append((a, b)) or 0.0, periods=periods)
+        sampler = PotentialSampler(lambda a, b: seen.append((a, b)) or 0.0)
         sample(sampler, u1, u2)
-        p1, p2 = periods or (1, 1)
-        reduced = reference_periodic_reduction(u1, p1), reference_periodic_reduction(u2, p2)
-        assert 0 <= reduced[0] < p1 and 0 <= reduced[1] < p2
+        reduced = reference_periodic_reduction(u1), reference_periodic_reduction(u2)
+        assert 0 <= reduced[0] < 1 and 0 <= reduced[1] < 1
         assert seen == [tuple(map(float, reduced))]
 
 
-def logged_chain(build, fn, denominator, periods, cx, shift):
+def logged_chain(build, fn, denominator, cx, shift):
     """``(values or error text, sampler arguments)`` of ``build`` on a
     sampler that logs its arguments and returns ``fn(call number, u1, u2)``."""
     seen = []
@@ -83,7 +77,7 @@ def logged_chain(build, fn, denominator, periods, cx, shift):
         return fn(len(seen) - 1, u1, u2)
 
     try:
-        values = build(PotentialSampler(logged, denominator, periods), cx, shift).values
+        values = build(PotentialSampler(logged, denominator), cx, shift).values
     except ValueError as exc:
         return str(exc), seen
     assert {type(v) for v in values} == {Rat}
@@ -94,35 +88,45 @@ shifts = st.one_of(
     st.integers(-3, 3),
     st.builds(Rat, st.integers(-10**7, 10**7), st.integers(1, 10**6)),
 )
-# integer and Rat periods
-exact_periods = st.none() | st.tuples(*[st.integers(1, 7) | st.builds(Rat, st.integers(1, 40), st.integers(1, 9))] * 2)
 
 
 class TestFaceCenterChain:
     @EXAMPLES
-    @given(st.integers(3, 6), st.integers(3, 6), exact_periods, st.tuples(shifts, shifts),
+    @given(st.integers(3, 6), st.integers(3, 6), st.tuples(shifts, shifts),
            st.integers(1, 10**6), st.floats(-3, 3))
-    def test_equals_the_fraction_reference(self, n1, n2, periods, shift, denominator, scale):
+    def test_equals_the_fraction_reference(self, n1, n2, shift, denominator, scale):
         # the same sampler arguments, floats included, and the same values
         cx = TwoComplex.torus2(n1, n2)
 
         def fn(k, u1, u2):
             return scale * math.sin(7 * u1 + 1) * math.cos(3 * u2) + u1 / 3
 
-        got = logged_chain(_face_center_chain, fn, denominator, periods, cx, shift)
-        assert got == logged_chain(reference_face_center_chain, fn, denominator, periods, cx, shift)
+        got = logged_chain(_face_center_chain, fn, denominator, cx, shift)
+        assert got == logged_chain(reference_face_center_chain, fn, denominator, cx, shift)
+
+    @EXAMPLES
+    @given(st.integers(3, 6), st.integers(3, 6), st.integers(-12, 12), st.integers(-12, 12))
+    def test_an_integer_shift_rolls_the_chain_by_whole_faces(self, n1, n2, k1, k2):
+        # the shift is in face widths, so face (i, j) reads the unshifted
+        # value of face (i + k1, j + k2)
+        cx = TwoComplex.torus2(n1, n2)
+        sampler = PotentialSampler(lambda u1, u2: math.sin(7 * u1 + 1) * math.cos(3 * u2) + u1 / 3)
+        still = _face_center_numerators(sampler, cx, (0, 0))
+        rolled = [still[(i + k1) % n1 * n2 + (j + k2) % n2] for i in range(n1) for j in range(n2)]
+        assert _face_center_numerators(sampler, cx, (k1, k2)) == rolled
+        assert len(set(still)) == n1 * n2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e308])
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
-    @given(st.integers(0, 11), exact_periods, st.integers(2, 10**6))
-    def test_a_value_that_does_not_snap_raises_the_reference_error(self, bad, at, periods, denominator):
+    @given(st.integers(0, 11), st.integers(2, 10**6))
+    def test_a_value_that_does_not_snap_raises_the_reference_error(self, bad, at, denominator):
         cx = TwoComplex.torus2(3, 4)
 
         def fn(k, u1, u2):
             return bad if k == at else u1 + u2
 
-        got = logged_chain(_face_center_chain, fn, denominator, periods, cx, (ZERO, Rat(1, 3)))
-        expected = logged_chain(reference_face_center_chain, fn, denominator, periods, cx, (ZERO, Rat(1, 3)))
+        got = logged_chain(_face_center_chain, fn, denominator, cx, (ZERO, Rat(1, 3)))
+        expected = logged_chain(reference_face_center_chain, fn, denominator, cx, (ZERO, Rat(1, 3)))
         assert got[0] == expected[0] == f"cannot snap {bad!r} to a multiple of 1/{denominator}"
         assert got == expected
 
@@ -218,9 +222,7 @@ class TestSufficientCheck:
 
 
 def band_spec(seed, lo=Rat(1, 2), hi=None):
-    sampler = PotentialSampler(
-        lambda u1, u2: 1.0 if 1 <= u1 < 3 else 0.0, periods=(4, 4)
-    )
+    sampler = PotentialSampler(lambda u1, u2: 1.0 if 0.25 <= u1 < 0.75 else 0.0)
     return EnvironmentSpec(sampler, lo, hi if hi is not None else lo, seed, (4, 4))
 
 
@@ -262,7 +264,7 @@ class TestRandomEnvironment:
         env = random_environment(EnvironmentSpec(sampler, lo, 2 * lo, seed, dims))
         assert env.probabilities == reference_row_probabilities(env.weights, dims)
 
-    @pytest.mark.parametrize("kind", ["constant", "band", "sine", "rat periods"])
+    @pytest.mark.parametrize("kind", ["constant", "band", "sine", "cosine"])
     def test_weights_equal_the_fraction_reference(self, kind, monkeypatch):
         # the certificate is decided on the environment's own numerators:
         # no rates pass runs while it is drawn, and the whole verdict equals
@@ -285,10 +287,10 @@ class TestRandomEnvironment:
         def agree(dims, denominator, seed, lo, span):
             sampler = {
                 "constant": constant_potential(0.25),
-                "band": band_potential(1, 2.5),
-                "sine": sine_potential(0.5),
-                "rat periods": PotentialSampler(lambda u1, u2: math.cos(u1 * u2) - u2 / 5,
-                                                periods=tuple(map(Rat, dims))),
+                "band": band_potential(0.25, 0.6),
+                "sine": sine_potential(2),
+                # not separable in u1 and u2
+                "cosine": PotentialSampler(lambda u1, u2: math.cos(6 * u1 * u2) - u2 / 5),
             }[kind]
             sampler.denominator = denominator
             spec = EnvironmentSpec(sampler, lo, lo + span, seed, dims)
@@ -306,9 +308,8 @@ class TestRandomEnvironment:
             seen.add(env.certificate.ok)
 
         agree()
-        # the constant potential, and the sine one (its waves repeat at every
-        # lattice step), have the zero field, which any noise certifies
-        assert seen == ({True} if kind in ("constant", "sine") else {True, False})
+        # the constant potential has the zero field, which any noise certifies
+        assert seen == ({True} if kind == "constant" else {True, False})
 
     def test_sufficient_noise_certified(self):
         for seed in range(5):
@@ -349,16 +350,7 @@ class TestRandomEnvironment:
         sampler = sine_potential(1.0)
         field_before, _ = discretize_potential(sampler, 4)
         spec = EnvironmentSpec(sampler, ONE, ONE, 3, (4, 4))
-        assert sampler.periods is None and spec.potential.periods == (4, 4)
         assert discretize_potential(sampler, 4)[0].values == field_before.values
-        other = EnvironmentSpec(sampler, ONE, ONE, 3, (3, 5))
-        assert other.potential.periods == (3, 5)
         assert random_environment(spec).serialize() == random_environment(
             EnvironmentSpec(sine_potential(1.0), ONE, ONE, 3, (4, 4))
         ).serialize()
-
-
-def test_environment_periods_must_match_the_dims():
-    sampler = PotentialSampler(lambda u1, u2: 0.0, periods=(4, 5))
-    with pytest.raises(ValueError, match="^potential periods must match the torus dims$"):
-        EnvironmentSpec(sampler, ONE, ONE, 1, (4, 4))

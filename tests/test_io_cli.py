@@ -1326,12 +1326,13 @@ class TestCliInputErrors:
         )
 
     def test_hodge_on_a_one_dimensional_field_exit_two(self, workdir, capsys):
+        # the error names the header's own line, after a comment and a blank line
         field = VectorField(TwoComplex.torus1(4), [ONE] * 4)
-        path = write(workdir / "one.field", fio.format_field(field))
+        path = write(workdir / "one.field", "# a ring\n\n" + fio.format_field(field))
         assert run_cli(["hodge", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"input error: {path}:1: hodge expects a 2-d torus field\n"
+        assert captured.err == f"input error: {path}:3: hodge expects a 2-d torus field\n"
 
     def test_hodge_above_its_limit_exits_two(self, workdir, capsys):
         # 17 x 241 = HODGE_VERTEX_LIMIT + 1 vertices, under the field file limit
@@ -1495,6 +1496,10 @@ RANDOM_ENV = ["random-env", "--potential", "constant", "--seed", "1"]
         ["decompose", "--mode", "birkhoff", _sample("bistochastic.wg"), "--lift"],
         ["decompose", "--mode", "1d", _sample("ring.wg"), "--torus", "6", "--lift"],
         ["decompose", "--mode", "1d-heavy", _sample("heavy_tail.msr"), "--lift"],
+        # a flag of another potential
+        ["discretize", "--potential", "constant", "--amplitude", "3", "--lo", "5", "--n", "3"],
+        ["random-env", "--potential", "sine", "--value", "2", "--dims", "4x4", "--noise-lo", "1",
+         "--noise-hi", "1", "--seed", "1"],
     ],
     ids=lambda args: " ".join(args).replace(f"{SAMPLES}/", ""),
 )
@@ -1554,6 +1559,13 @@ def _refusal(args, message):
         _refusal(["check", "bistochastic", _sample("bistochastic.wg"), "--surface",
                   _sample("klein.surf")],
                  "--surface applies to check dlambda2, elementary or rstar only"),
+        _refusal(["discretize", "--potential", "constant", "--amplitude", "3", "--lo", "5", "--n",
+                  "3", "-o", "out"], "--amplitude applies to --potential sine only"),
+        _refusal(["random-env", "--potential", "sine", "--value", "2", "--dims", "4x4", "--noise-lo",
+                  "1", "--noise-hi", "1", "--seed", "1", "-o", "out"],
+                 "--value applies to --potential constant only"),
+        _refusal(["discretize", "--potential", "band", "--lo", "0.1", "--amplitude", "0", "--n", "3"],
+                 "--amplitude applies to --potential sine only"),
     ],
 )
 def test_refused_constant_leaves_stdout_empty(args, message, workdir, capsys):
@@ -1703,15 +1715,18 @@ def _sample_commands():
     for potential in (["sine"], ["band"], ["constant", "--value", "0.25"]):
         for extra in variants:
             commands += [["discretize", "--potential", *potential, "--n", n, *extra] for n in ("3", "7")]
-    band = ["band", "--lo", "1", "--hi", "3"]
-    for potential in (["sine", "--amplitude", "2"], band, ["constant", "--value", "0.25"]):
+    # the bands cover the first two columns of faces: [1/4, 3/4) on 4x4, [1/5, 3/5) on 5x3
+    bands = {"4x4": ["band", "--lo", "0.25", "--hi", "0.75"], "5x3": ["band", "--lo", "0.2", "--hi", "0.6"]}
+    for potential in (["sine", "--amplitude", "2"], None, ["constant", "--value", "0.25"]):
         for extra in variants:
-            commands += [["random-env", "--dims", dims, "--potential", *potential,
+            commands += [["random-env", "--dims", dims, "--potential", *(potential or bands[dims]),
                           "--noise-lo", "1/3", "--noise-hi", "3/2", "--seed", "7", *extra]
                          for dims in ("4x4", "5x3")]
-    # the README's example, and a noise too weak to certify
-    for noise in (["1/2", "1/2"], ["1/100", "1/50"]):
-        commands.append(["random-env", "--dims", "4x4", "--potential", *band,
+    # the README's example, a noise too weak to certify, a sine that strong
+    # noise certifies, and the default band
+    for potential, noise in ((bands["4x4"], ["1/2", "1/2"]), (bands["4x4"], ["1/100", "1/50"]),
+                             (["sine", "--amplitude", "2"], ["3/2", "2"]), (["band"], ["1/3", "3/2"])):
+        commands.append(["random-env", "--dims", "4x4", "--potential", *potential,
                          "--noise-lo", noise[0], "--noise-hi", noise[1], "--seed", "7"])
     return commands
 
