@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench.py --label change --out BENCH_25.json
-    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_25.json --budget 10
+    python3 benchmarks/bench.py --label change --out BENCH_36.json
+    python3 benchmarks/bench.py --src ../parent/src --label parent --out BENCH_36.json --budget 10
 
 Wall times drift by tens of percent between runs minutes apart, so a
 comparison of two checkouts alternates them, one whole ladder each, under

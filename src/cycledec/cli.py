@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from math import isfinite, prod
 
 from . import discretize as dz
@@ -125,11 +124,18 @@ def _load_rates(path, args, dim: int = 2):
     return {e: w for e, w in weights.items() if w}, complex, rates_pass
 
 
-def _load_digraph(path, allow_self_loops=False):
-    """Name plus weighted digraph from a graph file."""
+def _load_digraph(path, allow_self_loops=False, perm=False):
+    """Name plus weighted digraph from a graph file; ``perm`` also refuses a
+    label that a ``u>v`` perm entry cannot carry."""
     name, weights, lines = fio.read_graph(path)
     edges = [(u, v, w) for (u, v), w in weights.items()]
-    build = partial(WeightedDigraph.from_edges, allow_self_loops=allow_self_loops)
+
+    def build(edges):
+        graph = WeightedDigraph.from_edges(edges, allow_self_loops)
+        if perm:
+            fio.check_perm_labels(graph.vertices)
+        return graph
+
     try:
         return name, build(edges)
     except ValueError as exc:
@@ -234,7 +240,7 @@ def _cmd_decompose(args) -> int:
         text = fio.format_graph_decomposition(dec, name, decimals)
         expected = ("graph", graph.weights)
     elif mode == "birkhoff":
-        name, graph = _load_digraph(args.input, allow_self_loops=True)
+        name, graph = _load_digraph(args.input, allow_self_loops=True, perm=True)
         terms = birkhoff_decompose(graph)
         text = fio.format_birkhoff_decomposition(terms, name, decimals)
         expected = ("birkhoff", graph.weights)

@@ -22,7 +22,8 @@ keep one perfect matching of the positive support, subtract its minimal
 entry and re-match only the rows whose entry reached zero.  The split
 runs on integer ids as well: rows and columns numbered in sorted label
 order, the scaled residual in a dict of the support under int keys, the
-matching in two lists.
+matching in two lists, and each matched row's residual as a level above
+the weight split off so far, so a round reads only the rows it changes.
 """
 
 from __future__ import annotations
@@ -344,7 +345,12 @@ def birkhoff_decompose(g: WeightedDigraph):
     Rows and columns are numbered in sorted label order, so every choice
     on ids is the one on labels.  The scaled residual of entry ``(r, c)``
     sits under the int key ``r * n + c`` of a dict of the support, so
-    space stays linear in the entries.
+    space stays linear in the entries.  A matched row's residual is kept
+    as ``level[r] - shift``, where ``shift`` is the weight split off so
+    far: a round's weight is ``min(level) - shift``, the rows at that
+    minimum are the ones it frees, and only the rows whose match an
+    augmenting path changed are read again, so no round touches all n
+    matched cells.
     """
     checked = _bistochastic_scaled(g)
     if checked is None:
@@ -364,28 +370,38 @@ def birkhoff_decompose(g: WeightedDigraph):
     match_row = [-1] * n
     match_col = [-1] * n
     seen = [-1] * n
+    level = [0] * n  # a matched row's residual is level[r] - shift
+    shift = 0  # the scaled weight split off so far
     stamp = 0
     free = range(n)
     live = len(numerators)
     terms = []
     while live:
+        held = match_row[:]
         for r in free:
             if not _augment(r, adjacency, match_row, match_col, seen, stamp):
                 raise NoPerfectMatching(
                     "no perfect matching on a bistochastic support; arithmetic bug"
                 )
             stamp += 1
-        cells = [r * n + c for r, c in enumerate(match_row)]
-        m = min(map(residual.__getitem__, cells))
-        terms.append((dict(zip(labels, map(labels.__getitem__, match_row))), Rat(m, scale)))
+        # only the rows whose match the paths changed are read again; an
+        # old cell takes its residual back from the level
+        for r in [r for r in range(n) if match_row[r] != held[r]]:
+            c = held[r]
+            if c >= 0:
+                residual[r * n + c] = level[r] - shift
+            level[r] = residual[r * n + match_row[r]] + shift
+        floor = min(level)
+        terms.append((dict(zip(labels, [labels[c] for c in match_row])), Rat(floor - shift, scale)))
+        shift = floor
+        # the rows at the least level are the ones whose entry reached zero
         free = []
-        for r, cell in enumerate(cells):
-            left = residual[cell] - m
-            residual[cell] = left
-            if not left:
-                c = match_row[r]
-                adjacency[r].remove(c)
-                match_row[r] = match_col[c] = -1
-                free.append(r)
-                live -= 1
+        r = -1
+        for _ in range(level.count(floor)):
+            r = level.index(floor, r + 1)
+            c = match_row[r]
+            adjacency[r].remove(c)
+            match_row[r] = match_col[c] = -1
+            free.append(r)
+        live -= len(free)
     return terms

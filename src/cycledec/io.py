@@ -16,7 +16,9 @@ only when there is a fault.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import lcm, prod
+from operator import contains
 
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
@@ -472,11 +474,25 @@ def format_lattice_decomposition(
 
 
 def format_birkhoff_decomposition(terms, source: str, decimals=None) -> str:
-    lines = [f"decomposition birkhoff {source}"]
-    for pi, weight in terms:
-        mapping = " ".join(f"{u}>{v}" for u, v in sorted(pi.items()))
-        lines.append(f"term {_fmt(weight, decimals)} perm {mapping}")
-    return "\n".join(lines) + "\n"
+    """One ``term <weight> perm u>v ...`` record per ``(permutation,
+    weight)``, its entries in sorted order.  Raises :class:`ValueError` on
+    a label that contains ``>``, whose entries would not read back."""
+    body = [
+        f"term {_fmt(weight, decimals)} perm " + " ".join([f"{u}>{pi[u]}" for u in sorted(pi)])
+        for pi, weight in terms
+    ]
+    # each entry writes one '>'; any further one comes from a label
+    if sum(map(str.count, body, repeat(">"))) != sum([len(pi) for pi, _ in terms]):
+        check_perm_labels([x for pi, _ in terms for entry in pi.items() for x in entry])
+    return "\n".join([f"decomposition birkhoff {source}"] + body) + "\n"
+
+
+def check_perm_labels(labels) -> None:
+    """Raise :class:`ValueError` on the first of ``labels`` that contains
+    ``>``: a ``perm`` entry ``u>v`` with it would not read back."""
+    for x in labels:
+        if ">" in str(x):
+            raise ValueError(f"label {x!r} contains '>', which a perm entry u>v cannot carry")
 
 
 def format_elementary_decomposition(dec, complex, source: str, decimals=None) -> str:
@@ -607,7 +623,7 @@ def _parse_term(tokens, path, line_no, values):
         payload = _parse_class(payload, path, line_no)
     elif kind not in ("cycle", "perm"):
         raise InputFormatError(path, line_no, f"unknown term kind {kind!r}")
-    elif kind == "perm" and not all(">" in token for token in payload):
+    elif kind == "perm" and not all(map(contains, payload, repeat(">"))):
         raise InputFormatError(path, line_no, "perm entries must read u>v")
     return ("term", weight, kind, payload)
 
@@ -661,6 +677,11 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
     if mode in ("graph", "birkhoff"):
         terms = [record[1:] for record in records if record[0] == "term"]
         scale = lcm(*(weight.denominator for weight, _, _ in terms))
+        if all(kind == "perm" for _, kind, _ in terms):
+            # a token names one edge: sum on the tokens, split each once;
+            # a file that also has cycles sums on edges
+            totals = edge_sum(((tokens, weight) for weight, _, tokens in terms), scale)
+            return {tuple(token.split(">", 1)): w for token, w in totals.items()}
         return edge_sum(_graph_term_edges(terms, path), scale)
     if mode in ("lattice", "1d-heavy"):
         return class_sum(lattice_decomposition(records, path).classes())
@@ -669,7 +690,6 @@ def reconstruct_decomposition(mode, records, path="<decomposition>"):
 
 def _graph_term_edges(terms, path):
     """``(edges, weight)`` per parsed graph or Birkhoff term, checked."""
-    pairs = {}  # each ``u>v`` token is split once
     for weight, kind, payload in terms:
         if kind == "cycle":
             try:
@@ -677,12 +697,7 @@ def _graph_term_edges(terms, path):
             except ValueError as exc:
                 raise InputFormatError(path, 0, str(exc))
         elif kind == "perm":
-            edges = []
-            for token in payload:
-                edge = pairs.get(token)
-                if edge is None:
-                    edge = pairs[token] = tuple(token.split(">", 1))
-                edges.append(edge)
+            edges = [tuple(token.split(">", 1)) for token in payload]
         else:
             raise InputFormatError(path, 0, f"unexpected term kind {kind!r}")
         yield edges, weight

@@ -580,6 +580,58 @@ def test_birkhoff_on_ids_matches_the_label_reference(g):
     assert split_outcome(birkhoff_decompose, g) == split_outcome(reference_birkhoff_decompose, g)
 
 
+def drawn_mixture(rng, n, k, pool=0):
+    """``k`` permutations of ``b0..b{n-1}`` with integer coefficients from
+    1 to 12, over their total, as the benchmark's Birkhoff inputs are
+    drawn; with ``pool``, each permutation is one of ``pool`` drawn first."""
+    labels = [f"b{i}" for i in range(n)]
+    images = []
+    for _ in range(pool or k):
+        image = list(range(n))
+        rng.shuffle(image)
+        images.append(image)
+    if pool:
+        images = [rng.choice(images) for _ in range(k)]
+    perms = [[labels[j] for j in image] for image in images]
+    return mixture(labels, perms, [Rat(rng.randint(1, 12)) for _ in range(k)])
+
+
+def round_shapes(g, terms):
+    """``(most, moved)``: the most rows one round frees and the number of
+    still matched rows that augmenting paths move, over every round but
+    the last, read off the terms."""
+    residual = dict(g.weights)
+    most = moved = 0
+    for (pi, w), (following, _) in zip(terms, terms[1:]):
+        freed = set()
+        for e in pi.items():
+            residual[e] -= w
+            if not residual[e]:
+                freed.add(e[0])
+        changed = {u for u in pi if pi[u] != following[u]}
+        assert freed <= changed
+        most = max(most, len(freed))
+        moved += len(changed - freed)
+    return most, moved
+
+
+def test_birkhoff_at_the_benchmark_size_matches_the_label_reference(rng):
+    for _ in range(12):
+        g = drawn_mixture(rng, 48, 24)
+        assert split_outcome(birkhoff_decompose, g) == split_outcome(reference_birkhoff_decompose, g)
+
+
+def test_birkhoff_on_repeated_permutations_matches_the_label_reference(rng):
+    # a pool of few permutations ties many entries: several rows reach zero
+    # in one round, and paths move rows that were already matched
+    for pool in (2, 3, 4, 6, 8) * 2:
+        g = drawn_mixture(rng, 48, 24, pool)
+        assert split_outcome(birkhoff_decompose, g) == split_outcome(reference_birkhoff_decompose, g)
+        most, moved = round_shapes(g, birkhoff_decompose(g))
+        if pool > 2:
+            assert most >= 2 and moved > 0
+
+
 def augmented_matching(rows, adjacency, n_cols):
     """Grow a matching from empty, one augmenting-path search per row.
 
@@ -631,6 +683,22 @@ def test_augmenting_path_deeper_than_recursion_limit():
     assert augmented_matching(rows, adjacency, n) == {r: r for r in rows}
 
 
+def cancelled(draw, records, term):
+    """``term`` appended to ``records``, and one time in three its negation:
+    the same record, or for a ``perm`` term its cycles and fixed points, so
+    a token and an edge of one entry cancel each other."""
+    records.append(term)
+    _, weight, kind, payload = term
+    if draw(st.integers(0, 2)):
+        return
+    if kind == "perm" and draw(st.booleans()):
+        pi = dict(token.split(">", 1) for token in payload)
+        cycles, fixed = permutation_to_cycles(pi)
+        records.extend(("term", -weight, "cycle", list(c)) for c in cycles + [(x,) for x in fixed])
+    else:
+        records.append(("term", -weight, kind, payload))
+
+
 @st.composite
 def graph_records(draw):
     """Parsed ``term`` records of either kind with signed mixed weights."""
@@ -640,25 +708,55 @@ def graph_records(draw):
         weight = Rat(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
         if draw(st.booleans()):
             cycle = draw(st.permutations(labels))[:draw(st.integers(1, 5))]
-            records.append(("term", weight, "cycle", cycle))
+            cancelled(draw, records, ("term", weight, "cycle", cycle))
         else:
             pi = draw(st.permutations(labels))
-            records.append(("term", weight, "perm", [f"{u}>{v}" for u, v in zip(labels, pi)]))
+            cancelled(draw, records, ("term", weight, "perm", [f"{u}>{v}" for u, v in zip(labels, pi)]))
     return records
+
+
+@st.composite
+def perm_records(draw):
+    """Parsed ``perm`` records only, on 1 to 16 labels, with permutations
+    from a small pool, so that entries repeat, and negated terms."""
+    labels = [f"v{i}" for i in range(draw(st.integers(1, 16)))]
+    pool = draw(st.lists(st.permutations(labels), min_size=1, max_size=4))
+    records = [("parameter", Rat(1, 2))]
+    for _ in range(draw(st.integers(0, 12))):
+        weight = Rat(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+        pi = draw(st.sampled_from(pool))
+        records.append(("term", weight, "perm", [f"{u}>{v}" for u, v in zip(labels, pi)]))
+        if not draw(st.integers(0, 2)):
+            records.append(("term", -weight, "perm", records[-1][3]))
+    return records
+
+
+def assert_rebuilds_the_rational_sum(records):
+    expected = list(reference_reconstruct(records).items())
+    for mode in ("graph", "birkhoff"):
+        rebuilt = fio.reconstruct_decomposition(mode, records)
+        assert list(rebuilt.items()) == expected
+        assert all(type(w) is Rat for w in rebuilt.values())
 
 
 @EXAMPLES
 @given(graph_records())
+@example([("parameter", ONE), ("term", ONE, "perm", ["a>b", "b>a"]),
+          ("term", -ONE, "cycle", ["a", "b"])])
+@example([("parameter", ONE), ("term", ONE, "cycle", ["b", "a"]),
+          ("term", Rat(1, 2), "perm", ["a>a", "b>b"]), ("term", -ONE, "perm", ["a>b", "b>a"])])
 def test_integer_reconstruction_matches_rational_sum(records):
-    for mode in ("graph", "birkhoff"):
-        rebuilt = fio.reconstruct_decomposition(mode, records)
-        expected = reference_reconstruct(records)
-        assert list(rebuilt.items()) == list(expected.items())
-        assert all(type(w) is Rat for w in rebuilt.values())
+    assert_rebuilds_the_rational_sum(records)
     cycles = [(payload, weight) for _, weight, kind, payload in records[1:] if kind == "cycle"]
     summed = cycle_sum(cycles)
     assert summed == reference_reconstruct([("term", w, "cycle", c) for c, w in cycles])
     assert all(type(w) is Rat for w in summed.values())
+
+
+@EXAMPLES
+@given(perm_records())
+def test_token_keyed_reconstruction_matches_rational_sum(records):
+    assert_rebuilds_the_rational_sum(records)
 
 
 class TestPermutationCycles:

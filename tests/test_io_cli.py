@@ -753,6 +753,7 @@ class TestMalformedDecomposition:
             ("lattice", "term 1/1 class 1,0*1 1,0*1"),
             ("lattice", "term 1/1 loop 1,0*1"),
             ("birkhoff", "term 1/1 perm ab"),
+            ("birkhoff", "term 1/1 perm a>b ab"),
         ],
     )
     def test_record_reports_its_line(self, mode, line):
@@ -1255,6 +1256,32 @@ class TestCliOther:
 
 
 class TestCliInputErrors:
+    def test_birkhoff_refuses_a_label_with_a_perm_arrow(self, workdir, capsys):
+        # "a>1>b" would read back as the entry (a, 1>b)
+        path = write(workdir / "arrow.wg", "digraph arrow\na>1 b 1/1\nb a>1 1/1\n")
+        assert run_cli(["decompose", "--mode", "graph", path, "--verify"]) == 0
+        capsys.readouterr()
+        out = workdir / "arrow.dec"
+        assert run_cli(["decompose", "--mode", "birkhoff", path, "--verify", "-o", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: {path}:2: label 'a>1' contains '>', which a perm entry u>v cannot carry\n"
+        )
+
+    def test_birkhoff_names_the_first_edge_with_a_perm_arrow(self, workdir, capsys):
+        path = write(workdir / "late.wg", "digraph late\nc c 1/1\n# note\nb x>y 1/1\nx>y b 1/1\n")
+        assert run_cli(["decompose", "--mode", "birkhoff", path]) == 2
+        assert "late.wg:4: label 'x>y' contains '>'" in capsys.readouterr().err
+
+    def test_birkhoff_writer_refuses_a_label_with_a_perm_arrow(self):
+        for pi in ({"a>1": "b", "b": "a>1"}, {"a": ">", ">": "a"}):
+            with pytest.raises(ValueError, match="contains '>'"):
+                fio.format_birkhoff_decomposition([({"a": "a", "b": "b"}, Rat(1, 2)), (pi, Rat(1, 2))], "g")
+        text = fio.format_birkhoff_decomposition([({"a": "b", "b": "a"}, ONE)], "g>h")
+        assert text == "decomposition birkhoff g>h\nterm 1/1 perm a>b b>a\n"
+
     def test_self_loop_outside_birkhoff_mode_exit_two(self, capsys):
         path = str(SAMPLES / "bistochastic.wg")
         for args in (["check", "balance", path], ["decompose", "--mode", "graph", path]):
