@@ -13,7 +13,7 @@ Seven ladders, each on inputs generated from a fixed seed:
 
 * ``hodge``: :func:`hodge_decompose` on a random n x n torus field with
   small rational values, n = 6, 10, 14, 20, 28, 40.  The Laplace system
-  goes through the p-adic solver ``exact_lp._dixon_solve``, so this is the
+  goes through the p-adic solver ``exact_lp.dixon_solve``, so this is the
   sparse exact-solve ladder.
 * ``lattice``: :func:`decompose_lattice` on a balanced Z^2 measure that
   sums the empirical measures of random closed walks (steps within the

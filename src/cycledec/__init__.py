@@ -63,12 +63,9 @@ from .elementary import (
     ElementaryDecomposition,
     OneDimFamily,
     ReVerdict,
-    decompose_1d,
     elementary_decompose,
     in_Re,
     pairwise_in_Re,
-    r_star_necessary,
-    sufficient_diameter_bound,
 )
 from .discretize import (
     Environment,

@@ -15,7 +15,7 @@ from math import isfinite, prod
 from . import discretize as dz
 from . import elementary as el
 from . import io as fio
-from .complexes import TwoComplex, _field_and_symmetric, field_to_rates, hodge_decompose
+from .complexes import TwoComplex, field_to_rates, hodge_decompose, rates_pass
 from .errors import CycleDecError, InputFormatError, NegativeEdgeWeight, NotBalanced, TooLarge
 from .finite_graph import (
     WeightedDigraph,
@@ -24,12 +24,7 @@ from .finite_graph import (
     is_balanced_graph,
     is_bistochastic,
 )
-from .lattice import (
-    HeavyTailOracle1D,
-    decompose_1d_heavy_tail,
-    decompose_lattice,
-    is_balanced,
-)
+from .lattice import HeavyTailOracle1D, decompose_1d_heavy_tail, decompose_lattice, mean
 from .ratio import ZERO, Rat, parse_rat, rat_str
 
 
@@ -107,7 +102,7 @@ def _load_rates(path, args, dim: int = 2):
             flag = "--surface" if args.surface else "--torus"
             raise InputFormatError("<args>", 0, f"{flag} disagrees with the field header of {path}")
         rates = field_to_rates(field)
-        return rates, complex, _field_and_symmetric(rates, complex)
+        return rates, complex, rates_pass(rates, complex)
     name, weights, lines = fio.read_graph(path)
     complex = _load_complex(args, dim)
     if complex is None:
@@ -115,13 +110,13 @@ def _load_rates(path, args, dim: int = 2):
     if complex.is_torus():
         weights = fio.labels_to_coords(weights, path, lines)
     try:
-        rates_pass = _field_and_symmetric(weights, complex)
+        validated = rates_pass(weights, complex)
     except (KeyError, ValueError) as exc:
-        k, exc = fio._first_fault(
-            list(weights.items()), lambda prefix: _field_and_symmetric(dict(prefix), complex), exc
+        k, exc = fio.first_fault(
+            list(weights.items()), lambda prefix: rates_pass(dict(prefix), complex), exc
         )
         raise InputFormatError(path, lines[k - 1], f"rates do not fit {complex.name}: {exc.args[0]}")
-    return {e: w for e, w in weights.items() if w}, complex, rates_pass
+    return {e: w for e, w in weights.items() if w}, complex, validated
 
 
 def _load_digraph(path, allow_self_loops=False, perm=False):
@@ -139,7 +134,7 @@ def _load_digraph(path, allow_self_loops=False, perm=False):
     try:
         return name, build(edges)
     except ValueError as exc:
-        k, exc = fio._first_fault(edges, build, exc)
+        k, exc = fio.first_fault(edges, build, exc)
         raise InputFormatError(path, lines[k - 1], str(exc))
 
 
@@ -148,7 +143,7 @@ def _elementary_weights(chain, complex, verdict, constant):
     that the complex admits no freedom for, or that is infeasible, as an
     argument error."""
     try:
-        return el._weights(chain, complex, verdict, constant)
+        return el.chain_decomposition(chain, complex, verdict, constant)
     except (ValueError, NegativeEdgeWeight) as exc:
         raise InputFormatError("<args>", 0, f"--constant: {exc}")
 
@@ -173,28 +168,21 @@ def _cmd_check(args) -> int:
                                    f"{flag} applies to check dlambda2, elementary or rstar only")
     if prop == "balance":
         if path.endswith(".msr"):
-            measure = fio.read_measure(path)
-            if is_balanced(measure):
-                print("balanced: yes")
-                return 0
-            print("balanced: no (nonzero mean)")
-            return 1
-        _, graph = _load_digraph(path)
-        ok, violators = is_balanced_graph(graph)
-        if ok:
-            print("balanced: yes")
-            return 0
-        print("balanced: no violators=" + ",".join(str(v) for v in violators))
-        return 1
+            center = mean(fio.read_measure(path))
+            ok, violators = not any(center), [center]
+        else:
+            ok, violators = is_balanced_graph(_load_digraph(path)[1])
+        print("balanced: yes" if ok else "balanced: no" + _violators_detail(violators))
+        return 0 if ok else 1
     if prop == "bistochastic":
         _, graph = _load_digraph(path, allow_self_loops=True)
         ok = is_bistochastic(graph)
         print(f"bistochastic: {'yes' if ok else 'no'}")
         return 0 if ok else 1
-    _, complex, rates_pass = _load_rates(path, args)
-    chain = el._recover_chain(rates_pass, complex)
+    _, complex, validated = _load_rates(path, args)
+    chain = el.recover_chain(validated, complex)
     if prop == "elementary":
-        verdict = el._verdict(chain, complex)
+        verdict = el.chain_verdict(chain, complex)
         print(_verdict_line(verdict))
         return 0 if verdict.ok else 1
     ok = chain is not None
@@ -252,17 +240,17 @@ def _cmd_decompose(args) -> int:
         if args.lift:
             sys.stdout.write(fio.format_lift(dec.classes(), decimals=decimals))
     elif mode == "elementary":
-        rates, complex, rates_pass = _load_rates(args.input, args)
-        chain = el._recover_chain(rates_pass, complex)
-        dec = _elementary_weights(chain, complex, el._verdict(chain, complex), args.constant)
+        rates, complex, validated = _load_rates(args.input, args)
+        chain = el.recover_chain(validated, complex)
+        dec = _elementary_weights(chain, complex, el.chain_verdict(chain, complex), args.constant)
         text = fio.format_elementary_decomposition(dec, complex, args.input, decimals)
         expected = ("on-complex", rates, complex)
         if args.lift and complex.is_torus():
             sys.stdout.write(fio.format_lift(dec.cycles(complex), complex.torus_shape, decimals))
     elif mode == "1d":
-        rates, complex, rates_pass = _load_rates(args.input, args, dim=1)
+        rates, complex, validated = _load_rates(args.input, args, dim=1)
         try:
-            family = el._family(rates_pass, complex)
+            family = el.family_1d(validated, complex)
         except ValueError as exc:
             raise InputFormatError(args.input, 0, str(exc))
         try:
@@ -331,14 +319,13 @@ def _cmd_hodge(args) -> int:
         text = fh.read()
     complex, field = fio.parse_field(text, args.input)
     if complex.torus_dimension() != 2:  # named on the header's line
-        raise InputFormatError(args.input, next(fio._content_lines(text))[0],
+        raise InputFormatError(args.input, next(fio.content_lines(text))[0],
                                "hodge expects a 2-d torus field")
     parts = hodge_decompose(field)
     shape = complex.torus_shape
     lines = [
         "hodge torus " + " ".join(str(n) for n in shape),
-        "coefficients "
-        + " ".join(rat_str(c) for c in parts.harmonic_coefficients),
+        "coefficients " + " ".join(rat_str(c, args.decimal) for c in parts.harmonic_coefficients),
     ]
     for label, part in (
         ("gradient", parts.gradient),
@@ -353,16 +340,16 @@ def _cmd_hodge(args) -> int:
 
 
 def _cmd_elementary(args) -> int:
-    _, complex, rates_pass = _load_rates(args.input, args)
-    chain = el._recover_chain(rates_pass, complex)
-    verdict = el._verdict(chain, complex)
+    _, complex, validated = _load_rates(args.input, args)
+    chain = el.recover_chain(validated, complex)
+    verdict = el.chain_verdict(chain, complex)
     if verdict.ok:
         # decomposed first, so a refused --constant leaves stdout empty
         dec = _elementary_weights(chain, complex, verdict, args.constant)
     print(_verdict_line(verdict))
     if args.diameter:
         try:
-            sufficient, bound = el._diameter_bound(chain, complex)
+            sufficient, bound = el.chain_diameter_bound(chain, complex)
         except CycleDecError as exc:  # no faces, or NotHomologous
             print(f"diameter-bound unavailable: {exc}")
         else:
@@ -491,8 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _violators_detail(violators) -> str:
-    """The violators of a :class:`NotBalanced` in the file spelling: a
-    lattice mean, the one violator made of rationals, as `` mean=1/2 0/1``,
+    """The violators of an imbalance, as ``check balance`` finds them or a
+    :class:`NotBalanced` carries them, in the file spelling: a lattice
+    mean, the one violator made of rationals, as `` mean=1/2 0/1``,
     vertices as `` violators=b,c``."""
     if not violators:
         return ""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import NoSolution, NotHomologous, TooLarge
-from .exact_lp import _dixon_solve, solve_exact_linear
+from .exact_lp import dixon_solve, solve_exact_linear
 from .finite_graph import cycle_edges
 from .ratio import ONE, ZERO, Rat, rats_over, scaled_list, to_rat
 
@@ -375,10 +375,10 @@ def boundary2(psi: TwoChain) -> VectorField:
     ints, as :func:`recover_psi` may return, gives ``Rat`` values too.
     """
     scale, values = scaled_list(psi.values)
-    return VectorField._exact(psi.complex, rats_over(_boundary_sums(psi.complex, values), scale))
+    return VectorField._exact(psi.complex, rats_over(boundary_sums(psi.complex, values), scale))
 
 
-def _boundary_sums(cx: TwoComplex, values: list) -> list:
+def boundary_sums(cx: TwoComplex, values: list) -> list:
     """Per edge, the signed sum of the integer ``values`` of its faces."""
     sums = []
     for incidences in cx.edge_faces:
@@ -418,7 +418,7 @@ def recover_psi(phi: VectorField) -> TwoChain:
     faces disagree, which only a non-orientable surface has, gives one row
     of ``2 t = +-phi(edge) - psi'_1 - psi'_2``.  Without such rows the chain
     keeps the field's number type: the integer numerators of
-    :func:`_field_and_symmetric` give an integer chain on the same scale, a
+    :func:`rates_pass` give an integer chain on the same scale, a
     field of ``Rat`` values a ``Rat`` chain.  With them,
     :func:`solve_exact_linear` finds ``t`` (an inconsistent system
     certifies that no preimage exists) and the unique chain comes back as
@@ -483,7 +483,7 @@ def hodge_decompose(phi: VectorField) -> HodgeParts:
     solves ``L f = -div phi`` on the others, where ``L`` is the graph
     Laplacian (degree minus adjacency) with that vertex removed: sparse
     integer rows, symmetric and positive definite, solved exactly by the
-    p-adic solver ``exact_lp._dixon_solve``.  Harmonic coefficients are the
+    p-adic solver ``exact_lp.dixon_solve``.  Harmonic coefficients are the
     inner products against the two constant direction fields over their
     norms; the homologous part is the remainder and passes the membership
     test by construction.  Everything runs on integer numerators over the
@@ -516,7 +516,7 @@ def hodge_decompose(phi: VectorField) -> HodgeParts:
                 row[a] += 1
                 if b >= 0:
                     row[b] = row.get(b, 0) - 1
-    numerators, den = _dixon_solve(rows, [-d for d in div[1:]])
+    numerators, den = dixon_solve(rows, [-d for d in div[1:]])
     potential = [0, *numerators]
 
     # edge 2v + k points in direction k, so each direction has n edges
@@ -541,8 +541,13 @@ def hodge_decompose(phi: VectorField) -> HodgeParts:
 # -- weights vs fields -------------------------------------------------
 
 
-def _field_and_symmetric(rates: dict, complex: TwoComplex):
-    """The one validated pass from rates to ``(D, field, symmetric)``.
+def rates_pass(rates: dict, complex: TwoComplex):
+    """The one validated pass from rates to ``(D, field, symmetric)``, the
+    field and the symmetric parts as int numerators over one scale ``D``:
+    the triple that :func:`cycledec.elementary.recover_chain` and
+    :func:`cycledec.elementary.family_1d` take, and that
+    :func:`cycledec.discretize.random_environment` builds from its own
+    numerators.
 
     It raises its own errors.  Each rate, in dict order, keyed by a
     ``(u, v)`` tuple, has its pair checked (``KeyError`` from

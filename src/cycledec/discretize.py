@@ -23,9 +23,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .complexes import TwoChain, TwoComplex, VectorField, _boundary_sums, boundary2
-from .elementary import ReVerdict, _recover_chain, _verdict
-from .ratio import ZERO, Rat, rat_decimal, rat_str, rats_over, scaled_list, to_rat
+from .complexes import TwoChain, TwoComplex, VectorField, boundary2, boundary_sums
+from .elementary import ReVerdict, chain_verdict, recover_chain
+from .ratio import ZERO, Rat, rat_str, rats_over, scaled_list, to_rat
 
 DEFAULT_DENOMINATOR = 10**6
 
@@ -173,10 +173,7 @@ class Environment:
                 row = []
                 for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
                     y = ((i + dx) % n1, (j + dy) % n2)
-                    value = rat_str(self.probabilities[(x, y)])
-                    if decimals is not None:
-                        value += "~" + rat_decimal(self.probabilities[(x, y)], decimals)
-                    row.append(value)
+                    row.append(rat_str(self.probabilities[(x, y)], decimals))
                 lines.append(f"{i} {j} : " + " ".join(row))
         lines.append(
             f"# certificate: elementary={'yes' if self.certificate.ok else 'no'}"
@@ -221,7 +218,7 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
         [spec.noise_lo, (spec.noise_hi - spec.noise_lo) / d, Rat(1, d)]
     )
     index = complex.vertex_index
-    field = [value * per for value in _boundary_sums(complex, chain)]
+    field = [value * per for value in boundary_sums(complex, chain)]
     pairs, numerators, tails, noises = [], [], [], []
     totals = [0] * complex.n_vertices
     for (u, v), value in zip(complex.edges, field):
@@ -238,7 +235,7 @@ def random_environment(spec: EnvironmentSpec) -> Environment:
     probabilities = dict(zip(pairs, map(Rat, numerators, [totals[t] for t in tails])))
 
     rates_pass = (scale, VectorField._exact(complex, field), noises)
-    certificate = _verdict(_recover_chain(rates_pass, complex), complex)
+    certificate = chain_verdict(recover_chain(rates_pass, complex), complex)
     certified = spec.noise_lo >= osc / 2
     return Environment(
         complex,

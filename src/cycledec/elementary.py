@@ -10,13 +10,25 @@ point.  That common point is the additive constant used to build the
 explicit decomposition.  Edges incident to no face (the one-dimensional
 torus has only such edges) constrain nothing beyond nonnegativity.
 
-Every verdict, construction and bound reads one chain: :func:`_recover_chain`
-recovers the chain and its edge intervals from the one validated rates pass
-``(D, field, symmetric)``, which callers that hold it hand on, and one reader
-per rule (:func:`_verdict`, :func:`_weights`, :func:`_diameter_bound`) takes
-it.  Non-orientable surfaces have no constant freedom (the chain is unique)
-and edges traversed the same way by both faces contribute the complement of
-an open interval instead.
+Every verdict, construction and bound reads one chain.  The pipeline is
+public: :func:`~cycledec.complexes.rates_pass` validates the rates once and
+returns ``(D, field, symmetric)``; :func:`recover_chain` recovers the chain
+and its edge intervals from that pass; one reader per rule takes the chain
+(:func:`chain_verdict`, :func:`chain_decomposition`,
+:func:`chain_diameter_bound`), and :func:`family_1d` reads the pass itself
+on the 1-d torus.  A caller asking several questions of the same rates
+runs the pass and the recovery once::
+
+    validated = rates_pass(rates, complex)
+    chain = recover_chain(validated, complex)
+    verdict = chain_verdict(chain, complex)
+    dec = chain_decomposition(chain, complex, verdict) if verdict.ok else None
+    sufficient, bound = chain_diameter_bound(chain, complex)
+
+:func:`in_Re` and :func:`elementary_decompose` take rates and run the
+pipeline themselves.  Non-orientable surfaces have no constant freedom (the
+chain is unique) and edges traversed the same way by both faces contribute
+the complement of an open interval instead.
 
 The pass runs on Python ints over one scale ``D``: the field, the
 symmetric parts, the chain and the interval ends are integer numerators
@@ -46,8 +58,8 @@ from .complexes import (
     TwoComplex,
     TwoChain,
     VectorField,
-    _field_and_symmetric,
     boundary1,
+    rates_pass,
     recover_psi,
 )
 from .ratio import ZERO, Rat, rats_over, to_rat
@@ -92,10 +104,16 @@ class ReVerdict:
     violating_edges: tuple | None = None
 
 
-def _recover_chain(rates_pass, complex):
-    """``(D, s, psi, spans)`` from a :func:`_field_and_symmetric` pass: the
-    scale, the symmetric parts, a chain bounding the field and the edge
-    spans, all ints over ``D``; ``None`` when the field is not a boundary.
+def recover_chain(rates_pass, complex):
+    """``(D, s, psi, spans)`` from the ``(D, field, symmetric)`` of
+    :func:`~cycledec.complexes.rates_pass`: the scale, the symmetric parts,
+    a chain bounding the field and the edge spans, all ints over ``D``;
+    ``None`` when the field is not a face boundary.
+
+    ``recover_chain(...) is not None`` is the necessary condition for
+    homotopically trivial decomposability: membership of the field in the
+    face-boundary image.  The full characterization of homotopically
+    trivial decomposability is open and not decided here.
 
     On a non-orientable complex ``D`` is twice the lcm of the rate
     denominators, so the chain :func:`recover_psi` returns as ``Rat``
@@ -118,8 +136,9 @@ def _recover_chain(rates_pass, complex):
     return scale, s, psi, _spans(psi, complex)
 
 
-def _verdict(chain, complex: TwoComplex) -> ReVerdict:
-    """The verdict of :func:`in_Re` on a chain of :func:`_recover_chain`."""
+def chain_verdict(chain, complex: TwoComplex) -> ReVerdict:
+    """The verdict of :func:`in_Re` on a chain of :func:`recover_chain`:
+    ``NotHomologous`` on ``None``."""
     if chain is None:
         return ReVerdict(False, reason="NotHomologous")
     scale, s, _, spans = chain
@@ -169,7 +188,7 @@ def in_Re(rates: dict, complex: TwoComplex) -> ReVerdict:
     edge with symmetric part below its span's distance to zero is
     reported.  Edges without faces constrain nothing.
     """
-    return _verdict(_recover_chain(_field_and_symmetric(rates, complex), complex), complex)
+    return chain_verdict(recover_chain(rates_pass(rates, complex), complex), complex)
 
 
 def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
@@ -181,9 +200,9 @@ def pairwise_in_Re(rates: dict, complex: TwoComplex) -> bool:
     non-orientable one the constant is pinned at zero and the verdict is
     that of :func:`in_Re`.  Edges without faces constrain nothing.
     """
-    chain = _recover_chain(_field_and_symmetric(rates, complex), complex)
+    chain = recover_chain(rates_pass(rates, complex), complex)
     if chain is None or not complex.orientable:
-        return _verdict(chain, complex).ok
+        return chain_verdict(chain, complex).ok
     _, s, _, spans = chain
     constrained = [(s[eid], *span[:2]) for eid, span in enumerate(spans) if span is not None]
     for i, (s_i, lo_i, hi_i) in enumerate(constrained):
@@ -257,13 +276,13 @@ def elementary_decompose(
     constant to choose and ``c_star`` must be omitted or zero.
     """
     verdict = in_Re(rates, complex)
-    chain = _recover_chain(_field_and_symmetric(rates, complex), complex) if verdict.ok else None
-    return _weights(chain, complex, verdict, c_star)
+    chain = recover_chain(rates_pass(rates, complex), complex) if verdict.ok else None
+    return chain_decomposition(chain, complex, verdict, c_star)
 
 
-def _weights(chain, complex: TwoComplex, verdict: ReVerdict, c_star):
-    """:func:`elementary_decompose` on a chain of :func:`_recover_chain`
-    and its :func:`_verdict`."""
+def chain_decomposition(chain, complex: TwoComplex, verdict: ReVerdict, c_star=None):
+    """:func:`elementary_decompose` on a chain of :func:`recover_chain`
+    and its :func:`chain_verdict`: :class:`NotInRe` on a no verdict."""
     if not verdict.ok:
         raise NotInRe(f"rates are not elementary-decomposable: {verdict.reason}")
     if not complex.orientable and c_star not in (None, 0):
@@ -336,20 +355,16 @@ class OneDimFamily:
         return [(cycle, weight) for cycle, weight in terms if weight != 0]
 
 
-def decompose_1d(rates: dict, complex: TwoComplex) -> OneDimFamily:
-    """Closed-form decomposition family on the one-dimensional torus.
+def family_1d(rates_pass, complex: TwoComplex) -> OneDimFamily:
+    """Closed-form decomposition family on the one-dimensional torus, from
+    the ``(D, field, symmetric)`` of :func:`~cycledec.complexes.rates_pass`.
 
     Requires the associated field to be constant (equivalently divergence
     free); otherwise raises :class:`NotBalanced` with the vertices where
-    the divergence fails to vanish.
+    the divergence fails to vanish.  Another complex raises ``ValueError``.
     """
-    return _family(_field_and_symmetric(rates, complex), complex)
-
-
-def _family(rates_pass, complex: TwoComplex) -> OneDimFamily:
-    """:func:`decompose_1d` on a pass of :func:`_field_and_symmetric`."""
     if not (complex.is_torus() and complex.torus_dimension() == 1):
-        raise ValueError("decompose_1d expects the 1-d torus")
+        raise ValueError("family_1d expects the 1-d torus")
     scale, phi, s = rates_pass
     constants = set(phi.values)
     if len(constants) > 1:
@@ -361,33 +376,20 @@ def _family(rates_pass, complex: TwoComplex) -> OneDimFamily:
     return OneDimFamily(complex, Rat(c, scale), min(symmetric), symmetric)
 
 
-def r_star_necessary(rates: dict, complex: TwoComplex) -> bool:
-    """Necessary condition for homotopically trivial decomposability.
-
-    Membership of the field in the face-boundary image.  The full
-    characterization of homotopically trivial decomposability is open and
-    not decided here.
-    """
-    return _recover_chain(_field_and_symmetric(rates, complex), complex) is not None
-
-
-def sufficient_diameter_bound(rates: dict, complex: TwoComplex):
-    """One-sided test through the face-adjacency spanning tree.
+def chain_diameter_bound(chain, complex: TwoComplex):
+    """One-sided test through the face-adjacency spanning tree, on a chain
+    of :func:`recover_chain`.
 
     Chain differences between faces are bounded by the weight of any
     spanning tree of the face adjacency graph with edge weights ``|phi|``;
     a minimum spanning tree gives the bound ``M``.  If every symmetric
     part reaches ``M / 2`` the rates are elementary-decomposable.  Returns
     ``(sufficient, M)``; a negative answer decides nothing.  The weights
-    are read off the spans of :func:`_recover_chain`, whose chain bounds
-    the field: ``|phi|`` is ``hi - lo`` on an edge its faces see with
-    opposite signs and ``|lo + hi|`` on one they see alike.
+    are read off the spans of the chain, which bounds the field: ``|phi|``
+    is ``hi - lo`` on an edge its faces see with opposite signs and
+    ``|lo + hi|`` on one they see alike.  A complex without faces raises
+    :class:`CycleDecError`, and a ``None`` chain :class:`NotHomologous`.
     """
-    return _diameter_bound(_recover_chain(_field_and_symmetric(rates, complex), complex), complex)
-
-
-def _diameter_bound(chain, complex: TwoComplex):
-    """:func:`sufficient_diameter_bound` on a chain of :func:`_recover_chain`."""
     if complex.n_faces == 0:
         raise CycleDecError("complex has no faces")
     if chain is None:

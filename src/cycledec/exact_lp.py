@@ -14,7 +14,7 @@ lattice class, on at most ``d`` difference vectors.
 The Laplace system of the torus Hodge split is square, sparse, symmetric
 and nonsingular, and its solution has far fewer bits than the
 intermediate values of an elimination over the rationals.
-:func:`_dixon_solve` therefore never eliminates over the integers: it
+:func:`dixon_solve` therefore never eliminates over the integers: it
 factors the system once modulo a word-size prime (a symmetric ``L D L^T``
 in minimum-degree order), lifts the solution p-adically (Dixon 1982) and
 reads the rationals off the p-adic approximation by rational
@@ -112,7 +112,7 @@ def exact_rank(matrix) -> int:
     return len(_gauss_jordan([list(map(to_rat, row)) for row in matrix], n))
 
 
-# Word-size primes for :func:`_dixon_solve`, tried in this order.
+# Word-size primes for :func:`dixon_solve`, tried in this order.
 _PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
 
 
@@ -235,7 +235,7 @@ def _reconstruct(x, modulus):
     return [n * (den // d) for n, d in found], den
 
 
-def _dixon_solve(rows, b):
+def dixon_solve(rows, b):
     """The solution of ``A x = b`` for a square nonsingular symmetric
     integer ``A``, given as sparse ``{column: int}`` rows, and an integer
     ``b``: ``(numerators, den)`` with ``x = numerators / den``.

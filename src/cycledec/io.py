@@ -10,7 +10,7 @@ local ``{token: value}`` dict that lives as long as its call.  Checks run
 once per distinct item too: the graph readers find a duplicate edge by
 size, and reconstruction on a complex runs on vertex ids, testing each
 distinct oriented step once.  A reader that fails names the first faulty
-edge line, which :func:`_first_fault` finds by bisecting over prefixes,
+edge line, which :func:`first_fault` finds by bisecting over prefixes,
 only when there is a fault.
 """
 
@@ -23,25 +23,20 @@ from operator import contains
 from .complexes import TwoComplex, VectorField
 from .errors import InputFormatError
 from .lattice import (
-    LatticeCycleClass, LatticeDecomposition, LatticeMeasure, _class_error, class_sum,
+    LatticeCycleClass, LatticeDecomposition, LatticeMeasure, class_error, class_sum,
 )
 from .finite_graph import GraphDecomposition, canonical_cycle, cycle_edges, edge_sum
-from .ratio import ZERO, Rat, parse_rat, rat_decimal, rat_str, to_rat
+from .ratio import ZERO, Rat, parse_rat, rat_str
 
 
-def _content_lines(text: str):
+def content_lines(text: str):
+    """``(line number, line)`` for each line left nonempty once its ``#``
+    comment is cut and its ends are stripped."""
     comments = "#" in text
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = (raw.split("#", 1)[0] if comments else raw).strip()
         if line:
             yield line_no, line
-
-
-def _fmt(value, decimals=None) -> str:
-    out = rat_str(value)
-    if decimals is not None:
-        out += "~" + rat_decimal(value, decimals)
-    return out
 
 
 def _parse_value(token: str, path, line_no, values: dict):
@@ -63,7 +58,7 @@ def parse_measure(text: str, path="<measure>") -> LatticeMeasure:
     atoms = {}
     values = {}
     dimension = None
-    for line_no, line in _content_lines(text):
+    for line_no, line in content_lines(text):
         tokens = line.split()
         if len(tokens) < 2:
             raise InputFormatError(path, line_no, "expected coordinates and a mass")
@@ -113,7 +108,7 @@ def parse_graph(text: str, path="<graph>"):
 def _parse_graph(text: str, path):
     """``parse_graph`` plus the line number of each edge, in the order of
     the weights."""
-    content = _content_lines(text)
+    content = content_lines(text)
     line_no, line = next(content, (0, None))
     if line is None:
         raise InputFormatError(path, 0, "missing digraph header")
@@ -124,14 +119,14 @@ def _parse_graph(text: str, path):
     try:
         weights = _graph_edges(content, path)
     except InputFormatError as exc:
-        raise _first_fault(content, lambda prefix: _graph_edges(prefix, path), exc)[1]
+        raise first_fault(content, lambda prefix: _graph_edges(prefix, path), exc)[1]
     return tokens[1], weights, [line_no for line_no, _ in content]
 
 
 def _graph_edges(content, path) -> dict:
     """The weights of the ``(line_no, line)`` edge lines ``content``.  A
     repeated edge is found by size, and the error then names the last line:
-    right only on the shortest prefix that fails (see :func:`_first_fault`).
+    right only on the shortest prefix that fails (see :func:`first_fault`).
     """
     weights = {}
     values = {}
@@ -156,7 +151,7 @@ def _graph_edges(content, path) -> dict:
     return weights
 
 
-def _first_fault(items, check, error):
+def first_fault(items, check, error):
     """``(k, error)`` for the shortest prefix ``items[:k]`` that ``check``
     rejects, called after ``check(items)`` raised ``error``.
 
@@ -201,7 +196,7 @@ def labels_to_coords(weights: dict, path="<graph>", lines=None) -> dict:
     try:
         return _coords(weights.items())
     except ValueError as exc:
-        k, exc = _first_fault(list(weights.items()), _coords, exc)
+        k, exc = first_fault(list(weights.items()), _coords, exc)
         raise InputFormatError(path, lines[k - 1] if lines else 0, str(exc))
 
 
@@ -209,7 +204,7 @@ def _coords(items) -> dict:
     """``{(point, point): weight}`` for the ``((u, v), weight)`` pairs
     ``items``.  Two labels of one point make a duplicate edge, found by
     size, and the error then names the last pair: right only on the
-    shortest prefix that fails (see :func:`_first_fault`)."""
+    shortest prefix that fails (see :func:`first_fault`)."""
     points = {}  # each distinct label is converted once
     out = {}
     for (u, v), w in items:
@@ -255,7 +250,7 @@ def parse_field(text: str, path="<field>"):
     complex = None
     entries = {}  # edge id -> value
     values = {}
-    for line_no, line in _content_lines(text):
+    for line_no, line in content_lines(text):
         tokens = line.split()
         if complex is None:
             if len(tokens) not in (3, 4) or tokens[0] != "field" or tokens[1] != "torus":
@@ -316,7 +311,7 @@ def format_field(field: VectorField, decimals=None) -> str:
             continue
         lines.append(
             " ".join(map(str, complex.edges[eid][0]))
-            + f" {eid % d + 1} " + _fmt(value, decimals)
+            + f" {eid % d + 1} " + rat_str(value, decimals)
         )
     return "\n".join(lines) + "\n"
 
@@ -337,7 +332,7 @@ def parse_surface(text: str, path="<surface>") -> TwoComplex:
     vertices = {}  # labels in file order
     edges = {}  # (u, v) -> line
     faces = []
-    for line_no, line in _content_lines(text):
+    for line_no, line in content_lines(text):
         tokens = line.split()
         kind = tokens[0]
         if kind == "surface":
@@ -422,7 +417,7 @@ def _cycle_heads(decimals):
         key = weight.as_integer_ratio()
         text = texts.get(key)
         if text is None:
-            text = texts[key] = f"term {_fmt(weight, decimals)} cycle "
+            text = texts[key] = f"term {rat_str(weight, decimals)} cycle "
         return text
 
     return head
@@ -453,7 +448,7 @@ def _class(cls) -> str:
 
 def _class_terms(terms, decimals) -> list:
     """One ``term <weight> class <entries>`` line per ``(class, weight)``."""
-    return [f"term {_fmt(weight, decimals)} {_class(cls)}" for cls, weight in terms]
+    return [f"term {rat_str(weight, decimals)} {_class(cls)}" for cls, weight in terms]
 
 
 def format_graph_decomposition(dec: GraphDecomposition, source: str, decimals=None) -> str:
@@ -469,7 +464,7 @@ def format_lattice_decomposition(
     lines = [f"decomposition lattice {source}"]
     if dec.trivial_mass or not dec.terms:
         origin = coords_label((0,) * dec.dimension)
-        lines.append(f"trivial {origin} {_fmt(dec.trivial_mass, decimals)}")
+        lines.append(f"trivial {origin} {rat_str(dec.trivial_mass, decimals)}")
     return "\n".join(lines + _class_terms(dec.terms, decimals)) + "\n"
 
 
@@ -478,7 +473,7 @@ def format_birkhoff_decomposition(terms, source: str, decimals=None) -> str:
     weight)``, its entries in sorted order.  Raises :class:`ValueError` on
     a label that contains ``>``, whose entries would not read back."""
     body = [
-        f"term {_fmt(weight, decimals)} perm " + " ".join([f"{u}>{pi[u]}" for u in sorted(pi)])
+        f"term {rat_str(weight, decimals)} perm " + " ".join([f"{u}>{pi[u]}" for u in sorted(pi)])
         for pi, weight in terms
     ]
     # each entry writes one '>'; any further one comes from a label
@@ -503,7 +498,7 @@ def format_elementary_decomposition(dec, complex, source: str, decimals=None) ->
     distinct weight writes its record head once."""
     lines = [
         f"decomposition elementary {source}",
-        f"constant {_fmt(dec.chosen_constant, decimals)}",
+        f"constant {rat_str(dec.chosen_constant, decimals)}",
     ]
     live, faces = dec.term_ids(complex)
     labels = {v: vertex_label(v) for v in complex.vertices}
@@ -528,9 +523,9 @@ def format_elementary_decomposition(dec, complex, source: str, decimals=None) ->
 def format_1d_family(family, source: str, a, decimals=None) -> str:
     lines = [
         f"decomposition 1d {source}",
-        f"constant {_fmt(family.constant, decimals)}",
-        f"parameter {_fmt(to_rat(a), decimals)}",
-        f"max-parameter {_fmt(family.min_weight, decimals)}",
+        f"constant {rat_str(family.constant, decimals)}",
+        f"parameter {rat_str(a, decimals)}",
+        f"max-parameter {rat_str(family.min_weight, decimals)}",
         f"rstar {'yes' if family.in_r_star else 'no'}",
     ]
     return "\n".join(lines + _cycle_terms(family.cycles_at(a), decimals)) + "\n"
@@ -539,7 +534,7 @@ def format_1d_family(family, source: str, a, decimals=None) -> str:
 def format_heavy_tail(terms, residual, source: str, decimals=None) -> str:
     lines = [f"decomposition 1d-heavy {source}"] + _class_terms(terms, decimals)
     for x in sorted(residual):
-        lines.append(f"residual {x} {_fmt(residual[x], decimals)}")
+        lines.append(f"residual {x} {rat_str(residual[x], decimals)}")
     return "\n".join(lines) + "\n"
 
 
@@ -551,7 +546,7 @@ def format_lift(terms, periods=None, decimals=None) -> str:
     lines = ["periodic-lift"]
     for cycle, weight in terms:
         body = _class(cycle) if isinstance(cycle, LatticeCycleClass) else str(cycle)
-        lines.append(f"term {_fmt(weight, decimals)} {body} @ all {scope} translates")
+        lines.append(f"term {rat_str(weight, decimals)} {body} @ all {scope} translates")
     return "\n".join(lines) + "\n"
 
 
@@ -570,7 +565,7 @@ def parse_decomposition(text: str, path="<decomposition>"):
     source = None
     records = []
     values = {}
-    for line_no, line in _content_lines(text):
+    for line_no, line in content_lines(text):
         tokens = line.split()
         key = tokens[0]
         if mode is None:
@@ -640,7 +635,7 @@ def _parse_class(tokens, path, line_no) -> LatticeCycleClass:
         if vec in entries:
             raise InputFormatError(path, line_no, f"repeated displacement {token!r}")
         entries[vec] = n
-    error = _class_error(entries)
+    error = class_error(entries)
     if error is not None:
         raise InputFormatError(path, line_no, error)
     return LatticeCycleClass._exact(entries)

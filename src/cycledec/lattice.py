@@ -47,7 +47,7 @@ def _point(p) -> tuple:
     return tuple(map(int, p))
 
 
-def _class_error(entries: dict):
+def class_error(entries: dict):
     """Why ``{int tuple: int}`` entries form no cycle class, or None when
     they form one; the checks run in the order :class:`LatticeCycleClass`
     makes them."""
@@ -130,7 +130,7 @@ class LatticeCycleClass:
             if vec in cleaned:
                 raise ValueError(f"duplicate displacement {vec}")
             cleaned[vec] = mult
-        error = _class_error(cleaned)
+        error = class_error(cleaned)
         if error is not None:
             raise ValueError(error)
         object.__setattr__(self, "entries", cleaned)

@@ -50,10 +50,14 @@ def parse_rat(text: str) -> Rat:
     raise ValueError(f"not a rational: {text!r}")
 
 
-def rat_str(q) -> str:
-    """Canonical ``num/den`` form, denominator always present."""
+def rat_str(q, decimals=None) -> str:
+    """Canonical ``num/den`` form, denominator always present; with
+    ``decimals``, followed by ``~`` and :func:`rat_decimal` to that many
+    digits, which every reader ignores."""
     q = to_rat(q)
-    return f"{q.numerator}/{q.denominator}"
+    if decimals is None:
+        return f"{q.numerator}/{q.denominator}"
+    return f"{q.numerator}/{q.denominator}~{rat_decimal(q, decimals)}"
 
 
 def rat_decimal(q, digits: int) -> str:

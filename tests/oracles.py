@@ -89,7 +89,9 @@ the zero chain and the edge inner product of two fields,
 :func:`snap` and :func:`sample`, one snapped value and the snapped
 potential at one point, the tests' reference for the face-center path, and
 :func:`elementary_reconstruct` and :func:`elementary_matches`, the rates
-an elementary decomposition sums to and their comparison with the input.
+an elementary decomposition sums to and their comparison with the input,
+and :func:`connected_sum`, the surface of higher genus that two closed
+surfaces glue to.
 """
 
 import random
@@ -120,9 +122,9 @@ from cycledec.errors import (
 from cycledec.discretize import DEFAULT_DENOMINATOR, _snap_numerator
 from cycledec.exact_lp import _width
 from cycledec.finite_graph import GraphCycle, cycle_edges, cycle_sum, edge_sum, is_bistochastic
-from cycledec.io import FIELD_VERTEX_LIMIT, _content_lines, _cycle_terms, _fmt, _parse_value
+from cycledec.io import FIELD_VERTEX_LIMIT, _cycle_terms, _parse_value, content_lines
 from cycledec.lattice import LatticeCycleClass
-from cycledec.ratio import ONE, ZERO, Rat, scaled, to_rat
+from cycledec.ratio import ONE, ZERO, Rat, rat_str, scaled, to_rat
 
 
 def _sparse(row):
@@ -682,7 +684,7 @@ def reference_parse_graph(text: str, path):
     weights = {}
     values = {}
     lines = []
-    for line_no, line in _content_lines(text):
+    for line_no, line in content_lines(text):
         tokens = line.split()
         if name is None:
             if tokens[0] != "digraph" or len(tokens) != 2:
@@ -746,7 +748,7 @@ def reference_parse_field(text: str, path):
     complex = None
     entries = {}
     values = {}
-    for line_no, line in _content_lines(text):
+    for line_no, line in content_lines(text):
         tokens = line.split()
         if complex is None:
             if len(tokens) not in (3, 4) or tokens[0] != "field" or tokens[1] != "torus":
@@ -883,7 +885,7 @@ def check_rates(rates: dict, complex: TwoComplex) -> dict:
     nonzero rates as ``Rat``, in the map's order.
 
     The reference for the library's one validating pass,
-    ``complexes._field_and_symmetric``: per rate, the pair, then the
+    ``complexes.rates_pass``: per rate, the pair, then the
     value, then the sign, with the same errors and messages.
     """
     index = complex.edge_index
@@ -932,7 +934,7 @@ def reference_format_elementary_decomposition(dec, cx: TwoComplex, source: str, 
     per term of ``dec.cycles(cx)``."""
     lines = [
         f"decomposition elementary {source}",
-        f"constant {_fmt(dec.chosen_constant, decimals)}",
+        f"constant {rat_str(dec.chosen_constant, decimals)}",
     ]
     return "\n".join(lines + _cycle_terms(dec.cycles(cx), decimals)) + "\n"
 
@@ -1027,3 +1029,25 @@ def permutation_to_cycles(pi: dict):
         else:
             cycles.append(GraphCycle(tuple(orbit)))
     return cycles, fixed
+
+
+def connected_sum(faces_a, faces_b, orientable, name="sum") -> TwoComplex:
+    """The connected sum of two closed surfaces given as face vertex
+    cycles, built with :meth:`TwoComplex.from_face_cycles`.
+
+    The first face of each summand is removed and the two boundary
+    squares are glued, the second one reversed: the vertices of the
+    summands are tagged ``("a", v)`` and ``("b", v)``, and vertex ``k``
+    of the removed face of ``b`` becomes vertex ``-k`` of the removed face
+    of ``a``.  On two consistently oriented summands the faces of the sum
+    are consistently oriented too.  Two 3 x 3 tori give the orientable
+    surface of genus 2; a torus and a Klein grid the non-orientable
+    surface of genus 4.
+    """
+    hole_a, hole_b = faces_a[0], faces_b[0]
+    if len(hole_a) != len(hole_b):
+        raise ValueError("the removed faces differ in length")
+    glue = {v: ("a", hole_a[-k]) for k, v in enumerate(hole_b)}
+    cycles = [tuple(("a", v) for v in cycle) for cycle in faces_a[1:]]
+    cycles += [tuple(glue.get(v, ("b", v)) for v in cycle) for cycle in faces_b[1:]]
+    return TwoComplex.from_face_cycles(cycles, orientable, name=name)

@@ -16,6 +16,7 @@ from cycledec.complexes import (
     boundary2,
     field_to_rates,
     hodge_decompose,
+    rates_pass,
     recover_psi,
 )
 from cycledec.discretize import (
@@ -26,8 +27,8 @@ from cycledec.discretize import (
     random_environment,
 )
 from cycledec.elementary import (
-    decompose_1d,
     elementary_decompose,
+    family_1d,
     in_Re,
     pairwise_in_Re,
 )
@@ -371,7 +372,7 @@ def test_criterion_10_one_dimensional_family():
                 rates[(u, v)] = forward
             if backward:
                 rates[(v, u)] = backward
-        family = decompose_1d(rates, cx)
+        family = family_1d(rates_pass(rates, cx), cx)
         assert family.constant == c
         assert family.in_r_star == (c == ZERO)
         m = family.min_weight

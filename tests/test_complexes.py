@@ -10,7 +10,7 @@ from cycledec.complexes import (
     TwoComplex,
     VectorField,
     ZeroForm,
-    _field_and_symmetric,
+    rates_pass,
     boundary1,
     boundary2,
     coboundary0,
@@ -549,7 +549,7 @@ class TestHodge:
         def no_solve(*args):
             raise AssertionError("a system was solved")
 
-        monkeypatch.setattr(complexes, "_dixon_solve", no_solve)
+        monkeypatch.setattr(complexes, "dixon_solve", no_solve)
         cx = TwoComplex.torus2(17, 241)
         assert cx.n_vertices == complexes.HODGE_VERTEX_LIMIT + 1
         # a field without values: reading them would fail with a TypeError
@@ -573,14 +573,14 @@ class TestRatesAndFields:
         for u, v in cx.edges:
             rates[(u, v)] = Rat(2, 3)
             rates[(v, u)] = Rat(2, 3)
-        scale, phi, s = _field_and_symmetric(rates, cx)
+        scale, phi, s = rates_pass(rates, cx)
         assert phi.is_zero()
         assert scale == 3 and s == [2] * cx.n_edges
 
     def test_single_asymmetric_pair(self):
         cx = TwoComplex.torus2(3)
         rates = {((0, 0), (1, 0)): Rat(3), ((1, 0), (0, 0)): ONE}
-        scale, phi, s = _field_and_symmetric(rates, cx)
+        scale, phi, s = rates_pass(rates, cx)
         eid, sign = cx.edge_id((0, 0), (1, 0))
         assert scale == 1 and sign == 1 and phi.values[eid] == 2
         assert s[eid] == ONE
@@ -595,7 +595,7 @@ class TestRatesAndFields:
                     w = rand_rat(rng, 0, 5, 4)
                     if w > 0:
                         rates[e] = w
-            scale, phi, s = _field_and_symmetric(rates, cx)
+            scale, phi, s = rates_pass(rates, cx)
             assert all(type(n) is int for n in phi.values + s)
             phi = VectorField(cx, [Rat(n, scale) for n in phi.values])
             minimal = field_to_rates(phi)
@@ -605,7 +605,7 @@ class TestRatesAndFields:
                     rebuilt[e] = rebuilt.get(e, ZERO) + Rat(n, scale)
             rebuilt = {e: w for e, w in rebuilt.items() if w != 0}
             assert rebuilt == rates
-            min_scale, min_phi, _ = _field_and_symmetric(minimal, cx)
+            min_scale, min_phi, _ = rates_pass(minimal, cx)
             assert VectorField(cx, [Rat(n, min_scale) for n in min_phi.values]) == phi
             for u, v in cx.edges:
                 assert min(minimal.get((u, v), ZERO), minimal.get((v, u), ZERO)) == ZERO
@@ -659,7 +659,7 @@ def test_hodge_on_small_primes_falls_back_and_lifts_exactly(monkeypatch, rng, sh
 def test_dixon_solve_raises_when_every_prime_has_a_zero_pivot(monkeypatch):
     monkeypatch.setattr(exact_lp, "_PRIMES", (2,))
     with pytest.raises(NoSolution):
-        exact_lp._dixon_solve([{0: 2, 1: 1}, {0: 1, 1: 2}], [1, 1])
+        exact_lp.dixon_solve([{0: 2, 1: 1}, {0: 1, 1: 2}], [1, 1])
 
 
 def test_dixon_solve_accepts_only_a_zero_residual(monkeypatch):
@@ -674,7 +674,7 @@ def test_dixon_solve_accepts_only_a_zero_residual(monkeypatch):
         return candidates[-1]
 
     monkeypatch.setattr(exact_lp, "_reconstruct", reconstruct)
-    assert exact_lp._dixon_solve([{0: 1}], [1000]) == ([1000], 1)
+    assert exact_lp.dixon_solve([{0: 1}], [1000]) == ([1000], 1)
     assert ([-45], 47) in candidates
 
 

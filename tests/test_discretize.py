@@ -271,8 +271,8 @@ class TestRandomEnvironment:
         # that of in_Re on the returned weights
         passes = []
         for module in (complexes, elementary):
-            real = module._field_and_symmetric
-            monkeypatch.setattr(module, "_field_and_symmetric",
+            real = module.rates_pass
+            monkeypatch.setattr(module, "rates_pass",
                                 lambda *args, real=real: passes.append(1) or real(*args))
         seen = set()
 

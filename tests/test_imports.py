@@ -1,9 +1,11 @@
-"""Every name that a library module imports is used in that module, and
-every definition in the library runs outside the tests.
+"""Every name that a library module imports is used in that module, no
+library module reaches for another one's private names, and every
+definition in the library runs outside the tests.
 
 No linter is part of the toolchain, so these are the checks for imports
-that a deletion leaves behind and for helpers that only the tests call.
-``__init__.py`` is left out of the first: it imports names to export them.
+that a deletion leaves behind, for private names used across modules and
+for helpers that only the tests call.  ``__init__.py`` is left out of the
+first: it imports names to export them.
 """
 
 import ast
@@ -40,6 +42,51 @@ def test_the_check_finds_what_is_never_read():
 )
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def private_uses(source: str) -> list:
+    """``(line, name)`` for each underscore name that the source imports
+    from a sibling module, and ``(line, "module._name")`` for each one it
+    reads off a sibling module bound by ``from . import module``.
+
+    Dunders are left out, and so are underscore attributes of anything but
+    a module, such as the class-level ``_exact`` constructors of the chain
+    types: the check is about modules, not classes.
+    """
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cycledec")):
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_the_check_finds_private_names_of_sibling_modules():
+    source = (
+        "from . import io as fio, lattice\nfrom .a import b, _c\nfrom cycledec.d import _e as f\n"
+        "import os\nfrom os import _exit\n"
+        "fio._g(lattice._h, fio.i, os._exit, b._j, B._exact, fio.__name__)\n"
+    )
+    assert private_uses(source) == [(2, "_c"), (3, "_e"), (6, "fio._g"), (6, "lattice._h")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_uses_another_modules_private_names(module):
+    assert private_uses((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def unnamed_definitions(defining: dict, naming: list, exempt=frozenset()) -> list:

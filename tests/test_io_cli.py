@@ -600,7 +600,7 @@ def test_first_fault_returns_the_least_rejected_prefix_and_its_error(n, data):
     with pytest.raises((KeyError, ValueError, InputFormatError)) as info:
         check(items)
     checks.clear()
-    k, error = fio._first_fault(items, check, info.value)
+    k, error = fio.first_fault(items, check, info.value)
     first = min(faults)
     assert k == first + 1
     assert f"fault {first} in a prefix of {k}" in str(error)
@@ -1158,7 +1158,7 @@ class TestCliOther:
         def faulty(chain, complex):
             raise ValueError("fault inside the bound")
 
-        monkeypatch.setattr(cli.el, "_diameter_bound", faulty)
+        monkeypatch.setattr(cli.el, "chain_diameter_bound", faulty)
         field, _ = discretize_potential(band_potential(), 10)
         path = write(workdir / "f.field", fio.format_field(field))
         with pytest.raises(ValueError, match="fault inside the bound"):
@@ -1314,13 +1314,13 @@ class TestCliInputErrors:
         rates.append("2,2 6,6 1")
         path = write(workdir / "far.wg", "\n".join(["digraph far", *rates]) + "\n")
         passes = []
-        real = cli._field_and_symmetric
+        real = cli.rates_pass
 
         def counting(rates, complex):
             passes.append(len(rates))
             return real(rates, complex)
 
-        monkeypatch.setattr(cli, "_field_and_symmetric", counting)
+        monkeypatch.setattr(cli, "rates_pass", counting)
         assert run_cli(["check", "elementary", path, "--torus", "8"]) == 2
         assert f"far.wg:{at + 2}: rates do not fit torus2[8x8]: no edge between (0, 0) and (5, 5)" in (
             capsys.readouterr().err
@@ -1646,11 +1646,11 @@ def test_elementary_commands_recover_one_chain(args, recoveries, workdir, monkey
         monkeypatch.setattr(module, name, counted)
 
     count(elementary, "recover_psi")
-    count(cli, "_field_and_symmetric")
-    count(elementary, "_field_and_symmetric")
+    count(cli, "rates_pass")
+    count(elementary, "rates_pass")
     assert run_cli(args) == 0
     assert calls["recover_psi"] == recoveries
-    assert calls["_field_and_symmetric"] == 1
+    assert calls["rates_pass"] == 1
 
 
 @pytest.mark.parametrize(
@@ -1729,7 +1729,7 @@ def _sample_commands():
                 ["decompose", "--mode", "1d-heavy", path, "--steps", "5", "--verify"],
             ]
         if sample.suffix == ".field":
-            commands.append(["hodge", path])
+            commands += [["hodge", path], ["hodge", path, "--decimal", "3"]]
         if sample.suffix in (".wg", ".field"):
             for extra in complexes:
                 commands += [["check", prop, path] + extra for prop in ("dlambda2", "elementary", "rstar")]
